@@ -5,7 +5,7 @@ GO ?= go
 # offline machines with a cold cache.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build vet test race race-fast fuzz-smoke chaos-smoke trace-smoke fleet-smoke link-smoke governor-smoke soak-reorder staticcheck check bench bench-obs bench-baselines bench-shard bench-shard-mt bench-ingest bench-route bench-trace bench-fleet bench-link bench-governor bench-gate clean
+.PHONY: all build vet test race race-fast fuzz-smoke chaos-smoke trace-smoke fleet-smoke link-smoke governor-smoke soak-reorder staticcheck check bench bench-spine bench-obs bench-baselines bench-shard bench-shard-mt bench-ingest bench-route bench-trace bench-fleet bench-link bench-governor bench-gate clean
 
 all: check
 
@@ -40,6 +40,7 @@ race: vet
 fuzz-smoke: vet
 	$(GO) test -run xxx -fuzz FuzzDecode -fuzztime 10s ./internal/packet/
 	$(GO) test -run xxx -fuzz FuzzIngest -fuzztime 10s ./internal/core/
+	$(GO) test -run xxx -fuzz FuzzLinkLoad -fuzztime 10s ./internal/core/
 	$(GO) test -run xxx -fuzz FuzzParseSpec -fuzztime 10s ./internal/faults/
 	$(GO) test -run xxx -fuzz FuzzTreeOfMAC -fuzztime 10s ./internal/topo/
 	$(GO) test -run xxx -fuzz FuzzAggregateMerge -fuzztime 10s ./internal/agg/
@@ -110,9 +111,21 @@ staticcheck:
 	fi
 
 # check is the tier-1 gate: everything must compile, vet clean, lint
-# clean (where staticcheck is available), pass, and hold the committed
-# ingest hot-path budget.
-check: vet build test race-fast staticcheck trace-smoke fleet-smoke link-smoke governor-smoke soak-reorder bench-gate
+# clean (where staticcheck is available), pass, run every gated spine
+# workload with its oracles, and hold the allocation self-gates.
+check: vet build test race-fast staticcheck trace-smoke fleet-smoke link-smoke governor-smoke soak-reorder bench-spine bench-gate
+
+# bench-spine runs the benchmark spine (bench/README.md): its own tests
+# (metric names against BENCHMARK.json, a smoke of all four workloads),
+# then each gated workload once at the declared run length. Each run
+# checks its outputs against the workload's oracle and exits nonzero on
+# a violation; comparing the printed figures with another commit's is
+# the paired-run procedure in bench/README.md, not this target's job.
+bench-spine: vet
+	$(GO) -C bench test ./...
+	for w in steady-1k churn loop; do \
+		bash bench/run.sh --workload $$w --seed 1 --seconds 30 --trace 0 || exit 1; \
+	done
 
 # bench runs the per-figure testing.B targets once each.
 bench: vet
@@ -125,7 +138,7 @@ bench-obs: vet
 	$(GO) run ./cmd/planck-bench -obs-json BENCH_obs.json
 
 # bench-baselines regenerates every committed ingest baseline —
-# BENCH_ingest.json (serial hot path, the bench-gate budget),
+# BENCH_ingest.json (serial hot path),
 # BENCH_shard.json (sharded vs serial at the same CPU budget),
 # BENCH_shard_mt.json (sharded under GOMAXPROCS=4), and
 # BENCH_governor.json (the sampling-rate governor's estimator and tick
@@ -179,12 +192,15 @@ bench-fleet: vet
 bench-link: vet
 	GOMAXPROCS=1 $(GO) run ./cmd/planck-bench -link-json BENCH_link.json
 
-# bench-gate protects the ingest perf contract end to end: the four
-# committed baselines must share one run_id (regenerated together via
-# bench-baselines); fresh ingest_serial must hold the committed budget
-# within 5%; the multicore sharded pipeline must stay allocation-free
-# and, on hosts with ≥2 real cores, shards=4 must beat serial
-# (single-core hosts get an honest skip notice, not a vacuous pass).
+# bench-gate runs the self-gates of the pre-spine micro-benchmarks: the
+# four committed baselines must share one run_id (regenerated together
+# via bench-baselines); the multicore sharded pipeline must stay
+# allocation-free and, on hosts with ≥2 real cores, shards=4 must beat
+# serial (single-core hosts get an honest skip notice, not a vacuous
+# pass). Serial ingest speed is no longer gated here — a 5 % budget on
+# a 64-flow, subscriber-less loop measured on another host says nothing
+# the spine's workloads do not say better; bench-spine took its place
+# in check.
 # Then the routing-plane self-gates (view rows 0 allocs/op, ingest_view
 # within +5% of same-run ingest_serial), the tracer's idle-overhead
 # self-gate (traced ingest 0 allocs/op, within +2% of bare), the
@@ -193,7 +209,6 @@ bench-link: vet
 # estimator-update 0 allocs/op self-gate.
 bench-gate: vet
 	GOMAXPROCS=1 $(GO) run ./cmd/planck-bench -verify-run-ids BENCH_ingest.json,BENCH_shard.json,BENCH_shard_mt.json,BENCH_governor.json
-	GOMAXPROCS=1 $(GO) run ./cmd/planck-bench -count 3 -ingest-json - -gate-against BENCH_ingest.json
 	GOMAXPROCS=1 $(GO) run ./cmd/planck-bench -count 3 -shard-mt-json -
 	GOMAXPROCS=1 $(GO) run ./cmd/planck-bench -route-json -
 	GOMAXPROCS=1 $(GO) run ./cmd/planck-bench -trace-json -

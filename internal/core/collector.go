@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sync/atomic"
 
 	"planck/internal/obs"
@@ -254,8 +255,21 @@ type Collector struct {
 	dec   packet.Decoded
 	flows FlowTable
 
-	// portFlows[p] holds flows currently mapped to egress port p.
+	// portFlows[p] holds flows currently mapped to egress port p, each
+	// at index FlowState.portSlot-1. portUtil[p] is the running sum of
+	// their counted contributions — exactly what a scan of portFlows[p]
+	// for fresh, rate-bearing flows would add up, kept current on every
+	// event that changes a term (see account).
 	portFlows [][]*FlowState
+	portUtil  []units.Rate
+
+	// oldest and newest are the ends of the recency list threading every
+	// live flow in LastSeen order: a sample moves its flow to newest, and
+	// timestamps never go backwards, so the order needs no sort. fresh is
+	// the oldest flow still within FlowFreshness of now (nil when none
+	// is); everything before it is stale and counts for nothing.
+	oldest, newest *FlowState
+	fresh          *FlowState
 
 	lastEvent []units.Time
 
@@ -272,6 +286,10 @@ type Collector struct {
 	sinkBatch BatchEndSink
 
 	met collectorMetrics
+
+	// onPort is FlowsOnPort's scratch for the fresh flows of one port
+	// while they are put in port-list order.
+	onPort []*FlowState
 
 	// cooldownScratch backs CooldownSnapshot so periodic supervisor
 	// snapshots reuse one map instead of allocating per call.
@@ -292,6 +310,7 @@ func New(cfg Config) *Collector {
 	}
 	if cfg.NumPorts > 0 {
 		c.portFlows = make([][]*FlowState, cfg.NumPorts)
+		c.portUtil = make([]units.Rate, cfg.NumPorts)
 		c.lastEvent = make([]units.Time, cfg.NumPorts)
 		for i := range c.lastEvent {
 			c.lastEvent[i] = -1 << 62
@@ -551,6 +570,11 @@ func (c *Collector) IngestBatch(ts []units.Time, frames [][]byte) error {
 // records never move.
 func (c *Collector) ingest(t units.Time, frame []byte, h uint64, hint *FlowState, hintHash uint64) error {
 	c.now = t
+	// Every frame moves the clock, whether or not it reaches the flow
+	// table, so staleness is settled here.
+	if f := c.fresh; f != nil && t.Sub(f.LastSeen) > c.cfg.FlowFreshness {
+		c.retireStale()
+	}
 	if c.ring != nil {
 		c.ring.Push(t, frame)
 	}
@@ -639,6 +663,7 @@ func (c *Collector) ingest(t units.Time, frame []byte, h uint64, hint *FlowState
 		c.met.flowTableSize.Set(int64(c.flows.Len()))
 	}
 	f.LastSeen = t
+	c.touch(f)
 	f.SampledPackets++
 	f.SampledBytes += int64(c.dec.WireLen)
 
@@ -684,6 +709,7 @@ func (c *Collector) ingest(t units.Time, frame []byte, h uint64, hint *FlowState
 	if timed {
 		c.met.stageEstimate.Observe(obs.Nanos() - t0)
 	}
+	c.account(f)
 	if updated {
 		c.met.rateUpdates.IncRelaxed()
 		c.checkCongestion(t, f)
@@ -745,6 +771,7 @@ func (c *Collector) ingestUDP(t units.Time, frame []byte, h uint64) {
 		f.Pkt = NewPacketSeqEstimator()
 	}
 	f.LastSeen = t
+	c.touch(f)
 	f.SampledPackets++
 	f.SampledBytes += int64(c.dec.WireLen)
 	if f.DstMAC != c.dec.Eth.Dst || f.outPort < 0 || f.routeEpoch != c.routeEpoch {
@@ -758,6 +785,7 @@ func (c *Collector) ingestUDP(t units.Time, frame []byte, h uint64) {
 		}
 	}
 	updated := f.Pkt.Observe(t, seq, c.dec.WireLen)
+	c.account(f)
 	if updated {
 		c.met.rateUpdates.IncRelaxed()
 		c.checkCongestion(t, f)
@@ -800,27 +828,104 @@ func (c *Collector) remapFlowAt(t units.Time, f *FlowState) {
 	if newPort == f.outPort {
 		return
 	}
-	if f.outPort >= 0 && f.outPort < len(c.portFlows) {
-		c.portFlows[f.outPort] = removeFlow(c.portFlows[f.outPort], f)
-	}
+	c.unlist(f)
 	f.outPort = newPort
 	if newPort >= 0 && newPort < len(c.portFlows) {
 		c.portFlows[newPort] = append(c.portFlows[newPort], f)
+		f.portSlot = int32(len(c.portFlows[newPort]))
+		c.account(f)
 	}
 }
 
-func removeFlow(s []*FlowState, f *FlowState) []*FlowState {
-	for i, x := range s {
-		if x == f {
-			s[i] = s[len(s)-1]
-			return s[:len(s)-1]
+// unlist takes f off its port list, if it is on one, and its counted
+// contribution out of that port's sum. The list's last flow fills the
+// hole, as it always has: list order is the order FlowsOnPort reports.
+func (c *Collector) unlist(f *FlowState) {
+	if f.portSlot == 0 {
+		return
+	}
+	c.portUtil[f.outPort] -= f.counted
+	f.counted = 0
+	l := c.portFlows[f.outPort]
+	last := l[len(l)-1]
+	l[f.portSlot-1] = last
+	last.portSlot = f.portSlot
+	l[len(l)-1] = nil
+	c.portFlows[f.outPort] = l[:len(l)-1]
+	f.portSlot = 0
+}
+
+// account brings f's counted contribution, and with it its port's
+// running sum, in line with f's current state: its rate while f is on a
+// port list, within FlowFreshness of now and has an estimate, else 0.
+// Rates are integers, so adding the difference keeps portUtil equal,
+// bit for bit, to a fresh sum over the port's flows. Called wherever a
+// term of that condition can change for a flow that stays fresh: after
+// each sample (which may close a window or revive a stale flow) and
+// after a move onto a port list. Going stale is retireStale's.
+func (c *Collector) account(f *FlowState) {
+	var want units.Rate
+	if f.portSlot != 0 && c.now.Sub(f.LastSeen) <= c.cfg.FlowFreshness {
+		if r, ok := f.Rate(); ok {
+			want = r
 		}
 	}
-	return s
+	if want != f.counted {
+		c.portUtil[f.outPort] += want - f.counted
+		f.counted = want
+	}
 }
 
-// checkCongestion recomputes the utilization of f's egress link and emits
-// an event if it crossed the threshold and the link is out of cooldown.
+// touch moves f, whose LastSeen was just set to now, to the newest end
+// of the recency list, linking it in if it is new. (The unlink is
+// spelled out, not shared with expire's, and the LastSeen store is the
+// caller's: either one more puts touch past the inlining budget, and it
+// runs once per sample.)
+func (c *Collector) touch(f *FlowState) {
+	if f != c.newest {
+		if f.next != nil { // linked, and not last: unlink
+			if c.fresh == f {
+				c.fresh = f.next
+			}
+			if f.prev != nil {
+				f.prev.next = f.next
+			} else {
+				c.oldest = f.next
+			}
+			f.next.prev = f.prev
+			f.next = nil
+		}
+		f.prev = c.newest
+		if c.newest != nil {
+			c.newest.next = f
+		} else {
+			c.oldest = f
+		}
+		c.newest = f
+	}
+	if c.fresh == nil {
+		c.fresh = f
+	}
+}
+
+// retireStale advances the fresh cursor past every flow last seen more
+// than FlowFreshness before now, dropping each one's contribution. A
+// flow is passed once per time it goes quiet, so the cost per sample is
+// constant on average.
+func (c *Collector) retireStale() {
+	f := c.fresh
+	for f != nil && c.now.Sub(f.LastSeen) > c.cfg.FlowFreshness {
+		if f.counted != 0 {
+			c.portUtil[f.outPort] -= f.counted
+			f.counted = 0
+		}
+		f = f.next
+	}
+	c.fresh = f
+}
+
+// checkCongestion reads the utilization of f's egress link and emits an
+// event if it crossed the threshold and the link is out of cooldown.
 func (c *Collector) checkCongestion(t units.Time, f *FlowState) {
 	p := f.outPort
 	if p < 0 || p >= len(c.portFlows) || len(c.subs) == 0 {
@@ -917,36 +1022,35 @@ func (c *Collector) RestoreCooldowns(snap map[int]units.Time) {
 
 // LinkUtilization sums the fresh flow-rate estimates mapped to egress
 // port p (§3.2.2: "the controller sums the throughput of all flows
-// traversing a given link").
+// traversing a given link"). The sum is kept current as samples arrive;
+// this only reads it.
 func (c *Collector) LinkUtilization(p int) units.Rate {
-	if p < 0 || p >= len(c.portFlows) {
+	if p < 0 || p >= len(c.portUtil) {
 		return 0
 	}
-	var util units.Rate
-	for _, f := range c.portFlows[p] {
-		if c.now.Sub(f.LastSeen) > c.cfg.FlowFreshness {
-			continue
-		}
-		if r, ok := f.Rate(); ok {
-			util += r
-		}
-	}
-	return util
+	return c.portUtil[p]
 }
 
-// FlowsOnPort snapshots the fresh flows mapped to egress port p.
+// FlowsOnPort snapshots the fresh flows mapped to egress port p, in
+// port-list order. It walks the fresh end of the recency list — every
+// fresh flow of the switch, not every flow of the port.
 func (c *Collector) FlowsOnPort(p int) []FlowInfo {
 	if p < 0 || p >= len(c.portFlows) {
 		return nil
 	}
-	out := make([]FlowInfo, 0, len(c.portFlows[p]))
-	for _, f := range c.portFlows[p] {
-		if c.now.Sub(f.LastSeen) > c.cfg.FlowFreshness {
-			continue
+	on := c.onPort[:0]
+	for f := c.fresh; f != nil; f = f.next {
+		if f.outPort == p {
+			on = append(on, f)
 		}
-		r, _ := f.Rate()
-		out = append(out, FlowInfo{Key: f.Key, DstMAC: f.DstMAC, Rate: r, OutPort: p})
 	}
+	slices.SortFunc(on, func(a, b *FlowState) int { return int(a.portSlot - b.portSlot) })
+	out := make([]FlowInfo, len(on))
+	for i, f := range on {
+		r, _ := f.Rate()
+		out[i] = FlowInfo{Key: f.Key, DstMAC: f.DstMAC, Rate: r, OutPort: p}
+	}
+	c.onPort = on
 	return out
 }
 
@@ -980,16 +1084,33 @@ func (c *Collector) FlowTableProbeStats() (mean float64, max int) {
 // from Flow/Flows before the call are invalid after it. Call
 // periodically from the hosting process.
 func (c *Collector) ExpireFlows(now units.Time, idle units.Duration) int {
+	return c.expire(now, idle, nil)
+}
+
+// expire is ExpireFlows with a hook: onRemove, when non-nil, sees each
+// record just before the table recycles it. The recency list is in
+// LastSeen order, so the idle flows are exactly its head; the walk
+// stops at the first survivor and costs O(expired), whatever the
+// table holds.
+func (c *Collector) expire(now units.Time, idle units.Duration, onRemove func(*FlowState)) int {
 	n := 0
-	c.flows.Iterate(func(f *FlowState) {
-		if now.Sub(f.LastSeen) > idle {
-			if f.outPort >= 0 && f.outPort < len(c.portFlows) {
-				c.portFlows[f.outPort] = removeFlow(c.portFlows[f.outPort], f)
-			}
-			c.flows.Remove(f)
-			n++
+	for f := c.oldest; f != nil && now.Sub(f.LastSeen) > idle; f = c.oldest {
+		c.unlist(f)
+		if c.fresh == f {
+			c.fresh = f.next
 		}
-	})
+		c.oldest = f.next
+		if f.next != nil {
+			f.next.prev = nil
+		} else {
+			c.newest = nil
+		}
+		if onRemove != nil {
+			onRemove(f)
+		}
+		c.flows.Remove(f)
+		n++
+	}
 	if n > 0 {
 		c.met.flowTableSize.Set(int64(c.flows.Len()))
 	}

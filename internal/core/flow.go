@@ -149,6 +149,20 @@ type FlowState struct {
 	// is indexed by it. Unused in serial operation.
 	id int32
 
+	// portSlot is 1 + the record's index in the collector's
+	// portFlows[outPort] (0 = on no port list), so leaving a list is a
+	// swap-remove, not a search.
+	portSlot int32
+
+	// prev and next thread the record onto the collector's recency list:
+	// every live flow, oldest LastSeen at the head.
+	prev, next *FlowState
+
+	// counted is what the record currently adds to the collector's
+	// portUtil[outPort]: its rate while it is on a port list, fresh and
+	// has an estimate, otherwise 0.
+	counted units.Rate
+
 	// hash caches the record's flow hash so FlowTable.Remove and port
 	// remaps relocate it without rehashing; live marks a slab record as
 	// present in the table (false = free-listed). Both are maintained

@@ -436,3 +436,24 @@ func FuzzFlowTable(f *testing.F) {
 		checkCtrlInvariants(t, &tab)
 	})
 }
+
+// TestFlowTableRecycledRecordIsBlank: the collector threads records onto
+// a recency list and a port list and keeps a counted contribution in
+// each. Remove zeroes the record, so the slab slot comes back from the
+// free list on no list and counting for nothing, whatever it held.
+func TestFlowTableRecycledRecordIsBlank(t *testing.T) {
+	var tab FlowTable
+	k1 := packet.FlowKey{SrcIP: packet.IPv4{10, 0, 0, 1}, SrcPort: 1, Proto: packet.IPProtocolTCP}
+	k2 := packet.FlowKey{SrcIP: packet.IPv4{10, 0, 0, 2}, SrcPort: 2, Proto: packet.IPProtocolTCP}
+	a, _ := tab.GetOrInsert(HashFlowKey(k1), k1)
+	var other FlowState
+	a.prev, a.next, a.counted, a.portSlot, a.outPort = &other, &other, 12345, 7, 3
+	tab.Remove(a)
+	b, inserted := tab.GetOrInsert(HashFlowKey(k2), k2)
+	if !inserted || b != a {
+		t.Fatalf("free list did not hand the removed record back (%p, %p)", a, b)
+	}
+	if b.prev != nil || b.next != nil || b.counted != 0 || b.portSlot != 0 {
+		t.Fatalf("recycled record carries prev %p next %p counted %v slot %d", b.prev, b.next, b.counted, b.portSlot)
+	}
+}

@@ -898,27 +898,14 @@ func (s *ShardedCollector) ExpireFlows(now units.Time, idle units.Duration) int 
 	v := &s.mg.view
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	dropMerged := func(f *FlowState) {
+		if f.id > 0 {
+			s.mg.dropFlow(f.id)
+		}
+	}
 	n := 0
 	for _, w := range s.workers {
-		c := w.col
-		removed := 0
-		c.flows.Iterate(func(f *FlowState) {
-			if now.Sub(f.LastSeen) > idle {
-				if f.outPort >= 0 && f.outPort < len(c.portFlows) {
-					c.portFlows[f.outPort] = removeFlow(c.portFlows[f.outPort], f)
-				}
-				id := f.id // Remove recycles the record
-				c.flows.Remove(f)
-				if id > 0 {
-					s.mg.dropFlow(id)
-				}
-				removed++
-			}
-		})
-		if removed > 0 {
-			c.met.flowTableSize.Set(int64(c.flows.Len()))
-		}
-		n += removed
+		n += w.col.expire(now, idle, dropMerged)
 	}
 	return n
 }
