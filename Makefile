@@ -23,9 +23,11 @@ test: vet
 # race-fast covers the packages with genuine concurrency (the sharded
 # collector pipeline and its serial-equivalence oracles, the obs
 # registry under concurrent observe/serve, the UDP transport, the
-# vantagelink wire endpoints) plus the hot-path packages. The lab
-# package's fleet-over-transport suites push it past go test's default
-# 10-minute ceiling on small machines, hence the explicit timeout.
+# vantagelink wire endpoints, and with ./internal/agg/ the link's
+# receiver-stall test and the merge-clock release-rule tests) plus the
+# hot-path packages. The lab package's fleet-over-transport suites push
+# it past go test's default 10-minute ceiling on small machines, hence
+# the explicit timeout.
 race-fast: vet
 	$(GO) test -race -timeout 25m ./internal/obs/ ./internal/core/ ./internal/counters/ ./internal/sim/ ./internal/packet/ ./internal/lab/ ./internal/routing/ ./internal/governor/ ./internal/agg/ ./internal/vantagelink/ .
 
@@ -75,7 +77,10 @@ fleet-smoke: vet
 # link-smoke runs a 4-vantage fleet over real UDP loopback sockets —
 # one sender goroutine per vantage with a skewed wall clock and 5%
 # injected loss — and fails unless every record is delivered exactly
-# once, every sender clock-syncs, and event cooldown spacing holds.
+# once, every sender clock-syncs, event cooldown spacing holds, and
+# events leave the plane when their order is final: the printed median
+# merge hold (report delivered -> event emitted) must be under half the
+# 1 ms ReorderWindow.
 link-smoke: vet
 	$(GO) run ./cmd/planck-scale -run -k 4 -seed 7 -transport udp -link-loss 0.05 > /dev/null
 

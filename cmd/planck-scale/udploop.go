@@ -11,6 +11,7 @@ import (
 	"planck/internal/core"
 	"planck/internal/faults"
 	"planck/internal/packet"
+	"planck/internal/stats"
 	"planck/internal/units"
 	"planck/internal/vantagelink"
 )
@@ -20,26 +21,41 @@ import (
 // fault gate in front of a connected UDP socket, stream over-threshold
 // flow reports to one loopback receiver feeding an aggregation plane.
 // It gates on the transport's end-to-end promises — every record
-// delivered exactly once, every sender clock-synced, and zero
-// congestion events violating the per-link cooldown — and exits 1 if
-// any of them breaks.
+// delivered exactly once, every sender clock-synced, zero congestion
+// events violating the per-link cooldown, and events released when
+// their order is final rather than a reorder window later (median
+// merge hold under half the window) — and exits 1 if any of them
+// breaks.
 func udpRun(n int, loss float64, seed int64) int {
 	const (
-		numPorts   = 4
-		reports    = 400 // per vantage
-		reportGap  = 50 * time.Microsecond
-		settleWait = 10 * time.Second
+		numPorts      = 4
+		reports       = 400 // per vantage
+		reportGap     = 50 * time.Microsecond
+		settleWait    = 10 * time.Second
+		reorderWindow = units.Millisecond
 	)
 
 	plane := agg.New(agg.Config{
-		ReorderWindow:        units.Millisecond,
+		ReorderWindow:        reorderWindow,
 		ExternalMergeAdvance: true,
 	})
 	spacing := newEventSpacing(core.Config{}.WithDefaults().EventCooldown)
 	perSwitch := make(map[string]int)
+	// Merge hold: from the trigger report's delivery to the plane until
+	// its event reaches the subscriber. Both ends run under the
+	// receiver's lock.
+	type trigger struct {
+		vantage int
+		time    units.Time
+	}
+	deliveredAt := make(map[trigger]time.Time)
+	holds := stats.NewSample(n * reports) // ns
 	plane.Subscribe(func(ev core.CongestionEvent) {
 		spacing.observe(ev)
 		perSwitch[ev.SwitchName]++
+		if at, ok := deliveredAt[trigger{ev.Vantage, ev.Time}]; ok {
+			holds.Add(float64(time.Since(at)))
+		}
 	})
 
 	// A generous hold timeout: real-goroutine senders pause on
@@ -67,6 +83,7 @@ func udpRun(n int, loss float64, seed int64) int {
 		ids[v] = uint16(pv.ID())
 		id := v
 		rx.Join(ids[v], countingSink{v: pv, n: func(rep *core.FlowReport) {
+			deliveredAt[trigger{int(pv.ID()), rep.Time}] = time.Now()
 			delivered[id]++
 			seen[rep.Key]++
 			if seen[rep.Key] > 1 {
@@ -187,8 +204,16 @@ func udpRun(n int, loss float64, seed int64) int {
 		rx.Receiver().Abandoned(), rx.Receiver().DupFrames(), rx.Receiver().Exclusions())
 	fmt.Printf("udp fleet plane: %d events emitted (%d switches), %d deduped, %d late\n",
 		spacing.events, len(perSwitch), m.Deduped, m.Late)
+	holdP50, holdP90 := time.Duration(holds.Median()), time.Duration(holds.Quantile(0.9))
+	fmt.Printf("udp fleet merge hold (report delivered to event emitted): p50 %v, p90 %v over %d events, reorder window %v\n",
+		holdP50, holdP90, holds.N(), time.Duration(reorderWindow))
 
 	code := 0
+	if holds.N() == 0 || holdP50 >= time.Duration(reorderWindow)/2 {
+		fmt.Fprintf(os.Stderr, "udp fleet: median merge hold %v over %d events is not under half the %v reorder window: events wait for the window, not for their order\n",
+			holdP50, holds.N(), time.Duration(reorderWindow))
+		code = 1
+	}
 	if !complete {
 		fmt.Fprintln(os.Stderr, "udp fleet: receiver never drained (outstanding gaps or buffered frames)")
 		code = 1

@@ -57,8 +57,11 @@ type Config struct {
 	// arrive. Zero (the default) emits synchronously: every candidate
 	// advances the merge watermark to its own timestamp, which is exact
 	// when vantages report in global time order (the lab's engine
-	// guarantees this). A positive window buffers candidates and lets
-	// Tick emit those older than now−window.
+	// guarantees this). A positive window buffers candidates. One is
+	// released as soon as its order is final — every live vantage has
+	// reported past its time (see releaseFinal) — and at the latest once
+	// it is older than now−window, which is what releases it when a live
+	// vantage has nothing to report.
 	ReorderWindow units.Duration
 
 	// ExternalMergeAdvance stops Tick from advancing the event merger:
@@ -221,7 +224,8 @@ func (p *Plane) emitMerged(ev core.CongestionEvent) {
 
 // Tick advances plane housekeeping to now: re-evaluates vantage
 // staleness and, with a positive ReorderWindow, releases buffered event
-// candidates older than now−window. Drive it from a periodic ticker.
+// candidates older than now−window or no longer held by a vantage that
+// just went stale. Drive it from a periodic ticker.
 //
 // Staleness is judged on lastRecv — when the vantage last *reached*
 // the plane, on the plane's own clock — never on the report content
@@ -241,24 +245,59 @@ func (p *Plane) Tick(now units.Time) {
 		}
 	}
 	p.met.staleVant.Set(stale)
-	if w := p.cfg.ReorderWindow; w > 0 && !p.cfg.ExternalMergeAdvance {
-		p.merger.AdvanceTo(now.Add(-w))
+	if w := p.cfg.ReorderWindow; w > 0 {
+		if !p.cfg.ExternalMergeAdvance {
+			p.merger.AdvanceTo(now.Add(-w))
+		}
+		p.releaseFinal()
 	}
 }
 
-// AdvanceMerge advances the event merger's release clock to the
-// transport receiver's delivery watermark: every report timestamped
-// ≤ now has been folded in, so candidates older than now−ReorderWindow
-// can be emitted in final order. The owner of the merge clock under
-// Config.ExternalMergeAdvance.
+// AdvanceMerge advances the reorder window's clock to the transport
+// receiver's delivery watermark: candidates older than
+// now−ReorderWindow are emitted whatever the vantages have reported,
+// which is what releases a candidate while a live vantage has nothing
+// to report. The margin is there because the watermark also advances
+// on heartbeats, whose stamps are the sender's wall clock and run
+// ahead of the stamps of data still on its way from capture. Younger
+// candidates are released by the reports themselves (releaseFinal).
+// The owner of the window's clock under Config.ExternalMergeAdvance.
 func (p *Plane) AdvanceMerge(now units.Time) {
 	if now > p.now {
 		p.now = now
 	}
 	if w := p.cfg.ReorderWindow; w > 0 {
 		p.merger.AdvanceTo(now.Add(-w))
+		p.releaseFinal()
 	} else {
 		p.merger.AdvanceTo(now)
+	}
+}
+
+// releaseFinal emits the buffered candidates whose place in the merged
+// order can no longer change. A vantage's report times never decrease,
+// so nothing it sends from now on is older than its newest report, and a
+// candidate strictly older than the newest report of every live vantage
+// has seen everything that could be ordered before it. Strictly: a
+// later report may carry the same time and a smaller link. A live
+// vantage that reports nothing (heartbeats only) holds its own floor
+// where it is, and the window releases instead; a stale one holds
+// nothing, as it holds nothing in the receiver's watermark.
+func (p *Plane) releaseFinal() {
+	if p.merger.Pending() == 0 {
+		return
+	}
+	floor, live := units.Time(0), false
+	for _, v := range p.vantages {
+		if v.stale {
+			continue
+		}
+		if !live || v.lastReport < floor {
+			floor, live = v.lastReport, true
+		}
+	}
+	if live {
+		p.merger.AdvanceTo(floor - 1)
 	}
 }
 
@@ -536,6 +575,7 @@ func (v *Vantage) Report(rep *core.FlowReport) {
 	if t > p.now {
 		p.now = t
 	}
+	prev := v.lastReport
 	v.lastReport = t
 	if !v.transport {
 		// In-process delivery: receive time and report time are the same
@@ -547,7 +587,20 @@ func (v *Vantage) Report(rep *core.FlowReport) {
 		v.stale = false
 	}
 	p.met.updates.IncRelaxed()
+	v.fold(rep)
+	// The oldest buffered candidate was waiting for this vantage if its
+	// time lies in [prev, t): only then can this report have made it
+	// final.
+	if oldest, ok := p.merger.Oldest(); ok && prev <= oldest && oldest < t {
+		p.releaseFinal()
+	}
+}
 
+// fold merges one report into the flow records and, when it closed a
+// rate window, checks its link for congestion.
+func (v *Vantage) fold(rep *core.FlowReport) {
+	p := v.p
+	t := rep.Time
 	k := flowAt{sw: v.sw.id, key: rep.Key}
 	af := p.flows[k]
 	if af == nil {

@@ -173,6 +173,15 @@ func (m *EventMerger) Watermark() units.Time { return m.watermark }
 // Pending returns the number of buffered candidates.
 func (m *EventMerger) Pending() int { return len(m.heap) }
 
+// Oldest returns the time of the buffered candidate next in stream
+// order, and false when nothing is buffered.
+func (m *EventMerger) Oldest() (units.Time, bool) {
+	if len(m.heap) == 0 {
+		return 0, false
+	}
+	return m.heap[0].ev.Time, true
+}
+
 // push and pop maintain a binary min-heap ordered by before. Manual
 // rather than container/heap so Offer never boxes a candidate into an
 // interface (the merge path stays allocation-free in steady state).

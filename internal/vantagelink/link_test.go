@@ -606,3 +606,136 @@ func TestLinkUDPLoopback(t *testing.T) {
 }
 
 func sleepMs(ms int) { time.Sleep(time.Duration(ms) * time.Millisecond) }
+
+// TestLinkClockFilter hands the sender hand-made sync exchanges. After
+// the first (which steps), an exchange stretched by a stall must change
+// nothing, a slightly slow one must not outvote a quick one, and a real
+// change of the sender's clock must be followed at the slew limit, not
+// in one step.
+func TestLinkClockFilter(t *testing.T) {
+	var skew units.Duration
+	var lastFrame []byte
+	s := NewSender(ChannelFunc(func(_ units.Time, dgram []byte) error {
+		lastFrame = append(lastFrame[:0], dgram...)
+		return nil
+	}), SenderConfig{
+		Vantage: 1, Heartbeat: units.Microsecond,
+		ClockSkew: func(units.Time) units.Duration { return skew },
+	})
+	now := units.Time(units.Millisecond)
+	var reply []byte
+	// exchange sends a heartbeat at now, has the receiver (whose clock is
+	// true time) see it fwd later and reply at once, and delivers the
+	// reply back later still.
+	exchange := func(fwd, back units.Duration) units.Duration {
+		t.Helper()
+		now = now.Add(units.Millisecond)
+		s.Tick(now)
+		h, _, err := ParseFrame(lastFrame)
+		if err != nil || h.Type != FrameHeartbeat {
+			t.Fatalf("tick sent no heartbeat: %+v, %v", h, err)
+		}
+		at := now.Add(fwd)
+		reply = AppendHeader(reply[:0], Header{Type: FrameSync, Vantage: 1, Time: at})
+		reply = AppendSync(reply, h.Time, at, at)
+		FinishFrame(reply)
+		s.HandleControl(at.Add(back), reply)
+		off, _ := s.Offset()
+		return off
+	}
+	const hop = 20 * units.Microsecond
+
+	skew = 3 * units.Millisecond
+	if off := exchange(hop, hop); off != -skew {
+		t.Fatalf("first exchange: offset %v, want the whole skew cancelled at once (%v)", off, -skew)
+	}
+	if off := exchange(10*units.Millisecond, hop); off != -skew {
+		t.Fatalf("exchange across a 10 ms stall moved the offset to %v; it must change nothing", off)
+	}
+	if off := exchange(hop, 10*units.Millisecond); off != -skew {
+		t.Fatalf("reply held up by a 10 ms stall moved the offset to %v; it must change nothing", off)
+	}
+	if off := exchange(5*hop, hop); off != -skew {
+		t.Fatalf("a 120 us exchange outvoted the 40 us one: offset %v", off)
+	}
+
+	// The sender's clock really changes by 300 us: symmetric exchanges
+	// now all say so, and the offset follows 50 us at a time.
+	skew += 300 * units.Microsecond
+	for i, want := 1, -skew+250*units.Microsecond; i <= 8; i, want = i+1, max(want-50*units.Microsecond, -skew) {
+		if off := exchange(hop, hop); off != want {
+			t.Fatalf("exchange %d after a 300 us clock change: offset %v, want %v", i, off, want)
+		}
+	}
+}
+
+// TestLinkReleaseAtWatermark pins which records leave the merge heap
+// when the watermark reaches their own stamp: all of them with one
+// vantage, and with two only those no counted vantage with a smaller
+// id could still get ahead of.
+func TestLinkReleaseAtWatermark(t *testing.T) {
+	r := NewReceiver(ReceiverConfig{})
+	sink := &recordingSink{} // shared: recs is the global delivery order
+	blackHole := ChannelFunc(func(units.Time, []byte) error { return nil })
+	toReceiver := ChannelFunc(func(now units.Time, d []byte) error { r.HandleDatagram(now, d); return nil })
+	var snd [2]*Sender
+	for i := range snd {
+		snd[i] = NewSender(toReceiver, SenderConfig{Vantage: uint16(i + 1), NoSyncGate: true})
+		r.Join(uint16(i+1), sink, blackHole)
+	}
+	// report sends one single-record frame from vantage v stamped at;
+	// the record's Epoch carries v so deliveries can be told apart.
+	report := func(v int, at units.Time) {
+		rep := testReport(0)
+		rep.Time, rep.Epoch = at, uint64(v)
+		snd[v-1].Report(&rep)
+		snd[v-1].BatchEnd(at)
+	}
+	want := func(step string, order ...[2]int64) {
+		t.Helper()
+		var got [][2]int64
+		for _, rec := range sink.recs {
+			got = append(got, [2]int64{int64(rec.Epoch), int64(rec.Time)})
+		}
+		if len(got) != len(order) {
+			t.Fatalf("%s: delivered %v, want %v", step, got, order)
+		}
+		for i := range got {
+			if got[i] != order[i] {
+				t.Fatalf("%s: delivered %v, want %v", step, got, order)
+			}
+		}
+	}
+
+	report(2, 100)
+	want("vantage 1 has no clock yet")
+	report(1, 100)
+	want("both at 100: vantage 1's record is final, vantage 2's could still be preceded by another from 1",
+		[2]int64{1, 100})
+	report(2, 100)
+	want("a second record at 100 from vantage 2 changes nothing", [2]int64{1, 100})
+	report(1, 150)
+	want("vantage 1 past 100: everything at 100 is final, in sequence order",
+		[2]int64{1, 100}, [2]int64{2, 100}, [2]int64{2, 100})
+	report(2, 150)
+	want("both at 150: vantage 1's first", [2]int64{1, 100}, [2]int64{2, 100}, [2]int64{2, 100}, [2]int64{1, 150})
+	if r.LateRecords() != 0 {
+		t.Fatalf("%d late records", r.LateRecords())
+	}
+
+	// One vantage: a frame's last record leaves with its frame.
+	solo := NewReceiver(ReceiverConfig{})
+	soloSink := &recordingSink{}
+	s := NewSender(ChannelFunc(func(now units.Time, d []byte) error { solo.HandleDatagram(now, d); return nil }),
+		SenderConfig{Vantage: 1, NoSyncGate: true})
+	solo.Join(1, soloSink, blackHole)
+	for i := 0; i < 3; i++ {
+		rep := testReport(i)
+		rep.Time = units.Time(200 + i)
+		s.Report(&rep)
+	}
+	s.BatchEnd(202)
+	if len(soloSink.recs) != 3 {
+		t.Fatalf("one vantage: %d of a frame's 3 records delivered on its arrival; the last must not wait for the next frame", len(soloSink.recs))
+	}
+}

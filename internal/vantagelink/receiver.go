@@ -229,7 +229,6 @@ func (r *Receiver) HandleDatagram(now units.Time, dgram []byte) {
 	if now > v.lastRecv {
 		v.lastRecv = now
 	}
-	wasExcluded := v.excluded
 	v.excluded = false
 	v.sink.Live(now)
 
@@ -288,7 +287,6 @@ func (r *Receiver) HandleDatagram(now units.Time, dgram []byte) {
 			r.met.gaps.IncRelaxed()
 		}
 	}
-	_ = wasExcluded
 	r.advanceMerge()
 }
 
@@ -346,11 +344,15 @@ func (r *Receiver) drainBuffered(v *rxVantage) {
 // advanceMerge recomputes the release watermark — the minimum
 // delivered-through time over vantages still counted (received at
 // least one synced frame, not excluded for silence) — and releases
-// every heap record strictly older than it. Strict: a record at
-// exactly the watermark could still gain an equal-time peer from
-// another vantage, so it waits for the next advance.
+// every heap record whose place in the merge order is final: those
+// strictly older than it, and those exactly at it that no counted
+// vantage can still get ahead of (releaseTo).
 func (r *Receiver) advanceMerge() {
 	wm := units.Time(1<<63 - 1)
+	// holder is the smallest id among the counted vantages sitting at wm:
+	// the first, in merge order, that can still deliver a record stamped
+	// exactly wm.
+	holder := uint16(0)
 	counted := 0
 	for _, v := range r.order {
 		if v.excluded {
@@ -360,8 +362,8 @@ func (r *Receiver) advanceMerge() {
 			return // a live vantage has not established a clock yet
 		}
 		counted++
-		if v.through < wm {
-			wm = v.through
+		if v.through < wm || (v.through == wm && v.id < holder) {
+			wm, holder = v.through, v.id
 		}
 	}
 	if counted == 0 {
@@ -380,27 +382,40 @@ func (r *Receiver) advanceMerge() {
 				return
 			}
 		}
-		wm = r.watermark
+		wm, holder = r.watermark, 0
 		for i := range r.heap {
 			if t := r.heap[i].time + 1; t > wm {
 				wm = t
 			}
 		}
 	}
-	if r.hasWM && wm <= r.watermark {
+	if r.hasWM && wm < r.watermark {
 		return
 	}
-	r.watermark = wm
-	r.hasWM = true
-	r.releaseTo(wm)
-	if r.OnAdvance != nil {
+	// An unchanged watermark still releases: its holder may have
+	// delivered more records stamped exactly at it.
+	advanced := !r.hasWM || wm > r.watermark
+	r.watermark, r.hasWM = wm, true
+	r.releaseTo(wm, holder)
+	if advanced && r.OnAdvance != nil {
 		r.OnAdvance(wm)
 	}
 }
 
-// releaseTo pops and delivers records strictly older than wm.
-func (r *Receiver) releaseTo(wm units.Time) {
-	for len(r.heap) > 0 && r.heap[0].time < wm {
+// releaseTo pops and delivers the records whose merge order is final
+// under watermark wm, held by vantage holder. A record older than wm
+// is: every counted vantage has delivered through wm and stamps never
+// decrease. A record stamped exactly wm is final too unless a counted
+// vantage with a smaller id — which would sort ahead of it — still sits
+// at wm and may deliver one more record with that stamp; the vantage's
+// own later records sort after it by sequence number. With one vantage
+// a frame's last record therefore leaves with the frame, not with the
+// next one.
+func (r *Receiver) releaseTo(wm units.Time, holder uint16) {
+	for len(r.heap) > 0 {
+		if h := &r.heap[0]; h.time > wm || (h.time == wm && h.vantage > holder) {
+			return
+		}
 		rec := r.heapPop()
 		r.met.released.IncRelaxed()
 		r.vantages[rec.vantage].sink.Report(&rec.rep)

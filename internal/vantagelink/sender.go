@@ -72,6 +72,32 @@ func (c SenderConfig) withDefaults() SenderConfig {
 	return c
 }
 
+// The clock filter. One exchange bounds the offset only to within half
+// its round trip, and an exchange that straddles a host stall has a
+// round trip as long as the stall; applied whole, as every exchange
+// once was, it threw the offset by half of that, and the monotone clamp
+// then held every stamp at one time until the real clock caught up. So
+// the sender remembers the last syncWindow exchanges, believes the one
+// with the shortest round trip, lets an exchange that took over
+// syncRTTSlack times that shortest round trip change nothing, and moves
+// the offset toward the believed estimate by at most syncMaxSlew per
+// exchange: thousands of times what a real clock drifts in a heartbeat
+// period, so a genuine change is followed within a few exchanges, and a
+// bad exchange that does pass cannot move stamps further than that.
+// Only the first exchange steps: there is nothing before it to prefer.
+const (
+	syncWindow   = 8
+	syncRTTSlack = 4
+	syncMaxSlew  = 50 * units.Microsecond
+)
+
+// syncSample is one clock exchange: the offset it implies and the round
+// trip that bounds its error.
+type syncSample struct {
+	offset units.Duration
+	rtt    units.Duration
+}
+
 type ringSlot struct {
 	seq        uint64
 	buf        []byte
@@ -89,6 +115,7 @@ type senderMetrics struct {
 	sendErrs   obs.Counter // channel Send errors
 	heartbeats obs.Counter
 	syncs      obs.Counter
+	syncNoisy  obs.Counter    // exchanges the clock filter let change nothing
 	unsynced   obs.Counter    // records stamped without a clock offset
 	hbRTT      *obs.Histogram // heartbeat→sync round trip, ns
 }
@@ -132,6 +159,8 @@ type Sender struct {
 	haveOffset bool
 	syncGiveUp bool
 	lastStamp  units.Time
+	syncs      [syncWindow]syncSample // the last exchanges, oldest overwritten
+	syncCount  int
 
 	// pending holds records produced before the first sync when the
 	// sync gate is on, so their stamps can be corrected retroactively.
@@ -181,6 +210,7 @@ func NewSender(ch Channel, cfg SenderConfig) *Sender {
 		m.MustRegister("planck_link_tx_send_errors_total", &s.met.sendErrs, label)
 		m.MustRegister("planck_link_tx_heartbeats_total", &s.met.heartbeats, label)
 		m.MustRegister("planck_link_tx_syncs_total", &s.met.syncs, label)
+		m.MustRegister("planck_link_tx_sync_noisy_total", &s.met.syncNoisy, label)
 		m.MustRegister("planck_link_tx_unsynced_records_total", &s.met.unsynced, label)
 		m.MustRegister("planck_link_hb_rtt_ns", s.met.hbRTT, label)
 	}
@@ -527,8 +557,9 @@ func (s *Sender) handleNack(now units.Time, payload []byte) {
 // t1 is our heartbeat stamp (already offset-corrected), t2/t3 the
 // receiver's arrival/reply stamps, t4 the corrected local reception
 // time. Under symmetric delay the residual θ = ((t2−t1)+(t3−t4))/2
-// is exactly the remaining clock error, so offset += θ converges in
-// one exchange under constant skew.
+// is exactly the remaining clock error, so the first exchange's
+// offset += θ cancels a constant skew at once; later exchanges go
+// through the clock filter above.
 func (s *Sender) handleSync(now units.Time, payload []byte) {
 	t1, t2, t3 := DecodeSync(payload)
 	if t1 != s.awaitSync {
@@ -543,10 +574,28 @@ func (s *Sender) handleSync(now units.Time, payload []byte) {
 	}
 	s.met.hbRTT.Observe(int64(rtt))
 	s.met.syncs.IncRelaxed()
-	s.offset += theta
-	first := !s.haveOffset
-	s.haveOffset = true
-	if first && len(s.pending) > 0 {
-		s.drainPending()
+	sample := syncSample{offset: s.offset + theta, rtt: rtt}
+	s.syncs[s.syncCount%syncWindow] = sample
+	s.syncCount++
+	if !s.haveOffset {
+		s.offset += theta
+		s.haveOffset = true
+		if len(s.pending) > 0 {
+			s.drainPending()
+		}
+		return
 	}
+	// Newest first, so that of two exchanges equally quick the later one
+	// is believed.
+	best := sample
+	for age := 1; age < min(s.syncCount, syncWindow); age++ {
+		if sm := s.syncs[(s.syncCount-1-age)%syncWindow]; sm.rtt < best.rtt {
+			best = sm
+		}
+	}
+	if rtt > syncRTTSlack*best.rtt {
+		s.met.syncNoisy.IncRelaxed()
+		return
+	}
+	s.offset += max(-syncMaxSlew, min(syncMaxSlew, best.offset-s.offset))
 }

@@ -39,6 +39,13 @@ func (c *WallClock) Now() units.Time {
 	return units.Time(time.Since(c.base).Nanoseconds()).Add(c.skew)
 }
 
+// socketReadBuffer is the kernel receive buffer both ends of the link
+// ask for: the default (≈200 KB) holds a few milliseconds of report
+// frames, so a host stall of 5 ms overflowed it and turned into NACKs
+// and abandoned gaps; this holds a stall of some 100 ms, which then
+// shows as delay. Best effort — the kernel caps it at rmem_max.
+const socketReadBuffer = 4 << 20
+
 // UDPSender runs a Sender over a connected UDP socket: datagrams go
 // to the receiver's address, a reader goroutine feeds NACK/Sync
 // replies back into the sender, and a ticker drives heartbeats and
@@ -69,6 +76,7 @@ func DialUDPSender(raddr string, cfg SenderConfig, clock *WallClock, tick units.
 	if err != nil {
 		return nil, err
 	}
+	_ = conn.SetReadBuffer(socketReadBuffer) // best effort, see the constant
 	if tick == 0 {
 		tick = 250 * units.Microsecond
 	}
@@ -202,6 +210,7 @@ func ListenUDPReceiver(laddr string, cfg ReceiverConfig, clock *WallClock, tick 
 	if err != nil {
 		return nil, err
 	}
+	_ = conn.SetReadBuffer(socketReadBuffer) // best effort, see the constant
 	if tick == 0 {
 		tick = 250 * units.Microsecond
 	}

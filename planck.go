@@ -30,6 +30,7 @@ import (
 	"io"
 	"net"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"planck/internal/core"
@@ -346,15 +347,22 @@ const DefaultUDPBatch = 32
 
 // ServeUDPBatched is ServeUDPObserved restructured for load: instead of
 // one Ingest per datagram it blocks for the first datagram of a cycle,
-// then drains whatever else the kernel already has queued — up to batch
-// datagrams, bounded by a short read deadline — and hands the whole
-// cycle to the collector in one IngestBatch call. Under a sparse stream
-// every cycle holds one sample and behavior matches ServeUDPObserved;
-// under a dense stream the per-sample syscall remains but every other
-// per-sample cost (timestamp-monotonicity bookkeeping, collector call
-// overhead, sample counting) is amortized across the cycle. Datagram
-// buffers come from one preallocated ring reused every cycle, so the
-// steady-state loop performs no per-datagram allocation.
+// then takes whatever else the kernel already has queued — up to batch
+// datagrams, without waiting for more — and hands the whole cycle to the
+// collector in one IngestBatch call. A cycle therefore ends the moment
+// the socket is empty: a sample is never held back to fill a batch.
+// Under a sparse stream every cycle holds one sample and behavior matches
+// ServeUDPObserved; under a dense stream the per-sample syscall remains
+// but every other per-sample cost (readiness wait, timestamp-monotonicity
+// bookkeeping, collector call overhead, sample counting) is amortized
+// across the cycle. Datagram buffers come from one preallocated ring
+// reused every cycle, so the steady-state loop performs no per-datagram
+// allocation.
+//
+// Only a *net.UDPConn on a Unix system can be asked for a datagram
+// without waiting for one; on any other net.PacketConn a cycle is its
+// one blocking read. The loop never touches conn's read deadline, so one
+// set by the caller ends it like any other read error.
 //
 // Accounting differences from the serial loop, both harmless to the
 // collector's end state (its own monotonicity check would reject the
@@ -373,16 +381,9 @@ func ServeUDPBatched(conn net.PacketConn, c Ingester, maxSamples, batch int, st 
 	if batch <= 0 {
 		batch = DefaultUDPBatch
 	}
-	// *net.UDPConn gets the ReadFromUDPAddrPort fast path: the generic
-	// ReadFrom allocates a net.Addr per datagram.
-	udp, _ := conn.(*net.UDPConn)
-	readOne := func(buf []byte) (int, error) {
-		if udp != nil {
-			ln, _, err := udp.ReadFromUDPAddrPort(buf)
-			return ln, err
-		}
-		ln, _, err := conn.ReadFrom(buf)
-		return ln, err
+	raw := rawUDPConn(conn)
+	if raw == nil {
+		batch = 1
 	}
 
 	const bufSize = 65536
@@ -396,27 +397,27 @@ func ServeUDPBatched(conn net.PacketConn, c Ingester, maxSamples, batch int, st 
 
 	n := 0
 	var lastT Time
-	// enqueue reports whether the datagram counts toward maxSamples:
-	// header-carrying datagrams do (even when later rejected), short
-	// ones do not — matching the serial loop's accounting.
-	enqueue := func(dgram []byte) bool {
+	// enqueue adds the datagram to the cycle. Header-carrying datagrams
+	// count toward maxSamples (even when later rejected), short ones do
+	// not — matching the serial loop's accounting.
+	enqueue := func(dgram []byte) {
 		t, frame, err := DecodeSample(dgram)
 		if err != nil {
 			if st != nil {
 				st.ShortDatagrams.Add(1)
 			}
-			return false
+			return
 		}
+		n++
 		if t < lastT {
 			if st != nil {
 				st.TimestampRegressions.Add(1)
 			}
-			return true
+			return
 		}
 		lastT = t
 		ts = append(ts, t)
 		frames = append(frames, frame)
-		return true
 	}
 	flush := func() {
 		if len(ts) == 0 {
@@ -439,50 +440,62 @@ func ServeUDPBatched(conn net.PacketConn, c Ingester, maxSamples, batch int, st 
 		}
 		ts, frames = ts[:0], frames[:0]
 	}
+	wanted := func() bool { return maxSamples == 0 || n < maxSamples }
 
-	for maxSamples == 0 || n < maxSamples {
-		// Block for the cycle's first datagram.
-		ln, err := readOne(bufs[0])
+	// readCycle blocks for one datagram and enqueues it and, on a raw
+	// socket, every datagram queued behind it that the cycle has room
+	// for. It returns the read error that ended the cycle, if one did.
+	var readCycle func() error
+	if raw == nil {
+		readCycle = func() error {
+			ln, _, err := conn.ReadFrom(bufs[0])
+			if err == nil {
+				enqueue(bufs[0][:ln])
+			}
+			return err
+		}
+	} else {
+		// drain runs under raw.Read, which calls it again once the socket
+		// is readable whenever it returns false: it does so only while the
+		// cycle is empty, so EAGAIN after the first datagram means the
+		// kernel's queue is drained and ends the cycle at once. Declared
+		// once, outside the loop, so a cycle allocates nothing.
+		var k int
+		var readErr error
+		drain := func(fd uintptr) bool {
+			for k < batch && wanted() {
+				ln, err := recvNonblocking(fd, bufs[k])
+				if err == syscall.EAGAIN {
+					return k > 0
+				}
+				if err != nil {
+					readErr = fmt.Errorf("planck: udp read: %w", err)
+					return true
+				}
+				enqueue(bufs[k][:ln])
+				k++
+			}
+			return true
+		}
+		readCycle = func() error {
+			k, readErr = 0, nil
+			if err := raw.Read(drain); err != nil {
+				return err
+			}
+			return readErr
+		}
+	}
+
+	for wanted() {
+		err := readCycle()
+		flush()
 		if err != nil {
-			flush()
 			if n > 0 {
 				return n, nil // closed after useful work
 			}
 			return n, err
 		}
-		if enqueue(bufs[0][:ln]) {
-			n++
-		}
-		if batch > 1 && (maxSamples == 0 || n < maxSamples) {
-			// Drain the kernel's backlog without blocking the cycle. An
-			// already-expired deadline makes Read fail without attempting
-			// the syscall at all, so this must be a short *future*
-			// deadline — set once per cycle, not per read — and a timeout
-			// means "drained".
-			conn.SetReadDeadline(time.Now().Add(200 * time.Microsecond))
-			for k := 1; k < batch && (maxSamples == 0 || n < maxSamples); k++ {
-				ln, err := readOne(bufs[k])
-				if err != nil {
-					var ne net.Error
-					if errors.As(err, &ne) && ne.Timeout() {
-						break // drained
-					}
-					conn.SetReadDeadline(time.Time{})
-					flush()
-					if n > 0 {
-						return n, nil
-					}
-					return n, err
-				}
-				if enqueue(bufs[k][:ln]) {
-					n++
-				}
-			}
-			conn.SetReadDeadline(time.Time{})
-		}
-		flush()
 	}
-	flush()
 	return n, nil
 }
 

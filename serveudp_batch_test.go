@@ -199,3 +199,129 @@ func TestServeUDPBatchedLoopback(t *testing.T) {
 		t.Fatal("live flow not estimated")
 	}
 }
+
+// recordingIngester notes the size of every IngestBatch call.
+type recordingIngester struct {
+	batches []int
+}
+
+func (r *recordingIngester) Ingest(Time, []byte) error { r.batches = append(r.batches, 1); return nil }
+func (r *recordingIngester) IngestBatch(ts []Time, _ [][]byte) error {
+	r.batches = append(r.batches, len(ts))
+	return nil
+}
+
+// queuedSocket returns a loopback socket whose kernel queue already
+// holds k sample datagrams; nothing further is sent to it.
+func queuedSocket(t *testing.T, k int) *net.UDPConn {
+	t.Helper()
+	lc, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lc.Close() })
+	_ = lc.SetReadBuffer(4 << 20) // room for the largest k used here
+	sender, err := net.Dial("udp", lc.LocalAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sender.Close()
+	for i := 0; i < k; i++ {
+		if _, err := sender.Write(sampleDgram(Time(1000*(i+1)), uint32(1460*i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(20 * time.Millisecond) // loopback delivers within the write; be generous
+	return lc
+}
+
+// serveQueuedBurst runs the batched loop on wrap(a socket holding a
+// burst of k datagrams) with nothing further sent and nothing closed: a
+// read deadline the caller set beforehand is the loop's only way out.
+// It returns the loop's result and the batches the ingester saw.
+func serveQueuedBurst(t *testing.T, k int, wrap func(*net.UDPConn) net.PacketConn) (n int, batches []int, err error) {
+	t.Helper()
+	lc := queuedSocket(t, k)
+	if err := lc.SetReadDeadline(time.Now().Add(300 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	conn := wrap(lc)
+	rec := &recordingIngester{}
+	done := make(chan struct{})
+	go func() {
+		n, err = ServeUDPBatched(conn, rec, 0, 32, nil)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		lc.Close()
+		<-done
+		t.Fatalf("loop still blocked 5 s after the burst: the caller's read deadline did not end it (batches so far %v)", rec.batches)
+	}
+	return n, rec.batches, err
+}
+
+// TestServeUDPBatchedFlushesWhenDrained: a burst the kernel already
+// holds reaches the collector as one batch the moment the socket runs
+// dry — no second burst, no close and no deadline of the loop's own
+// ends the cycle — and the loop leaves the caller's read deadline alone.
+func TestServeUDPBatchedFlushesWhenDrained(t *testing.T) {
+	const k = 10
+	n, batches, err := serveQueuedBurst(t, k, func(c *net.UDPConn) net.PacketConn {
+		if rawUDPConn(c) == nil {
+			t.Skip("no non-blocking socket reads on this platform")
+		}
+		return c
+	})
+	if n != k || err != nil {
+		t.Fatalf("ServeUDPBatched = (%d, %v), want (%d, nil) once the caller's deadline passes", n, err, k)
+	}
+	if len(batches) != 1 || batches[0] != k {
+		t.Fatalf("batches %v, want the whole queued burst in one: [%d]", batches, k)
+	}
+}
+
+// TestServeUDPBatchedPacketConnFallback: a PacketConn that is not a
+// *net.UDPConn cannot be asked for a datagram without waiting for one,
+// so every cycle is its one blocking read.
+func TestServeUDPBatchedPacketConnFallback(t *testing.T) {
+	const k = 10
+	n, batches, err := serveQueuedBurst(t, k, func(c *net.UDPConn) net.PacketConn {
+		return struct{ net.PacketConn }{c}
+	})
+	if n != k || err != nil {
+		t.Fatalf("ServeUDPBatched = (%d, %v), want (%d, nil)", n, err, k)
+	}
+	if len(batches) != k {
+		t.Fatalf("batches %v, want %d batches of one", batches, k)
+	}
+}
+
+// TestServeUDPBatchedSocketCyclesDoNotAllocate holds the real-socket
+// drain cycle to the in-memory loop's promise: 64 cycles over a queue
+// the kernel already holds allocate nothing beyond the loop's set-up.
+func TestServeUDPBatchedSocketCyclesDoNotAllocate(t *testing.T) {
+	const total, batch = 512, 8
+	lc := queuedSocket(t, total)
+	if rawUDPConn(lc) == nil {
+		t.Skip("no non-blocking socket reads on this platform")
+	}
+	lc.SetReadDeadline(time.Now().Add(2 * time.Second)) // ends the loop if the kernel dropped any
+
+	rec := &recordingIngester{batches: make([]int, 0, total)}
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	n, err := ServeUDPBatched(lc, rec, total, batch, nil)
+	runtime.ReadMemStats(&m1)
+	if n != total || err != nil {
+		t.Fatalf("ServeUDPBatched = (%d, %v), want (%d, nil)", n, err, total)
+	}
+	if len(rec.batches) != total/batch {
+		t.Fatalf("%d cycles, want %d full ones", len(rec.batches), total/batch)
+	}
+	if mallocs := m1.Mallocs - m0.Mallocs; mallocs > 32 {
+		t.Fatalf("%d allocations over %d cycles; a drain cycle must not allocate", mallocs, len(rec.batches))
+	}
+}
