@@ -5,7 +5,7 @@ GO ?= go
 # offline machines with a cold cache.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build vet test race race-fast fuzz-smoke chaos-smoke trace-smoke fleet-smoke link-smoke governor-smoke soak-reorder staticcheck check bench bench-spine bench-obs bench-baselines bench-shard bench-shard-mt bench-ingest bench-route bench-trace bench-fleet bench-link bench-governor bench-gate clean
+.PHONY: all build vet test race race-fast fuzz-smoke chaos-smoke trace-smoke fleet-smoke link-smoke governor-smoke soak-reorder staticcheck check bench bench-spine clean
 
 all: check
 
@@ -20,16 +20,16 @@ vet:
 test: vet
 	$(GO) test ./...
 
-# race-fast covers the packages with genuine concurrency (the sharded
-# collector pipeline and its serial-equivalence oracles, the obs
-# registry under concurrent observe/serve, the UDP transport, the
-# vantagelink wire endpoints, and with ./internal/agg/ the link's
-# receiver-stall test and the merge-clock release-rule tests) plus the
-# hot-path packages. The lab package's fleet-over-transport suites push
-# it past go test's default 10-minute ceiling on small machines, hence
-# the explicit timeout.
+# race-fast covers the packages with genuine concurrency (the obs
+# registry under concurrent observe/serve, the UDP transport and the
+# planck-collector command on it, the vantagelink wire endpoints, and
+# with ./internal/agg/ the link's receiver-stall test and the
+# merge-clock release-rule tests) plus the hot-path packages and their
+# serial-equivalence oracles. The lab package's fleet-over-transport
+# suites push it past go test's default 10-minute ceiling on small
+# machines, hence the explicit timeout.
 race-fast: vet
-	$(GO) test -race -timeout 25m ./internal/obs/ ./internal/core/ ./internal/counters/ ./internal/sim/ ./internal/packet/ ./internal/lab/ ./internal/routing/ ./internal/governor/ ./internal/agg/ ./internal/vantagelink/ .
+	$(GO) test -race -timeout 25m ./internal/obs/ ./internal/core/ ./internal/sim/ ./internal/packet/ ./internal/lab/ ./internal/routing/ ./internal/governor/ ./internal/agg/ ./internal/vantagelink/ ./cmd/planck-collector/ .
 
 # The experiments suite runs ~7 min uninstrumented; give the race
 # build room beyond go test's 10-minute default.
@@ -116,9 +116,9 @@ staticcheck:
 	fi
 
 # check is the tier-1 gate: everything must compile, vet clean, lint
-# clean (where staticcheck is available), pass, run every gated spine
-# workload with its oracles, and hold the allocation self-gates.
-check: vet build test race-fast staticcheck trace-smoke fleet-smoke link-smoke governor-smoke soak-reorder bench-spine bench-gate
+# clean (where staticcheck is available), pass, and run every gated
+# spine workload with its oracles.
+check: vet build test race-fast staticcheck trace-smoke fleet-smoke link-smoke governor-smoke soak-reorder bench-spine
 
 # bench-spine runs the benchmark spine (bench/README.md): its own tests
 # (metric names against BENCHMARK.json, a smoke of all four workloads),
@@ -136,91 +136,5 @@ bench-spine: vet
 bench: vet
 	$(GO) test -bench . -benchtime 1x -run xxx .
 
-# bench-obs measures the observability layer's overhead budget (counter
-# increment ns/op, histogram observe, collector ingest bare vs
-# instrumented with allocs/op) into BENCH_obs.json.
-bench-obs: vet
-	$(GO) run ./cmd/planck-bench -obs-json BENCH_obs.json
-
-# bench-baselines regenerates every committed ingest baseline —
-# BENCH_ingest.json (serial hot path),
-# BENCH_shard.json (sharded vs serial at the same CPU budget),
-# BENCH_shard_mt.json (sharded under GOMAXPROCS=4), and
-# BENCH_governor.json (the sampling-rate governor's estimator and tick
-# costs) — in ONE planck-bench process, so all four carry the same
-# run_id and were measured on the same host and build (bench-gate
-# verifies this).
-# Pinned to one CPU so the gated serial row is the per-sample budget,
-# not a scheduling artifact; the shard-mt pass raises its own
-# GOMAXPROCS via -mt-cpu and restores it. -count 3 keeps the minimum
-# per row, damping shared-machine scheduling noise.
-bench-baselines: vet
-	GOMAXPROCS=1 $(GO) run ./cmd/planck-bench -count 3 \
-		-ingest-json BENCH_ingest.json \
-		-shard-json BENCH_shard.json \
-		-shard-mt-json BENCH_shard_mt.json \
-		-governor-json BENCH_governor.json
-
-# The per-report names delegate to bench-baselines: regenerating one
-# report alone would break the shared-run_id invariant bench-gate
-# checks.
-bench-shard: bench-baselines
-bench-shard-mt: bench-baselines
-bench-ingest: bench-baselines
-bench-governor: bench-baselines
-
-# bench-route measures the routing-state plane into BENCH_route.json:
-# snapshot commit cost, view resolve/refresh (self-gated to 0 allocs/op
-# — the reader side is lock-free), and serial ingest with vs without an
-# epoch-versioned View attached (self-gated to +5%).
-bench-route: vet
-	GOMAXPROCS=1 $(GO) run ./cmd/planck-bench -route-json BENCH_route.json
-
-# bench-trace measures the control-loop tracer's idle overhead on the
-# view-attached ingest path into BENCH_trace.json (self-gated: traced
-# ingest 0 allocs/op and within +2% of the same-run bare pair).
-bench-trace: vet
-	GOMAXPROCS=1 $(GO) run ./cmd/planck-bench -trace-json BENCH_trace.json
-
-# bench-fleet measures the aggregation plane into BENCH_fleet.json:
-# per-sample merge and detect-under-cooldown (both self-gated to
-# 0 allocs/op — they run once per mirrored sample at fleet scale) and
-# the merger's ordered event emit path.
-bench-fleet: vet
-	GOMAXPROCS=1 $(GO) run ./cmd/planck-bench -fleet-json BENCH_fleet.json
-
-# bench-link measures the vantage report transport into BENCH_link.json:
-# the per-record wire codec (encode/decode, both self-gated to
-# 0 allocs/op — they run once per forwarded sample), a full 24-record
-# frame round trip, and end-to-end report delivery latency p50/p99 over
-# real UDP loopback sockets.
-bench-link: vet
-	GOMAXPROCS=1 $(GO) run ./cmd/planck-bench -link-json BENCH_link.json
-
-# bench-gate runs the self-gates of the pre-spine micro-benchmarks: the
-# four committed baselines must share one run_id (regenerated together
-# via bench-baselines); the multicore sharded pipeline must stay
-# allocation-free and, on hosts with ≥2 real cores, shards=4 must beat
-# serial (single-core hosts get an honest skip notice, not a vacuous
-# pass). Serial ingest speed is no longer gated here — a 5 % budget on
-# a 64-flow, subscriber-less loop measured on another host says nothing
-# the spine's workloads do not say better; bench-spine took its place
-# in check.
-# Then the routing-plane self-gates (view rows 0 allocs/op, ingest_view
-# within +5% of same-run ingest_serial), the tracer's idle-overhead
-# self-gate (traced ingest 0 allocs/op, within +2% of bare), the
-# aggregation plane's per-sample 0 allocs/op self-gate, the wire
-# codec's per-record 0 allocs/op self-gate, and the governor's
-# estimator-update 0 allocs/op self-gate.
-bench-gate: vet
-	GOMAXPROCS=1 $(GO) run ./cmd/planck-bench -verify-run-ids BENCH_ingest.json,BENCH_shard.json,BENCH_shard_mt.json,BENCH_governor.json
-	GOMAXPROCS=1 $(GO) run ./cmd/planck-bench -count 3 -shard-mt-json -
-	GOMAXPROCS=1 $(GO) run ./cmd/planck-bench -route-json -
-	GOMAXPROCS=1 $(GO) run ./cmd/planck-bench -trace-json -
-	GOMAXPROCS=1 $(GO) run ./cmd/planck-bench -fleet-json -
-	GOMAXPROCS=1 $(GO) run ./cmd/planck-bench -link-json -
-	GOMAXPROCS=1 $(GO) run ./cmd/planck-bench -governor-json -
-
 clean:
-	rm -f BENCH_obs.json BENCH_shard.json BENCH_shard_mt.json BENCH_route.json BENCH_trace.json BENCH_fleet.json BENCH_link.json
 	$(GO) clean ./...

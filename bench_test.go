@@ -8,11 +8,8 @@ package planck
 import (
 	"testing"
 
-	"planck/internal/core"
 	"planck/internal/experiments"
 	"planck/internal/lab"
-	"planck/internal/obs"
-	packetpkg "planck/internal/packet"
 	"planck/internal/stats"
 	"planck/internal/te"
 	"planck/internal/topo"
@@ -404,66 +401,4 @@ func BenchmarkExtensionTargetRate(b *testing.B) {
 		b.ReportMetric(rs[1].LatencyMedian, "target-rate-µs")
 		b.ReportMetric(rs[1].EstimateError*100, "target-rate-err-pct")
 	}
-}
-
-// BenchmarkObsCounterInc is the acceptance floor for the telemetry
-// layer: a counter increment must stay within a handful of nanoseconds
-// (the ISSUE budget is 25 ns/op) so always-on pipeline counters are
-// free at sample rate.
-func BenchmarkObsCounterInc(b *testing.B) {
-	var c obs.Counter
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-	if c.Value() != int64(b.N) {
-		b.Fatal("lost increments")
-	}
-}
-
-// benchCollectorIngest drives the real parse-estimate pipeline with a
-// steady in-order TCP stream, patching the sequence number in place so
-// the loop itself allocates nothing — any allocation reported comes
-// from the collector (and must be zero).
-func benchCollectorIngest(b *testing.B, reg *obs.Registry) {
-	b.Helper()
-	col := core.New(core.Config{
-		SwitchName: "bench",
-		NumPorts:   4,
-		LinkRate:   units.Rate10G,
-		Metrics:    reg,
-	})
-	frame := packetpkg.BuildTCP(nil, packetpkg.TCPSpec{
-		SrcMAC: packetpkg.MAC{2, 0, 0, 0, 0, 1}, DstMAC: packetpkg.MAC{2, 0, 0, 0, 0, 2},
-		SrcIP: packetpkg.IPv4{10, 0, 0, 1}, DstIP: packetpkg.IPv4{10, 0, 0, 2},
-		SrcPort: 1000, DstPort: 2000, Flags: packetpkg.TCPAck, PayloadLen: 1460,
-	})
-	seqOff := packetpkg.EthernetHeaderLen + packetpkg.IPv4MinHeaderLen + 4
-	var t0 units.Time
-	var seq uint32
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		frame[seqOff] = byte(seq >> 24)
-		frame[seqOff+1] = byte(seq >> 16)
-		frame[seqOff+2] = byte(seq >> 8)
-		frame[seqOff+3] = byte(seq)
-		if err := col.Ingest(t0, frame); err != nil {
-			b.Fatal(err)
-		}
-		seq += 1460
-		t0 = t0.Add(units.Duration(1230))
-	}
-}
-
-// BenchmarkCollectorIngestBare is the hot path with telemetry disabled:
-// zero allocations, counters only.
-func BenchmarkCollectorIngestBare(b *testing.B) {
-	benchCollectorIngest(b, nil)
-}
-
-// BenchmarkCollectorIngestInstrumented attaches a registry, which turns
-// on per-stage wall-clock timing; still zero allocations per sample.
-func BenchmarkCollectorIngestInstrumented(b *testing.B) {
-	benchCollectorIngest(b, obs.NewRegistry())
 }

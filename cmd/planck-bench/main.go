@@ -15,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -172,100 +171,7 @@ func main() {
 	sizesFlag := flag.String("sizes", "", "comma-separated flow sizes, e.g. 100MiB,1GiB")
 	durMs := flag.Int("duration-ms", 0, "per-run duration override in ms (0 = default)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	obsJSON := flag.String("obs-json", "", "run the observability microbenchmarks, write JSON here (\"-\" = stdout), and exit")
-	shardJSON := flag.String("shard-json", "", "run the sharded-vs-serial ingest benchmarks, write JSON here (\"-\" = stdout), and exit")
-	shardMTJSON := flag.String("shard-mt-json", "", "run the multicore sharded ingest benchmarks under GOMAXPROCS=-mt-cpu (self-gated: sharded rows 0 allocs/op; shards=4 beats serial when the host has ≥2 CPUs), write JSON here (\"-\" = stdout), and exit")
-	mtCPU := flag.Int("mt-cpu", 4, "GOMAXPROCS for the -shard-mt-json run (restored after; the report records the effective value)")
-	ingestJSON := flag.String("ingest-json", "", "run the ingest hot-path benchmarks, write JSON here (\"-\" = stdout), and exit")
-	governorJSON := flag.String("governor-json", "", "run the sampling-rate governor benchmarks (self-gated: estimator update rows 0 allocs/op), write JSON here (\"-\" = stdout), and exit")
-	count := flag.Int("count", 1, "repeat each ingest/shard/shard-mt benchmark N times and report the minimum ns/op (allocs: maximum)")
-	verifyRuns := flag.String("verify-run-ids", "", "comma-separated BENCH_*.json paths: verify they share one run_id (regenerated together) and exit")
-	routeJSON := flag.String("route-json", "", "run the routing-plane benchmarks (commit/view/ingest-with-view), write JSON here (\"-\" = stdout), and exit")
-	traceJSON := flag.String("trace-json", "", "run the idle-tracing overhead benchmarks (self-gated: ≤2% over bare ingest, 0 allocs/op), write JSON here (\"-\" = stdout), and exit")
-	fleetJSON := flag.String("fleet-json", "", "run the aggregation-plane benchmarks (self-gated: per-sample merge rows 0 allocs/op), write JSON here (\"-\" = stdout), and exit")
-	linkJSON := flag.String("link-json", "", "run the vantage-link transport benchmarks (self-gated: per-sample codec rows 0 allocs/op), write JSON here (\"-\" = stdout), and exit")
-	gateAgainst := flag.String("gate-against", "", "with -ingest-json: fail if ingest_serial regressed >5% vs this baseline report")
-	cpu := flag.Int("cpu", 0, "set GOMAXPROCS for this run (0 = runtime default); reports record the effective value")
 	flag.Parse()
-
-	if *cpu > 0 {
-		runtime.GOMAXPROCS(*cpu)
-	}
-
-	if *verifyRuns != "" {
-		if err := verifyRunIDs(*verifyRuns); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *obsJSON != "" {
-		if err := runObsBench(*obsJSON); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *routeJSON != "" {
-		if err := runRouteBench(*routeJSON); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *traceJSON != "" {
-		if err := runTraceBench(*traceJSON); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *fleetJSON != "" {
-		if err := runFleetBench(*fleetJSON); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *linkJSON != "" {
-		if err := runLinkBench(*linkJSON); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	// The ingest, shard, shard-mt, and governor reports combine into one
-	// process run: they share a freshly minted run_id, so the committed
-	// baselines are provably from the same host and build (see
-	// -verify-run-ids).
-	if *ingestJSON != "" || *gateAgainst != "" || *shardJSON != "" || *shardMTJSON != "" || *governorJSON != "" {
-		runID := newRunID()
-		fail := func(err error) {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if *ingestJSON != "" || *gateAgainst != "" {
-			if err := runIngestBench(*ingestJSON, *gateAgainst, *count, runID); err != nil {
-				fail(err)
-			}
-		}
-		if *shardJSON != "" {
-			if err := runShardBench(*shardJSON, *count, runID); err != nil {
-				fail(err)
-			}
-		}
-		if *shardMTJSON != "" {
-			if err := runShardMTBench(*shardMTJSON, *mtCPU, *count, runID); err != nil {
-				fail(err)
-			}
-		}
-		if *governorJSON != "" {
-			if err := runGovernorBench(*governorJSON, *count, runID); err != nil {
-				fail(err)
-			}
-		}
-		return
-	}
 
 	if *list {
 		ids := make([]string, 0, len(all))

@@ -2,35 +2,35 @@
 // simulator: it replays a pcap capture (e.g., a vantage-point dump, or
 // any tcpdump of a mirror port) through the real collector pipeline, or
 // listens for a live UDP-encapsulated sample stream, and reports flow
-// rates, link utilization, and congestion events.
+// rates and ingest health.
 //
 // Usage:
 //
 //	planck-collector -pcap capture.pcap
 //	planck-collector -pcap capture.pcap -threshold 0.8 -rate 10
-//	planck-collector -pcap capture.pcap -shards 4
 //	planck-collector -pcap capture.pcap -fault "loss:0.05,skew:200us" -fault-seed 7
 //	planck-collector -listen :5601 -max-samples 100000
 //	planck-collector -listen :5601 -metrics :9090 -stats-every 5s
 //	planck-collector -listen :5601 -batch 64
 //	planck-collector -listen :5601 -report plane-host:5700 -vantage 3
 //
-// -report turns the collector into one vantage of a distributed fleet:
-// every ingested sample is forwarded to an aggregation plane at the
-// given address over the vantagelink wire protocol (sequenced frames,
+// One process runs one collector for one monitor port, as in the paper.
+// To cover several ports, run one planck-collector per port, each with
+// -report pointing at the same aggregation plane and its own -vantage:
+// the plane merges their reports into one network-wide view.
+//
+// -report turns the collector into one vantage of such a fleet: every
+// ingested sample is forwarded to an aggregation plane at the given
+// address over the vantagelink wire protocol (sequenced frames,
 // NACK/retransmit recovery, heartbeat liveness, clock sync). Requires
 // -listen (a live stream shares the plane's epoch time axis; a pcap
-// replay does not) and -shards 1 (the report sink is a serial-collector
-// seam). -vantage sets this collector's fleet id.
+// replay does not). -vantage sets this collector's fleet id.
 //
 // The live listener drains the socket in batched read cycles (-batch
 // datagrams per cycle, default 32) and hands each cycle to the
 // collector in one IngestBatch call; -batch 0 falls back to one
-// Ingest per datagram.
-//
-// -shards > 1 runs the concurrent hash-partitioned pipeline (default is
-// one shard per GOMAXPROCS); results are identical to the serial
-// collector by the serial-equivalence oracle.
+// Ingest per datagram. SIGINT or SIGTERM ends a live session the way
+// reaching -max-samples does: the final report is still printed.
 //
 // With -metrics, an HTTP endpoint serves /metrics (Prometheus text),
 // /debug/vars (JSON), and /debug/pprof/* for the full pipeline: samples,
@@ -40,12 +40,17 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
-	"runtime"
+	"os/signal"
 	"sort"
+	"syscall"
+	"time"
 
 	"planck"
 	"planck/internal/core"
@@ -55,38 +60,51 @@ import (
 )
 
 func main() {
-	pcapPath := flag.String("pcap", "", "pcap file to replay")
-	listen := flag.String("listen", "", "UDP address for a live sample stream (8B ns timestamp + frame per datagram)")
-	maxSamples := flag.Int("max-samples", 0, "stop the live listener after N samples (0 = run forever)")
-	rateG := flag.Float64("rate", 10, "link rate in Gbps for utilization math")
-	threshold := flag.Float64("threshold", 0.9, "congestion threshold fraction")
-	topFlows := flag.Int("top", 10, "flows to print")
-	metricsAddr := flag.String("metrics", "", "HTTP address serving /metrics, /debug/vars, /debug/pprof (empty = off)")
-	statsEvery := flag.Duration("stats-every", 0, "period between one-line stats reports on stderr (0 = off)")
-	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "collector shards; >1 runs the concurrent hash-partitioned pipeline")
-	batch := flag.Int("batch", planck.DefaultUDPBatch, "live-listener drain batch: datagrams ingested per batched read cycle (0 = one Ingest per datagram)")
-	faultSpec := flag.String("fault", "", `fault-injection spec applied to the ingest stream, e.g. "loss:0.05" or "loss@20ms-40ms,skew:200us" (empty = off)`)
-	faultSeed := flag.Int64("fault-seed", 1, "seed for the fault injector's PRNG")
-	reportAddr := flag.String("report", "", "UDP address of an aggregation-plane receiver; forwards every sample over the vantagelink transport (empty = off)")
-	vantage := flag.Int("vantage", 1, "fleet vantage id stamped on forwarded reports (with -report)")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run is the whole command: it parses args, runs one pcap replay or
+// live session, prints the report to stdout and diagnostics to stderr,
+// and returns the exit code. Cancelling ctx ends a live session as if
+// its sample budget had been reached.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("planck-collector", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	pcapPath := fs.String("pcap", "", "pcap file to replay")
+	listen := fs.String("listen", "", "UDP address for a live sample stream (8B ns timestamp + frame per datagram)")
+	maxSamples := fs.Int("max-samples", 0, "stop the live listener after N samples (0 = run until interrupted)")
+	rateG := fs.Float64("rate", 10, "link rate in Gbps for utilization math")
+	threshold := fs.Float64("threshold", 0.9, "congestion threshold fraction")
+	topFlows := fs.Int("top", 10, "flows to print")
+	metricsAddr := fs.String("metrics", "", "HTTP address serving /metrics, /debug/vars, /debug/pprof (empty = off)")
+	statsEvery := fs.Duration("stats-every", 0, "period between one-line stats reports on stderr (0 = off)")
+	batch := fs.Int("batch", planck.DefaultUDPBatch, "live-listener drain batch: datagrams ingested per batched read cycle (0 = one Ingest per datagram)")
+	faultSpec := fs.String("fault", "", `fault-injection spec applied to the ingest stream, e.g. "loss:0.05" or "loss@20ms-40ms,skew:200us" (empty = off)`)
+	faultSeed := fs.Int64("fault-seed", 1, "seed for the fault injector's PRNG")
+	reportAddr := fs.String("report", "", "UDP address of an aggregation-plane receiver; forwards every sample over the vantagelink transport (empty = off)")
+	vantage := fs.Int("vantage", 1, "fleet vantage id stamped on forwarded reports (with -report)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if (*pcapPath == "") == (*listen == "") {
-		fmt.Fprintln(os.Stderr, "exactly one of -pcap or -listen is required")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "exactly one of -pcap or -listen is required")
+		fs.Usage()
+		return 2
 	}
 	if *reportAddr != "" && *listen == "" {
-		fmt.Fprintln(os.Stderr, "-report requires -listen: a live stream shares the plane's time axis, a pcap replay does not")
-		os.Exit(2)
-	}
-	if *reportAddr != "" && *shards > 1 {
-		fmt.Fprintln(os.Stderr, "-report requires -shards 1: the report sink is a serial-collector seam")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "-report requires -listen: a live stream shares the plane's time axis, a pcap replay does not")
+		return 2
 	}
 	if *vantage < 1 || *vantage > 65535 {
-		fmt.Fprintln(os.Stderr, "-vantage must be in [1, 65535]")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "-vantage must be in [1, 65535]")
+		return 2
 	}
 
 	reg := obs.NewRegistry()
@@ -111,30 +129,15 @@ func main() {
 			Metrics:    reg,
 		}, vantagelink.NewEpochWallClock(), units.Millisecond, nil)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		reporter = tx
 		ccfg.Sink = tx
-		fmt.Fprintf(os.Stderr, "reporting to aggregation plane at %s as vantage %d\n", *reportAddr, *vantage)
+		fmt.Fprintf(stderr, "reporting to aggregation plane at %s as vantage %d\n", *reportAddr, *vantage)
 	}
-	// Either pipeline satisfies the ingest and reporting surfaces the
-	// command needs; -shards>1 selects the concurrent one.
-	var col planck.Ingester
-	var serial *core.Collector
-	var sharded *core.ShardedCollector
-	events := 0
-	onEvent := func(ev core.CongestionEvent) { events++ }
-	if *shards > 1 {
-		sharded = core.NewSharded(core.ShardedConfig{Config: ccfg, Shards: *shards})
-		sharded.Subscribe(onEvent)
-		col = sharded
-		fmt.Fprintf(os.Stderr, "sharded pipeline: %d shards\n", sharded.NumShards())
-	} else {
-		serial = core.New(ccfg)
-		serial.Subscribe(onEvent)
-		col = serial
-	}
+	col := core.New(ccfg)
+	var ing planck.Ingester = col
 
 	// An optional fault layer interposes between the stream source and
 	// the collector: the same pipeline runs, but the spec's mirror-path
@@ -144,13 +147,13 @@ func main() {
 	if *faultSpec != "" {
 		sched, err := planck.ParseFaultSpec(*faultSpec)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
 		faulty = planck.WrapFaults(col, sched, *faultSeed)
 		faulty.Injector().Metrics().Register(reg)
-		col = faulty
-		fmt.Fprintf(os.Stderr, "fault injection active: %s (seed %d)\n", sched, *faultSeed)
+		ing = faulty
+		fmt.Fprintf(stderr, "fault injection active: %s (seed %d)\n", sched, *faultSeed)
 	}
 
 	var udpStats planck.UDPServeStats
@@ -162,14 +165,14 @@ func main() {
 	if *metricsAddr != "" {
 		srv, err := obs.Serve(*metricsAddr, reg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "metrics on http://%s/metrics (also /debug/vars, /debug/pprof)\n", srv.Addr())
+		fmt.Fprintf(stderr, "metrics on http://%s/metrics (also /debug/vars, /debug/pprof)\n", srv.Addr())
 	}
 	if *statsEvery > 0 {
-		stop := reg.LogPeriodically(os.Stderr, *statsEvery)
+		stop := reg.LogPeriodically(stderr, *statsEvery)
 		defer stop()
 	}
 
@@ -177,56 +180,46 @@ func main() {
 	if *listen != "" {
 		conn, err := net.ListenPacket("udp", *listen)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		fmt.Printf("listening on %s\n", conn.LocalAddr())
+		defer conn.Close()
+		fmt.Fprintf(stdout, "listening on %s\n", conn.LocalAddr())
+		// Cancellation expires the read in progress, which ends either
+		// serve loop like a closed socket.
+		stopCancel := context.AfterFunc(ctx, func() { conn.SetReadDeadline(time.Now()) })
+		defer stopCancel()
 		var n int
 		if *batch > 0 {
-			n, err = planck.ServeUDPBatched(conn, col, *maxSamples, *batch, &udpStats)
+			n, err = planck.ServeUDPBatched(conn, ing, *maxSamples, *batch, &udpStats)
 		} else {
-			n, err = planck.ServeUDPObserved(conn, col, *maxSamples, &udpStats)
+			n, err = planck.ServeUDPObserved(conn, ing, *maxSamples, &udpStats)
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err != nil && ctx.Err() == nil {
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		frames = n
 		if bad := udpStats.ShortDatagrams.Load() + udpStats.TimestampRegressions.Load() + udpStats.IngestErrors.Load(); bad > 0 {
-			fmt.Fprintf(os.Stderr, "malformed input: %d short datagrams, %d timestamp regressions, %d unparseable frames\n",
+			fmt.Fprintf(stderr, "malformed input: %d short datagrams, %d timestamp regressions, %d unparseable frames\n",
 				udpStats.ShortDatagrams.Load(), udpStats.TimestampRegressions.Load(), udpStats.IngestErrors.Load())
 		}
 	} else {
 		f, err := os.Open(*pcapPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		defer f.Close()
-		n, err := planck.ReplayPcap(f, col)
+		n, err := planck.ReplayPcap(f, ing)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		frames = n
 	}
 
-	// Quiesce the concurrent pipeline before the final report so Stats
-	// and the flow table reflect every accepted sample.
-	var st core.Stats
-	var flows func(fn func(*core.FlowState))
-	if sharded != nil {
-		sharded.Flush()
-		st = sharded.Stats()
-		flows = sharded.Flows
-		if d := sharded.Dropped(); d > 0 {
-			fmt.Fprintf(os.Stderr, "shard queues shed %d samples\n", d)
-		}
-		defer sharded.Close()
-	} else {
-		st = serial.Stats()
-		flows = serial.Flows
-	}
+	st := col.Stats()
 	if reporter != nil {
 		reporter.Close()
 		snd := reporter.Sender()
@@ -234,24 +227,22 @@ func main() {
 		if _, ok := snd.Offset(); ok {
 			synced = "yes"
 		}
-		fmt.Printf("vantage link: %d frames / %d records sent, %d resent, %d shed, clock synced: %s\n",
+		fmt.Fprintf(stdout, "vantage link: %d frames / %d records sent, %d resent, %d shed, clock synced: %s\n",
 			snd.FramesSent(), snd.RecordsSent(), snd.Resends(), snd.Sheds(), synced)
 	}
-	fmt.Printf("replayed %d frames: %d flows, %d rate updates, %d decode errors, %d non-TCP\n",
+	fmt.Fprintf(stdout, "replayed %d frames: %d flows, %d rate updates, %d decode errors, %d non-TCP\n",
 		frames, st.Flows, st.RateUpdates, st.DecodeErrors, st.NonTCP)
 	if st.UnmappedOutput > 0 {
-		fmt.Printf("route inference: %d samples carried labels no routing view could map\n", st.UnmappedOutput)
+		fmt.Fprintf(stdout, "route inference: %d samples carried labels no routing view could map\n", st.UnmappedOutput)
 	}
 	if faulty != nil {
 		fm := faulty.Injector().Metrics()
-		fmt.Printf("faults injected: %d lost, %d corrupted, %d duplicated, %d reordered, %d skewed\n",
+		fmt.Fprintf(stdout, "faults injected: %d lost, %d corrupted, %d duplicated, %d reordered, %d skewed\n",
 			fm.Lost.Value(), fm.Corrupted.Value(), fm.Duplicated.Value(), fm.Reordered.Value(), fm.Skewed.Value())
 	}
-	if serial != nil {
-		if tm := serial.IngestTimings(); tm != nil && tm.N() > 0 {
-			fmt.Printf("ingest wall time: p50=%.0fns p99=%.0fns over %d samples\n",
-				tm.Median(), tm.Quantile(0.99), tm.N())
-		}
+	if tm := col.IngestTimings(); tm != nil && tm.N() > 0 {
+		fmt.Fprintf(stdout, "ingest wall time: p50=%.0fns p99=%.0fns over %d samples\n",
+			tm.Median(), tm.Quantile(0.99), tm.N())
 	}
 
 	type row struct {
@@ -260,16 +251,22 @@ func main() {
 		pkts int64
 	}
 	var rows []row
-	flows(func(fs *core.FlowState) {
+	col.Flows(func(fs *core.FlowState) {
 		r, _ := fs.Rate()
 		rows = append(rows, row{key: fs.Key.String(), rate: r, pkts: fs.SampledPackets})
 	})
-	sort.Slice(rows, func(i, j int) bool { return rows[i].rate > rows[j].rate })
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].rate != rows[j].rate {
+			return rows[i].rate > rows[j].rate
+		}
+		return rows[i].key < rows[j].key
+	})
 	if len(rows) > *topFlows {
 		rows = rows[:*topFlows]
 	}
-	fmt.Println("top flows by last estimated rate:")
+	fmt.Fprintln(stdout, "top flows by last estimated rate:")
 	for _, r := range rows {
-		fmt.Printf("  %-45s %10v  (%d samples)\n", r.key, r.rate, r.pkts)
+		fmt.Fprintf(stdout, "  %-45s %10v  (%d samples)\n", r.key, r.rate, r.pkts)
 	}
+	return 0
 }

@@ -441,8 +441,7 @@ func (p *Plane) flowsOn(ps *planeSwitch, port int32, now units.Time) []core.Flow
 }
 
 // moveFlow changes a record's port-list membership (swap-remove from
-// the old list, append to the new), the same bookkeeping the collector
-// and the sharded merger use.
+// the old list, append to the new), as the collector does.
 func (p *Plane) moveFlow(af *aggFlow, newPort int32) {
 	sw := af.sw
 	if af.port >= 0 && int(af.port) < len(sw.ports) {

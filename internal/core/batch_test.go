@@ -84,29 +84,6 @@ func TestIngestBatchSerialEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedIngestBatchEquivalence extends the serial-equivalence
-// oracle to the batched sharded pipeline across shard counts: batches
-// fan out through the dispatcher (sharing one flow hash between the
-// partition decision and the shard's table probe) and must still
-// reproduce the serial collector exactly.
-func TestShardedIngestBatchEquivalence(t *testing.T) {
-	const samples = 12000
-	for _, seed := range []int64{1, 42} {
-		stream := mixedStream(seed, samples)
-		serial := runEquiv(t, New(equivConfig()), stream, func() {})
-		for _, shards := range []int{1, 2, 4, 8} {
-			sc := NewSharded(ShardedConfig{Config: equivConfig(), Shards: shards})
-			bc := &batchingEquiv{inner: sc}
-			sharded := runEquiv(t, bc, stream, func() {
-				bc.flush()
-				sc.Flush()
-			})
-			sc.Close()
-			compareRuns(t, "sharded-batched", serial, sharded)
-		}
-	}
-}
-
 // TestIngestBatchNonMonotoneFallback checks the slow path: a batch
 // whose timestamps regress must behave exactly like the Ingest loop —
 // the regressing frames are rejected and summarized in a *BatchError,

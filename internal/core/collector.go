@@ -80,8 +80,7 @@ type Config struct {
 	// called synchronously on the ingest goroutine after the sample's
 	// flow record is fully updated; detection then typically lives at
 	// the plane, with no local Subscribe, so events fire exactly once
-	// network-wide. Serial collectors only: NewSharded rejects a config
-	// with a Sink (shard workers would invoke it concurrently).
+	// network-wide.
 	Sink AggregationSink
 	// Vantage identifies this collector within a fleet; it stamps the
 	// Vantage field of locally emitted congestion events. Zero for a
@@ -209,8 +208,7 @@ type CongestionEvent struct {
 	Capacity   units.Rate
 	Flows      []FlowInfo
 	// ID is the control-loop trace ID, monotonically assigned by the
-	// configured Tracer at emit time (serial path) or by the merger's
-	// in-order replay (sharded path). Zero when tracing is off.
+	// configured Tracer at emit time. Zero when tracing is off.
 	ID uint64
 	// Epoch is the routing epoch the triggering flow's egress port was
 	// resolved under — event provenance for cross-collector merging
@@ -342,10 +340,10 @@ func (c *Collector) SetPortMapper(m PortMapper) {
 
 // syncRoutes pins the current routing epoch (one atomic load) and, on
 // an epoch change, re-resolves every live flow as of its last sample
-// time. Resolving at LastSeen — never at c.now — is what keeps sharded
-// ingest equivalent to serial: LastSeen is a per-flow property of the
-// stream, while "now" is a property of whichever shard saw the flow
-// last. Called once per Ingest/IngestBatch, never per sample.
+// time. Resolving at LastSeen — never at c.now — is what keeps a
+// mid-batch reroute equivalent to one at a batch boundary: LastSeen is
+// a per-flow property of the stream, while "now" depends on where the
+// batch ended. Called once per Ingest/IngestBatch, never per sample.
 func (c *Collector) syncRoutes() {
 	if c.resolver == nil {
 		return
@@ -439,20 +437,6 @@ func (c *Collector) Ingest(t units.Time, frame []byte) error {
 		c.sinkBatch.BatchEnd(t)
 	}
 	return err
-}
-
-// ingestHashed is Ingest with a flow hash precomputed by the caller
-// (the sharded dispatcher shares its partition hash this way); 0 means
-// unknown.
-func (c *Collector) ingestHashed(t units.Time, frame []byte, h uint64) error {
-	if t < c.now {
-		return fmt.Errorf("core: timestamp went backwards: %v after %v", t, c.now)
-	}
-	if c.resolver != nil {
-		c.syncRoutes()
-	}
-	c.met.samples.IncRelaxed()
-	return c.ingest(t, frame, h, nil, 0)
 }
 
 // IngestBatch processes a batch of sampled frames, ts[i] stamping
@@ -670,9 +654,7 @@ func (c *Collector) ingest(t units.Time, frame []byte, h uint64, hint *FlowState
 	if f.DstMAC != c.dec.Eth.Dst || f.outPort < 0 || f.routeEpoch != c.routeEpoch {
 		f.DstMAC = c.dec.Eth.Dst
 		// Without routing state remapFlowAt is a no-op (the flow stays
-		// unmapped at outPort -1), so routeless collectors — including
-		// every per-shard sub-collector, which defers routing to the
-		// merger — skip the call.
+		// unmapped at outPort -1), so routeless collectors skip the call.
 		if c.mapper != nil {
 			c.remapFlowAt(t, f)
 		}
@@ -777,9 +759,7 @@ func (c *Collector) ingestUDP(t units.Time, frame []byte, h uint64) {
 	if f.DstMAC != c.dec.Eth.Dst || f.outPort < 0 || f.routeEpoch != c.routeEpoch {
 		f.DstMAC = c.dec.Eth.Dst
 		// Without routing state remapFlowAt is a no-op (the flow stays
-		// unmapped at outPort -1), so routeless collectors — including
-		// every per-shard sub-collector, which defers routing to the
-		// merger — skip the call.
+		// unmapped at outPort -1), so routeless collectors skip the call.
 		if c.mapper != nil {
 			c.remapFlowAt(t, f)
 		}
@@ -1082,17 +1062,11 @@ func (c *Collector) FlowTableProbeStats() (mean float64, max int) {
 // ExpireFlows drops flow records idle longer than idle, returning how
 // many were removed. Expired records are recycled — pointers obtained
 // from Flow/Flows before the call are invalid after it. Call
-// periodically from the hosting process.
-func (c *Collector) ExpireFlows(now units.Time, idle units.Duration) int {
-	return c.expire(now, idle, nil)
-}
-
-// expire is ExpireFlows with a hook: onRemove, when non-nil, sees each
-// record just before the table recycles it. The recency list is in
+// periodically from the hosting process. The recency list is in
 // LastSeen order, so the idle flows are exactly its head; the walk
 // stops at the first survivor and costs O(expired), whatever the
 // table holds.
-func (c *Collector) expire(now units.Time, idle units.Duration, onRemove func(*FlowState)) int {
+func (c *Collector) ExpireFlows(now units.Time, idle units.Duration) int {
 	n := 0
 	for f := c.oldest; f != nil && now.Sub(f.LastSeen) > idle; f = c.oldest {
 		c.unlist(f)
@@ -1104,9 +1078,6 @@ func (c *Collector) expire(now units.Time, idle units.Duration, onRemove func(*F
 			f.next.prev = nil
 		} else {
 			c.newest = nil
-		}
-		if onRemove != nil {
-			onRemove(f)
 		}
 		c.flows.Remove(f)
 		n++

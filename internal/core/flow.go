@@ -144,11 +144,6 @@ type FlowState struct {
 	// sample; 0 throughout when no RouteResolver is installed.
 	routeEpoch uint64
 
-	// id is a process-wide dense identifier assigned by the sharded
-	// pipeline on first sight (0 = unassigned); the merger's flow view
-	// is indexed by it. Unused in serial operation.
-	id int32
-
 	// portSlot is 1 + the record's index in the collector's
 	// portFlows[outPort] (0 = on no port list), so leaving a list is a
 	// swap-remove, not a search.

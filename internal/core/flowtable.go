@@ -8,7 +8,7 @@ package core
 // dereference per sample; here a lookup is one folded-multiply hash
 // plus a single 8-slot group probe that resolves in one word-wide
 // compare for resident flows, and the hash itself is computed once per
-// sample and shared with the sharded dispatcher's partition decision
+// sample and shared between IngestBatch's prefetch pass and the probe
 // (see flowHash). This is the same design pressure NetFlow-style
 // collectors face: per-packet flow-record cost dominates, so the table
 // is the hot path.
@@ -98,10 +98,9 @@ func matchZeroBytes(w uint64) uint64 {
 // mixFlowHash combines the two packed words of a 5-tuple with one
 // folded 64×64→128 multiply (the wyhash/xxh3 mixing core): both seeded
 // operands feed a widening multiply whose halves are XORed, giving full
-// avalanche — the table's mask-indexing, the control tag's top bits,
-// and the dispatcher's modulo all see well-mixed bits even for flow
-// populations with correlated low bytes (sequential ports, sequential
-// addresses). The result is never zero: zero is reserved as the "hash
+// avalanche — the table's mask-indexing and the control tag's top bits
+// both see well-mixed bits even for flow populations with correlated
+// low bytes (sequential ports, sequential addresses). The result is never zero: zero is reserved as the "hash
 // not precomputed" sentinel carried through the batch pipeline.
 func mixFlowHash(a, b uint64) uint64 {
 	hi, lo := bits.Mul64(a^hashC1, b^hashC2)
@@ -114,9 +113,8 @@ func mixFlowHash(a, b uint64) uint64 {
 
 // HashFlowKey hashes a decoded 5-tuple for FlowTable addressing. It is
 // bit-identical to flowHash over the raw frame bytes of the same tuple,
-// so a hash computed once at the dispatcher serves both the shard
-// partition and the shard's table probe, and key-based query paths
-// (FlowRate, Flow) find records inserted from frame bytes.
+// so key-based query paths (FlowRate, Flow) find records inserted from
+// frame bytes.
 //
 // The address word is read with one unsafe 8-byte load of the key's
 // first two fields (SrcIP and DstIP are adjacent wire-order byte
@@ -133,10 +131,9 @@ func HashFlowKey(k packet.FlowKey) uint64 {
 }
 
 // flowHash computes the same hash as HashFlowKey straight from raw
-// frame bytes, without a full decode — the dispatcher's per-sample
-// peek. ok is false when the frame carries no recognizable IPv4 TCP/UDP
-// transport flow (such frames hold no flow-table state; any stable
-// shard assignment works for them).
+// frame bytes, without a full decode — IngestBatch's per-sample
+// prefetch peek. ok is false when the frame carries no recognizable
+// IPv4 TCP/UDP transport flow (such frames hold no flow-table state).
 func flowHash(frame []byte) (uint64, bool) {
 	if len(frame) < packet.EthernetHeaderLen+packet.IPv4MinHeaderLen {
 		return 0, false

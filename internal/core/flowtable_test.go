@@ -330,7 +330,7 @@ func TestFlowTableProbeP99UnderChurn(t *testing.T) {
 }
 
 // TestFlowHashMatchesKeyHash checks the contract that lets one hash
-// serve both the dispatcher and the table: for any frame the decoder
+// serve both IngestBatch's prefetch pass and the table: for any frame the decoder
 // extracts a flow from, flowHash over the raw bytes equals HashFlowKey
 // over the decoded key.
 func TestFlowHashMatchesKeyHash(t *testing.T) {
@@ -375,6 +375,41 @@ func TestFlowHashMatchesKeyHash(t *testing.T) {
 	}
 	if _, ok := flowHash(frames[0][:20]); ok {
 		t.Fatal("flowHash accepted a truncated frame")
+	}
+}
+
+// TestFlowHashDispersesCorrelatedFlows pins the avalanche finalizer:
+// flow populations whose 5-tuples differ only in correlated low bytes
+// (sequential source ports AND sequential destination addresses — the
+// shape a scan, a load balancer, or a bench harness produces) must
+// spread over the table's home slots, which the hash's low bits pick.
+// Raw FNV-1a sends every such flow to one residue mod 4: each
+// xor-then-odd-multiply step leaves the hash's low k bits a function of
+// the inputs' low k bits, and the two correlated byte injections cancel.
+func TestFlowHashDispersesCorrelatedFlows(t *testing.T) {
+	counts := make([]int, 4)
+	const flows = 64
+	for i := 0; i < flows; i++ {
+		f := packet.BuildTCP(nil, packet.TCPSpec{
+			SrcMAC: macA, DstMAC: macB, SrcIP: ipA,
+			DstIP:   packet.IPv4{10, 0, 1, byte(i)},
+			SrcPort: uint16(1000 + i), DstPort: 2000,
+			Flags: packet.TCPAck, PayloadLen: 1460,
+		})
+		h, _ := flowHash(f)
+		counts[h&3]++
+	}
+	busiest, used := 0, 0
+	for _, c := range counts {
+		if c > 0 {
+			used++
+		}
+		if c > busiest {
+			busiest = c
+		}
+	}
+	if used < 3 || busiest > flows/2 {
+		t.Fatalf("correlated flows collapse: per-residue counts %v", counts)
 	}
 }
 

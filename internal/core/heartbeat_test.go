@@ -84,23 +84,3 @@ func TestCooldownSnapshotRestore(t *testing.T) {
 	// Out-of-range ports are ignored, not a panic.
 	c2.RestoreCooldowns(map[int]units.Time{-1: hbms(1), 99: hbms(1)})
 }
-
-func TestShardedCooldownSnapshotRestore(t *testing.T) {
-	cfg := ShardedConfig{Config: Config{SwitchName: "sw", NumPorts: 4, LinkRate: units.Rate1G}, Shards: 2}
-	s1 := NewSharded(cfg)
-	s1.Subscribe(func(CongestionEvent) {})
-	defer s1.Close()
-	if snap := s1.CooldownSnapshot(); len(snap) != 0 {
-		t.Fatalf("fresh sharded collector snapshot = %v, want empty", snap)
-	}
-	s1.RestoreCooldowns(map[int]units.Time{3: hbms(40)})
-	snap := s1.CooldownSnapshot()
-	if len(snap) != 1 || snap[3] != hbms(40) {
-		t.Fatalf("after restore snapshot = %v, want {3: 40ms}", snap)
-	}
-	// Restoring an earlier time must not regress the cooldown.
-	s1.RestoreCooldowns(map[int]units.Time{3: hbms(5)})
-	if got := s1.CooldownSnapshot()[3]; got != hbms(40) {
-		t.Fatalf("earlier restore regressed cooldown to %v", got)
-	}
-}

@@ -7,10 +7,10 @@ import (
 	"planck/internal/units"
 )
 
-// Ingester is the sample-ingest seam shared by the serial Collector,
-// the ShardedCollector, the fault injector, and the UDP/pcap transports
-// in the facade. Anything that can absorb timestamped sFlow frames —
-// one at a time or as a poll batch — satisfies it.
+// Ingester is the sample-ingest seam shared by the Collector, the fault
+// injector, and the UDP/pcap transports in the facade. Anything that can
+// absorb timestamped sFlow frames — one at a time or as a poll batch —
+// satisfies it.
 type Ingester interface {
 	// Ingest absorbs one captured frame observed at time t.
 	Ingest(t units.Time, frame []byte) error
@@ -25,8 +25,8 @@ type Ingester interface {
 // versioned routing plane provides (routing.View implements it). A
 // collector that is handed a RouteResolver attributes each sample to
 // the routing epoch that was live at the sample's timestamp instead of
-// whatever state is current at processing time, so batching and
-// sharding cannot change per-link attribution.
+// whatever state is current at processing time, so batching cannot
+// change per-link attribution.
 type RouteResolver interface {
 	PortMapper
 
@@ -41,11 +41,6 @@ type RouteResolver interface {
 	// stamp the flow and skip re-resolution until the epoch moves.
 	// Lock-free and allocation-free: safe on the ingest hot path.
 	ResolveOutput(t units.Time, key packet.FlowKey, dst packet.MAC) (port int, epoch uint64, ok bool)
-
-	// Fork returns an independent resolver over the same underlying
-	// store for use by another goroutine (each shard worker pins its
-	// own view; pinning mutates the view, so views are not shared).
-	Fork() RouteResolver
 }
 
 // EpochSource is an optional RouteResolver extension exposing the
@@ -62,7 +57,4 @@ type EpochSource interface {
 	EpochRef() *atomic.Uint64
 }
 
-var (
-	_ Ingester = (*Collector)(nil)
-	_ Ingester = (*ShardedCollector)(nil)
-)
+var _ Ingester = (*Collector)(nil)

@@ -267,7 +267,6 @@ func (v *fakeView) ResolveOutput(t units.Time, _ packet.FlowKey, dst packet.MAC)
 	p, ok := e.ports.OutputPort(dst)
 	return p, e.epoch, ok
 }
-func (v *fakeView) Fork() RouteResolver      { return &fakeView{r: v.r, pinned: v.pinned} }
 func (v *fakeView) EpochRef() *atomic.Uint64 { return &v.r.epoch }
 
 // script reads a test's byte string; an exhausted script yields zeros.
@@ -565,10 +564,9 @@ func TestExpireVisitsOnlyTheExpired(t *testing.T) {
 	for ; f != nil; f = f.next {
 		f.LastSeen = -units.Time(units.Second) // tripwire
 	}
-	seen := 0
-	n := c.expire(end, 25*units.Millisecond, func(*FlowState) { seen++ })
-	if n != idle || seen != idle || c.Stats().Flows != total-idle {
-		t.Fatalf("removed %d (hook saw %d) of %d idle flows; %d live", n, seen, idle, c.Stats().Flows)
+	n := c.ExpireFlows(end, 25*units.Millisecond)
+	if n != idle || c.Stats().Flows != total-idle {
+		t.Fatalf("removed %d of %d idle flows; %d live", n, idle, c.Stats().Flows)
 	}
 }
 

@@ -29,12 +29,11 @@ const (
 	chaosHeartbeat = units.Millisecond
 )
 
-func chaosOptions(shards int, faultSpec string) Options {
+func chaosOptions(faultSpec string) Options {
 	return Options{
-		Net:             topo.SingleSwitch("sw0", 6, units.Rate10G, true),
-		Mirror:          true,
-		Seed:            11,
-		CollectorShards: shards,
+		Net:    topo.SingleSwitch("sw0", 6, units.Rate10G, true),
+		Mirror: true,
+		Seed:   11,
 		// Low threshold: steady near-line-rate flows fire congestion
 		// events every cooldown, giving the delivery path real load.
 		CollectorConfig: core.Config{UtilThreshold: 0.05},
@@ -65,7 +64,7 @@ func startChaosTraffic(t *testing.T, l *Lab) {
 }
 
 // TestChaosSupervisedControlLoop drives the full fault scenario against
-// a supervised testbed (serial and sharded collectors) and checks the
+// a supervised testbed and checks the
 // robustness contract end to end:
 //
 //   - the mirror-loss burst flips the feed to dark within the heartbeat
@@ -79,12 +78,11 @@ func startChaosTraffic(t *testing.T, l *Lab) {
 //   - after the last fault clears, utilization estimates re-converge to
 //     a fault-free oracle run of the identical workload.
 func TestChaosSupervisedControlLoop(t *testing.T) {
-	t.Run("serial", func(t *testing.T) { runChaos(t, 0) })
-	t.Run("sharded", func(t *testing.T) { runChaos(t, 2) })
+	t.Run("serial", runChaos)
 }
 
-func runChaos(t *testing.T, shards int) {
-	l, err := New(chaosOptions(shards, chaosSpec))
+func runChaos(t *testing.T) {
+	l, err := New(chaosOptions(chaosSpec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +203,7 @@ func runChaos(t *testing.T, shards int) {
 	// (c) Re-convergence: the data plane is untouched by monitoring
 	// faults, so an oracle run of the identical workload with no faults
 	// must agree with the post-recovery estimates on the loaded ports.
-	oracle, err := New(chaosOptions(shards, ""))
+	oracle, err := New(chaosOptions(""))
 	if err != nil {
 		t.Fatal(err)
 	}

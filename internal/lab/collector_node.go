@@ -21,13 +21,8 @@ import (
 // collector, so the exact parse path a hardware deployment would run is
 // exercised for every sample.
 type CollectorNode struct {
-	eng *sim.Engine
-	// ing is the part of a collector the capture stack feeds: the
-	// shared core.Ingester seam both the serial core.Collector and
-	// the concurrent core.ShardedCollector satisfy.
-	ing      core.Ingester
-	col      *core.Collector        // serial mode, nil when sharded
-	sharded  *core.ShardedCollector // sharded mode, nil when serial
+	eng      *sim.Engine
+	col      *core.Collector
 	port     *sim.Port
 	poll     units.Duration
 	overhead units.Duration
@@ -54,7 +49,7 @@ type CollectorNode struct {
 
 	// crashed models process death: frames arriving while crashed are
 	// freed unprocessed (the NIC ring has no reader), until a supervisor
-	// installs a replacement collector via Restart*.
+	// installs a replacement collector via Restart.
 	crashed bool
 
 	// lastDelivery is the poll tick that last delivered at least one
@@ -84,10 +79,9 @@ type CollectorNode struct {
 	OnFrame func(at units.Time, frame []byte)
 
 	// OnBatchEnd, when set, fires on the engine goroutine after each
-	// poll batch has been fully processed (sharded pipelines flushed,
-	// all event callbacks delivered). Supervisors drain their
-	// merger-queued events here, so event handling happens-after the
-	// batch without racing the engine.
+	// poll batch has been fully processed (all event callbacks
+	// delivered). Supervisors drain their queued events here, so event
+	// handling happens-after the batch without racing the engine.
 	OnBatchEnd func(now units.Time)
 
 	// Tracer, when set, receives the capture timestamp of each
@@ -102,26 +96,9 @@ type CollectorNode struct {
 // NewCollectorNode builds a collector process with its NIC port running
 // at rate (which must match the monitor port it connects to).
 func NewCollectorNode(eng *sim.Engine, col *core.Collector, rate units.Rate, poll, overhead units.Duration) *CollectorNode {
-	n := newNode(eng, rate, poll, overhead)
-	n.col = col
-	n.ing = col
-	return n
-}
-
-// NewShardedCollectorNode is NewCollectorNode for the concurrent
-// pipeline: deliveries fan out across sc's shards, and the node flushes
-// the pipeline at the end of every poll batch so event dispatch and the
-// query surface stay within one poll interval of the serial collector.
-func NewShardedCollectorNode(eng *sim.Engine, sc *core.ShardedCollector, rate units.Rate, poll, overhead units.Duration) *CollectorNode {
-	n := newNode(eng, rate, poll, overhead)
-	n.sharded = sc
-	n.ing = sc
-	return n
-}
-
-func newNode(eng *sim.Engine, rate units.Rate, poll, overhead units.Duration) *CollectorNode {
 	n := &CollectorNode{
 		eng:      eng,
+		col:      col,
 		poll:     poll,
 		overhead: overhead,
 		scratch:  make([]byte, 2048),
@@ -158,11 +135,10 @@ func (n *CollectorNode) SetFaultInjector(inj *faults.Injector) {
 	}
 }
 
-// Crash kills the collector process at now: pending frames are freed,
-// the concurrent pipeline (if any) is shut down, and all subsequent
-// arrivals are discarded until Restart. Flow tables, estimators, and
-// cooldown state die with the process — exactly what a supervisor must
-// compensate for.
+// Crash kills the collector process at now: pending frames are freed
+// and all subsequent arrivals are discarded until Restart. Flow tables,
+// estimators, and cooldown state die with the process — exactly what a
+// supervisor must compensate for.
 func (n *CollectorNode) Crash(now units.Time) {
 	if n.crashed {
 		return
@@ -172,33 +148,16 @@ func (n *CollectorNode) Crash(now units.Time) {
 		n.eng.FreePacket(pkt)
 	}
 	n.pending = n.pending[:0]
-	if n.sharded != nil {
-		// Stop the dead pipeline's goroutines. Close drains its queues
-		// first; late events from that drain carry the old generation
-		// and are discarded by the supervisor's subscription guard.
-		n.sharded.Close()
-	}
 }
 
 // Crashed reports whether the node is dead and awaiting a restart.
 func (n *CollectorNode) Crashed() bool { return n.crashed }
 
-// RestartSerial installs a replacement serial collector and resumes
-// capture. The supervisor owns rebuilding state (port mapper, event
-// subscription, cooldown restore) before calling this.
-func (n *CollectorNode) RestartSerial(col *core.Collector) {
+// Restart installs a replacement collector and resumes capture. The
+// supervisor owns rebuilding state (port mapper, event subscription,
+// cooldown restore) before calling this.
+func (n *CollectorNode) Restart(col *core.Collector) {
 	n.col = col
-	n.sharded = nil
-	n.ing = col
-	n.crashed = false
-}
-
-// RestartSharded is RestartSerial for a replacement concurrent
-// pipeline.
-func (n *CollectorNode) RestartSharded(sc *core.ShardedCollector) {
-	n.col = nil
-	n.sharded = sc
-	n.ing = sc
 	n.crashed = false
 }
 
@@ -234,7 +193,7 @@ func (n *CollectorNode) deliverOne(at units.Time, frame []byte) {
 	if n.OnFrame != nil {
 		n.OnFrame(at, frame)
 	}
-	if err := n.ing.Ingest(at, frame); err != nil {
+	if err := n.col.Ingest(at, frame); err != nil {
 		// Includes timestamp regressions from reordered or negatively
 		// skewed frames — the real collector rejects those too.
 		n.IngestErrors++
@@ -268,7 +227,7 @@ func (n *CollectorNode) deliverBatch(at units.Time, pkts []*sim.Packet) {
 			n.OnFrame(at, fr)
 		}
 	}
-	if err := n.ing.IngestBatch(n.bts, n.bframes); err != nil {
+	if err := n.col.IngestBatch(n.bts, n.bframes); err != nil {
 		var be *core.BatchError
 		if errors.As(err, &be) {
 			n.IngestErrors += int64(be.Failed)
@@ -307,12 +266,6 @@ func (n *CollectorNode) AttachInSwitch(sw *switchsim.Switch) {
 		}
 		before := n.delivered
 		n.ingestOne(now.Add(n.overhead), pkt)
-		// With no poll batch there is no natural flush point; drain the
-		// concurrent pipeline per sample so callbacks keep switching-time
-		// latency. (Sharded + in-switch trades hand-off batching away.)
-		if n.sharded != nil {
-			n.sharded.Flush()
-		}
 		if n.Tracer != nil {
 			capAt := pkt.SentAt
 			if capAt == 0 {
@@ -329,13 +282,8 @@ func (n *CollectorNode) AttachInSwitch(sw *switchsim.Switch) {
 	}
 }
 
-// Collector returns the wrapped serial collector, or nil when the node
-// runs the sharded pipeline.
+// Collector returns the wrapped collector.
 func (n *CollectorNode) Collector() *core.Collector { return n.col }
-
-// Sharded returns the wrapped concurrent pipeline, or nil when the node
-// runs the serial collector.
-func (n *CollectorNode) Sharded() *core.ShardedCollector { return n.sharded }
 
 // Name implements sim.Node.
 func (n *CollectorNode) Name() string { return "collector" }
@@ -392,16 +340,9 @@ func (n *CollectorNode) deliver(now units.Time) {
 		}
 	}
 	n.pending = n.pending[:0]
-	// Drain the concurrent pipeline at every poll boundary: the simulator
-	// blocks here until all callbacks for this batch have fired, which
-	// both bounds event latency to one poll interval and keeps the run
-	// deterministic (callbacks execute while the engine is parked).
-	if n.sharded != nil {
-		n.sharded.Flush()
-	}
 	if n.Tracer != nil {
-		// After the flush: sharded births complete before Flush returns,
-		// serial births are synchronous inside IngestBatch.
+		// Span births are synchronous inside IngestBatch, so every span
+		// this batch opened exists by now.
 		if capAt == 0 {
 			capAt = at
 		}

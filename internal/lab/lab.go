@@ -42,13 +42,6 @@ type Options struct {
 	CollectorConfig core.Config
 	// Mirror enables oversubscribed mirroring and collectors.
 	Mirror bool
-	// CollectorShards, when > 0, runs each collector as a concurrent
-	// sharded pipeline (core.NewSharded) with that many shards instead
-	// of a serial core.Collector. Lab.Collector(s) returns nil for such
-	// switches — use Lab.Collectors[s].Sharded(). The controller is not
-	// attached (PlanckTE reroutes need the serial event path), so
-	// subscribe on the sharded collector directly before Run.
-	CollectorShards int
 	// InSwitchCollectors realizes §9.2's in-switch collector proposal:
 	// collectors consume samples at switching time through a data-plane
 	// sink instead of a monitor port, so samples see no mirror buffering
@@ -59,8 +52,7 @@ type Options struct {
 	// aggregation plane (internal/agg), and congestion events reach the
 	// controller as the plane's merged, deduplicated, cooldown-coherent
 	// network-wide stream instead of per-collector subscriptions.
-	// Requires Mirror; incompatible with CollectorShards (the sample
-	// sink is serial-only — the fleet shards across collectors instead).
+	// Requires Mirror.
 	Aggregate bool
 	// AggregateConfig tunes the plane; zero thresholds inherit
 	// CollectorConfig's (defaulted) values so fleet and collectors agree
@@ -211,9 +203,6 @@ func New(opts Options) (*Lab, error) {
 	}
 	if opts.Aggregate && !opts.Mirror {
 		return nil, fmt.Errorf("lab: Options.Aggregate requires Mirror")
-	}
-	if opts.Aggregate && opts.CollectorShards > 0 {
-		return nil, fmt.Errorf("lab: Options.Aggregate is incompatible with CollectorShards (the per-sample sink is serial-only; the fleet shards across collectors)")
 	}
 	if opts.Transport == TransportLink && !opts.Aggregate {
 		return nil, fmt.Errorf("lab: Options.Transport == TransportLink requires Aggregate (the transport carries vantage reports)")
@@ -381,18 +370,7 @@ func New(opts Options) (*Lab, error) {
 				}
 			}
 			l.collectorCfgs[s] = ccfg
-			var node *CollectorNode
-			if opts.CollectorShards > 0 {
-				sc := core.NewSharded(core.ShardedConfig{Config: ccfg, Shards: opts.CollectorShards})
-				node = NewShardedCollectorNode(eng, sc, net.LineRate, opts.PollInterval, opts.PollOverhead)
-				// The sharded pipeline reads the same epoch-versioned
-				// routing store as every other consumer (each shard
-				// forks its own view), but the controller's event
-				// plumbing stays serial-only.
-				sc.SetPortMapper(l.Ctrl.Mapper(s))
-			} else {
-				node = NewCollectorNode(eng, core.New(ccfg), net.LineRate, opts.PollInterval, opts.PollOverhead)
-			}
+			node := NewCollectorNode(eng, core.New(ccfg), net.LineRate, opts.PollInterval, opts.PollOverhead)
 			node.Tracer = opts.Tracer
 			node.RegisterMetrics(l.Metrics, ccfg.SwitchName)
 			if opts.InSwitchCollectors {
@@ -420,9 +398,7 @@ func New(opts Options) (*Lab, error) {
 				// their events reach the controller through the
 				// supervisor's retrying Deliverer, not a direct
 				// subscription.
-				if node.Collector() != nil {
-					node.Collector().SetPortMapper(l.Ctrl.Mapper(s))
-				}
+				node.Collector().SetPortMapper(l.Ctrl.Mapper(s))
 				l.Supervisors[s] = newSupervisor(l, s, node, opts.SupervisorConfig, est)
 				if l.vantages != nil && l.vantages[s] != nil {
 					// The plane serves this vantage's links from the
@@ -431,16 +407,14 @@ func New(opts Options) (*Lab, error) {
 					// supervisor's own dark-feed fallback.
 					l.vantages[s].SetFallback(l.Supervisors[s].FallbackUtilization)
 				}
-			} else if node.Collector() != nil {
-				if l.Agg != nil {
-					// Vantages get the routing oracle but are never
-					// attached: AttachCollector would subscribe the
-					// controller to local detection, double-reporting
-					// everything the plane merges.
-					node.Collector().SetPortMapper(l.Ctrl.Mapper(s))
-				} else {
-					l.Ctrl.AttachCollector(s, node.Collector())
-				}
+			} else if l.Agg != nil {
+				// Vantages get the routing oracle but are never
+				// attached: AttachCollector would subscribe the
+				// controller to local detection, double-reporting
+				// everything the plane merges.
+				node.Collector().SetPortMapper(l.Ctrl.Mapper(s))
+			} else {
+				l.Ctrl.AttachCollector(s, node.Collector())
 			}
 			if opts.Govern {
 				gov := governor.New(opts.GovernorConfig, net.SwitchNames[s], s,

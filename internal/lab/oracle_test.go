@@ -3,7 +3,6 @@ package lab
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 
 	"planck/internal/core"
@@ -18,12 +17,10 @@ import (
 // oversubscribed mirror drops — is captured at the collector's NIC via
 // the OnFrame tap, giving a deterministic sample stream with exactly the
 // timestamps the live collector saw. That one stream is then replayed
-// through a fresh serial Collector and through ShardedCollectors of
-// 1, 2, 4, and 8 shards, with a deterministic mid-replay ExpireFlows;
-// every observable output must match the serial run exactly. Run under
-// -race this is the pipeline's strongest correctness check: any
-// unsynchronized cross-shard state shows up either as a report diff or
-// as a race.
+// through a fresh Collector one Ingest at a time and through another in
+// IngestBatch calls, with a deterministic mid-replay ExpireFlows; every
+// observable output of the batched replay must match the per-sample one
+// exactly.
 
 // capturedStream is a replayable record of every sample delivered to a
 // collector node, stored in one flat buffer to keep capture cheap.
@@ -44,6 +41,14 @@ func (cs *capturedStream) add(at units.Time, frame []byte) {
 
 func (cs *capturedStream) frame(i int) []byte { return cs.buf[cs.offs[i]:cs.offs[i+1]] }
 func (cs *capturedStream) n() int             { return len(cs.times) }
+
+func (cs *capturedStream) frames() [][]byte {
+	out := make([][]byte, cs.n())
+	for i := range out {
+		out[i] = cs.frame(i)
+	}
+	return out
+}
 
 // captureTestbedStream drives the shared-bottleneck scenario and records
 // switch 0's sample stream.
@@ -91,33 +96,15 @@ type oracleReport struct {
 }
 
 func renderEvent(ev core.CongestionEvent) string {
-	flows := append([]core.FlowInfo(nil), ev.Flows...)
-	// Event flow annotations are the only order-normalized comparison:
-	// the sharded view's swap-remove bookkeeping may permute them.
-	sort.Slice(flows, func(i, j int) bool {
-		return fmt.Sprintf("%+v", flows[i].Key) < fmt.Sprintf("%+v", flows[j].Key)
-	})
 	return fmt.Sprintf("t=%d %s port=%d util=%d cap=%d flows=%+v",
-		ev.Time, ev.SwitchName, ev.Port, ev.Util, ev.Capacity, flows)
+		ev.Time, ev.SwitchName, ev.Port, ev.Util, ev.Capacity, ev.Flows)
 }
 
-// replayCollector is the surface the oracle needs from either pipeline.
-type replayCollector interface {
-	Ingest(t units.Time, frame []byte) error
-	SetPortMapper(m core.PortMapper)
-	Subscribe(fn func(ev core.CongestionEvent))
-	SubscribeFlowBoundaries(fn func(t units.Time, key packet.FlowKey, kind core.BoundaryKind))
-	ExpireFlows(now units.Time, idle units.Duration) int
-	Flows(fn func(f *core.FlowState))
-	LinkUtilization(p int) units.Rate
-	Stats() core.Stats
-}
-
-// replayStream pushes the captured stream through col with a
-// deterministic ExpireFlows at the midpoint, then snapshots every
-// observable output. flush is called before quiescent reads (no-op for
-// the serial collector).
-func replayStream(t *testing.T, cs *capturedStream, ccfg core.Config, mapper core.PortMapper, col replayCollector, flush func()) oracleReport {
+// replayStream pushes the captured stream through col — one Ingest per
+// sample when batch is 1, IngestBatch calls of up to batch samples
+// otherwise — with a deterministic ExpireFlows right after the midpoint
+// sample, then snapshots every observable output.
+func replayStream(t *testing.T, cs *capturedStream, ccfg core.Config, mapper core.PortMapper, col *core.Collector, batch int) oracleReport {
 	t.Helper()
 	rep := oracleReport{rates: map[string]units.Rate{}, utils: make([]units.Rate, ccfg.NumPorts)}
 	col.SetPortMapper(mapper)
@@ -127,16 +114,27 @@ func replayStream(t *testing.T, cs *capturedStream, ccfg core.Config, mapper cor
 	col.SubscribeFlowBoundaries(func(at units.Time, key packet.FlowKey, kind core.BoundaryKind) {
 		rep.boundaries = append(rep.boundaries, fmt.Sprintf("t=%d %s kind=%d", at, key, kind))
 	})
+	frames := cs.frames()
 	mid := cs.n() / 2
-	for i := 0; i < cs.n(); i++ {
-		if err := col.Ingest(cs.times[i], cs.frame(i)); err != nil {
-			t.Fatalf("sample %d: %v", i, err)
+	for lo := 0; lo < cs.n(); {
+		hi := min(lo+batch, cs.n())
+		if lo <= mid && mid < hi {
+			hi = mid + 1 // no batch straddles the expiry
 		}
-		if i == mid {
-			rep.expired = col.ExpireFlows(cs.times[i], 2*units.Millisecond)
+		var err error
+		if batch == 1 {
+			err = col.Ingest(cs.times[lo], frames[lo])
+		} else {
+			err = col.IngestBatch(cs.times[lo:hi], frames[lo:hi])
 		}
+		if err != nil {
+			t.Fatalf("samples %d..%d: %v", lo, hi, err)
+		}
+		if hi == mid+1 {
+			rep.expired = col.ExpireFlows(cs.times[mid], 2*units.Millisecond)
+		}
+		lo = hi
 	}
-	flush()
 	rep.stats = col.Stats()
 	for p := 0; p < ccfg.NumPorts; p++ {
 		rep.utils[p] = col.LinkUtilization(p)
@@ -151,7 +149,7 @@ func replayStream(t *testing.T, cs *capturedStream, ccfg core.Config, mapper cor
 func TestLabSerialEquivalenceOracle(t *testing.T) {
 	cs, ccfg, mapper := captureTestbedStream(t)
 
-	serial := replayStream(t, cs, ccfg, mapper, core.New(ccfg), func() {})
+	serial := replayStream(t, cs, ccfg, mapper, core.New(ccfg), 1)
 	if serial.stats.Samples != int64(cs.n()) {
 		t.Fatalf("serial replay ingested %d of %d", serial.stats.Samples, cs.n())
 	}
@@ -165,100 +163,24 @@ func TestLabSerialEquivalenceOracle(t *testing.T) {
 		t.Fatal("mid-replay expiry removed nothing; oracle would be vacuous")
 	}
 
-	for _, shards := range []int{1, 2, 4, 8} {
-		sc := core.NewSharded(core.ShardedConfig{Config: ccfg, Shards: shards})
-		got := replayStream(t, cs, ccfg, mapper, sc, sc.Flush)
-		sc.Close()
-		if got.stats != serial.stats {
-			t.Errorf("shards=%d stats %+v != serial %+v", shards, got.stats, serial.stats)
-		}
-		if got.expired != serial.expired {
-			t.Errorf("shards=%d expired %d != serial %d", shards, got.expired, serial.expired)
-		}
-		if !reflect.DeepEqual(got.utils, serial.utils) {
-			t.Errorf("shards=%d utils %v != serial %v", shards, got.utils, serial.utils)
-		}
-		if !reflect.DeepEqual(got.rates, serial.rates) {
-			t.Errorf("shards=%d flow rates diverge:\n got %v\nwant %v", shards, got.rates, serial.rates)
-		}
-		if !reflect.DeepEqual(got.events, serial.events) {
-			t.Errorf("shards=%d events diverge (%d vs %d):\n got %v\nwant %v",
-				shards, len(got.events), len(serial.events), got.events, serial.events)
-		}
-		if !reflect.DeepEqual(got.boundaries, serial.boundaries) {
-			t.Errorf("shards=%d boundaries diverge (%d vs %d)", shards, len(got.boundaries), len(serial.boundaries))
-		}
+	got := replayStream(t, cs, ccfg, mapper, core.New(ccfg), 64)
+	if got.stats != serial.stats {
+		t.Errorf("batched stats %+v != serial %+v", got.stats, serial.stats)
 	}
-}
-
-// TestShardedTestbedEndToEnd runs the testbed itself in sharded mode —
-// the CollectorShards wiring, per-poll flushes, and merger-goroutine
-// callbacks — and checks it against an identical serial-mode run.
-func TestShardedTestbedEndToEnd(t *testing.T) {
-	type outcome struct {
-		stats      core.Stats
-		boundaries int
-		events     int
-		rates      map[string]units.Rate
+	if got.expired != serial.expired {
+		t.Errorf("batched expired %d != serial %d", got.expired, serial.expired)
 	}
-	run := func(shards int) outcome {
-		net := topo.SingleSwitch("sw0", 4, units.Rate10G, true)
-		l, err := New(Options{Net: net, Mirror: true, Seed: 5, CollectorShards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var o outcome
-		count := func(units.Time, packet.FlowKey, core.BoundaryKind) { o.boundaries++ }
-		// Subscribe a congestion handler on both variants: in serial mode
-		// the controller is attached and already enables event checking,
-		// so the sharded run needs its own subscriber to match.
-		onEvent := func(core.CongestionEvent) { o.events++ }
-		if shards > 0 {
-			if l.Collector(0) != nil {
-				t.Fatal("sharded node must not expose a serial collector")
-			}
-			l.Collectors[0].Sharded().SubscribeFlowBoundaries(count)
-			l.Collectors[0].Sharded().Subscribe(onEvent)
-		} else {
-			l.Collector(0).SubscribeFlowBoundaries(count)
-			l.Collector(0).Subscribe(onEvent)
-		}
-		for i := 0; i < 2; i++ {
-			if _, err := l.Hosts[i].StartFlow(0, topo.HostIP(3), uint16(5001+i), 2<<20, int32(1+i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		l.Run(100 * units.Millisecond)
-		o.rates = map[string]units.Rate{}
-		if shards > 0 {
-			sc := l.Collectors[0].Sharded()
-			sc.Flush()
-			o.stats = sc.Stats()
-			sc.Flows(func(f *core.FlowState) { r, _ := f.Rate(); o.rates[f.Key.String()] = r })
-			sc.Close()
-		} else {
-			c := l.Collector(0)
-			o.stats = c.Stats()
-			c.Flows(func(f *core.FlowState) { r, _ := f.Rate(); o.rates[f.Key.String()] = r })
-		}
-		return o
+	if !reflect.DeepEqual(got.utils, serial.utils) {
+		t.Errorf("batched utils %v != serial %v", got.utils, serial.utils)
 	}
-
-	serial := run(0)
-	if serial.stats.Samples == 0 || serial.boundaries == 0 {
-		t.Fatalf("serial run saw nothing: %+v", serial)
+	if !reflect.DeepEqual(got.rates, serial.rates) {
+		t.Errorf("batched flow rates diverge:\n got %v\nwant %v", got.rates, serial.rates)
 	}
-	sharded := run(4)
-	if sharded.stats != serial.stats {
-		t.Errorf("sharded testbed stats %+v != serial %+v", sharded.stats, serial.stats)
+	if !reflect.DeepEqual(got.events, serial.events) {
+		t.Errorf("batched events diverge (%d vs %d):\n got %v\nwant %v",
+			len(got.events), len(serial.events), got.events, serial.events)
 	}
-	if sharded.boundaries != serial.boundaries {
-		t.Errorf("sharded testbed boundaries %d != serial %d", sharded.boundaries, serial.boundaries)
-	}
-	if sharded.events != serial.events {
-		t.Errorf("sharded testbed events %d != serial %d", sharded.events, serial.events)
-	}
-	if !reflect.DeepEqual(sharded.rates, serial.rates) {
-		t.Errorf("sharded testbed rates diverge:\n got %v\nwant %v", sharded.rates, serial.rates)
+	if !reflect.DeepEqual(got.boundaries, serial.boundaries) {
+		t.Errorf("batched boundaries diverge (%d vs %d)", len(got.boundaries), len(serial.boundaries))
 	}
 }

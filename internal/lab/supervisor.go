@@ -3,7 +3,6 @@ package lab
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"planck/internal/controller"
 	"planck/internal/core"
@@ -62,10 +61,9 @@ var errPartitioned = errors.New("lab: controller channel partitioned")
 // is dark — Planck's answer to "what happens when the monitoring plane
 // itself fails".
 //
-// All methods run on the engine goroutine except the event
-// subscription, which may fire on a sharded merger goroutine and only
-// appends to a mutex-guarded queue; the queue drains on the engine
-// goroutine at batch ends and heartbeat ticks.
+// All methods run on the engine goroutine. The event subscription only
+// appends to a queue, which drains at batch ends and heartbeat ticks, so
+// event handling happens-after the batch that produced it.
 type Supervisor struct {
 	lab  *Lab
 	s    int // switch index
@@ -77,12 +75,10 @@ type Supervisor struct {
 	fb  *governor.RateEstimator
 
 	// gen tags the live collector generation; events queued by a dead
-	// generation (e.g. the drain of a crashed sharded pipeline) are
-	// discarded instead of reaching the controller.
+	// generation are discarded instead of reaching the controller.
 	gen int
 
-	evMu sync.Mutex
-	evQ  []supEvent
+	evQ []supEvent
 
 	// cooldowns mirrors the per-port event cooldown state from the
 	// supervisor's vantage: it survives collector crashes, dedups event
@@ -191,30 +187,21 @@ func newSupervisor(l *Lab, s int, node *CollectorNode, cfg SupervisorConfig, est
 
 // subscribe attaches a generation-tagged event tap to the node's
 // current collector. The closure captures the generation at subscribe
-// time, so events a dead pipeline drains after its crash are
-// identifiable and discarded.
+// time, so events a dead collector emitted are identifiable and
+// discarded.
 func (sup *Supervisor) subscribe() {
 	myGen := sup.gen
-	tap := func(ev core.CongestionEvent) {
-		sup.evMu.Lock()
+	sup.node.Collector().Subscribe(func(ev core.CongestionEvent) {
 		sup.evQ = append(sup.evQ, supEvent{myGen, ev})
-		sup.evMu.Unlock()
-	}
-	if sc := sup.node.Sharded(); sc != nil {
-		sc.Subscribe(tap)
-	} else if col := sup.node.Collector(); col != nil {
-		col.Subscribe(tap)
-	}
+	})
 }
 
 // drainEvents moves queued events to the controller on the engine
 // goroutine: stale generations are dropped, replayed events inside the
 // cooldown are suppressed, survivors go through the retrying deliverer.
 func (sup *Supervisor) drainEvents(now units.Time) {
-	sup.evMu.Lock()
 	q := sup.evQ
 	sup.evQ = nil
-	sup.evMu.Unlock()
 	tr := sup.lab.opts.Tracer
 	for _, e := range q {
 		if e.gen != sup.gen {
@@ -284,18 +271,10 @@ func (sup *Supervisor) restart() {
 	// The first collector registered this switch's instruments; a
 	// duplicate registration would panic, so replacements run bare.
 	ccfg.Metrics = nil
-	mapper := sup.lab.Ctrl.Mapper(sup.s)
-	if shards := sup.lab.opts.CollectorShards; shards > 0 {
-		sc := core.NewSharded(core.ShardedConfig{Config: ccfg, Shards: shards})
-		sc.SetPortMapper(mapper)
-		sc.RestoreCooldowns(sup.cooldowns)
-		sup.node.RestartSharded(sc)
-	} else {
-		col := core.New(ccfg)
-		col.SetPortMapper(mapper)
-		col.RestoreCooldowns(sup.cooldowns)
-		sup.node.RestartSerial(col)
-	}
+	col := core.New(ccfg)
+	col.SetPortMapper(sup.lab.Ctrl.Mapper(sup.s))
+	col.RestoreCooldowns(sup.cooldowns)
+	sup.node.Restart(col)
 	if sup.lab.Agg == nil {
 		sup.subscribe()
 	} else if snd := sup.lab.LinkSender(sup.s); snd != nil {
@@ -339,13 +318,7 @@ func (sup *Supervisor) Utilization(p int) units.Rate {
 	if sup.hb.Dark() {
 		return sup.fb.Utilization(sup.lab.Eng.Now(), p)
 	}
-	if sc := sup.node.Sharded(); sc != nil {
-		return sc.LinkUtilization(p)
-	}
-	if col := sup.node.Collector(); col != nil {
-		return col.LinkUtilization(p)
-	}
-	return 0
+	return sup.node.Collector().LinkUtilization(p)
 }
 
 // FallbackUtilization reads the sFlow estimator directly, regardless of

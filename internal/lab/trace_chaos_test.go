@@ -72,14 +72,13 @@ func checkAllSpansWellFormed(t *testing.T, tr *trace.Tracer) (total int) {
 // checks the supervisor dumped the flight recorder on the dark-feed and
 // crash transitions.
 func TestChaosTracesWellFormed(t *testing.T) {
-	t.Run("serial", func(t *testing.T) { runChaosTraced(t, 0) })
-	t.Run("sharded", func(t *testing.T) { runChaosTraced(t, 2) })
+	t.Run("serial", runChaosTraced)
 }
 
-func runChaosTraced(t *testing.T, shards int) {
+func runChaosTraced(t *testing.T) {
 	tracer := trace.New(512)
 	var dumps bytes.Buffer
-	opts := chaosOptions(shards, chaosSpec)
+	opts := chaosOptions(chaosSpec)
 	opts.Tracer = tracer
 	opts.TraceDump = &dumps
 

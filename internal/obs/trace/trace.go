@@ -12,8 +12,8 @@
 // actually fires (checkCongestion), plus one branch + one atomic load
 // in remapFlowAt, which itself only runs on label/epoch changes. With a
 // tracer attached but no event in flight, ingest performs zero
-// allocations and no locked operations — the planck-bench -trace-json
-// self-gate pins this down.
+// allocations and no locked operations — routing's
+// TestViewHotPathDoesNotAllocate pins this down.
 //
 // Completed spans land in a fixed-size lock-free flight-recorder ring
 // (recorder.go) and feed per-stage obs histograms for /debug/traces/summary.
@@ -279,10 +279,9 @@ func New(ringSize int) *Tracer {
 func (tr *Tracer) Recorder() *Recorder { return tr.rec }
 
 // NextID allocates the next event ID (IDs start at 1; 0 means
-// untraced). Collectors call this exactly once per emitted event, so
-// serial and sharded pipelines assign identical ID streams: the serial
-// collector assigns at each synchronous emit, the sharded merger at the
-// same point of the replayed in-order stream.
+// untraced). Collectors call this exactly once per emitted event, at
+// the synchronous emit, so replays of one stream assign identical ID
+// streams.
 func (tr *Tracer) NextID() uint64 { return tr.nextID.Add(1) }
 
 // Begin opens a span for event id: the collector detected congestion on

@@ -3,9 +3,8 @@
 // the state of a run where it lands on a batch boundary — identical
 // routing attribution (mirror-plane commits ride the same snapshot
 // machinery but must be invisible to reroute attribution), identical
-// final mirror-override state, and identical deterministic diffs — for
-// the serial collector and for sharded pipelines at every shard width.
-// Run under -race by `make race-fast`.
+// final mirror-override state, and identical deterministic diffs. Run
+// under -race by `make race-fast`.
 package routing_test
 
 import (
@@ -62,7 +61,7 @@ func (o mirrorOutcome) String() string {
 // reroute + shed/tune commit at rerouteAt and a restore commit after
 // the stream. boundary=true splits the batch at the activation;
 // boundary=false delivers one batch spanning it.
-func runMirrorScenario(t *testing.T, net *topo.Network, st *rerouteStream, col oracleCollector, flush func(), boundary bool) mirrorOutcome {
+func runMirrorScenario(t *testing.T, net *topo.Network, st *rerouteStream, col *core.Collector, boundary bool) mirrorOutcome {
 	t.Helper()
 	store := routing.NewStore(net)
 	store.Commit(0, func(tx *routing.Tx) { tx.SetMirror(true) })
@@ -103,9 +102,6 @@ func runMirrorScenario(t *testing.T, net *topo.Network, st *rerouteStream, col o
 	commit(st.ts[len(st.ts)-1].Add(units.Millisecond), func(tx *routing.Tx) {
 		tx.ClearMirrorPort(st.sw, shedPort)
 	})
-	if flush != nil {
-		flush()
-	}
 	return mirrorOutcome{
 		attr:    collect(t, col, net, st),
 		state:   mirrorState(store.Load()),
@@ -120,10 +116,10 @@ func TestMirrorCommitMidStreamMatchesBatchBoundary(t *testing.T) {
 
 	// The pure-reroute serial run is the attribution reference: mirror
 	// commits must not perturb it at all.
-	pureReroute := runScenario(t, net, stream, core.New(ccfg), nil, true)
+	pureReroute := runScenario(t, net, stream, core.New(ccfg), true)
 
-	serialBoundary := runMirrorScenario(t, net, stream, core.New(ccfg), nil, true)
-	serialMid := runMirrorScenario(t, net, stream, core.New(ccfg), nil, false)
+	serialBoundary := runMirrorScenario(t, net, stream, core.New(ccfg), true)
+	serialMid := runMirrorScenario(t, net, stream, core.New(ccfg), false)
 	if serialBoundary.String() != serialMid.String() {
 		t.Fatalf("serial outcome diverged:\n boundary: %v\n midstream: %v", serialBoundary, serialMid)
 	}
@@ -145,19 +141,6 @@ func TestMirrorCommitMidStreamMatchesBatchBoundary(t *testing.T) {
 	wantState := fmt.Sprintf("mirror=true overrides=1; %d/2={true,%v}", stream.sw, units.Rate10G/4)
 	if serialBoundary.state != wantState {
 		t.Fatalf("final mirror state:\n got:  %s\n want: %s", serialBoundary.state, wantState)
-	}
-
-	for _, shards := range []int{1, 2, 4, 8} {
-		for _, boundary := range []bool{true, false} {
-			name := map[bool]string{true: "boundary", false: "midstream"}[boundary]
-			sc := core.NewSharded(core.ShardedConfig{Config: ccfg, Shards: shards})
-			got := runMirrorScenario(t, net, stream, sc, sc.Flush, boundary)
-			sc.Close()
-			if got.String() != serialBoundary.String() {
-				t.Fatalf("shards=%d %s diverged from serial:\n sharded: %v\n serial:  %v",
-					shards, name, got, serialBoundary)
-			}
-		}
 	}
 }
 

@@ -3,9 +3,8 @@
 // sample to the routing epoch live at the sample's timestamp, so a run
 // where the reroute lands in the middle of one large IngestBatch
 // reports exactly the same per-link utilization attribution as a run
-// where the reroute falls on a batch boundary — for the serial
-// collector and for sharded pipelines at every shard width. Run under
-// -race by `make race-fast`.
+// where the reroute falls on a batch boundary. Run under -race by
+// `make race-fast`.
 package routing_test
 
 import (
@@ -91,17 +90,6 @@ func buildRerouteStream(t *testing.T, net *topo.Network) *rerouteStream {
 	return s
 }
 
-// oracleCollector is the query surface shared by core.Collector and
-// core.ShardedCollector that the oracle compares.
-type oracleCollector interface {
-	core.Ingester
-	SetPortMapper(m core.PortMapper)
-	LinkUtilization(p int) units.Rate
-	FlowsOnPort(p int) []core.FlowInfo
-	FlowRate(k packet.FlowKey) (units.Rate, bool)
-	Stats() core.Stats
-}
-
 // attribution is everything observable about one replay's routing
 // attribution.
 type attribution struct {
@@ -118,7 +106,7 @@ func (a attribution) String() string {
 		a.utils, a.onPort, a.rateA, a.rateB, a.samples, a.unmapped)
 }
 
-func collect(t *testing.T, col oracleCollector, net *topo.Network, st *rerouteStream) attribution {
+func collect(t *testing.T, col *core.Collector, net *topo.Network, st *rerouteStream) attribution {
 	t.Helper()
 	var a attribution
 	nPorts := len(net.Ports[st.sw])
@@ -147,7 +135,7 @@ func collect(t *testing.T, col oracleCollector, net *topo.Network, st *rerouteSt
 // boundary=true splits the batch exactly at the reroute activation and
 // commits between the halves; boundary=false commits first and then
 // delivers one batch spanning the activation.
-func runScenario(t *testing.T, net *topo.Network, st *rerouteStream, col oracleCollector, flush func(), boundary bool) attribution {
+func runScenario(t *testing.T, net *topo.Network, st *rerouteStream, col *core.Collector, boundary bool) attribution {
 	t.Helper()
 	store := routing.NewStore(net)
 	store.Commit(0, nil) // epoch 1: base trees, install time
@@ -172,9 +160,6 @@ func runScenario(t *testing.T, net *topo.Network, st *rerouteStream, col oracleC
 			t.Fatal(err)
 		}
 	}
-	if flush != nil {
-		flush()
-	}
 	return collect(t, col, net, st)
 }
 
@@ -183,8 +168,8 @@ func TestRerouteMidStreamMatchesBatchBoundary(t *testing.T) {
 	stream := buildRerouteStream(t, net)
 	ccfg := core.Config{SwitchName: "edge0", NumPorts: len(net.Ports[stream.sw]), LinkRate: net.LineRate}
 
-	serialBoundary := runScenario(t, net, stream, core.New(ccfg), nil, true)
-	serialMid := runScenario(t, net, stream, core.New(ccfg), nil, false)
+	serialBoundary := runScenario(t, net, stream, core.New(ccfg), true)
+	serialMid := runScenario(t, net, stream, core.New(ccfg), false)
 	if serialBoundary.String() != serialMid.String() {
 		t.Fatalf("serial attribution diverged:\n boundary: %v\n midstream: %v", serialBoundary, serialMid)
 	}
@@ -198,18 +183,5 @@ func TestRerouteMidStreamMatchesBatchBoundary(t *testing.T) {
 	}
 	if serialBoundary.utils[newPort] == 0 {
 		t.Fatalf("no utilization attributed to the post-reroute port %d: %v", newPort, serialBoundary)
-	}
-
-	for _, shards := range []int{1, 2, 4, 8} {
-		for _, boundary := range []bool{true, false} {
-			name := map[bool]string{true: "boundary", false: "midstream"}[boundary]
-			sc := core.NewSharded(core.ShardedConfig{Config: ccfg, Shards: shards})
-			got := runScenario(t, net, stream, sc, sc.Flush, boundary)
-			sc.Close()
-			if got.String() != serialBoundary.String() {
-				t.Fatalf("shards=%d %s diverged from serial:\n sharded: %v\n serial:  %v",
-					shards, name, got, serialBoundary)
-			}
-		}
 	}
 }

@@ -226,10 +226,4 @@ func TestResolveOutputFollowsEpochAtTimestamp(t *testing.T) {
 			t.Fatalf("off-ingress resolve port=%d ok=%v", p, ok)
 		}
 	}
-
-	// Fork yields an independent view over the same store.
-	f := v.Fork()
-	if e := f.Refresh(); e != 2 {
-		t.Fatalf("forked view epoch %d, want 2", e)
-	}
 }

@@ -12,9 +12,9 @@
 // The epoch discipline is what keeps utilization attribution honest
 // across reroutes: a sample is attributed to the snapshot that was live
 // at the sample's timestamp, not to whatever state happens to be
-// current when the batch is processed, so batching and sharding cannot
-// change which link a byte is charged to (the serial-equivalence and
-// reroute-oracle tests pin this down).
+// current when the batch is processed, so batching cannot change which
+// link a byte is charged to (the serial-equivalence and reroute-oracle
+// tests pin this down).
 package routing
 
 import (

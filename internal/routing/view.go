@@ -13,8 +13,8 @@ import (
 // collector uses to infer ports from sampled packets (§3.2.1). A View
 // pins one published history per Refresh — one atomic load — and then
 // resolves every sample of the batch against that pin, lock-free and
-// allocation-free. Views are single-goroutine; each shard worker gets
-// its own via Fork.
+// allocation-free. Views are single-goroutine: pinning mutates the
+// view, so concurrent readers each open their own with NewView.
 type View struct {
 	store *Store
 	sw    int
@@ -54,9 +54,6 @@ func (v *View) Refresh() uint64 {
 	v.h = v.store.cur.Load()
 	return v.h.snaps[0].epoch
 }
-
-// Fork implements core.RouteResolver.
-func (v *View) Fork() core.RouteResolver { return NewView(v.store, v.sw) }
 
 // EpochRef implements core.EpochSource: the store's published-epoch
 // counter, letting collectors detect "no reroute since last sample"

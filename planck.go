@@ -56,13 +56,6 @@ type (
 	// RateEstimator is the burst-clustered sequence-number estimator.
 	RateEstimator = core.RateEstimator
 
-	// ShardedCollector is the concurrent collector pipeline: samples are
-	// hash-partitioned by flow across per-shard collectors and merged
-	// into one coherent view.
-	ShardedCollector = core.ShardedCollector
-	// ShardedCollectorConfig tunes a ShardedCollector.
-	ShardedCollectorConfig = core.ShardedConfig
-
 	// Testbed is an assembled simulated network.
 	Testbed = lab.Lab
 	// TestbedOptions configures a Testbed.
@@ -109,13 +102,9 @@ const (
 // Collector.Ingest(timestamp, frame).
 func NewCollector(cfg CollectorConfig) *Collector { return core.New(cfg) }
 
-// NewShardedCollector builds and starts a concurrent collector pipeline
-// (zero Shards = one per GOMAXPROCS). Close it when done.
-func NewShardedCollector(cfg ShardedCollectorConfig) *ShardedCollector { return core.NewSharded(cfg) }
-
-// Ingester consumes timestamped Ethernet frames. Both *Collector and
-// *ShardedCollector satisfy it; every stream entry point in this package
-// accepts either.
+// Ingester consumes timestamped Ethernet frames. *Collector satisfies
+// it, as does a FaultyIngester wrapping one; every stream entry point in
+// this package accepts any Ingester.
 //
 // IngestBatch processes len(ts) samples in one call; it is semantically
 // an Ingest loop (same per-frame accounting, same end state,
@@ -149,10 +138,9 @@ func WrapFaults(next Ingester, sched *FaultSchedule, seed int64) *FaultyIngester
 // handing them to the collector in one IngestBatch call.
 const replayPcapBatch = 64
 
-// ReplayPcap streams a pcap file through a collector (serial or
-// sharded), returning the number of frames ingested. Decode errors on
-// individual frames are counted by the collector and do not abort the
-// replay.
+// ReplayPcap streams a pcap file through a collector, returning the
+// number of frames ingested. Decode errors on individual frames are
+// counted by the collector and do not abort the replay.
 //
 // Frames are delivered in IngestBatch calls of up to replayPcapBatch.
 // The pcap reader reuses one scratch buffer per record, so each batch's
