@@ -26,8 +26,11 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"planck/internal/core"
@@ -41,43 +44,67 @@ import (
 )
 
 func main() {
-	ports := flag.Int("ports", 0, "explore a custom switch radix (0 = just the paper table)")
-	monitor := flag.Int("monitor", 1, "monitor ports per switch for -ports mode")
-	run := flag.Bool("run", false, "run a fleet end-to-end traced pass and print its trace summary")
-	k := flag.Int("k", 8, "fat-tree arity for -run (even, >= 4)")
-	collectors := flag.Int("collectors", 0, "vantage collectors for -run, spread round-robin across pods (0 = every switch)")
-	size := flag.Int64("size", 6<<20, "per-flow bytes for -run's stride workload")
-	seed := flag.Int64("seed", 7, "seed for -run")
-	transport := flag.String("transport", "inproc", "report transport for -run: inproc, link, or udp")
-	linkLoss := flag.Float64("link-loss", 0, "report-channel loss probability for -transport link/udp")
-	linkSeed := flag.Int64("link-seed", 0, "report-channel fault seed for -transport link/udp (0 = -seed)")
-	flag.Parse()
+	os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	fmt.Print(experiments.Scalability().Render())
+// run is the whole command: it parses args, prints the tables and any
+// -run pass's report to stdout and diagnostics to stderr, and returns
+// the exit code — 2 for a usage error, 1 when a -run gate fails.
+// Cancelling ctx cuts short a -transport udp pass, the one mode that
+// waits on real sockets; the simulated passes end on their own clock.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("planck-scale", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	ports := fs.Int("ports", 0, "explore a custom switch radix (0 = just the paper table)")
+	monitor := fs.Int("monitor", 1, "monitor ports per switch for -ports mode")
+	runPass := fs.Bool("run", false, "run a fleet end-to-end traced pass and print its trace summary")
+	k := fs.Int("k", 8, "fat-tree arity for -run (even, >= 4)")
+	collectors := fs.Int("collectors", 0, "vantage collectors for -run, spread round-robin across pods (0 = every switch)")
+	size := fs.Int64("size", 6<<20, "per-flow bytes for -run's stride workload")
+	seed := fs.Int64("seed", 7, "seed for -run")
+	transport := fs.String("transport", "inproc", "report transport for -run: inproc, link, or udp")
+	linkLoss := fs.Float64("link-loss", 0, "report-channel loss probability for -transport link/udp")
+	linkSeed := fs.Int64("link-seed", 0, "report-channel fault seed for -transport link/udp (0 = -seed)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if *runPass {
+		if *k < 4 || *k%2 != 0 {
+			fmt.Fprintf(stderr, "-k must be even and at least 4, got %d\n", *k)
+			return 2
+		}
+		if *transport != "inproc" && *transport != "link" && *transport != "udp" {
+			fmt.Fprintf(stderr, "unknown -transport %q (want inproc, link, or udp)\n", *transport)
+			return 2
+		}
+	}
+
+	fmt.Fprint(stdout, experiments.Scalability().Render())
 
 	if *ports > 0 {
 		d := scale.PlanFatTree(*ports, *monitor)
-		fmt.Printf("\ncustom fat-tree (%d-port, %d monitor): %s\n", *ports, *monitor, d)
+		fmt.Fprintf(stdout, "\ncustom fat-tree (%d-port, %d monitor): %s\n", *ports, *monitor, d)
 		j := scale.PlanJellyfish(*ports, *monitor, d.Hosts)
-		fmt.Printf("custom Jellyfish (same hosts):        %s\n", j)
+		fmt.Fprintf(stdout, "custom Jellyfish (same hosts):        %s\n", j)
 	}
 
-	if *run {
-		ls := *linkSeed
-		if ls == 0 {
-			ls = *seed
-		}
-		switch *transport {
-		case "inproc":
-			os.Exit(fleetRun(*k, *collectors, *size, *seed, lab.TransportInProcess, 0, 0))
-		case "link":
-			os.Exit(fleetRun(*k, *collectors, *size, *seed, lab.TransportLink, *linkLoss, ls))
-		case "udp":
-			os.Exit(udpRun(*k, *linkLoss, ls))
-		default:
-			fmt.Fprintf(os.Stderr, "unknown -transport %q (want inproc, link, or udp)\n", *transport)
-			os.Exit(2)
-		}
+	if !*runPass {
+		return 0
+	}
+	ls := *linkSeed
+	if ls == 0 {
+		ls = *seed
+	}
+	switch *transport {
+	case "link":
+		return fleetRun(stdout, stderr, *k, *collectors, *size, *seed, lab.TransportLink, *linkLoss, ls)
+	case "udp":
+		return udpRun(ctx, stdout, stderr, *k, *linkLoss, ls)
+	default:
+		return fleetRun(stdout, stderr, *k, *collectors, *size, *seed, lab.TransportInProcess, 0, 0)
 	}
 }
 
@@ -140,7 +167,7 @@ func pickCollectors(net *topo.Network, n int) []int {
 // view at the plane, drive the colliding stride workload, and gate on
 // completed flows plus one complete detection→convergence trace per
 // pod. Returns the process exit code.
-func fleetRun(k, collectors int, size, seed int64, mode lab.TransportMode, linkLoss float64, linkSeed int64) int {
+func fleetRun(stdout, stderr io.Writer, k, collectors int, size, seed int64, mode lab.TransportMode, linkLoss float64, linkSeed int64) int {
 	net := topo.FatTree(k, units.Rate10G)
 	tracer := trace.New(4096)
 	opts := lab.Options{
@@ -158,7 +185,7 @@ func fleetRun(k, collectors int, size, seed int64, mode lab.TransportMode, linkL
 	}
 	l, err := lab.New(opts)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	spacing := newEventSpacing(core.Config{}.WithDefaults().EventCooldown)
@@ -170,26 +197,26 @@ func fleetRun(k, collectors int, size, seed int64, mode lab.TransportMode, linkL
 	res := experiments.RunWorkloadOn(l, experiments.WorkloadStride, size, seed,
 		60*units.Duration(units.Second))
 
-	fmt.Printf("\nk=%d fleet pass: %d vantages, %d/%d flows completed at %v, epoch %d, %d reroutes\n",
+	fmt.Fprintf(stdout, "\nk=%d fleet pass: %d vantages, %d/%d flows completed at %v, epoch %d, %d reroutes\n",
 		k, l.Agg.Vantages(), res.Completed, res.Total, res.FinishedAt,
 		l.Ctrl.RoutingStore().Epoch(), l.Ctrl.ARPReroutes+l.Ctrl.OFReroutes)
 	m := l.Agg.Merger()
-	fmt.Printf("aggregation plane: %d flows merged, %d events emitted, %d deduped, %d late, %d dup reports, %d stale vantages\n",
+	fmt.Fprintf(stdout, "aggregation plane: %d flows merged, %d events emitted, %d deduped, %d late, %d dup reports, %d stale vantages\n",
 		l.Agg.FlowCount(), m.Emitted, m.Deduped, m.Late, l.Agg.DupReports(), len(l.Agg.StaleVantages()))
 	if mode == lab.TransportLink {
-		if code := gateLinkTransport(l, net); code != 0 {
+		if code := gateLinkTransport(stdout, stderr, l, net); code != 0 {
 			return code
 		}
 	}
 	tracer.FlushOpen()
-	tracer.WriteBreakdown(os.Stdout)
+	tracer.WriteBreakdown(stdout)
 
 	if res.Completed < res.Total {
-		fmt.Fprintf(os.Stderr, "fleet: only %d/%d flows completed\n", res.Completed, res.Total)
+		fmt.Fprintf(stderr, "fleet: only %d/%d flows completed\n", res.Completed, res.Total)
 		return 1
 	}
 	if spacing.bad > 0 {
-		fmt.Fprintf(os.Stderr, "fleet: %d/%d congestion events violated the per-link cooldown (duplicates)\n", spacing.bad, spacing.events)
+		fmt.Fprintf(stderr, "fleet: %d/%d congestion events violated the per-link cooldown (duplicates)\n", spacing.bad, spacing.events)
 		return 1
 	}
 
@@ -210,13 +237,13 @@ func fleetRun(k, collectors int, size, seed int64, mode lab.TransportMode, linkL
 	}
 	ok := true
 	for p, nDone := range podDone {
-		fmt.Printf("pod %d: %d complete control loops\n", p, nDone)
+		fmt.Fprintf(stdout, "pod %d: %d complete control loops\n", p, nDone)
 		if nDone == 0 {
 			ok = false
 		}
 	}
 	if !ok {
-		fmt.Fprintln(os.Stderr, "fleet: some pod closed no complete detection→convergence trace")
+		fmt.Fprintln(stderr, "fleet: some pod closed no complete detection→convergence trace")
 		return 1
 	}
 	return 0
@@ -226,7 +253,7 @@ func fleetRun(k, collectors int, size, seed int64, mode lab.TransportMode, linkL
 // run and fails it when the link did not actually deliver: every active
 // sender must have completed the clock-sync exchange, and the receiver
 // must have released records to the plane.
-func gateLinkTransport(l *lab.Lab, net *topo.Network) int {
+func gateLinkTransport(stdout, stderr io.Writer, l *lab.Lab, net *topo.Network) int {
 	var frames, records, resends, sheds, lost int64
 	active, synced := 0, 0
 	for s := 0; s < net.NumSwitches(); s++ {
@@ -247,16 +274,16 @@ func gateLinkTransport(l *lab.Lab, net *topo.Network) int {
 		}
 	}
 	rx := l.LinkReceiver()
-	fmt.Printf("vantage link: %d senders (%d synced), %d frames / %d records sent, %d lost on the wire, %d resent, %d shed\n",
+	fmt.Fprintf(stdout, "vantage link: %d senders (%d synced), %d frames / %d records sent, %d lost on the wire, %d resent, %d shed\n",
 		active, synced, frames, records, lost, resends, sheds)
-	fmt.Printf("vantage link rx: %d records released, %d gaps detected, %d abandoned, %d late, %d dup frames\n",
+	fmt.Fprintf(stdout, "vantage link rx: %d records released, %d gaps detected, %d abandoned, %d late, %d dup frames\n",
 		rx.RecordsReleased(), rx.GapsDetected(), rx.Abandoned(), rx.LateRecords(), rx.DupFrames())
 	if synced < active {
-		fmt.Fprintf(os.Stderr, "fleet link: only %d/%d active senders completed clock sync\n", synced, active)
+		fmt.Fprintf(stderr, "fleet link: only %d/%d active senders completed clock sync\n", synced, active)
 		return 1
 	}
 	if rx.RecordsReleased() == 0 {
-		fmt.Fprintln(os.Stderr, "fleet link: receiver released no records to the plane")
+		fmt.Fprintln(stderr, "fleet link: receiver released no records to the plane")
 		return 1
 	}
 	return 0

@@ -1,9 +1,10 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"io"
 	"math/rand"
-	"os"
 	"sync"
 	"time"
 
@@ -25,8 +26,9 @@ import (
 // events violating the per-link cooldown, and events released when
 // their order is final rather than a reorder window later (median
 // merge hold under half the window) — and exits 1 if any of them
-// breaks.
-func udpRun(n int, loss float64, seed int64) int {
+// breaks. Cancelling ctx stops the senders and the wait for the
+// receiver to drain, and the gates judge what arrived.
+func udpRun(ctx context.Context, stdout, stderr io.Writer, n int, loss float64, seed int64) int {
 	const (
 		numPorts      = 4
 		reports       = 400 // per vantage
@@ -65,7 +67,7 @@ func udpRun(n int, loss float64, seed int64) int {
 		HoldTimeout: 500 * units.Millisecond,
 	}, nil, units.Millisecond)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 
@@ -119,7 +121,7 @@ func udpRun(n int, loss float64, seed int64) int {
 			SwitchName: fmt.Sprintf("sw%d", v),
 		}, clocks[v], units.Millisecond, wrap)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		senders[v] = tx
@@ -133,7 +135,7 @@ func udpRun(n int, loss float64, seed int64) int {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed + int64(v)))
 			tx := senders[v]
-			for i := 0; i < reports; i++ {
+			for i := 0; i < reports && ctx.Err() == nil; i++ {
 				now := clocks[v].Now()
 				rep := core.FlowReport{
 					Time: now,
@@ -163,7 +165,7 @@ func udpRun(n int, loss float64, seed int64) int {
 	// need them alive); wait for the receiver to finish resequencing.
 	complete := false
 	deadline := time.Now().Add(settleWait)
-	for time.Now().Before(deadline) {
+	for time.Now().Before(deadline) && ctx.Err() == nil {
 		var total int64
 		rx.Locked(func() {
 			total = rx.Receiver().RecordsReceived()
@@ -179,7 +181,7 @@ func udpRun(n int, loss float64, seed int64) int {
 	var frames, records, resends, sheds, lost int64
 	for v, tx := range senders {
 		if !tx.Synced() {
-			fmt.Fprintf(os.Stderr, "udp fleet: sender %d never completed clock sync\n", v)
+			fmt.Fprintf(stderr, "udp fleet: sender %d never completed clock sync\n", v)
 			syncedAll = false
 		}
 		frames += tx.Sender().FramesSent()
@@ -197,46 +199,46 @@ func udpRun(n int, loss float64, seed int64) int {
 	plane.Flush()
 
 	m := plane.Merger()
-	fmt.Printf("udp fleet: %d vantages over %s, loss %.0f%%: %d frames / %d records sent, %d lost on the wire, %d resent, %d shed\n",
+	fmt.Fprintf(stdout, "udp fleet: %d vantages over %s, loss %.0f%%: %d frames / %d records sent, %d lost on the wire, %d resent, %d shed\n",
 		n, rx.Addr(), loss*100, frames, records, lost, resends, sheds)
-	fmt.Printf("udp fleet rx: %d records released, %d gaps, %d abandoned, %d dup frames, %d excluded\n",
+	fmt.Fprintf(stdout, "udp fleet rx: %d records released, %d gaps, %d abandoned, %d dup frames, %d excluded\n",
 		rx.Receiver().RecordsReleased(), rx.Receiver().GapsDetected(),
 		rx.Receiver().Abandoned(), rx.Receiver().DupFrames(), rx.Receiver().Exclusions())
-	fmt.Printf("udp fleet plane: %d events emitted (%d switches), %d deduped, %d late\n",
+	fmt.Fprintf(stdout, "udp fleet plane: %d events emitted (%d switches), %d deduped, %d late\n",
 		spacing.events, len(perSwitch), m.Deduped, m.Late)
 	holdP50, holdP90 := time.Duration(holds.Median()), time.Duration(holds.Quantile(0.9))
-	fmt.Printf("udp fleet merge hold (report delivered to event emitted): p50 %v, p90 %v over %d events, reorder window %v\n",
+	fmt.Fprintf(stdout, "udp fleet merge hold (report delivered to event emitted): p50 %v, p90 %v over %d events, reorder window %v\n",
 		holdP50, holdP90, holds.N(), time.Duration(reorderWindow))
 
 	code := 0
 	if holds.N() == 0 || holdP50 >= time.Duration(reorderWindow)/2 {
-		fmt.Fprintf(os.Stderr, "udp fleet: median merge hold %v over %d events is not under half the %v reorder window: events wait for the window, not for their order\n",
+		fmt.Fprintf(stderr, "udp fleet: median merge hold %v over %d events is not under half the %v reorder window: events wait for the window, not for their order\n",
 			holdP50, holds.N(), time.Duration(reorderWindow))
 		code = 1
 	}
 	if !complete {
-		fmt.Fprintln(os.Stderr, "udp fleet: receiver never drained (outstanding gaps or buffered frames)")
+		fmt.Fprintln(stderr, "udp fleet: receiver never drained (outstanding gaps or buffered frames)")
 		code = 1
 	}
 	for v := 0; v < n; v++ {
 		if delivered[v] != reports {
-			fmt.Fprintf(os.Stderr, "udp fleet: vantage %d delivered %d/%d records\n", v, delivered[v], reports)
+			fmt.Fprintf(stderr, "udp fleet: vantage %d delivered %d/%d records\n", v, delivered[v], reports)
 			code = 1
 		}
 	}
 	if dups > 0 {
-		fmt.Fprintf(os.Stderr, "udp fleet: %d records delivered more than once\n", dups)
+		fmt.Fprintf(stderr, "udp fleet: %d records delivered more than once\n", dups)
 		code = 1
 	}
 	if !syncedAll {
 		code = 1
 	}
 	if spacing.bad > 0 {
-		fmt.Fprintf(os.Stderr, "udp fleet: %d/%d congestion events violated the per-link cooldown\n", spacing.bad, spacing.events)
+		fmt.Fprintf(stderr, "udp fleet: %d/%d congestion events violated the per-link cooldown\n", spacing.bad, spacing.events)
 		code = 1
 	}
 	if len(perSwitch) < n {
-		fmt.Fprintf(os.Stderr, "udp fleet: events covered %d/%d switches\n", len(perSwitch), n)
+		fmt.Fprintf(stderr, "udp fleet: events covered %d/%d switches\n", len(perSwitch), n)
 		code = 1
 	}
 	return code

@@ -61,7 +61,7 @@ func main() {
 
 	fmt.Println("\n== UDP packet-counter estimation (§3.2.2) ==")
 	col.Flows(func(fs *core.FlowState) {
-		if fs.Pkt != nil {
+		if fs.Pkt() != nil {
 			r, _ := fs.Rate()
 			fmt.Printf("  %-45s estimated %v (true offered: 2 Gbps of payload)\n", fs.Key, r)
 		}

@@ -27,14 +27,18 @@ func TestVantageReportDoesNotAllocate(t *testing.T) {
 		at := units.Time(units.Millisecond)
 		reps := make([]core.FlowReport, 64)
 		for i := range reps {
-			f := &core.FlowState{Key: packet.FlowKey{
-				SrcIP: topo.HostIP(0), DstIP: topo.HostIP(8),
-				SrcPort: uint16(1000 + i), DstPort: 5001, Proto: packet.IPProtocolTCP,
-			}}
-			f.Est = *core.NewRateEstimator()
-			f.Est.Observe(0, 0)
-			f.Est.Observe(units.Time(300*units.Microsecond), perWindow)
-			reps[i] = core.MakeFlowReport(at, f, hot)
+			est := core.NewRateEstimator()
+			est.Observe(0, 0)
+			est.Observe(units.Time(300*units.Microsecond), perWindow)
+			rate, _, ok := est.Rate()
+			reps[i] = core.FlowReport{
+				Time: at,
+				Key: packet.FlowKey{
+					SrcIP: topo.HostIP(0), DstIP: topo.HostIP(8),
+					SrcPort: uint16(1000 + i), DstPort: 5001, Proto: packet.IPProtocolTCP,
+				},
+				Rate: rate, RateOK: ok, RateUpdated: hot,
+			}
 			v.Report(&reps[i])
 		}
 		i := 0

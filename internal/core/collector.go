@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sync/atomic"
 
@@ -107,21 +108,6 @@ type FlowReport struct {
 	// RateOK reports whether Rate carries a usable estimate.
 	RateOK      bool
 	RateUpdated bool
-}
-
-// MakeFlowReport snapshots the sink-visible fields of f at time t —
-// what the collector itself passes to its Sink after updating f.
-func MakeFlowReport(t units.Time, f *FlowState, rateUpdated bool) FlowReport {
-	rep := FlowReport{
-		Time:        t,
-		Key:         f.Key,
-		DstMAC:      f.DstMAC,
-		OutPort:     f.outPort,
-		Epoch:       f.routeEpoch,
-		RateUpdated: rateUpdated,
-	}
-	rep.Rate, rep.RateOK = f.Rate()
-	return rep
 }
 
 // AggregationSink observes every ingested sample of a vantage-scoped
@@ -389,9 +375,10 @@ func (c *Collector) Stats() Stats {
 		Samples:      c.met.samples.Value(),
 		DecodeErrors: c.met.decodeErrors.Value(),
 		NonTCP:       c.met.nonTCP.Value(),
-		// The flow count reads the gauge, not the table: every insert and
-		// expiry updates it, and unlike FlowTable.Len it is safe against a
-		// concurrent snapshot while the owning goroutine ingests.
+		// The flow count reads the gauge, not the table: every Ingest,
+		// IngestBatch and ExpireFlows call leaves it current, and unlike
+		// FlowTable.Len it is safe against a concurrent snapshot while the
+		// owning goroutine ingests.
 		Flows:          int(c.met.flowTableSize.Value()),
 		RateUpdates:    c.met.rateUpdates.Value(),
 		EventsEmitted:  c.met.events.Value(),
@@ -433,6 +420,7 @@ func (c *Collector) Ingest(t units.Time, frame []byte) error {
 	}
 	c.met.samples.IncRelaxed()
 	err := c.ingest(t, frame, 0, nil, 0)
+	c.publishFlows()
 	if c.sinkBatch != nil {
 		c.sinkBatch.BatchEnd(t)
 	}
@@ -488,7 +476,7 @@ func (c *Collector) IngestBatch(ts []units.Time, frames [][]byte) error {
 			var (
 				hs    [8]uint64
 				hint  [8]*FlowState
-				hHash [8]uint64
+				hHash [8]uint32
 			)
 			for base := 0; base < n; base += len(hs) {
 				m := min(len(hs), n-base)
@@ -534,6 +522,7 @@ func (c *Collector) IngestBatch(ts []units.Time, frames [][]byte) error {
 			}
 		}
 	}
+	c.publishFlows()
 	if mono && c.sinkBatch != nil {
 		c.sinkBatch.BatchEnd(c.now)
 	}
@@ -547,12 +536,12 @@ func (c *Collector) IngestBatch(ts []units.Time, frames [][]byte) error {
 // timestamp has been validated and the sample counted by the caller.
 // h is the precomputed flow hash (0 = compute here). hint, when
 // non-nil, is a candidate record from a batch prefetch pass (with
-// hintHash its cached slot hash); it is fully re-verified before use,
+// hintHash its slot's hash word); it is fully re-verified before use,
 // so a wrong or stale hint costs only the comparison. Hints are only
 // sound while the record cannot be removed — IngestBatch's chunk-local
 // prefetch satisfies this because expiry never runs mid-batch and
 // records never move.
-func (c *Collector) ingest(t units.Time, frame []byte, h uint64, hint *FlowState, hintHash uint64) error {
+func (c *Collector) ingest(t units.Time, frame []byte, h uint64, hint *FlowState, hintHash uint32) error {
 	c.now = t
 	// Every frame moves the clock, whether or not it reaches the flow
 	// table, so staleness is settled here.
@@ -622,7 +611,7 @@ func (c *Collector) ingest(t units.Time, frame []byte, h uint64, hint *FlowState
 	// (the rare insert) builds one and does not inline.
 	var f *FlowState
 	inserted := false
-	if hint != nil && hintHash == h && keyFirstWord(&hint.Key) == a &&
+	if hint != nil && hintHash == uint32(h) && keyFirstWord(&hint.Key) == a &&
 		hint.Key.SrcPort == sp && hint.Key.DstPort == dp && hint.Key.Proto == c.dec.IP.Protocol {
 		f = hint
 	} else {
@@ -638,13 +627,9 @@ func (c *Collector) ingest(t units.Time, frame []byte, h uint64, hint *FlowState
 	if inserted {
 		f.FirstSeen = t
 		f.outPort = -1
-		f.routeEpoch = 0
-		f.Est.MinGap = c.cfg.MinGap
-		f.Est.MaxBurst = c.cfg.MaxBurst
 		if c.cfg.TrackRetransmits {
-			f.Rtx = &RetransmitEstimator{}
+			f.setRtx(&RetransmitEstimator{})
 		}
-		c.met.flowTableSize.Set(int64(c.flows.Len()))
 	}
 	f.LastSeen = t
 	c.touch(f)
@@ -680,12 +665,13 @@ func (c *Collector) ingest(t units.Time, frame []byte, h uint64, hint *FlowState
 
 	// Sequence-based estimation uses the left edge of the segment's
 	// payload; pure ACKs advance nothing and naturally estimate ~0.
-	oooBefore := f.Est.OOO
-	updated := f.Est.Observe(t, c.dec.TCP.Seq)
-	if f.Rtx != nil {
-		f.Rtx.Observe(t, c.dec.PayloadLen, f.Est.OOO > oooBefore, f.Est.StreamBytes())
+	updated, regressed := f.est.observe(&f.flags, c.cfg.MinGap, c.cfg.MaxBurst, t, c.dec.TCP.Seq)
+	if r := f.Rtx(); r != nil {
+		// Only differences of the stream offset matter to it, so the
+		// extended sequence number serves.
+		r.Observe(t, c.dec.PayloadLen, regressed, f.est.lastSeq)
 	}
-	if f.Est.OOO > oooBefore {
+	if regressed {
 		c.met.outOfOrder.IncRelaxed()
 	}
 	if timed {
@@ -713,7 +699,7 @@ func (c *Collector) sinkReport(t units.Time, f *FlowState, rateUpdated bool) {
 	rep.Time = t
 	rep.Key = f.Key
 	rep.DstMAC = f.DstMAC
-	rep.OutPort = f.outPort
+	rep.OutPort = int(f.outPort)
 	rep.Epoch = f.routeEpoch
 	rep.Rate, rep.RateOK = f.Rate()
 	rep.RateUpdated = rateUpdated
@@ -743,14 +729,7 @@ func (c *Collector) ingestUDP(t units.Time, frame []byte, h uint64) {
 	if inserted {
 		f.FirstSeen = t
 		f.outPort = -1
-		f.routeEpoch = 0
-		f.Pkt = NewPacketSeqEstimator()
-		f.Pkt.Est.MinGap = c.cfg.MinGap
-		f.Pkt.Est.MaxBurst = c.cfg.MaxBurst
-		c.met.flowTableSize.Set(int64(c.flows.Len()))
-	}
-	if f.Pkt == nil {
-		f.Pkt = NewPacketSeqEstimator()
+		f.setPkt(&PacketSeqEstimator{Est: RateEstimator{MinGap: c.cfg.MinGap, MaxBurst: c.cfg.MaxBurst}})
 	}
 	f.LastSeen = t
 	c.touch(f)
@@ -764,7 +743,7 @@ func (c *Collector) ingestUDP(t units.Time, frame []byte, h uint64) {
 			c.remapFlowAt(t, f)
 		}
 	}
-	updated := f.Pkt.Observe(t, seq, c.dec.WireLen)
+	updated := f.Pkt().Observe(t, seq, c.dec.WireLen)
 	c.account(f)
 	if updated {
 		c.met.rateUpdates.IncRelaxed()
@@ -805,11 +784,14 @@ func (c *Collector) remapFlowAt(t units.Time, f *FlowState) {
 			c.met.unmapped.IncRelaxed()
 		}
 	}
-	if newPort == f.outPort {
+	if newPort > math.MaxInt32 {
+		newPort = -1 // not a switch port; the record keeps 32 bits
+	}
+	if newPort == int(f.outPort) {
 		return
 	}
 	c.unlist(f)
-	f.outPort = newPort
+	f.outPort = int32(newPort)
 	if newPort >= 0 && newPort < len(c.portFlows) {
 		c.portFlows[newPort] = append(c.portFlows[newPort], f)
 		f.portSlot = int32(len(c.portFlows[newPort]))
@@ -907,7 +889,7 @@ func (c *Collector) retireStale() {
 // checkCongestion reads the utilization of f's egress link and emits an
 // event if it crossed the threshold and the link is out of cooldown.
 func (c *Collector) checkCongestion(t units.Time, f *FlowState) {
-	p := f.outPort
+	p := int(f.outPort)
 	if p < 0 || p >= len(c.portFlows) || len(c.subs) == 0 {
 		return
 	}
@@ -1020,7 +1002,7 @@ func (c *Collector) FlowsOnPort(p int) []FlowInfo {
 	}
 	on := c.onPort[:0]
 	for f := c.fresh; f != nil; f = f.next {
-		if f.outPort == p {
+		if int(f.outPort) == p {
 			on = append(on, f)
 		}
 	}
@@ -1082,10 +1064,19 @@ func (c *Collector) ExpireFlows(now units.Time, idle units.Duration) int {
 		c.flows.Remove(f)
 		n++
 	}
-	if n > 0 {
-		c.met.flowTableSize.Set(int64(c.flows.Len()))
-	}
+	c.publishFlows()
 	return n
+}
+
+// publishFlows brings the flow-table gauge up to date. It runs once at
+// the end of every call that can insert or remove, not per insert: the
+// gauge's atomic store is an XCHG on amd64, which waits for the
+// insert's pending cache-missing stores, and under scan traffic almost
+// every sample inserts.
+func (c *Collector) publishFlows() {
+	if n := int64(c.flows.Len()); n != c.met.flowTableSize.Value() {
+		c.met.flowTableSize.Set(n)
+	}
 }
 
 // DumpPcap writes the vantage-point ring to w as a pcap file (§6.1).

@@ -17,6 +17,8 @@
 package core
 
 import (
+	"unsafe"
+
 	"planck/internal/packet"
 	"planck/internal/units"
 )
@@ -30,19 +32,17 @@ import (
 // and the estimate converges to the flow's average rate rather than its
 // in-burst line rate — this is what turns Fig. 10(a)'s jitter into
 // Fig. 10(b)'s smooth ramp.
+//
+// The collector's flow records run the same estimator on a compact copy
+// of its state (FlowState), with MinGap and MaxBurst taken from the
+// collector's Config instead of stored per flow.
 type RateEstimator struct {
 	MinGap   units.Duration
 	MaxBurst units.Duration
 
-	started  bool
-	baseSeq  uint32
-	lastSeq  int64 // relative 64-bit stream offset of the latest sample
-	lastT    units.Time
-	winSeq   int64
-	winT     units.Time
-	rate     units.Rate
-	rateAt   units.Time
-	haveRate bool
+	w       rateWindow
+	flags   uint8
+	baseSeq uint32 // the first sample's sequence number, StreamBytes' origin
 
 	// OOO counts samples ignored because their sequence number regressed
 	// (reordering or retransmission, indistinguishable at the collector;
@@ -68,75 +68,113 @@ func NewRateEstimator() *RateEstimator {
 // the rate.
 func (e *RateEstimator) Observe(t units.Time, seq uint32) bool {
 	e.Samples++
-	if !e.started {
-		e.started = true
+	if e.flags&estStarted == 0 {
 		e.baseSeq = seq
-		e.lastSeq = 0
-		e.lastT = t
-		e.winSeq = 0
-		e.winT = t
-		return false
 	}
-	// Relative offset via wrap-safe 32-bit delta against the latest
-	// in-order sample.
-	delta := int64(int32(seq - uint32(uint64(e.lastSeq)+uint64(e.baseSeq))))
-	if delta < 0 {
+	updated, regressed := e.w.observe(&e.flags, e.MinGap, e.MaxBurst, t, seq)
+	if regressed {
 		e.OOO++
-		return false
 	}
-	off := e.lastSeq + delta
-
-	updated := false
-	gap := t.Sub(e.lastT)
-	if gap >= e.MinGap || t.Sub(e.winT) >= e.MaxBurst {
-		dur := t.Sub(e.winT)
-		if dur > 0 {
-			e.rate = units.RateOf(off-e.winSeq, dur)
-			e.rateAt = t
-			e.haveRate = true
-			updated = true
-		}
-		e.winSeq = off
-		e.winT = t
-	}
-	e.lastSeq = off
-	e.lastT = t
 	return updated
 }
 
 // Rate returns the latest estimate and when it was made.
 func (e *RateEstimator) Rate() (units.Rate, units.Time, bool) {
-	return e.rate, e.rateAt, e.haveRate
+	if e.flags&estHaveRate == 0 {
+		return 0, 0, false
+	}
+	return e.w.rate, e.w.winT, true
 }
 
 // StreamBytes returns the relative stream offset of the newest sample —
 // the total bytes the flow has pushed past this switch since first seen,
 // regardless of how few samples survived mirroring.
-func (e *RateEstimator) StreamBytes() int64 { return e.lastSeq }
+func (e *RateEstimator) StreamBytes() int64 { return e.w.lastSeq - int64(e.baseSeq) }
+
+// Bits of the flags byte that RateEstimator and FlowState each keep.
+const (
+	estStarted  uint8 = 1 << iota // the first sample has opened a window
+	estHaveRate                   // some window has closed with a rate
+	extRtx                        // FlowState.ext is a *RetransmitEstimator
+	extPkt                        // FlowState.ext is a *PacketSeqEstimator
+)
+
+// rateWindow is the burst-clustering estimator's state: what
+// RateEstimator and every TCP flow record keep, and all a sample reads
+// or writes of it. Sequence numbers are 64-bit extensions of the
+// wire's 32-bit ones — lastSeq starts at the first sample's number and
+// grows by each wrap-safe 32-bit delta — so every byte count the
+// estimator needs is a difference and no base is stored.
+type rateWindow struct {
+	lastSeq int64      // extended sequence number of the newest in-order sample
+	lastT   units.Time // when that sample was taken
+	winSeq  int64      // extended sequence number where the window opened
+	winT    units.Time // when the window opened: with time non-decreasing, when the rate was made
+	rate    units.Rate
+}
+
+// observe is the one estimator body. It folds in the sample (t, seq)
+// under the window bounds minGap and maxBurst, with flags holding the
+// estStarted and estHaveRate bits. updated reports that the sample
+// closed a window with a new rate; regressed, that it was ignored
+// because its sequence number went backwards.
+func (w *rateWindow) observe(flags *uint8, minGap, maxBurst units.Duration, t units.Time, seq uint32) (updated, regressed bool) {
+	if *flags&estStarted == 0 {
+		*flags |= estStarted
+		w.lastSeq, w.lastT = int64(seq), t
+		w.winSeq, w.winT = int64(seq), t
+		return false, false
+	}
+	// Wrap-safe 32-bit delta against the latest in-order sample.
+	delta := int64(int32(seq - uint32(w.lastSeq)))
+	if delta < 0 {
+		return false, true
+	}
+	off := w.lastSeq + delta
+	if t.Sub(w.lastT) >= minGap || t.Sub(w.winT) >= maxBurst {
+		if dur := t.Sub(w.winT); dur > 0 {
+			w.rate = units.RateOf(off-w.winSeq, dur)
+			*flags |= estHaveRate
+			updated = true
+		}
+		w.winSeq, w.winT = off, t
+	}
+	w.lastSeq, w.lastT = off, t
+	return updated, false
+}
 
 // FlowState is the collector's NetFlow-like record for one flow.
+//
+// It is laid out for the sample path. A sample of a resident flow reads
+// or writes fields in the first 128 bytes only; what lies past them is
+// written at insert and read for flows with an extension. Key comes
+// first for the table's compare, and outPort, portSlot and next — all
+// FlowsOnPort reads per fresh flow — share one 64-byte line.
+// footprint_test.go pins the size, the offsets and the slab fit.
 type FlowState struct {
 	Key    packet.FlowKey
 	DstMAC packet.MAC // latest routing label seen (changes on reroute)
 
-	FirstSeen units.Time
-	LastSeen  units.Time
+	// live marks a slab record as present in the table (false =
+	// free-listed); FlowTable maintains it. flags holds the estimator's
+	// bits and which extension ext points to. Both fit in the two bytes
+	// DstMAC leaves before the next word.
+	live  bool
+	flags uint8
+
+	LastSeen units.Time
 
 	SampledPackets int64
 	SampledBytes   int64
 
-	Est RateEstimator
+	// est is the sequence-number estimator's state (TCP flows; UDP flows
+	// estimate through their PacketSeqEstimator).
+	est rateWindow
 
-	// Rtx, when retransmission tracking is enabled, infers the flow's
-	// retransmission rate from duplicate sequence numbers (§3.2.2
-	// extension).
-	Rtx *RetransmitEstimator
-
-	// Pkt estimates throughput for flows whose sequence numbers count
-	// packets (UDP with an application counter); nil for TCP flows.
-	Pkt *PacketSeqEstimator
-
-	outPort int // cached output-port mapping, -1 unknown
+	// counted is what the record currently adds to the collector's
+	// portUtil[outPort]: its rate while it is on a port list, fresh and
+	// has an estimate, otherwise 0.
+	counted units.Rate
 
 	// routeEpoch is the routing epoch outPort was resolved under, as
 	// stamped by remapFlowAt from the resolver's answer. A mismatch
@@ -144,49 +182,72 @@ type FlowState struct {
 	// sample; 0 throughout when no RouteResolver is installed.
 	routeEpoch uint64
 
-	// portSlot is 1 + the record's index in the collector's
-	// portFlows[outPort] (0 = on no port list), so leaving a list is a
-	// swap-remove, not a search.
-	portSlot int32
-
 	// prev and next thread the record onto the collector's recency list:
 	// every live flow, oldest LastSeen at the head.
 	prev, next *FlowState
 
-	// counted is what the record currently adds to the collector's
-	// portUtil[outPort]: its rate while it is on a port list, fresh and
-	// has an estimate, otherwise 0.
-	counted units.Rate
+	// outPort is the cached output-port mapping, -1 unknown. portSlot is
+	// 1 + the record's index in the collector's portFlows[outPort] (0 =
+	// on no port list), so leaving a list is a swap-remove, not a search.
+	outPort  int32
+	portSlot int32
 
-	// hash caches the record's flow hash so FlowTable.Remove and port
-	// remaps relocate it without rehashing; live marks a slab record as
-	// present in the table (false = free-listed). Both are maintained
-	// by FlowTable.
-	hash uint64
-	live bool
+	FirstSeen units.Time
+
+	// ext is the record's one optional estimator, which flags names: a
+	// *RetransmitEstimator on a TCP flow when retransmission tracking is
+	// enabled, a *PacketSeqEstimator on a UDP flow when UDP sequence
+	// parsing is. No flow needs both.
+	ext unsafe.Pointer
 }
 
 // Rate returns the flow's latest throughput estimate.
 func (f *FlowState) Rate() (units.Rate, bool) {
-	if f.Pkt != nil {
-		r, _, ok := f.Pkt.Rate()
+	if p := f.Pkt(); p != nil {
+		r, _, ok := p.Rate()
 		return r, ok
 	}
-	r, _, ok := f.Est.Rate()
-	return r, ok
+	return f.est.rate, f.flags&estHaveRate != 0
+}
+
+// Rtx returns the flow's retransmission-rate estimator (§3.2.2
+// extension), or nil when retransmission tracking is off.
+func (f *FlowState) Rtx() *RetransmitEstimator {
+	if f.flags&extRtx == 0 {
+		return nil
+	}
+	return (*RetransmitEstimator)(f.ext)
+}
+
+// Pkt returns the throughput estimator of a flow whose sequence numbers
+// count packets (UDP with an application counter); nil for TCP flows.
+func (f *FlowState) Pkt() *PacketSeqEstimator {
+	if f.flags&extPkt == 0 {
+		return nil
+	}
+	return (*PacketSeqEstimator)(f.ext)
+}
+
+// setRtx and setPkt give a new record its extension.
+func (f *FlowState) setRtx(r *RetransmitEstimator) {
+	f.ext, f.flags = unsafe.Pointer(r), f.flags|extRtx
+}
+
+func (f *FlowState) setPkt(p *PacketSeqEstimator) {
+	f.ext, f.flags = unsafe.Pointer(p), f.flags|extPkt
 }
 
 // RetransmitRate returns the inferred retransmission rate, when tracking
 // is enabled and enough samples exist.
 func (f *FlowState) RetransmitRate() (units.Rate, bool) {
-	if f.Rtx == nil {
-		return 0, false
+	if r := f.Rtx(); r != nil {
+		return r.Rate()
 	}
-	return f.Rtx.Rate()
+	return 0, false
 }
 
 // OutPort returns the flow's egress port at this switch (-1 unknown).
-func (f *FlowState) OutPort() int { return f.outPort }
+func (f *FlowState) OutPort() int { return int(f.outPort) }
 
 // RouteEpoch returns the routing epoch the flow's egress port was
 // resolved under (0 when no RouteResolver is installed). An aggregation

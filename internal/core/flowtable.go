@@ -13,9 +13,9 @@ package core
 // collectors face: per-packet flow-record cost dominates, so the table
 // is the hot path.
 //
-// Layout: beside the 16-byte probe slots lives a dense control array of
+// Layout: beside the 8-byte probe slots lives a dense control array of
 // one byte per slot — 0x00 for empty, 0x80|tag for occupied, where tag
-// is the top 7 bits of the slot's hash. A probe loads the 8 control
+// is 7 bits of the slot's hash. A probe loads the 8 control
 // bytes starting at the home slot as one little-endian word (the array
 // carries a 7-byte mirror tail so the load never branches on wrap) and
 // matches the tag against all 8 at once with SWAR bit tricks — no slot
@@ -25,12 +25,21 @@ package core
 // bit set, the classic zero-byte detector is exact for empties (its
 // false positives require a 0x01 byte, which the encoding never
 // produces); tag matches may rarely be false positives and are rejected
-// by the 8-byte hash compare that follows.
+// by the 32-bit hash compare that follows.
+//
+// A slot names its record by index, not by pointer: 1 + the record's
+// position across the slabs, which are a power of two records long, so
+// the index splits into slab and offset with a shift and a mask. A slot
+// is then 8 bytes, half what a 64-bit hash and a pointer take, and
+// holds no pointer, so the garbage collector never scans the probe
+// array. Under scan traffic the table is mostly one-sample flows, and
+// the probe array is the largest thing in it after the records.
 //
 // Invariants:
-//   - slot occupancy is f != nil ⇔ ctrl byte has the high bit set;
-//     slot.hash caches the record's hash so probes compare 8 bytes
-//     before the 13-byte key;
+//   - slot occupancy is ref != 0 ⇔ ctrl byte has the high bit set;
+//     slot.hash caches the low 32 bits of the record's hash (which hold
+//     its home slot and its tag) so probes compare 4 bytes before the
+//     13-byte key;
 //   - probe order is plain linear probing over slots; the control
 //     windows slide along that order, so group probing changes the scan
 //     width, never the placement;
@@ -54,10 +63,13 @@ import (
 )
 
 const (
-	// flowSlabSize is how many FlowState records one slab holds. Slabs
-	// never move and are never freed; expiry recycles records through
-	// the free list.
-	flowSlabSize = 256
+	// flowSlabSize is how many FlowState records one slab holds: a power
+	// of two, for slot indexing, and a whole number of 8 KiB pages at the
+	// record's size (footprint_test.go), so the allocator rounds nothing
+	// up. Slabs never move and are never freed; expiry recycles records
+	// through the free list.
+	flowSlabShift = 9
+	flowSlabSize  = 1 << flowSlabShift
 	// flowTableMinSlots is the initial probe-array size (power of two).
 	flowTableMinSlots = 64
 
@@ -65,7 +77,7 @@ const (
 	// word-wide probe step.
 	groupWidth = 8
 	// ctrlEmpty marks an unoccupied slot; occupied slots carry
-	// 0x80 | (hash >> 57).
+	// ctrlTag(hash).
 	ctrlEmpty = 0x00
 
 	// SWAR constants: ctrlLoBits broadcasts a byte across a word,
@@ -81,10 +93,12 @@ const (
 	hashC2 = 0xc2b2ae3d27d4eb4f
 )
 
-// ctrlTag returns the control byte for an occupied slot holding hash h:
-// occupancy bit plus the top 7 hash bits. The mask-indexing consumes
-// the low bits, so tag and home slot stay independent.
-func ctrlTag(h uint64) uint8 { return 0x80 | uint8(h>>57) }
+// ctrlTag returns the control byte for an occupied slot whose hash has
+// low word h: occupancy bit plus hash bits 25–31, the top of what a slot
+// keeps. The mask-indexing consumes the low bits, so tag and home slot
+// stay independent up to 2^25 slots; past that they overlap and the tag
+// filters less, while the hash and key compares keep lookups exact.
+func ctrlTag(h uint32) uint8 { return 0x80 | uint8(h>>25) }
 
 // matchZeroBytes returns a word with 0x80 set in every byte of w that
 // is zero. Exact when w's nonzero bytes all have their high bit set
@@ -161,11 +175,12 @@ func flowHash(frame []byte) (uint64, bool) {
 	return mixFlowHash(a, sp<<24|dp<<8|uint64(proto)), true
 }
 
-// flowSlot is one probe-array entry: the record's cached hash plus the
-// pointer into its slab. Empty slots have f == nil.
+// flowSlot is one probe-array entry: the low 32 bits of the record's
+// flow hash and its ref, 1 + its index across the slabs. Empty slots
+// have ref == 0.
 type flowSlot struct {
-	hash uint64
-	f    *FlowState
+	hash uint32
+	ref  uint32
 }
 
 // FlowTable is the open-addressed flow-record store. The zero value is
@@ -185,8 +200,8 @@ type FlowTable struct {
 	growAt int // count at which the probe array doubles (~75% load)
 	count  int
 
-	slabs [][]FlowState
-	free  []*FlowState
+	slabs []*[flowSlabSize]FlowState
+	free  []uint32 // refs of recycled records
 
 	// probe, when set, observes the probe length of each insert — a
 	// cheap standing proxy for table health that stays off the
@@ -196,6 +211,12 @@ type FlowTable struct {
 
 // Len returns the number of live records.
 func (t *FlowTable) Len() int { return t.count }
+
+// record returns the record a slot's ref names.
+func (t *FlowTable) record(ref uint32) *FlowState {
+	i := ref - 1
+	return &t.slabs[i>>flowSlabShift][i&(flowSlabSize-1)]
+}
 
 // keyFirstWord reads the first 8 bytes of a resident FlowKey (SrcIP ‖
 // DstIP) as one native-order machine word. Callers compare it against a
@@ -240,13 +261,13 @@ func (t *FlowTable) LookupScalar(h, a uint64, sp, dp uint16, proto packet.IPProt
 	}
 	i := h & t.mask
 	w := binary.LittleEndian.Uint64(t.ctrl[i:])
-	m := matchZeroBytes(w ^ (ctrlLoBits * uint64(ctrlTag(h))))
+	m := matchZeroBytes(w ^ (ctrlLoBits * uint64(ctrlTag(uint32(h)))))
 	for m != 0 {
-		s := &t.slots[(i+uint64(bits.TrailingZeros64(m))>>3)&t.mask]
-		f := s.f
-		if s.hash == h && keyFirstWord(&f.Key) == a &&
-			f.Key.SrcPort == sp && f.Key.DstPort == dp && f.Key.Proto == proto {
-			return f
+		if s := t.slots[(i+uint64(bits.TrailingZeros64(m))>>3)&t.mask]; s.hash == uint32(h) {
+			f := t.record(s.ref)
+			if keyFirstWord(&f.Key) == a && f.Key.SrcPort == sp && f.Key.DstPort == dp && f.Key.Proto == proto {
+				return f
+			}
 		}
 		m &= m - 1
 	}
@@ -262,17 +283,17 @@ func (t *FlowTable) LookupScalar(h, a uint64, sp, dp uint16, proto packet.IPProt
 // nothing the fast path already rejected.
 func (t *FlowTable) lookupCold(h, a uint64, sp, dp uint16, proto packet.IPProtocol) *FlowState {
 	mask := t.mask
-	tagw := ctrlLoBits * uint64(ctrlTag(h))
+	tagw := ctrlLoBits * uint64(ctrlTag(uint32(h)))
 	i := (h + groupWidth) & mask
 	for range (mask + 1) / groupWidth {
 		w := binary.LittleEndian.Uint64(t.ctrl[i:])
 		m := matchZeroBytes(w ^ tagw)
 		for m != 0 {
-			s := &t.slots[(i+uint64(bits.TrailingZeros64(m))>>3)&mask]
-			f := s.f
-			if s.hash == h && keyFirstWord(&f.Key) == a &&
-				f.Key.SrcPort == sp && f.Key.DstPort == dp && f.Key.Proto == proto {
-				return f
+			if s := t.slots[(i+uint64(bits.TrailingZeros64(m))>>3)&mask]; s.hash == uint32(h) {
+				f := t.record(s.ref)
+				if keyFirstWord(&f.Key) == a && f.Key.SrcPort == sp && f.Key.DstPort == dp && f.Key.Proto == proto {
+					return f
+				}
 			}
 			m &= m - 1
 		}
@@ -290,19 +311,20 @@ func (t *FlowTable) lookupCold(h, a uint64, sp, dp uint16, proto packet.IPProtoc
 // — the control word, the candidate slot, and the candidate record's
 // key line — so a batch of 8 probeFirst calls pipelines up to 24 cache
 // misses that a serial Lookup loop would take back to back. The caller
-// must still verify the candidate (slot hash == h and key match): the
-// tag is 7 bits and only the first candidate is returned.
-func (t *FlowTable) probeFirst(h uint64) (f *FlowState, slotHash uint64, key packet.FlowKey) {
+// must still verify the candidate (slot hash == low word of h, and key
+// match): the tag is 7 bits and only the first candidate is returned.
+func (t *FlowTable) probeFirst(h uint64) (f *FlowState, slotHash uint32, key packet.FlowKey) {
 	if t.count == 0 {
 		return nil, 0, key
 	}
 	i := h & t.mask
-	diff := binary.LittleEndian.Uint64(t.ctrl[i:]) ^ (ctrlLoBits * uint64(ctrlTag(h)))
+	diff := binary.LittleEndian.Uint64(t.ctrl[i:]) ^ (ctrlLoBits * uint64(ctrlTag(uint32(h))))
 	if m := matchZeroBytes(diff); m != 0 {
-		s := &t.slots[(i+uint64(bits.TrailingZeros64(m))>>3)&t.mask]
+		s := t.slots[(i+uint64(bits.TrailingZeros64(m))>>3)&t.mask]
+		f = t.record(s.ref)
 		// Reading the key here pulls the slab record's first cache line
 		// — the line Lookup's key compare and ingest's field updates hit.
-		return s.f, s.hash, s.f.Key
+		return f, s.hash, f.Key
 	}
 	return nil, 0, key
 }
@@ -319,7 +341,7 @@ func (t *FlowTable) LookupBatch(hs []uint64, keys []packet.FlowKey, out []*FlowS
 	n := min(len(hs), len(keys), len(out))
 	var (
 		cand  [groupWidth]*FlowState
-		cHash [groupWidth]uint64
+		cHash [groupWidth]uint32
 		cKey  [groupWidth]packet.FlowKey
 	)
 	for base := 0; base < n; base += groupWidth {
@@ -329,7 +351,7 @@ func (t *FlowTable) LookupBatch(hs []uint64, keys []packet.FlowKey, out []*FlowS
 		}
 		for j := range m {
 			h, k := hs[base+j], keys[base+j]
-			if f := cand[j]; f != nil && cHash[j] == h && cKey[j] == k {
+			if f := cand[j]; f != nil && cHash[j] == uint32(h) && cKey[j] == k {
 				out[base+j] = f
 			} else {
 				// The warmed first candidate missed. Re-run the full probe
@@ -356,26 +378,27 @@ func (t *FlowTable) GetOrInsert(h uint64, k packet.FlowKey) (f *FlowState, inser
 	}
 	mask := t.mask
 	i := h & mask
-	tag := ctrlTag(h)
+	tag := ctrlTag(uint32(h))
 	tagw := ctrlLoBits * uint64(tag)
 	g := i
 	for {
 		w := binary.LittleEndian.Uint64(t.ctrl[g:])
 		m := matchZeroBytes(w ^ tagw)
 		for m != 0 {
-			s := &t.slots[(g+uint64(bits.TrailingZeros64(m))>>3)&mask]
-			if s.hash == h && s.f.Key == k {
-				return s.f, false
+			if s := t.slots[(g+uint64(bits.TrailingZeros64(m))>>3)&mask]; s.hash == uint32(h) {
+				if f = t.record(s.ref); f.Key == k {
+					return f, false
+				}
 			}
 			m &= m - 1
 		}
 		if e := matchZeroBytes(w); e != 0 {
 			idx := (g + uint64(bits.TrailingZeros64(e))>>3) & mask
-			f = t.alloc()
+			ref := t.alloc()
+			f = t.record(ref)
 			f.Key = k
-			f.hash = h
 			f.live = true
-			t.slots[idx] = flowSlot{hash: h, f: f}
+			t.slots[idx] = flowSlot{hash: uint32(h), ref: ref}
 			t.setCtrl(idx, tag)
 			t.count++
 			if t.probe != nil {
@@ -390,12 +413,14 @@ func (t *FlowTable) GetOrInsert(h uint64, k packet.FlowKey) (f *FlowState, inser
 // Remove deletes f from the table, backward-shifting the probe chain so
 // no tombstone is left, and recycles the record. f must be a live
 // record of this table; it is zeroed and must not be used afterwards.
+// The search for f's slot starts from the home slot of its key's hash.
 func (t *FlowTable) Remove(f *FlowState) {
 	mask := t.mask
-	i := f.hash & mask
-	for t.slots[i].f != f {
+	i := HashFlowKey(f.Key) & mask
+	for s := t.slots[i]; s.ref == 0 || t.record(s.ref) != f; s = t.slots[i] {
 		i = (i + 1) & mask
 	}
+	ref := t.slots[i].ref
 	// Backward shift: any later chain member whose probe distance
 	// reaches back to slot i (or earlier) can legally occupy i; pull the
 	// first such member up and continue from its slot until a hole. The
@@ -404,15 +429,15 @@ func (t *FlowTable) Remove(f *FlowState) {
 		j := (i + 1) & mask
 		for {
 			s := t.slots[j]
-			if s.f == nil {
+			if s.ref == 0 {
 				t.slots[i] = flowSlot{}
 				t.setCtrl(i, ctrlEmpty)
 				t.count--
 				*f = FlowState{}
-				t.free = append(t.free, f)
+				t.free = append(t.free, ref)
 				return
 			}
-			if (j-s.hash)&mask >= (j-i)&mask {
+			if (j-uint64(s.hash))&mask >= (j-i)&mask {
 				t.slots[i] = s
 				t.setCtrl(i, t.ctrl[j])
 				i = j
@@ -437,20 +462,20 @@ func (t *FlowTable) Iterate(fn func(*FlowState)) {
 	}
 }
 
-// alloc hands out a zeroed record from the free list, cutting a new
-// slab when empty. Records never move once allocated.
-func (t *FlowTable) alloc() *FlowState {
+// alloc hands out the ref of a zeroed record from the free list, cutting
+// a new slab when empty. Records never move once allocated.
+func (t *FlowTable) alloc() uint32 {
 	if n := len(t.free); n > 0 {
-		f := t.free[n-1]
+		ref := t.free[n-1]
 		t.free = t.free[:n-1]
-		return f
+		return ref
 	}
-	slab := make([]FlowState, flowSlabSize)
-	t.slabs = append(t.slabs, slab)
-	for i := flowSlabSize - 1; i > 0; i-- {
-		t.free = append(t.free, &slab[i])
+	t.slabs = append(t.slabs, new([flowSlabSize]FlowState))
+	base := uint32(len(t.slabs)-1) << flowSlabShift
+	for i := uint32(flowSlabSize); i > 1; i-- {
+		t.free = append(t.free, base+i)
 	}
-	return &slab[0]
+	return base + 1
 }
 
 // rehash doubles the probe array (or cuts the initial one) and
@@ -467,11 +492,11 @@ func (t *FlowTable) rehash() {
 	ctrl := make([]uint8, n+groupWidth-1) // zero value == all empty
 	mask := n - 1
 	for _, s := range t.slots {
-		if s.f == nil {
+		if s.ref == 0 {
 			continue
 		}
-		i := s.hash & mask
-		for slots[i].f != nil {
+		i := uint64(s.hash) & mask
+		for slots[i].ref != 0 {
 			i = (i + 1) & mask
 		}
 		slots[i] = s
@@ -494,10 +519,10 @@ func (t *FlowTable) ProbeStats() (mean float64, max int) {
 	var total uint64
 	for j := range t.slots {
 		s := t.slots[j]
-		if s.f == nil {
+		if s.ref == 0 {
 			continue
 		}
-		d := int((uint64(j) - s.hash) & t.mask)
+		d := int((uint64(j) - uint64(s.hash)) & t.mask)
 		total += uint64(d)
 		if d > max {
 			max = d

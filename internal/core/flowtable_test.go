@@ -44,7 +44,7 @@ func checkCtrlInvariants(t *testing.T, tab *FlowTable) {
 	for i := range tab.slots {
 		s := &tab.slots[i]
 		c := tab.ctrl[i]
-		if s.f == nil {
+		if s.ref == 0 {
 			if c != ctrlEmpty {
 				t.Fatalf("ctrl invariant: slot %d empty but ctrl %#02x", i, c)
 			}
@@ -313,8 +313,8 @@ func TestFlowTableProbeP99UnderChurn(t *testing.T) {
 	var lens []int
 	for j := range tab.slots {
 		s := &tab.slots[j]
-		if s.f != nil {
-			lens = append(lens, int((uint64(j)-s.hash)&tab.mask))
+		if s.ref != 0 {
+			lens = append(lens, int((uint64(j)-uint64(s.hash))&tab.mask))
 		}
 	}
 	sort.Ints(lens)

@@ -182,7 +182,7 @@ func checkLinkLoadInvariants(t *testing.T, c *Collector) {
 		if isFresh && firstFresh == nil {
 			firstFresh = f
 		}
-		onList := f.outPort >= 0 && f.outPort < len(c.portFlows)
+		onList := f.outPort >= 0 && int(f.outPort) < len(c.portFlows)
 		if onList != (f.portSlot != 0) {
 			t.Fatalf("flow %v on port %d has slot %d", f.Key, f.outPort, f.portSlot)
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"planck/internal/obs"
+	"planck/internal/packet"
 	"planck/internal/units"
 )
 
@@ -111,5 +112,63 @@ func TestCollectorStatsMatchesMetrics(t *testing.T) {
 	bare := New(Config{SwitchName: "sw0", NumPorts: 4, LinkRate: units.Rate10G})
 	if bare.IngestTimings() != nil {
 		t.Fatal("bare collector should not allocate timing histograms")
+	}
+}
+
+// TestFlowGaugeTracksTable: Stats().Flows reads a gauge published once
+// per call rather than once per insert, so whenever an Ingest,
+// IngestBatch or ExpireFlows call returns it must equal the table's
+// length — after the plain batch loop, the prefetching one (tables of
+// batchProbeMinFlows and more), the non-monotone fallback and an expiry.
+func TestFlowGaugeTracksTable(t *testing.T) {
+	c := newTestCollector()
+	var now units.Time
+	next := 0
+	newFlow := func() []byte {
+		next++
+		return packet.BuildTCP(nil, packet.TCPSpec{
+			SrcMAC: macA, DstMAC: macB, DstIP: ipB, SrcPort: 1000, DstPort: 2000,
+			SrcIP: packet.IPv4{11, byte(next >> 16), byte(next >> 8), byte(next)},
+			Flags: packet.TCPSyn,
+		})
+	}
+	batch := func(n int, reversed bool) {
+		t.Helper()
+		ts := make([]units.Time, n)
+		frames := make([][]byte, n)
+		for i := range frames {
+			ts[i] = now.Add(units.Duration(i))
+			if reversed {
+				ts[i] = now.Add(units.Duration(n - i))
+			}
+			frames[i] = newFlow()
+		}
+		if err := c.IngestBatch(ts, frames); err != nil && !reversed {
+			t.Fatal(err)
+		}
+		now = now.Add(units.Duration(n + 1))
+	}
+	check := func(what string, want int) {
+		t.Helper()
+		if got := c.Stats().Flows; got != want || c.flows.Len() != want {
+			t.Fatalf("after %s: Stats().Flows %d, table %d, want %d", what, got, c.flows.Len(), want)
+		}
+	}
+	batch(300, false)
+	check("a batch of 300 inserts", 300)
+	batch(batchProbeMinFlows, false)
+	batch(500, false)
+	check("a prefetched batch of 500 inserts", 300+batchProbeMinFlows+500)
+	batch(50, true) // out of order: the first frame is ingested, the rest refused
+	check("a non-monotone batch", 300+batchProbeMinFlows+501)
+	if err := c.Ingest(now, newFlow()); err != nil {
+		t.Fatal(err)
+	}
+	check("one Ingest", 300+batchProbeMinFlows+502)
+	total := 300 + batchProbeMinFlows + 502
+	n := c.ExpireFlows(now, 600) // the 500-flow batch and what followed stay
+	check("an expiry", total-n)
+	if n == 0 || n == total {
+		t.Fatalf("the expiry removed %d of %d flows", n, total)
 	}
 }

@@ -18,12 +18,13 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// IncRelaxed adds one using an atomic load + store instead of a locked
+// IncRelaxed adds one using an atomic load + store instead of an atomic
 // read-modify-write. Safe only when a single goroutine performs all
-// writes to the counter (concurrent Value readers are fine); on that
-// contract it shaves the LOCK prefix off the hottest per-sample
-// counters. Mixing IncRelaxed with Inc/Add from other goroutines loses
-// updates.
+// writes to the counter (concurrent Value readers are fine). It does not
+// shed the fence: on amd64 the atomic store is an XCHG, as locked as
+// Inc's LOCK XADD, and like it waits for the core's pending stores; what
+// it saves is the read-modify-write. Mixing IncRelaxed with Inc/Add from
+// other goroutines loses updates.
 func (c *Counter) IncRelaxed() { c.v.Store(c.v.Load() + 1) }
 
 // AddRelaxed is IncRelaxed for a batch of n. Same single-writer
