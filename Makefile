@@ -5,7 +5,7 @@ GO ?= go
 # offline machines with a cold cache.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build vet test race race-fast fuzz-smoke chaos-smoke trace-smoke fleet-smoke link-smoke governor-smoke soak-reorder staticcheck check bench bench-spine clean
+.PHONY: all build vet test race race-fast fuzz-smoke chaos-smoke trace-smoke fleet-smoke link-smoke governor-smoke soak-reorder staticcheck check bench-spine clean
 
 all: check
 
@@ -132,10 +132,6 @@ bench-spine: vet
 	for w in steady-1k churn loop; do \
 		bash bench/run.sh --workload $$w --seed 1 --seconds 30 --trace 0 || exit 1; \
 	done
-
-# bench runs the per-figure testing.B targets once each.
-bench: vet
-	$(GO) test -bench . -benchtime 1x -run xxx .
 
 clean:
 	$(GO) clean ./...

@@ -8,6 +8,7 @@
 //	planck-bench                         # run everything at default scale
 //	planck-bench -experiment table1      # one experiment
 //	planck-bench -experiment fig14 -sizes 100MiB,1GiB -runs 3
+//	planck-bench -experiment ablations   # the DESIGN.md §5 ablations
 //	planck-bench -list
 package main
 
@@ -126,13 +127,16 @@ var all = map[string]runner{
 		fmt.Print(experiments.GovernorAccuracyTable(pts).Render())
 		fmt.Print(experiments.GovernorEpisodeTable(experiments.GovernorEpisode(seed)).Render())
 	},
+	"ablations": func(seed int64, _ benchCfg) {
+		fmt.Print(experiments.Ablations(seed).Render())
+	},
 }
 
 // order fixes the presentation sequence for -experiment all.
 var order = []string{
 	"table1", "fig2-4", "samplelatency", "fig5-7", "fig8", "fig9",
 	"fig10", "fig11", "fig12", "fig15", "fig16", "fig17", "fig14",
-	"fig18", "scalability", "extensions", "governor",
+	"fig18", "scalability", "extensions", "governor", "ablations",
 }
 
 func parseSizes(s string) ([]int64, error) {

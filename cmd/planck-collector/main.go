@@ -11,7 +11,6 @@
 //	planck-collector -pcap capture.pcap -fault "loss:0.05,skew:200us" -fault-seed 7
 //	planck-collector -listen :5601 -max-samples 100000
 //	planck-collector -listen :5601 -metrics :9090 -stats-every 5s
-//	planck-collector -listen :5601 -batch 64
 //	planck-collector -listen :5601 -report plane-host:5700 -vantage 3
 //
 // One process runs one collector for one monitor port, as in the paper.
@@ -26,11 +25,11 @@
 // -listen (a live stream shares the plane's epoch time axis; a pcap
 // replay does not). -vantage sets this collector's fleet id.
 //
-// The live listener drains the socket in batched read cycles (-batch
-// datagrams per cycle, default 32) and hands each cycle to the
-// collector in one IngestBatch call; -batch 0 falls back to one
-// Ingest per datagram. SIGINT or SIGTERM ends a live session the way
-// reaching -max-samples does: the final report is still printed.
+// The live listener drains the socket in read cycles of up to
+// planck.DefaultUDPBatch datagrams and hands each cycle to the
+// collector in one IngestBatch call. SIGINT or SIGTERM ends a live
+// session the way reaching -max-samples does: the final report is
+// still printed.
 //
 // With -metrics, an HTTP endpoint serves /metrics (Prometheus text),
 // /debug/vars (JSON), and /debug/pprof/* for the full pipeline: samples,
@@ -81,7 +80,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	topFlows := fs.Int("top", 10, "flows to print")
 	metricsAddr := fs.String("metrics", "", "HTTP address serving /metrics, /debug/vars, /debug/pprof (empty = off)")
 	statsEvery := fs.Duration("stats-every", 0, "period between one-line stats reports on stderr (0 = off)")
-	batch := fs.Int("batch", planck.DefaultUDPBatch, "live-listener drain batch: datagrams ingested per batched read cycle (0 = one Ingest per datagram)")
 	faultSpec := fs.String("fault", "", `fault-injection spec applied to the ingest stream, e.g. "loss:0.05" or "loss@20ms-40ms,skew:200us" (empty = off)`)
 	faultSeed := fs.Int64("fault-seed", 1, "seed for the fault injector's PRNG")
 	reportAddr := fs.String("report", "", "UDP address of an aggregation-plane receiver; forwards every sample over the vantagelink transport (empty = off)")
@@ -185,16 +183,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		defer conn.Close()
 		fmt.Fprintf(stdout, "listening on %s\n", conn.LocalAddr())
-		// Cancellation expires the read in progress, which ends either
-		// serve loop like a closed socket.
+		// Cancellation expires the read in progress, which ends the serve
+		// loop like a closed socket.
 		stopCancel := context.AfterFunc(ctx, func() { conn.SetReadDeadline(time.Now()) })
 		defer stopCancel()
-		var n int
-		if *batch > 0 {
-			n, err = planck.ServeUDPBatched(conn, ing, *maxSamples, *batch, &udpStats)
-		} else {
-			n, err = planck.ServeUDPObserved(conn, ing, *maxSamples, &udpStats)
-		}
+		n, err := planck.ServeUDPBatched(conn, ing, *maxSamples, planck.DefaultUDPBatch, &udpStats)
 		if err != nil && ctx.Err() == nil {
 			fmt.Fprintln(stderr, err)
 			return 1

@@ -241,15 +241,13 @@ func TestListenCountsMalformedDatagrams(t *testing.T) {
 // TestListenShutsDownOnCancel: with no sample budget, cancelling the
 // context ends the session cleanly, final report included.
 func TestListenShutsDownOnCancel(t *testing.T) {
-	for _, batch := range []string{"0", "32"} {
-		s := startLive(t, "-batch", batch)
-		s.cancel()
-		if code := s.exitCode(t); code != 0 {
-			t.Fatalf("-batch %s: exit %d, stderr:\n%s", batch, code, s.stderr.String())
-		}
-		if want := "replayed 0 frames: 0 flows,"; !strings.Contains(s.stdout.String(), want) {
-			t.Errorf("-batch %s: stdout lacks %q:\n%s", batch, want, s.stdout.String())
-		}
+	s := startLive(t)
+	s.cancel()
+	if code := s.exitCode(t); code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, s.stderr.String())
+	}
+	if want := "replayed 0 frames: 0 flows,"; !strings.Contains(s.stdout.String(), want) {
+		t.Errorf("stdout lacks %q:\n%s", want, s.stdout.String())
 	}
 }
 

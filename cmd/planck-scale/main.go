@@ -100,11 +100,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	switch *transport {
 	case "link":
-		return fleetRun(stdout, stderr, *k, *collectors, *size, *seed, lab.TransportLink, *linkLoss, ls)
+		link := &lab.Link{FaultSeed: ls}
+		if *linkLoss > 0 {
+			link.FaultSpec = fmt.Sprintf("loss:%g", *linkLoss)
+		}
+		return fleetRun(stdout, stderr, *k, *collectors, *size, *seed, link)
 	case "udp":
 		return udpRun(ctx, stdout, stderr, *k, *linkLoss, ls)
 	default:
-		return fleetRun(stdout, stderr, *k, *collectors, *size, *seed, lab.TransportInProcess, 0, 0)
+		return fleetRun(stdout, stderr, *k, *collectors, *size, *seed, nil)
 	}
 }
 
@@ -167,23 +171,17 @@ func pickCollectors(net *topo.Network, n int) []int {
 // view at the plane, drive the colliding stride workload, and gate on
 // completed flows plus one complete detection→convergence trace per
 // pod. Returns the process exit code.
-func fleetRun(stdout, stderr io.Writer, k, collectors int, size, seed int64, mode lab.TransportMode, linkLoss float64, linkSeed int64) int {
+func fleetRun(stdout, stderr io.Writer, k, collectors int, size, seed int64, link *lab.Link) int {
 	net := topo.FatTree(k, units.Rate10G)
 	tracer := trace.New(4096)
-	opts := lab.Options{
+	l, err := lab.New(lab.Options{
 		Net:             net,
 		Mirror:          true,
-		Aggregate:       true,
+		Fleet:           &lab.Fleet{Link: link},
 		MonitorSwitches: pickCollectors(net, collectors),
 		Tracer:          tracer,
 		Seed:            seed,
-		Transport:       mode,
-		LinkFaultSeed:   linkSeed,
-	}
-	if linkLoss > 0 {
-		opts.LinkFaultSpec = fmt.Sprintf("loss:%g", linkLoss)
-	}
-	l, err := lab.New(opts)
+	})
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
@@ -203,7 +201,7 @@ func fleetRun(stdout, stderr io.Writer, k, collectors int, size, seed int64, mod
 	m := l.Agg.Merger()
 	fmt.Fprintf(stdout, "aggregation plane: %d flows merged, %d events emitted, %d deduped, %d late, %d dup reports, %d stale vantages\n",
 		l.Agg.FlowCount(), m.Emitted, m.Deduped, m.Late, l.Agg.DupReports(), len(l.Agg.StaleVantages()))
-	if mode == lab.TransportLink {
+	if link != nil {
 		if code := gateLinkTransport(stdout, stderr, l, net); code != 0 {
 			return code
 		}
@@ -249,8 +247,8 @@ func fleetRun(stdout, stderr io.Writer, k, collectors int, size, seed int64, mod
 	return 0
 }
 
-// gateLinkTransport prints the wire-transport totals for a TransportLink
-// run and fails it when the link did not actually deliver: every active
+// gateLinkTransport prints the wire-transport totals for a fleet run
+// over a Link and fails it when the link did not deliver: every active
 // sender must have completed the clock-sync exchange, and the receiver
 // must have released records to the plane.
 func gateLinkTransport(stdout, stderr io.Writer, l *lab.Lab, net *topo.Network) int {

@@ -90,8 +90,7 @@ func main() {
 			opts.TraceDump = os.Stderr
 		}
 		if *governFlag {
-			opts.Govern = true
-			opts.GovernorConfig = experiments.GovernorProfile()
+			opts.Govern = experiments.GovernorProfile()
 		}
 	})
 	if err != nil {

@@ -1,8 +1,7 @@
 // Package experiments reproduces every table and figure in the paper's
 // evaluation (§5, §7, §9.1). Each experiment is a function taking typed
 // parameters and returning structured results plus a rendered table, so
-// the same code backs the unit tests, the testing.B benchmarks, and the
-// cmd/planck-bench tool.
+// the same code backs the unit tests and the cmd/planck-bench tool.
 //
 // Absolute numbers depend on the simulated substrate; what the harness is
 // built to reproduce is the paper's shape: who wins, by what factor, and

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"planck/internal/core"
-	"planck/internal/lab"
 	"planck/internal/packet"
 	"planck/internal/sim"
 	"planck/internal/stats"
@@ -202,5 +201,3 @@ func TargetRateTable(rs []TargetRateResult) *Table {
 	}
 	return t
 }
-
-var _ = lab.Options{} // the lab types appear only through microLabOptions

@@ -17,8 +17,8 @@ import (
 // a saturation threshold above the 2:1 operating point so episodes
 // trigger decisively, and a shed fraction wide enough to classify
 // ACK-only return ports as low-value.
-func GovernorProfile() governor.Config {
-	return governor.Config{
+func GovernorProfile() *governor.Config {
+	return &governor.Config{
 		SaturationThreshold: 0.6,
 		ShedFraction:        0.1,
 		Estimator: governor.EstimatorConfig{
@@ -149,8 +149,7 @@ type GovEpisodeResult struct {
 // ACK-only return ports are shed and later restored.
 func GovernorEpisode(seed int64) GovEpisodeResult {
 	opts := microLabOptions(SwitchG8264, 4, false, seed)
-	opts.Govern = true
-	opts.GovernorConfig = GovernorProfile()
+	opts.Govern = GovernorProfile()
 	l := mustLab(opts)
 
 	mustFlow := func(src, dst int, id int32) {

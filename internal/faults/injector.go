@@ -143,7 +143,7 @@ type Ingester interface {
 
 // FaultyIngester interposes an Injector in front of any Ingester —
 // the seam used by planck-collector and live deployments, where the
-// frame stream arrives via ServeUDP rather than the lab's OnFrame tap.
+// frame stream arrives via ServeUDPBatched rather than the lab's OnFrame tap.
 type FaultyIngester struct {
 	next Ingester
 	in   *Injector

@@ -118,7 +118,8 @@ type Estimate struct {
 // sFlow-style sampler (the supervisor's dark-feed path), and
 // RecordMirrorCounters folds in the switch's per-port mirror counters
 // (the governor's polling path). All state is fixed-size per port, so
-// both update paths are allocation-free — planck-bench self-gates this.
+// both update paths are allocation-free
+// (TestEstimatorUpdatesDoNotAllocate pins this).
 type RateEstimator struct {
 	cfg       EstimatorConfig
 	bucketDur units.Duration

@@ -37,8 +37,7 @@ func chaosOptions(faultSpec string) Options {
 		// Low threshold: steady near-line-rate flows fire congestion
 		// events every cooldown, giving the delivery path real load.
 		CollectorConfig: core.Config{UtilThreshold: 0.05},
-		Supervise:       true,
-		SupervisorConfig: SupervisorConfig{
+		Supervise: &SupervisorConfig{
 			Heartbeat: core.HeartbeatConfig{Interval: chaosHeartbeat},
 			// The paper's 300 samples/s CPU cap yields ~2 samples per
 			// fallback window — useless at ms scale. A software sampler

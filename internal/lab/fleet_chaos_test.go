@@ -46,14 +46,13 @@ func TestFleetChaosCrashRestart(t *testing.T) {
 	run := func(crash bool) result {
 		net := topo.FatTree16(units.Rate10G)
 		l, err := New(Options{
-			Net:       net,
-			Mirror:    true,
-			Aggregate: true,
-			Supervise: true,
+			Net:    net,
+			Mirror: true,
+			Fleet:  &Fleet{},
 			// Slow the supervision tick so the crash leaves a well-defined
 			// dark window (crash at 21ms, restart at the 25ms tick) that
 			// the staleness probe can land inside deterministically.
-			SupervisorConfig: SupervisorConfig{
+			Supervise: &SupervisorConfig{
 				Heartbeat: core.HeartbeatConfig{Interval: 5 * units.Millisecond},
 			},
 			Seed: 7,

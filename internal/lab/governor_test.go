@@ -21,8 +21,7 @@ func governorOptions() Options {
 		Mirror:          true,
 		Seed:            17,
 		CollectorConfig: core.Config{UtilThreshold: 0.95},
-		Govern:          true,
-		GovernorConfig: governor.Config{
+		Govern: &governor.Config{
 			// 2:1 oversubscription estimates effective ≈ 0.5 — right at
 			// the default threshold. Raise it so the episode triggers
 			// decisively, and widen the shed fraction so the ACK-only
@@ -188,8 +187,7 @@ func TestGovernorShedsTunesAndConverges(t *testing.T) {
 // dark vantage's stale estimate.
 func TestChaosGovernorDarkGuard(t *testing.T) {
 	opts := governorOptions()
-	opts.Supervise = true
-	opts.SupervisorConfig = SupervisorConfig{
+	opts.Supervise = &SupervisorConfig{
 		Heartbeat: core.HeartbeatConfig{Interval: chaosHeartbeat},
 		Fallback:  governor.EstimatorConfig{SFlow: sflow.Config{SampleRate: 64, ControlPlaneCap: 200000}},
 	}

@@ -33,101 +33,48 @@ type Options struct {
 	// Defaults to ProfileG8264 for 10G topologies and ProfilePronto3290
 	// for 1G ones.
 	SwitchConfig func(name string, ports int) switchsim.Config
-	// HostConfig applies to all hosts (zero values take defaults).
-	HostConfig tcpsim.Config
-	// ControllerConfig tunes control-channel latencies.
-	ControllerConfig controller.Config
 	// CollectorConfig seeds collector thresholds; switch name, port
 	// count, and link rate are filled per switch.
 	CollectorConfig core.Config
-	// Mirror enables oversubscribed mirroring and collectors.
+	// Mirror enables oversubscribed mirroring and collectors. Fleet and
+	// Govern require it.
 	Mirror bool
 	// InSwitchCollectors realizes §9.2's in-switch collector proposal:
 	// collectors consume samples at switching time through a data-plane
 	// sink instead of a monitor port, so samples see no mirror buffering
 	// and no front-panel port is spent. Requires Mirror.
 	InSwitchCollectors bool
-	// Aggregate runs the testbed as a collector fleet: every monitored
-	// switch's collector becomes a vantage reporting into one federated
-	// aggregation plane (internal/agg), and congestion events reach the
-	// controller as the plane's merged, deduplicated, cooldown-coherent
-	// network-wide stream instead of per-collector subscriptions.
-	// Requires Mirror.
-	Aggregate bool
-	// AggregateConfig tunes the plane; zero thresholds inherit
-	// CollectorConfig's (defaulted) values so fleet and collectors agree
-	// on what "congested" means, and Metrics/Tracer default to the
-	// lab's.
-	AggregateConfig agg.Config
-	// Transport selects how vantage reports reach the aggregation
-	// plane in fleet mode: synchronous in-process sink handoff
-	// (TransportInProcess, the default) or the internal/vantagelink
-	// wire protocol over simulated lossy channels (TransportLink).
-	// Requires Aggregate when set to TransportLink.
-	Transport TransportMode
-	// LinkFaultSpec, when non-empty, is parsed with faults.ParseSpec
-	// and applied to every vantage's report channel — loss, corrupt,
-	// dup, reorder, partition, and chandelay on the report path,
-	// recovered by the transport's NACK/retransmit loop. Requires
-	// TransportLink.
-	LinkFaultSpec string
-	// LinkFaultSeed seeds the report-channel fault gates (0 uses Seed).
-	LinkFaultSeed int64
-	// LinkSkew, when non-nil, gives switch s's collector host a
-	// constant clock error applied to every wire timestamp it stamps;
-	// the transport's sync exchange estimates and cancels it. Only
-	// consulted under TransportLink.
-	LinkSkew func(s int) units.Duration
-	// ReportDelay is the one-way report/control channel latency under
-	// TransportLink (default 25 µs).
-	ReportDelay units.Duration
-	// LinkTick is the transport endpoints' tick cadence under
-	// TransportLink: heartbeats, NACK pacing, silence exclusion
-	// (default 250 µs).
-	LinkTick units.Duration
 	// MonitorSwitches, when non-nil, restricts mirroring and collectors
 	// to the listed switch indices — a partial fleet deployment. Nil
 	// monitors every switch with a monitor port.
 	MonitorSwitches []int
-	// Supervise runs a Supervisor per monitored switch: heartbeat
-	// staleness detection, crash restart with state re-sync, retried
-	// event delivery, and sFlow fallback while the mirror feed is dark.
-	// Supervised collectors route events to the controller through the
-	// supervisor's Deliverer instead of a direct attachment.
-	Supervise bool
-	// SupervisorConfig tunes supervision; zero fields take defaults.
-	SupervisorConfig SupervisorConfig
-	// Govern runs a sampling-rate Governor per monitored switch: a
-	// closed-loop control application that estimates the effective
-	// mirror sampling rate online and sheds low-value mirror ports or
-	// tunes per-port sample budgets through the epoch-versioned
-	// snapshot plane when the monitor port saturates. Requires Mirror.
-	// Combined with Supervise, the governor and the supervisor share
-	// one RateEstimator per switch, and the governor never actuates
-	// while the feed is dark.
-	Govern bool
-	// GovernorConfig tunes the governors; zero fields take defaults. A
-	// zero Estimator inherits SupervisorConfig.Fallback, so both
-	// estimator consumers are configured in one place.
-	GovernorConfig governor.Config
+	// Fleet, when non-nil, runs the testbed as a collector fleet.
+	Fleet *Fleet
+	// Supervise, when non-nil, runs a Supervisor per monitored switch:
+	// heartbeat staleness detection, crash restart with state re-sync,
+	// retried event delivery, and sFlow fallback while the mirror feed is
+	// dark. Supervised collectors route events to the controller through
+	// the supervisor's Deliverer instead of a direct attachment. Zero
+	// fields take defaults.
+	Supervise *SupervisorConfig
+	// Govern, when non-nil, runs a sampling-rate Governor per monitored
+	// switch: a closed-loop control application that estimates the
+	// effective mirror sampling rate online and sheds low-value mirror
+	// ports or tunes per-port sample budgets through the epoch-versioned
+	// snapshot plane when the monitor port saturates. Combined with
+	// Supervise, the governor and the supervisor share one RateEstimator
+	// per switch, and the governor never actuates while the feed is dark.
+	// Zero fields take defaults; a zero Estimator inherits
+	// Supervise.Fallback, so both estimator consumers are configured in
+	// one place.
+	Govern *governor.Config
 	// FaultSpec, when non-empty, is parsed with faults.ParseSpec and
-	// applied to every monitored collector feed at build time (the
-	// programmatic equivalent is Lab.ApplyFaults).
+	// applied, seeded by Seed, to every monitored collector feed at build
+	// time (the programmatic equivalent is Lab.ApplyFaults).
 	FaultSpec string
-	// FaultSeed seeds the fault injectors (0 uses Seed).
-	FaultSeed int64
 	// InitialTrees assigns each destination's PAST tree. Nil picks a
 	// uniform random tree per address (PAST-R), matching the testbed.
 	InitialTrees []int
-	// LinkDelay is the per-hop propagation delay (default 500 ns).
-	LinkDelay units.Duration
-	// PollInterval batches collector ingest, modelling the capture
-	// stack's delivery granularity; PollOverhead is a fixed processing
-	// cost added to each sample's timestamp. Defaults depend on the link
-	// rate (netmap on 10 Gbps: ~40 µs polls + 20 µs; the 1 Gbps path in
-	// the paper shows wider jitter: ~300 µs polls).
-	PollInterval units.Duration
-	PollOverhead units.Duration
 	// Tracer, when non-nil, records control-loop spans end to end:
 	// every collector assigns event IDs through it, the controller
 	// marks decisions and actuations, supervisors mark queueing and
@@ -139,6 +86,60 @@ type Options struct {
 	TraceDump io.Writer
 	// Seed drives all randomness in the testbed.
 	Seed int64
+}
+
+// Fleet makes every monitored switch's collector a vantage reporting
+// into one federated aggregation plane (internal/agg): congestion
+// events reach the controller as the plane's merged, deduplicated,
+// cooldown-coherent network-wide stream instead of per-collector
+// subscriptions. The plane takes its thresholds from the (defaulted)
+// CollectorConfig, so fleet and collectors agree on what "congested"
+// means.
+type Fleet struct {
+	// Link, when non-nil, carries vantage reports over the
+	// internal/vantagelink wire protocol on simulated channels. Nil
+	// hands each collector's reports to its vantage synchronously, in
+	// process.
+	Link *Link
+}
+
+// Link configures the simulated report transport of a Fleet: sequenced
+// binary frames, NACK/retransmit recovery, heartbeat liveness, and
+// clock sync, with the plane's merge clock driven by the receiver's
+// delivery watermark instead of wall time.
+type Link struct {
+	// FaultSpec, when non-empty, is parsed with faults.ParseSpec and
+	// applied to every vantage's report channel — loss, corrupt, dup,
+	// reorder, partition, and chandelay on the report path, recovered by
+	// the transport's NACK/retransmit loop.
+	FaultSpec string
+	// FaultSeed seeds the report-channel fault gates (0 uses Seed).
+	FaultSeed int64
+}
+
+// Fixed timing of the simulated testbed.
+const (
+	// linkDelay is the per-hop propagation delay.
+	linkDelay = 500 * units.Nanosecond
+	// reportDelay is the one-way report/control channel latency of a
+	// Fleet's Link.
+	reportDelay = 25 * units.Microsecond
+	// linkTick is the cadence of a Link's endpoints: heartbeats, NACK
+	// pacing, silence exclusion.
+	linkTick = 250 * units.Microsecond
+)
+
+// pollTiming models the capture stack at line rate r: collector ingest
+// is batched every interval, and overhead (NIC DMA, netmap wakeup,
+// userspace batch handling) is added to each sample's timestamp. The
+// values are calibrated so the undersubscribed sample latency lands in
+// the paper's 75–150 µs (10G) / 80–450 µs (1G) bands; the 1 Gbps path
+// in the paper shows wider jitter.
+func pollTiming(r units.Rate) (interval, overhead units.Duration) {
+	if r >= units.Rate10G {
+		return 45 * units.Microsecond, 85 * units.Microsecond
+	}
+	return 350 * units.Microsecond, 80 * units.Microsecond
 }
 
 // Lab is an assembled testbed.
@@ -159,9 +160,8 @@ type Lab struct {
 	// when Options.Govern is set (indexed by switch; nil otherwise).
 	Governors []*governor.Governor
 
-	// Agg is the federated aggregation plane when Options.Aggregate is
-	// set; it implements te.NetworkSource for fleet-fed traffic
-	// engineering.
+	// Agg is the federated aggregation plane when Options.Fleet is set;
+	// it implements te.NetworkSource for fleet-fed traffic engineering.
 	Agg *agg.Plane
 
 	// Faults is the active fault schedule (nil until ApplyFaults); the
@@ -185,11 +185,11 @@ type Lab struct {
 	// mode (indexed by switch; nil entries otherwise).
 	vantages []*agg.Vantage
 	// linkSenders/linkGates/linkRecv are the wire-transport endpoints
-	// under Options.Transport == TransportLink (indexed by switch).
+	// when Options.Fleet has a Link (indexed by switch).
 	linkSenders []*vantagelink.Sender
 	linkGates   []*vantagelink.FaultGate
 	linkRecv    *vantagelink.Receiver
-	// linkSched is the parsed LinkFaultSpec schedule shared by every
+	// linkSched is the parsed Link.FaultSpec schedule shared by every
 	// report-channel gate.
 	linkSched *faults.Schedule
 	// faultMetrics aggregates injected-fault counters across all feeds.
@@ -201,17 +201,26 @@ func New(opts Options) (*Lab, error) {
 	if opts.Net == nil {
 		return nil, fmt.Errorf("lab: Options.Net is required")
 	}
-	if opts.Aggregate && !opts.Mirror {
-		return nil, fmt.Errorf("lab: Options.Aggregate requires Mirror")
+	if opts.Fleet != nil && !opts.Mirror {
+		return nil, fmt.Errorf("lab: Options.Fleet requires Mirror")
 	}
-	if opts.Transport == TransportLink && !opts.Aggregate {
-		return nil, fmt.Errorf("lab: Options.Transport == TransportLink requires Aggregate (the transport carries vantage reports)")
-	}
-	if opts.Govern && !opts.Mirror {
+	if opts.Govern != nil && !opts.Mirror {
 		return nil, fmt.Errorf("lab: Options.Govern requires Mirror (the governor actuates mirror configuration)")
 	}
-	if opts.LinkFaultSpec != "" && opts.Transport != TransportLink {
-		return nil, fmt.Errorf("lab: Options.LinkFaultSpec requires Transport == TransportLink")
+	var faultSched, linkSched *faults.Schedule
+	if opts.FaultSpec != "" {
+		sched, err := faults.ParseSpec(opts.FaultSpec)
+		if err != nil {
+			return nil, fmt.Errorf("lab: FaultSpec: %w", err)
+		}
+		faultSched = sched
+	}
+	if link := opts.link(); link != nil && link.FaultSpec != "" {
+		sched, err := faults.ParseSpec(link.FaultSpec)
+		if err != nil {
+			return nil, fmt.Errorf("lab: Fleet.Link.FaultSpec: %w", err)
+		}
+		linkSched = sched
 	}
 	net := opts.Net
 	if opts.SwitchConfig == nil {
@@ -219,26 +228,6 @@ func New(opts Options) (*Lab, error) {
 			opts.SwitchConfig = switchsim.ProfileG8264
 		} else {
 			opts.SwitchConfig = switchsim.ProfilePronto3290
-		}
-	}
-	if opts.LinkDelay == 0 {
-		opts.LinkDelay = 500 * units.Nanosecond
-	}
-	if opts.PollInterval == 0 {
-		if net.LineRate >= units.Rate10G {
-			opts.PollInterval = 45 * units.Microsecond
-		} else {
-			opts.PollInterval = 350 * units.Microsecond
-		}
-	}
-	if opts.PollOverhead == 0 {
-		// NIC DMA + netmap wakeup + userspace batch handling; calibrated
-		// so the undersubscribed sample latency lands in the paper's
-		// 75–150 µs (10G) / 80–450 µs (1G) bands.
-		if net.LineRate >= units.Rate10G {
-			opts.PollOverhead = 85 * units.Microsecond
-		} else {
-			opts.PollOverhead = 80 * units.Microsecond
 		}
 	}
 
@@ -256,6 +245,7 @@ func New(opts Options) (*Lab, error) {
 		Metrics:       obs.NewRegistry(),
 		opts:          opts,
 		collectorCfgs: make([]core.Config, net.NumSwitches()),
+		linkSched:     linkSched,
 	}
 	eng.RegisterMetrics(l.Metrics)
 
@@ -271,7 +261,7 @@ func New(opts Options) (*Lab, error) {
 	}
 	for h := 0; h < net.NumHosts(); h++ {
 		host := tcpsim.NewHost(eng, fmt.Sprintf("h%d", h),
-			topo.ShadowMAC(h, 0), topo.HostIP(h), net.LineRate, opts.HostConfig, rng)
+			topo.ShadowMAC(h, 0), topo.HostIP(h), net.LineRate, tcpsim.Config{}, rng)
 		l.Hosts[h] = host
 	}
 
@@ -281,20 +271,16 @@ func New(opts Options) (*Lab, error) {
 			switch ep.Kind {
 			case topo.ToSwitch:
 				if ep.Switch > s || (ep.Switch == s && ep.Port > p) {
-					sim.Connect(l.Switches[s].Port(p), l.Switches[ep.Switch].Port(ep.Port), opts.LinkDelay)
+					sim.Connect(l.Switches[s].Port(p), l.Switches[ep.Switch].Port(ep.Port), linkDelay)
 				}
 			case topo.ToHost:
-				sim.Connect(l.Hosts[ep.Host].NIC(), l.Switches[s].Port(p), opts.LinkDelay)
+				sim.Connect(l.Hosts[ep.Host].NIC(), l.Switches[s].Port(p), linkDelay)
 			}
 		}
 	}
 
 	// Controller, routes, mirroring, collectors.
-	ccfg := opts.ControllerConfig
-	if ccfg == (controller.Config{}) {
-		ccfg = controller.DefaultConfig()
-	}
-	l.Ctrl = controller.New(eng, net, l.Switches, l.Hosts, ccfg, rng)
+	l.Ctrl = controller.New(eng, net, l.Switches, l.Hosts, controller.DefaultConfig(), rng)
 	l.Ctrl.RegisterMetrics(l.Metrics)
 	if opts.Tracer != nil {
 		l.Ctrl.SetTracer(opts.Tracer)
@@ -309,16 +295,9 @@ func New(opts Options) (*Lab, error) {
 	}
 	l.Ctrl.InstallRoutes(trees, opts.Mirror)
 
-	if opts.LinkFaultSpec != "" {
-		sched, err := faults.ParseSpec(opts.LinkFaultSpec)
-		if err != nil {
-			return nil, fmt.Errorf("lab: LinkFaultSpec: %w", err)
-		}
-		l.linkSched = sched
-	}
-	if opts.Aggregate {
+	if opts.Fleet != nil {
 		l.buildAggPlane()
-		if opts.Transport == TransportLink {
+		if opts.link() != nil {
 			l.linkSenders = make([]*vantagelink.Sender, net.NumSwitches())
 			l.linkGates = make([]*vantagelink.FaultGate, net.NumSwitches())
 			l.buildLinkReceiver()
@@ -360,7 +339,7 @@ func New(opts Options) (*Lab, error) {
 				v := l.Agg.Join(s, ccfg.SwitchName, ccfg.NumPorts, ccfg.LinkRate)
 				l.vantages[s] = v
 				ccfg.Vantage = int(v.ID())
-				if opts.Transport == TransportLink {
+				if opts.link() != nil {
 					// Wire transport: the collector's sink is a vantagelink
 					// sender whose frames reach the plane's shared receiver
 					// over a (possibly faulty) simulated channel.
@@ -370,36 +349,37 @@ func New(opts Options) (*Lab, error) {
 				}
 			}
 			l.collectorCfgs[s] = ccfg
-			node := NewCollectorNode(eng, core.New(ccfg), net.LineRate, opts.PollInterval, opts.PollOverhead)
+			poll, overhead := pollTiming(net.LineRate)
+			node := NewCollectorNode(eng, core.New(ccfg), net.LineRate, poll, overhead)
 			node.Tracer = opts.Tracer
 			node.RegisterMetrics(l.Metrics, ccfg.SwitchName)
 			if opts.InSwitchCollectors {
 				node.AttachInSwitch(l.Switches[s])
 			} else {
-				sim.Connect(node.Port(), l.Switches[s].Port(mp), opts.LinkDelay)
+				sim.Connect(node.Port(), l.Switches[s].Port(mp), linkDelay)
 			}
 			l.Collectors[s] = node
 			// One shared estimator per governed switch: the supervisor's
 			// dark-feed fallback reads the sFlow side, the governor
 			// cross-references it against the mirror counters.
 			var est *governor.RateEstimator
-			if opts.Govern {
-				ecfg := opts.GovernorConfig.Estimator
-				if ecfg == (governor.EstimatorConfig{}) {
-					ecfg = opts.SupervisorConfig.Fallback
+			if opts.Govern != nil {
+				ecfg := opts.Govern.Estimator
+				if ecfg == (governor.EstimatorConfig{}) && opts.Supervise != nil {
+					ecfg = opts.Supervise.Fallback
 				}
 				if ecfg.Seed == 0 {
 					ecfg.Seed = opts.Seed + int64(s)*7919 + 1
 				}
 				est = governor.NewRateEstimator(ecfg, len(net.Ports[s]))
 			}
-			if opts.Supervise {
+			if opts.Supervise != nil {
 				// Supervised feeds still get the routing oracle, but
 				// their events reach the controller through the
 				// supervisor's retrying Deliverer, not a direct
 				// subscription.
 				node.Collector().SetPortMapper(l.Ctrl.Mapper(s))
-				l.Supervisors[s] = newSupervisor(l, s, node, opts.SupervisorConfig, est)
+				l.Supervisors[s] = newSupervisor(l, s, node, *opts.Supervise, est)
 				if l.vantages != nil && l.vantages[s] != nil {
 					// The plane serves this vantage's links from the
 					// supervisor's sFlow estimator when the vantage goes
@@ -416,8 +396,8 @@ func New(opts Options) (*Lab, error) {
 			} else {
 				l.Ctrl.AttachCollector(s, node.Collector())
 			}
-			if opts.Govern {
-				gov := governor.New(opts.GovernorConfig, net.SwitchNames[s], s,
+			if opts.Govern != nil {
+				gov := governor.New(*opts.Govern, net.SwitchNames[s], s,
 					l.Switches[s], l.Ctrl, est, net.LineRate)
 				if sup := l.Supervisors[s]; sup != nil {
 					// The chaos contract: the governor must not actuate
@@ -446,18 +426,19 @@ func New(opts Options) (*Lab, error) {
 			}
 		}
 	}
-	if opts.FaultSpec != "" {
-		sched, err := faults.ParseSpec(opts.FaultSpec)
-		if err != nil {
-			return nil, err
-		}
-		seed := opts.FaultSeed
-		if seed == 0 {
-			seed = opts.Seed
-		}
-		l.ApplyFaults(sched, seed)
+	if faultSched != nil {
+		l.ApplyFaults(faultSched, opts.Seed)
 	}
 	return l, nil
+}
+
+// link returns the fleet's report transport, or nil for an in-process
+// fleet or none.
+func (o *Options) link() *Link {
+	if o.Fleet == nil {
+		return nil
+	}
+	return o.Fleet.Link
 }
 
 // ApplyFaults activates sched on every monitored collector feed: each
@@ -491,32 +472,21 @@ func (l *Lab) ApplyFaults(sched *faults.Schedule, seed int64) {
 // into the controller, and a periodic tick for vantage liveness.
 func (l *Lab) buildAggPlane() {
 	opts := l.opts
-	acfg := opts.AggregateConfig
 	cc := opts.CollectorConfig.WithDefaults()
-	if acfg.UtilThreshold == 0 {
-		acfg.UtilThreshold = cc.UtilThreshold
+	acfg := agg.Config{
+		UtilThreshold: cc.UtilThreshold,
+		EventCooldown: cc.EventCooldown,
+		FlowFreshness: cc.FlowFreshness,
+		Metrics:       l.Metrics,
+		Tracer:        opts.Tracer,
 	}
-	if acfg.EventCooldown == 0 {
-		acfg.EventCooldown = cc.EventCooldown
-	}
-	if acfg.FlowFreshness == 0 {
-		acfg.FlowFreshness = cc.FlowFreshness
-	}
-	if acfg.Metrics == nil {
-		acfg.Metrics = l.Metrics
-	}
-	if acfg.Tracer == nil {
-		acfg.Tracer = opts.Tracer
-	}
-	if opts.Transport == TransportLink {
+	if opts.link() != nil {
 		// Over a real transport, reports arrive out of global order
 		// across vantages: hold events in a reorder window and let the
 		// transport receiver's delivery watermark — not wall time —
 		// advance the merge clock.
 		acfg.ExternalMergeAdvance = true
-		if acfg.ReorderWindow == 0 {
-			acfg.ReorderWindow = units.Millisecond
-		}
+		acfg.ReorderWindow = units.Millisecond
 	}
 	l.Agg = agg.New(acfg)
 	l.vantages = make([]*agg.Vantage, l.Net.NumSwitches())
@@ -525,7 +495,7 @@ func (l *Lab) buildAggPlane() {
 	// single collector's events would: under supervision, a retrying
 	// deliverer gated by the fault schedule's partition and delay
 	// windows; otherwise a direct synchronous handoff.
-	if opts.Supervise {
+	if opts.Supervise != nil {
 		send := func(now units.Time, ev core.CongestionEvent) error {
 			sched := l.Faults
 			if sched.PartitionActive(now) {
@@ -538,7 +508,7 @@ func (l *Lab) buildAggPlane() {
 			l.Ctrl.DeliverEvent(ev)
 			return nil
 		}
-		del := controller.NewSimDeliverer(l.Eng, opts.SupervisorConfig.Backoff, opts.Seed+0x5eed, send, nil)
+		del := controller.NewSimDeliverer(l.Eng, opts.Supervise.Backoff, opts.Seed+0x5eed, send, nil)
 		del.Tracer = opts.Tracer
 		l.Agg.Subscribe(func(ev core.CongestionEvent) {
 			now := l.Eng.Now()
@@ -550,7 +520,8 @@ func (l *Lab) buildAggPlane() {
 	} else {
 		l.Agg.Subscribe(l.Ctrl.DeliverEvent)
 	}
-	sim.NewTicker(l.Eng, opts.PollInterval, l.Agg.Tick)
+	poll, _ := pollTiming(l.Net.LineRate)
+	sim.NewTicker(l.Eng, poll, l.Agg.Tick)
 }
 
 // Run drives the simulation until deadline.
@@ -565,7 +536,7 @@ func (l *Lab) Collector(s int) *core.Collector {
 }
 
 // Vantage returns switch s's aggregation-plane vantage, or nil when
-// the lab was built without Options.Aggregate (or s is unmonitored).
+// the lab was built without Options.Fleet (or s is unmonitored).
 func (l *Lab) Vantage(s int) *agg.Vantage {
 	if l.vantages == nil {
 		return nil

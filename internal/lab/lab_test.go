@@ -1,9 +1,11 @@
 package lab
 
 import (
+	"strings"
 	"testing"
 
 	"planck/internal/core"
+	"planck/internal/governor"
 	"planck/internal/packet"
 	"planck/internal/topo"
 	"planck/internal/units"
@@ -222,5 +224,32 @@ func TestFlowBoundariesEndToEnd(t *testing.T) {
 	}
 	if ends < 1 {
 		t.Fatalf("ends %d", ends)
+	}
+}
+
+// TestNewRejectsBadOptions: every option error New can return, each
+// named in its message.
+func TestNewRejectsBadOptions(t *testing.T) {
+	net := topo.SingleSwitch("sw0", 4, units.Rate10G, true)
+	for _, tc := range []struct {
+		name string
+		opts Options
+		want string
+	}{
+		{"nil Net", Options{Mirror: true}, "Net is required"},
+		{"Fleet without Mirror", Options{Net: net, Fleet: &Fleet{}}, "Fleet requires Mirror"},
+		{"Govern without Mirror", Options{Net: net, Govern: &governor.Config{}}, "Govern requires Mirror"},
+		{"bad Link.FaultSpec", Options{Net: net, Mirror: true, Fleet: &Fleet{Link: &Link{FaultSpec: "nonsense"}}}, "lab: Fleet.Link.FaultSpec:"},
+		{"bad FaultSpec", Options{Net: net, Mirror: true, FaultSpec: "nonsense"}, "lab: FaultSpec:"},
+		{"MonitorSwitches out of range", Options{Net: net, Mirror: true, MonitorSwitches: []int{1}}, "MonitorSwitches entry 1 out of range"},
+	} {
+		l, err := New(tc.opts)
+		if err == nil || l != nil {
+			t.Errorf("%s: New = (%v, %v), want an error", tc.name, l, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
 	}
 }

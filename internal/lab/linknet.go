@@ -8,22 +8,6 @@ import (
 	"planck/internal/vantagelink"
 )
 
-// TransportMode selects how vantage reports reach the aggregation
-// plane in fleet mode.
-type TransportMode int
-
-const (
-	// TransportInProcess hands each collector's FlowReports to its
-	// plane vantage synchronously — the original fleet wiring.
-	TransportInProcess TransportMode = iota
-	// TransportLink routes reports over the internal/vantagelink wire
-	// protocol: sequenced binary frames on a simulated lossy channel,
-	// NACK/retransmit recovery, heartbeat liveness, and clock sync,
-	// with the plane's merge clock driven by the receiver's delivery
-	// watermark instead of wall time.
-	TransportLink
-)
-
 // vantagePlaneSink adapts one plane vantage to the transport
 // receiver's delivery interface: resequenced records merge into the
 // plane, frame arrivals refresh liveness on the plane's receive
@@ -45,21 +29,7 @@ func (l *Lab) buildLinkReceiver() {
 		Metrics: l.Metrics,
 	})
 	l.linkRecv.OnAdvance = l.Agg.AdvanceMerge
-	sim.NewTicker(l.Eng, l.linkTick(), l.linkRecv.Tick)
-}
-
-func (l *Lab) linkTick() units.Duration {
-	if l.opts.LinkTick > 0 {
-		return l.opts.LinkTick
-	}
-	return 250 * units.Microsecond
-}
-
-func (l *Lab) reportDelay() units.Duration {
-	if l.opts.ReportDelay > 0 {
-		return l.opts.ReportDelay
-	}
-	return 25 * units.Microsecond
+	sim.NewTicker(l.Eng, linkTick, l.linkRecv.Tick)
 }
 
 // buildLink wires switch s's collector to the plane over the wire
@@ -68,15 +38,14 @@ func (l *Lab) reportDelay() units.Duration {
 // ways, and a receiver-side join binding the vantage's liveness to
 // frame arrivals. Returns the sender to install as the collector sink.
 func (l *Lab) buildLink(s int, v *agg.Vantage, switchName string) *vantagelink.Sender {
-	delay := l.reportDelay()
 	fwd := vantagelink.ChannelFunc(func(_ units.Time, dgram []byte) error {
 		cp := append([]byte(nil), dgram...)
-		l.Eng.After(delay, sim.Callback(func(at units.Time) {
+		l.Eng.After(reportDelay, sim.Callback(func(at units.Time) {
 			l.linkRecv.HandleDatagram(at, cp)
 		}), nil)
 		return nil
 	})
-	seed := l.opts.LinkFaultSeed
+	seed := l.opts.Fleet.Link.FaultSeed
 	if seed == 0 {
 		seed = l.opts.Seed
 	}
@@ -85,22 +54,15 @@ func (l *Lab) buildLink(s int, v *agg.Vantage, switchName string) *vantagelink.S
 		l.Eng.After(d, sim.Callback(func(units.Time) { deliver() }), nil)
 	}
 
-	scfg := vantagelink.SenderConfig{
+	snd := vantagelink.NewSender(gate, vantagelink.SenderConfig{
 		Vantage:    uint16(v.ID()),
 		SwitchName: switchName,
 		Metrics:    l.Metrics,
-	}
-	if l.opts.LinkSkew != nil {
-		skew := l.opts.LinkSkew(s)
-		if skew != 0 {
-			scfg.ClockSkew = func(units.Time) units.Duration { return skew }
-		}
-	}
-	snd := vantagelink.NewSender(gate, scfg)
+	})
 
 	rev := vantagelink.ChannelFunc(func(_ units.Time, dgram []byte) error {
 		cp := append([]byte(nil), dgram...)
-		l.Eng.After(delay, sim.Callback(func(at units.Time) {
+		l.Eng.After(reportDelay, sim.Callback(func(at units.Time) {
 			snd.HandleControl(at, cp)
 		}), nil)
 		return nil
@@ -113,7 +75,7 @@ func (l *Lab) buildLink(s int, v *agg.Vantage, switchName string) *vantagelink.S
 	// The sender's clock lives in the collector process: when that
 	// process is crashed, heartbeats and retransmits stop with it, so
 	// the receiver sees real silence until the supervisor restarts it.
-	sim.NewTicker(l.Eng, l.linkTick(), func(now units.Time) {
+	sim.NewTicker(l.Eng, linkTick, func(now units.Time) {
 		if node := l.Collectors[s]; node != nil && node.Crashed() {
 			return
 		}
@@ -124,8 +86,8 @@ func (l *Lab) buildLink(s int, v *agg.Vantage, switchName string) *vantagelink.S
 	return snd
 }
 
-// LinkSender returns switch s's transport sender, or nil outside
-// TransportLink mode (or for unmonitored switches).
+// LinkSender returns switch s's transport sender, or nil when the lab
+// has no Fleet Link (or for unmonitored switches).
 func (l *Lab) LinkSender(s int) *vantagelink.Sender {
 	if l.linkSenders == nil {
 		return nil
@@ -134,7 +96,7 @@ func (l *Lab) LinkSender(s int) *vantagelink.Sender {
 }
 
 // LinkGate returns the fault gate on switch s's report channel, or
-// nil outside TransportLink mode. Tests flip schedules on it mid-run
+// nil when the lab has no Fleet Link. Tests flip schedules on it mid-run
 // (vantagelink.FaultGate.SetSchedule) to partition a single vantage's
 // report path while its collector stays alive.
 func (l *Lab) LinkGate(s int) *vantagelink.FaultGate {
@@ -144,6 +106,6 @@ func (l *Lab) LinkGate(s int) *vantagelink.FaultGate {
 	return l.linkGates[s]
 }
 
-// LinkReceiver returns the plane-side transport receiver, or nil
-// outside TransportLink mode.
+// LinkReceiver returns the plane-side transport receiver, or nil when
+// the lab has no Fleet Link.
 func (l *Lab) LinkReceiver() *vantagelink.Receiver { return l.linkRecv }

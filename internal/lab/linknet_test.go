@@ -19,7 +19,9 @@ func hotFleet(t *testing.T, opts Options) (*Lab, int) {
 	net := topo.FatTree16(units.Rate10G)
 	opts.Net = net
 	opts.Mirror = true
-	opts.Aggregate = true
+	if opts.Fleet == nil {
+		opts.Fleet = &Fleet{}
+	}
 	l, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -57,9 +59,8 @@ func assertCooldownSpacing(t *testing.T, events []core.CongestionEvent) {
 // vantage delivered reports to the plane.
 func TestFleetTransportSmoke(t *testing.T) {
 	l, _ := hotFleet(t, Options{
-		Transport:     TransportLink,
-		LinkFaultSpec: "loss:0.05",
-		Seed:          7,
+		Fleet: &Fleet{Link: &Link{FaultSpec: "loss:0.05"}},
+		Seed:  7,
 	})
 	var events []core.CongestionEvent
 	l.Agg.Subscribe(func(ev core.CongestionEvent) { events = append(events, ev) })
@@ -126,8 +127,8 @@ func TestFleetTransportMatchesInProcessEvents(t *testing.T) {
 		links map[string]bool
 		n     int
 	}
-	run := func(mode TransportMode) outcome {
-		l, _ := hotFleet(t, Options{Transport: mode, Seed: 7})
+	run := func(link *Link) outcome {
+		l, _ := hotFleet(t, Options{Fleet: &Fleet{Link: link}, Seed: 7})
 		o := outcome{links: map[string]bool{}}
 		l.Agg.Subscribe(func(ev core.CongestionEvent) {
 			o.links[fmt.Sprintf("%s/%d", ev.SwitchName, ev.Port)] = true
@@ -136,8 +137,8 @@ func TestFleetTransportMatchesInProcessEvents(t *testing.T) {
 		l.Run(60 * units.Millisecond)
 		return o
 	}
-	inproc := run(TransportInProcess)
-	link := run(TransportLink)
+	inproc := run(nil)
+	link := run(&Link{})
 	if inproc.n == 0 {
 		t.Fatal("in-process run emitted no events; comparison vacuous")
 	}
@@ -180,9 +181,8 @@ func TestFleetChaosPartitionedLink(t *testing.T) {
 		runFor    = 80 * units.Millisecond
 	)
 	l, victim := hotFleet(t, Options{
-		Transport: TransportLink,
-		Supervise: true,
-		SupervisorConfig: SupervisorConfig{
+		Fleet: &Fleet{Link: &Link{}},
+		Supervise: &SupervisorConfig{
 			Heartbeat: core.HeartbeatConfig{Interval: 5 * units.Millisecond},
 		},
 		Seed: 7,

@@ -122,8 +122,7 @@ func TestTraceConvergesAcrossRestart(t *testing.T) {
 		Mirror:          true,
 		Seed:            7,
 		CollectorConfig: core.Config{UtilThreshold: 0.05},
-		Supervise:       true,
-		SupervisorConfig: SupervisorConfig{
+		Supervise: &SupervisorConfig{
 			Heartbeat: core.HeartbeatConfig{Interval: units.Millisecond},
 			Fallback:  governor.EstimatorConfig{SFlow: sflow.Config{SampleRate: 64, ControlPlaneCap: 200000}},
 		},

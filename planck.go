@@ -23,7 +23,6 @@
 package planck
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -31,7 +30,6 @@ import (
 	"net"
 	"sync/atomic"
 	"syscall"
-	"time"
 
 	"planck/internal/core"
 	"planck/internal/faults"
@@ -228,103 +226,13 @@ type UDPServeStats struct {
 	// ShortDatagrams counts datagrams too short to carry the transport
 	// header (malformed sender or truncation in flight).
 	ShortDatagrams atomic.Int64
-	// TimestampRegressions counts datagrams whose frame the collector
-	// rejected and whose timestamp ran backwards relative to the last
-	// accepted sample — the signature of a confused or unsynchronized
-	// capture shim.
+	// TimestampRegressions counts datagrams whose timestamp ran
+	// backwards relative to the previous sample — the signature of a
+	// confused or unsynchronized capture shim.
 	TimestampRegressions atomic.Int64
-	// IngestErrors counts the remaining collector rejections (frames
-	// that failed to parse as Ethernet/IPv4/TCP-UDP).
+	// IngestErrors counts frames the collector rejected (frames that
+	// failed to parse as Ethernet/IPv4/TCP-UDP).
 	IngestErrors atomic.Int64
-}
-
-// ErrUDPServeClosed marks an ingest loop that ended because its
-// transport was torn down — the connection closed under it or its
-// context was cancelled — rather than by reaching its sample budget.
-// Match it with errors.Is.
-var ErrUDPServeClosed = errors.New("planck: udp serve loop closed")
-
-// UDPCloseError is the typed teardown error of ServeUDPContext: the
-// loop stopped before its budget and this records why and how far it
-// got. It matches ErrUDPServeClosed and unwraps to the transport or
-// context error that ended the loop.
-type UDPCloseError struct {
-	// Samples is how many datagrams had been processed when the loop
-	// stopped.
-	Samples int
-	// Cause is the read or context error that ended the loop.
-	Cause error
-}
-
-// Error implements error.
-func (e *UDPCloseError) Error() string {
-	return fmt.Sprintf("planck: udp serve loop closed after %d samples: %v", e.Samples, e.Cause)
-}
-
-// Unwrap exposes the underlying transport/context error.
-func (e *UDPCloseError) Unwrap() error { return e.Cause }
-
-// Is reports true for ErrUDPServeClosed so callers can classify the
-// shutdown without naming this type.
-func (e *UDPCloseError) Is(target error) bool { return target == ErrUDPServeClosed }
-
-// serveUDP is the shared ingest loop. It returns the raw read error
-// that ended the loop (nil when the sample budget was reached); the
-// exported wrappers decide how teardown surfaces.
-func serveUDP(conn net.PacketConn, c Ingester, maxSamples int, st *UDPServeStats) (int, error) {
-	buf := make([]byte, 65536)
-	n := 0
-	var lastT Time
-	for maxSamples == 0 || n < maxSamples {
-		ln, _, err := conn.ReadFrom(buf)
-		if err != nil {
-			return n, err
-		}
-		t, frame, err := DecodeSample(buf[:ln])
-		if err != nil {
-			if st != nil {
-				st.ShortDatagrams.Add(1)
-			}
-			continue
-		}
-		if ierr := c.Ingest(t, frame); ierr != nil {
-			if st != nil {
-				if t < lastT {
-					st.TimestampRegressions.Add(1)
-				} else {
-					st.IngestErrors.Add(1)
-				}
-			}
-		} else {
-			lastT = t
-			if st != nil {
-				st.Samples.Add(1)
-			}
-		}
-		n++
-	}
-	return n, nil
-}
-
-// ServeUDP ingests encapsulated samples from conn into the collector
-// until the connection is closed or maxSamples arrive (0 = unbounded).
-// It returns the number of samples ingested. Malformed datagrams and
-// per-frame decode errors are counted by the collector, not fatal.
-// Teardown after useful work returns (n, nil); use ServeUDPContext for
-// cancellation and a typed teardown error.
-func ServeUDP(conn net.PacketConn, c Ingester, maxSamples int) (int, error) {
-	return ServeUDPObserved(conn, c, maxSamples, nil)
-}
-
-// ServeUDPObserved is ServeUDP with malformed-input accounting: when st
-// is non-nil, every datagram is classified into one of its counters as
-// it is processed, so a live deployment can watch its ingest health.
-func ServeUDPObserved(conn net.PacketConn, c Ingester, maxSamples int, st *UDPServeStats) (int, error) {
-	n, err := serveUDP(conn, c, maxSamples, st)
-	if err != nil && n > 0 {
-		return n, nil // closed after useful work
-	}
-	return n, err
 }
 
 // DefaultUDPBatch is the drain-cycle batch size ServeUDPBatched uses
@@ -333,38 +241,36 @@ func ServeUDPObserved(conn net.PacketConn, c Ingester, maxSamples int, st *UDPSe
 // cache-resident.
 const DefaultUDPBatch = 32
 
-// ServeUDPBatched is ServeUDPObserved restructured for load: instead of
-// one Ingest per datagram it blocks for the first datagram of a cycle,
-// then takes whatever else the kernel already has queued — up to batch
-// datagrams, without waiting for more — and hands the whole cycle to the
-// collector in one IngestBatch call. A cycle therefore ends the moment
-// the socket is empty: a sample is never held back to fill a batch.
-// Under a sparse stream every cycle holds one sample and behavior matches
-// ServeUDPObserved; under a dense stream the per-sample syscall remains
-// but every other per-sample cost (readiness wait, timestamp-monotonicity
-// bookkeeping, collector call overhead, sample counting) is amortized
-// across the cycle. Datagram buffers come from one preallocated ring
-// reused every cycle, so the steady-state loop performs no per-datagram
-// allocation.
+// ServeUDPBatched ingests encapsulated samples from conn into c until
+// maxSamples header-carrying datagrams have arrived (0 = unbounded) or a
+// read fails, and returns how many arrived. It blocks for the first
+// datagram of a cycle, then takes whatever else the kernel already has
+// queued — up to batch datagrams (batch <= 0 selects DefaultUDPBatch),
+// without waiting for more — and hands the whole cycle to the collector
+// in one IngestBatch call. A cycle therefore ends the moment the socket
+// is empty: a sample is never held back to fill a batch. Under a sparse
+// stream every cycle holds one sample; under a dense stream the
+// per-sample syscall remains but every other per-sample cost (readiness
+// wait, timestamp-monotonicity bookkeeping, collector call overhead,
+// sample counting) is amortized across the cycle. Datagram buffers come
+// from one preallocated ring reused every cycle, so the steady-state loop
+// performs no per-datagram allocation.
 //
 // Only a *net.UDPConn on a Unix system can be asked for a datagram
 // without waiting for one; on any other net.PacketConn a cycle is its
-// one blocking read. The loop never touches conn's read deadline, so one
-// set by the caller ends it like any other read error.
+// one blocking read.
 //
-// Accounting differences from the serial loop, both harmless to the
-// collector's end state (its own monotonicity check would reject the
-// same samples): a datagram whose timestamp regresses is counted as a
-// TimestampRegression and filtered before the collector sees it, so
-// batches stay monotone; and the regression watermark advances on
-// enqueue rather than on collector acceptance, so a decode-error frame
-// followed by an older-timestamped one classifies the latter as a
-// regression where the serial loop would count an IngestError.
+// When st is non-nil every datagram lands in one of its counters. A
+// datagram too short for the header is a ShortDatagram and does not
+// count toward maxSamples. One whose timestamp is older than the last
+// enqueued one is a TimestampRegression and is dropped before the
+// collector sees it, so every batch is monotone. Frames the collector
+// rejects are IngestErrors; the rest are Samples.
 //
-// Teardown follows ServeUDPObserved: a transport error after useful
-// work returns (n, nil), with the pending cycle flushed first. There is
-// no context variant — cancel by closing conn, exactly how
-// ServeUDPContext's AfterFunc interrupts the serial loop.
+// The loop never touches conn's read deadline: setting one (or closing
+// conn) is how a caller stops it. A read error after useful work
+// returns (n, nil), with the pending cycle flushed first; before any
+// work it returns the error.
 func ServeUDPBatched(conn net.PacketConn, c Ingester, maxSamples, batch int, st *UDPServeStats) (int, error) {
 	if batch <= 0 {
 		batch = DefaultUDPBatch
@@ -387,7 +293,7 @@ func ServeUDPBatched(conn net.PacketConn, c Ingester, maxSamples, batch int, st 
 	var lastT Time
 	// enqueue adds the datagram to the cycle. Header-carrying datagrams
 	// count toward maxSamples (even when later rejected), short ones do
-	// not — matching the serial loop's accounting.
+	// not.
 	enqueue := func(dgram []byte) {
 		t, frame, err := DecodeSample(dgram)
 		if err != nil {
@@ -485,32 +391,6 @@ func ServeUDPBatched(conn net.PacketConn, c Ingester, maxSamples, batch int, st 
 		}
 	}
 	return n, nil
-}
-
-// ServeUDPContext is the supervised form of ServeUDPObserved: ctx
-// cancellation stops the loop promptly (the in-flight read is
-// interrupted via a read deadline), and any early stop — cancellation
-// or a closed connection — is reported as a *UDPCloseError matching
-// ErrUDPServeClosed, never silently swallowed. Reaching the sample
-// budget returns (n, nil).
-func ServeUDPContext(ctx context.Context, conn net.PacketConn, c Ingester, maxSamples int, st *UDPServeStats) (int, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	stop := context.AfterFunc(ctx, func() {
-		// Interrupt the blocked ReadFrom; the loop exits with a timeout
-		// error and the context error takes precedence below.
-		conn.SetReadDeadline(time.Now())
-	})
-	defer stop()
-	n, err := serveUDP(conn, c, maxSamples, st)
-	if err == nil {
-		return n, nil
-	}
-	if ctxErr := ctx.Err(); ctxErr != nil {
-		err = ctxErr
-	}
-	return n, &UDPCloseError{Samples: n, Cause: err}
 }
 
 // NewFatTreeTestbed assembles the paper's 16-host, 20-switch fat-tree

@@ -2,11 +2,7 @@ package planck
 
 import (
 	"bytes"
-	"context"
-	"errors"
-	"net"
 	"testing"
-	"time"
 
 	packetpkg "planck/internal/packet"
 	"planck/internal/units"
@@ -85,208 +81,6 @@ func TestFacadeEstimator(t *testing.T) {
 	r, _, ok := e.Rate()
 	if !ok || r.Gigabits() < 9 {
 		t.Fatalf("rate %v ok=%v", r, ok)
-	}
-}
-
-func TestServeUDPLoopback(t *testing.T) {
-	// A live sample stream over real loopback UDP: sender encapsulates
-	// frames with the 8-byte nanosecond header, the collector ingests
-	// them and reconstructs the flow.
-	lc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lc.Close()
-
-	col := NewCollector(CollectorConfig{SwitchName: "live", LinkRate: 10 * Gbps})
-	done := make(chan int, 1)
-	const total = 500
-	// The kernel may drop datagrams under burst; bound the wait.
-	lc.SetDeadline(time.Now().Add(2 * time.Second))
-	go func() {
-		n, _ := ServeUDP(lc, col, total)
-		done <- n
-	}()
-
-	sender, err := net.Dial("udp", lc.LocalAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sender.Close()
-	var tm Time
-	var seq uint32
-	var scratch, frame []byte
-	for i := 0; i < total; i++ {
-		frame = packetpkg.BuildTCP(frame, packetpkg.TCPSpec{
-			SrcMAC: packetpkg.MAC{2, 0, 0, 0, 0, 1}, DstMAC: packetpkg.MAC{2, 0, 0, 0, 0, 2},
-			SrcIP: packetpkg.IPv4{10, 0, 0, 1}, DstIP: packetpkg.IPv4{10, 0, 0, 2},
-			SrcPort: 1000, DstPort: 2000, Seq: seq, Flags: packetpkg.TCPAck, PayloadLen: 100,
-		})
-		scratch = EncodeSample(scratch, tm, frame)
-		if _, err := sender.Write(scratch); err != nil {
-			t.Fatal(err)
-		}
-		seq += 1460
-		// 5 µs sample spacing: 500 samples span 2.5 ms, several
-		// estimation windows.
-		tm = tm.Add(Duration(5000))
-	}
-	got := <-done
-	// UDP over loopback is lossy-in-principle; accept most arriving.
-	if got < total/2 {
-		t.Fatalf("ingested %d of %d samples", got, total)
-	}
-	st := col.Stats()
-	if st.Flows != 1 {
-		t.Fatalf("flows %d", st.Flows)
-	}
-	key := packetpkg.FlowKey{
-		SrcIP: packetpkg.IPv4{10, 0, 0, 1}, DstIP: packetpkg.IPv4{10, 0, 0, 2},
-		SrcPort: 1000, DstPort: 2000, Proto: packetpkg.IPProtocolTCP,
-	}
-	if _, ok := col.FlowRate(key); !ok {
-		t.Fatal("live flow not estimated")
-	}
-}
-
-// TestServeUDPObservedMalformedAccounting sends a mix of good samples,
-// short datagrams, backwards timestamps, and unparseable frames, and
-// checks each lands in the right UDPServeStats counter.
-func TestServeUDPObservedMalformedAccounting(t *testing.T) {
-	lc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lc.Close()
-
-	col := NewCollector(CollectorConfig{SwitchName: "live", LinkRate: 10 * Gbps})
-	var st UDPServeStats
-	const total = 8
-	lc.SetDeadline(time.Now().Add(5 * time.Second))
-	done := make(chan int, 1)
-	go func() {
-		n, _ := ServeUDPObserved(lc, col, total, &st)
-		done <- n
-	}()
-
-	sender, err := net.Dial("udp", lc.LocalAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sender.Close()
-
-	frameAt := func(tm Time, seq uint32) []byte {
-		frame := packetpkg.BuildTCP(nil, packetpkg.TCPSpec{
-			SrcMAC: packetpkg.MAC{2, 0, 0, 0, 0, 1}, DstMAC: packetpkg.MAC{2, 0, 0, 0, 0, 2},
-			SrcIP: packetpkg.IPv4{10, 0, 0, 1}, DstIP: packetpkg.IPv4{10, 0, 0, 2},
-			SrcPort: 1000, DstPort: 2000, Seq: seq, Flags: packetpkg.TCPAck, PayloadLen: 100,
-		})
-		return EncodeSample(nil, tm, frame)
-	}
-	send := func(b []byte) {
-		if _, err := sender.Write(b); err != nil {
-			t.Fatal(err)
-		}
-		// Serialize sends so the loop's lastT tracking sees our order.
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	send(frameAt(Time(1000000), 0))    // good
-	send(frameAt(Time(2000000), 1460)) // good
-	send([]byte{1, 2, 3})              // short datagram (header truncated)
-	send(frameAt(Time(500000), 2920))  // timestamp regression
-	// Unparseable frame at a fresh timestamp: too short for Ethernet.
-	send(EncodeSample(nil, Time(3000000), []byte{0xde, 0xad}))
-	send(frameAt(Time(4000000), 2920)) // good
-	send(frameAt(Time(5000000), 4380)) // good
-	send(frameAt(Time(6000000), 5840)) // good
-
-	// The short datagram never counts toward maxSamples, so 8 sends
-	// yield 7 loop iterations; close the socket to end the serve loop.
-	time.Sleep(50 * time.Millisecond)
-	lc.Close()
-	<-done
-
-	if got := st.Samples.Load(); got != 5 {
-		t.Fatalf("Samples = %d, want 5", got)
-	}
-	if got := st.ShortDatagrams.Load(); got != 1 {
-		t.Fatalf("ShortDatagrams = %d, want 1", got)
-	}
-	if got := st.TimestampRegressions.Load(); got != 1 {
-		t.Fatalf("TimestampRegressions = %d, want 1", got)
-	}
-	if got := st.IngestErrors.Load(); got != 1 {
-		t.Fatalf("IngestErrors = %d, want 1", got)
-	}
-}
-
-// TestServeUDPContextCancel: cancelling the context stops an unbounded
-// serve loop promptly and reports the teardown as a typed error instead
-// of the legacy (n, nil).
-func TestServeUDPContextCancel(t *testing.T) {
-	lc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lc.Close()
-
-	col := NewCollector(CollectorConfig{SwitchName: "live", LinkRate: 10 * Gbps})
-	ctx, cancel := context.WithCancel(context.Background())
-	type result struct {
-		n   int
-		err error
-	}
-	done := make(chan result, 1)
-	go func() {
-		n, err := ServeUDPContext(ctx, lc, col, 0, nil)
-		done <- result{n, err}
-	}()
-
-	sender, err := net.Dial("udp", lc.LocalAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sender.Close()
-	frame := packetpkg.BuildTCP(nil, packetpkg.TCPSpec{
-		SrcMAC: packetpkg.MAC{2, 0, 0, 0, 0, 1}, DstMAC: packetpkg.MAC{2, 0, 0, 0, 0, 2},
-		SrcIP: packetpkg.IPv4{10, 0, 0, 1}, DstIP: packetpkg.IPv4{10, 0, 0, 2},
-		SrcPort: 1000, DstPort: 2000, Seq: 0, Flags: packetpkg.TCPAck, PayloadLen: 100,
-	})
-	// Send until the loop has visibly consumed at least one sample, then
-	// cancel mid-stream.
-	deadline := time.Now().Add(2 * time.Second)
-	for col.Stats().Samples == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("loop never consumed a sample")
-		}
-		if _, err := sender.Write(EncodeSample(nil, Time(1000000), frame)); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-
-	select {
-	case res := <-done:
-		if res.n == 0 {
-			t.Error("no samples before cancellation")
-		}
-		if !errors.Is(res.err, ErrUDPServeClosed) {
-			t.Fatalf("err = %v, want ErrUDPServeClosed", res.err)
-		}
-		var ce *UDPCloseError
-		if !errors.As(res.err, &ce) {
-			t.Fatalf("err = %T, want *UDPCloseError", res.err)
-		}
-		if ce.Samples != res.n {
-			t.Errorf("UDPCloseError.Samples = %d, want %d", ce.Samples, res.n)
-		}
-		if !errors.Is(res.err, context.Canceled) {
-			t.Errorf("cause = %v, want context.Canceled", ce.Cause)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("serve loop did not stop after cancellation")
 	}
 }
 

@@ -93,10 +93,12 @@ func TestServeUDPBatchedSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestServeUDPBatchedAccounting feeds the batched loop the malformed
-// mix the serial accounting test uses and checks each datagram lands in
-// the right counter, and that the collector's end state matches a
-// serial collector fed the same stream.
+// TestServeUDPBatchedAccounting feeds the batched loop a malformed mix
+// — short datagram, timestamp regression, unparseable frame — and checks
+// each datagram lands in the right counter, and that the collector's end
+// state matches a serial collector fed the same stream. The mix arrives
+// once through the in-memory conn (the one-datagram-per-cycle fallback)
+// and once queued on a loopback socket (the non-blocking drain).
 func TestServeUDPBatchedAccounting(t *testing.T) {
 	dgrams := [][]byte{
 		sampleDgram(Time(1000000), 0),                        // good
@@ -108,37 +110,54 @@ func TestServeUDPBatchedAccounting(t *testing.T) {
 		sampleDgram(Time(5000000), 4380),                     // good
 		sampleDgram(Time(6000000), 5840),                     // good
 	}
-	// The short datagram does not count toward the budget: 8 datagrams
-	// are 7 countable reads, exactly like the serial loop.
-	conn := &memPacketConn{dgrams: dgrams}
-	col := NewCollector(CollectorConfig{SwitchName: "batched", LinkRate: 10 * Gbps})
-	var st UDPServeStats
-	n, err := ServeUDPBatched(conn, col, 7, 4, &st)
-	if err != nil || n != 7 {
-		t.Fatalf("ServeUDPBatched = (%d, %v), want (7, nil)", n, err)
+	inputs := []struct {
+		name string
+		conn func(t *testing.T) net.PacketConn
+	}{
+		{"mem", func(*testing.T) net.PacketConn { return &memPacketConn{dgrams: dgrams} }},
+		{"loopback", func(t *testing.T) net.PacketConn {
+			lc := loopbackQueue(t, dgrams)
+			if rawUDPConn(lc) == nil {
+				t.Skip("no non-blocking socket reads on this platform")
+			}
+			lc.SetReadDeadline(time.Now().Add(2 * time.Second)) // ends the loop if the kernel dropped any
+			return lc
+		}},
 	}
-	if got := st.Samples.Load(); got != 5 {
-		t.Fatalf("Samples = %d, want 5", got)
-	}
-	if got := st.ShortDatagrams.Load(); got != 1 {
-		t.Fatalf("ShortDatagrams = %d, want 1", got)
-	}
-	if got := st.TimestampRegressions.Load(); got != 1 {
-		t.Fatalf("TimestampRegressions = %d, want 1", got)
-	}
-	if got := st.IngestErrors.Load(); got != 1 {
-		t.Fatalf("IngestErrors = %d, want 1", got)
-	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			// The short datagram does not count toward the budget: 8
+			// datagrams are 7 countable reads.
+			col := NewCollector(CollectorConfig{SwitchName: "batched", LinkRate: 10 * Gbps})
+			var st UDPServeStats
+			n, err := ServeUDPBatched(in.conn(t), col, 7, 4, &st)
+			if err != nil || n != 7 {
+				t.Fatalf("ServeUDPBatched = (%d, %v), want (7, nil)", n, err)
+			}
+			if got := st.Samples.Load(); got != 5 {
+				t.Fatalf("Samples = %d, want 5", got)
+			}
+			if got := st.ShortDatagrams.Load(); got != 1 {
+				t.Fatalf("ShortDatagrams = %d, want 1", got)
+			}
+			if got := st.TimestampRegressions.Load(); got != 1 {
+				t.Fatalf("TimestampRegressions = %d, want 1", got)
+			}
+			if got := st.IngestErrors.Load(); got != 1 {
+				t.Fatalf("IngestErrors = %d, want 1", got)
+			}
 
-	serial := NewCollector(CollectorConfig{SwitchName: "serial", LinkRate: 10 * Gbps})
-	for _, d := range dgrams {
-		if tm, frame, derr := DecodeSample(d); derr == nil {
-			_ = serial.Ingest(tm, frame)
-		}
-	}
-	if bs, ss := col.Stats(), serial.Stats(); bs.Flows != ss.Flows ||
-		bs.RateUpdates != ss.RateUpdates || bs.DecodeErrors != ss.DecodeErrors {
-		t.Fatalf("collector end state diverged\n batched: %+v\n serial:  %+v", bs, ss)
+			serial := NewCollector(CollectorConfig{SwitchName: "serial", LinkRate: 10 * Gbps})
+			for _, d := range dgrams {
+				if tm, frame, derr := DecodeSample(d); derr == nil {
+					_ = serial.Ingest(tm, frame)
+				}
+			}
+			if bs, ss := col.Stats(), serial.Stats(); bs.Flows != ss.Flows ||
+				bs.RateUpdates != ss.RateUpdates || bs.DecodeErrors != ss.DecodeErrors {
+				t.Fatalf("collector end state diverged\n batched: %+v\n serial:  %+v", bs, ss)
+			}
+		})
 	}
 }
 
@@ -215,19 +234,30 @@ func (r *recordingIngester) IngestBatch(ts []Time, _ [][]byte) error {
 // holds k sample datagrams; nothing further is sent to it.
 func queuedSocket(t *testing.T, k int) *net.UDPConn {
 	t.Helper()
+	dgrams := make([][]byte, k)
+	for i := range dgrams {
+		dgrams[i] = sampleDgram(Time(1000*(i+1)), uint32(1460*i))
+	}
+	return loopbackQueue(t, dgrams)
+}
+
+// loopbackQueue returns a loopback socket whose kernel queue already
+// holds dgrams, in order; nothing further is sent to it.
+func loopbackQueue(t *testing.T, dgrams [][]byte) *net.UDPConn {
+	t.Helper()
 	lc, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { lc.Close() })
-	_ = lc.SetReadBuffer(4 << 20) // room for the largest k used here
+	_ = lc.SetReadBuffer(4 << 20) // room for the largest queue used here
 	sender, err := net.Dial("udp", lc.LocalAddr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sender.Close()
-	for i := 0; i < k; i++ {
-		if _, err := sender.Write(sampleDgram(Time(1000*(i+1)), uint32(1460*i))); err != nil {
+	for _, d := range dgrams {
+		if _, err := sender.Write(d); err != nil {
 			t.Fatal(err)
 		}
 	}
