@@ -31,7 +31,7 @@ test: vet
 race-fast: vet
 	$(GO) test -race -timeout 25m ./internal/obs/ ./internal/core/ ./internal/sim/ ./internal/packet/ ./internal/lab/ ./internal/routing/ ./internal/governor/ ./internal/agg/ ./internal/vantagelink/ ./cmd/planck-collector/ .
 
-# The experiments suite runs ~7 min uninstrumented; give the race
+# The experiments suite runs ~5.5 min uninstrumented (2 vCPUs); give the race
 # build room beyond go test's 10-minute default.
 race: vet
 	$(GO) build ./...

@@ -160,16 +160,6 @@ func (m *EventMerger) Suppressed(link LinkKey, t units.Time) bool {
 	return ok && t.Sub(last) < m.cooldown
 }
 
-// LastEmitted returns the link's cooldown anchor: the time of its most
-// recently emitted event.
-func (m *EventMerger) LastEmitted(link LinkKey) (units.Time, bool) {
-	t, ok := m.emitted[link]
-	return t, ok
-}
-
-// Watermark returns the current emission watermark.
-func (m *EventMerger) Watermark() units.Time { return m.watermark }
-
 // Pending returns the number of buffered candidates.
 func (m *EventMerger) Pending() int { return len(m.heap) }
 

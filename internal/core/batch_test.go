@@ -127,28 +127,3 @@ func TestIngestBatchNonMonotoneFallback(t *testing.T) {
 		t.Fatalf("stats diverged\n loop:    %+v\n batched: %+v", ls, bs)
 	}
 }
-
-// TestCooldownSnapshotInto checks both snapshot forms: the caller-map
-// form clears and refills dst without allocating, and the no-arg form
-// reuses one internal scratch map across calls.
-func TestCooldownSnapshotInto(t *testing.T) {
-	c := New(equivConfig())
-	c.RestoreCooldowns(map[int]units.Time{1: units.Time(100), 3: units.Time(900)})
-
-	dst := map[int]units.Time{7: units.Time(5)} // stale entry must be cleared
-	got := c.CooldownSnapshotInto(dst)
-	if len(got) != 2 || got[1] != units.Time(100) || got[3] != units.Time(900) {
-		t.Fatalf("CooldownSnapshotInto = %v", got)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { c.CooldownSnapshotInto(dst) }); allocs > 0 {
-		t.Fatalf("CooldownSnapshotInto allocated %.1f per call with a caller map", allocs)
-	}
-
-	first := c.CooldownSnapshot()
-	if allocs := testing.AllocsPerRun(100, func() { c.CooldownSnapshot() }); allocs > 0 {
-		t.Fatalf("CooldownSnapshot allocated %.1f per call after warm-up", allocs)
-	}
-	if len(first) != 2 {
-		t.Fatalf("CooldownSnapshot = %v", first)
-	}
-}

@@ -59,15 +59,11 @@ type Config struct {
 	// Metrics, when non-nil, registers the collector's self-monitoring
 	// instruments (counters, flow-table gauge, per-stage pipeline
 	// histograms) into the registry, labelled with SwitchName, and
-	// enables stage timing. With a nil registry the counters still run
-	// (readable through Stats) but cost only a few uncontended atomic
-	// adds per sample and zero allocations.
+	// enables stage timing, which reads the monotonic clock ~6 times per
+	// sample and never affects simulation determinism. With a nil
+	// registry the counters still run (readable through Stats) but cost
+	// only a few uncontended atomic adds per sample and zero allocations.
 	Metrics *obs.Registry
-	// StageTiming enables wall-clock per-stage pipeline timing without
-	// (or in addition to) a registry. Timing reads the monotonic clock
-	// ~6 times per sample; it never affects simulation determinism,
-	// only telemetry.
-	StageTiming bool
 	// Tracer, when non-nil, assigns control-loop trace IDs to emitted
 	// congestion events and opens causal spans for them
 	// (internal/obs/trace). The sample hot path never touches it; the
@@ -274,10 +270,6 @@ type Collector struct {
 	// onPort is FlowsOnPort's scratch for the fresh flows of one port
 	// while they are put in port-list order.
 	onPort []*FlowState
-
-	// cooldownScratch backs CooldownSnapshot so periodic supervisor
-	// snapshots reuse one map instead of allocating per call.
-	cooldownScratch map[int]units.Time
 }
 
 // New creates a collector.
@@ -287,7 +279,7 @@ func New(cfg Config) *Collector {
 	if cfg.Sink != nil {
 		c.sinkBatch, _ = cfg.Sink.(BatchEndSink)
 	}
-	c.met.init(cfg.StageTiming || cfg.Metrics != nil)
+	c.met.init(cfg.Metrics != nil)
 	c.flows.probe = c.met.probeLen
 	if cfg.Metrics != nil {
 		c.register(cfg.Metrics)
@@ -419,7 +411,7 @@ func (c *Collector) Ingest(t units.Time, frame []byte) error {
 		c.syncRoutes()
 	}
 	c.met.samples.IncRelaxed()
-	err := c.ingest(t, frame, 0, nil, 0)
+	err := c.ingest(t, frame)
 	c.publishFlows()
 	if c.sinkBatch != nil {
 		c.sinkBatch.BatchEnd(t)
@@ -433,14 +425,6 @@ func (c *Collector) Ingest(t units.Time, frame []byte) error {
 // the batch's timestamps are non-decreasing (per-frame failures do not
 // stop the batch; they are summarized in a *BatchError). len(ts) must
 // equal len(frames); the frame buffers are only borrowed for the call.
-// batchProbeMinFlows gates IngestBatch's chunk-of-8 probe pipeline:
-// below this population the table's control and record lines all sit in
-// L1/L2 and the prefetch pass costs more than the misses it overlaps,
-// so small tables take the plain loop. At production populations the
-// pipeline turns a chain of dependent cache misses into ~3 overlapped
-// ones per chunk.
-const batchProbeMinFlows = 4096
-
 func (c *Collector) IngestBatch(ts []units.Time, frames [][]byte) error {
 	n := len(ts)
 	if len(frames) < n {
@@ -459,67 +443,25 @@ func (c *Collector) IngestBatch(ts []units.Time, frames [][]byte) error {
 	for i := 1; mono && i < n; i++ {
 		mono = ts[i] >= ts[i-1]
 	}
-	var be *BatchError
 	if mono {
 		// No frame can hit the timestamp check, so the whole batch counts
 		// as samples up front with one counter write.
 		c.met.samples.AddRelaxed(int64(n))
-		if c.flows.Len() >= batchProbeMinFlows {
-			// Chunk-of-8 probe pipeline: pass 1 hashes each frame and
-			// probes its home control window plus first candidate record,
-			// so the chunk's cache misses overlap instead of serializing
-			// behind one another; pass 2 ingests with the hash and
-			// candidate as hints. Hints stay sound within the batch:
-			// records never move and expiry never runs mid-batch, and
-			// every hint is re-verified against the frame's 5-tuple
-			// before use.
-			var (
-				hs    [8]uint64
-				hint  [8]*FlowState
-				hHash [8]uint32
-			)
-			for base := 0; base < n; base += len(hs) {
-				m := min(len(hs), n-base)
-				for j := range m {
-					h, ok := flowHash(frames[base+j])
-					if !ok {
-						h = 0
-					}
-					hs[j] = h
-					hint[j], hHash[j] = nil, 0
-					if h != 0 {
-						hint[j], hHash[j], _ = c.flows.probeFirst(h)
-					}
-				}
-				for j := range m {
-					i := base + j
-					if err := c.ingest(ts[i], frames[i], hs[j], hint[j], hHash[j]); err != nil {
-						if be == nil {
-							be = &BatchError{Index: i, Err: err}
-						}
-						be.Failed++
-					}
-				}
-			}
+	}
+	var be *BatchError
+	for i := 0; i < n; i++ {
+		var err error
+		if mono {
+			err = c.ingest(ts[i], frames[i])
 		} else {
-			for i := 0; i < n; i++ {
-				if err := c.ingest(ts[i], frames[i], 0, nil, 0); err != nil {
-					if be == nil {
-						be = &BatchError{Index: i, Err: err}
-					}
-					be.Failed++
-				}
-			}
+			// The slow path goes through Ingest, which fires BatchEnd itself.
+			err = c.Ingest(ts[i], frames[i])
 		}
-	} else {
-		// The slow path goes through Ingest, which fires BatchEnd itself.
-		for i := 0; i < n; i++ {
-			if err := c.Ingest(ts[i], frames[i]); err != nil {
-				if be == nil {
-					be = &BatchError{Index: i, Err: err}
-				}
-				be.Failed++
+		if err != nil {
+			if be == nil {
+				be = &BatchError{Index: i, Err: err}
 			}
+			be.Failed++
 		}
 	}
 	c.publishFlows()
@@ -534,14 +476,7 @@ func (c *Collector) IngestBatch(ts []units.Time, frames [][]byte) error {
 
 // ingest is the hot path shared by Ingest and IngestBatch: the
 // timestamp has been validated and the sample counted by the caller.
-// h is the precomputed flow hash (0 = compute here). hint, when
-// non-nil, is a candidate record from a batch prefetch pass (with
-// hintHash its slot's hash word); it is fully re-verified before use,
-// so a wrong or stale hint costs only the comparison. Hints are only
-// sound while the record cannot be removed — IngestBatch's chunk-local
-// prefetch satisfies this because expiry never runs mid-batch and
-// records never move.
-func (c *Collector) ingest(t units.Time, frame []byte, h uint64, hint *FlowState, hintHash uint32) error {
+func (c *Collector) ingest(t units.Time, frame []byte) error {
 	c.now = t
 	// Every frame moves the clock, whether or not it reaches the flow
 	// table, so staleness is settled here.
@@ -585,7 +520,7 @@ func (c *Collector) ingest(t units.Time, frame []byte, h uint64, hint *FlowState
 	if !c.dec.Has(packet.LayerTCP) {
 		c.met.nonTCP.IncRelaxed()
 		if c.cfg.UDPSeqEnabled && c.dec.Has(packet.LayerUDP) {
-			c.ingestUDP(t, frame, h)
+			c.ingestUDP(t, frame)
 		}
 		if timed {
 			c.met.ingest.Observe(obs.Nanos() - start)
@@ -600,23 +535,13 @@ func (c *Collector) ingest(t units.Time, frame []byte, h uint64, hint *FlowState
 	// bytes in the resident record.
 	a := binary.NativeEndian.Uint64(frame[packet.EthernetHeaderLen+12 : packet.EthernetHeaderLen+20])
 	sp, dp := c.dec.TCP.SrcPort, c.dec.TCP.DstPort
-	if h == 0 {
-		// Equivalent to HashFlowKey of the 5-tuple, spelled out because
-		// that call exceeds the inlining budget while mixFlowHash fits.
-		h = mixFlowHash(a, uint64(sp)<<24|uint64(dp)<<8|uint64(c.dec.IP.Protocol))
-	}
-	// A batch hint that survives the same verification LookupScalar
-	// performs is the record — the probe is already paid for. Otherwise
+	// Equivalent to HashFlowKey of the 5-tuple, spelled out because
+	// that call exceeds the inlining budget while mixFlowHash fits.
+	h := mixFlowHash(a, uint64(sp)<<24|uint64(dp)<<8|uint64(c.dec.IP.Protocol))
 	// LookupScalar probes without materialising a FlowKey; GetOrInsert
 	// (the rare insert) builds one and does not inline.
-	var f *FlowState
+	f := c.flows.LookupScalar(h, a, sp, dp, c.dec.IP.Protocol)
 	inserted := false
-	if hint != nil && hintHash == uint32(h) && keyFirstWord(&hint.Key) == a &&
-		hint.Key.SrcPort == sp && hint.Key.DstPort == dp && hint.Key.Proto == c.dec.IP.Protocol {
-		f = hint
-	} else {
-		f = c.flows.LookupScalar(h, a, sp, dp, c.dec.IP.Protocol)
-	}
 	if f == nil {
 		f, inserted = c.flows.GetOrInsert(h, packet.FlowKey{
 			SrcIP: c.dec.IP.Src, DstIP: c.dec.IP.Dst,
@@ -708,8 +633,7 @@ func (c *Collector) sinkReport(t units.Time, f *FlowState, rateUpdated bool) {
 
 // ingestUDP estimates UDP flow throughput from an application-level
 // packet counter embedded in the payload (§3.2.2's generalization).
-// h is the precomputed flow hash (0 = compute here).
-func (c *Collector) ingestUDP(t units.Time, frame []byte, h uint64) {
+func (c *Collector) ingestUDP(t units.Time, frame []byte) {
 	off := packet.EthernetHeaderLen + c.dec.IP.HeaderLen() + packet.UDPHeaderLen + c.cfg.UDPSeqOffset
 	if off < 0 || off+4 > len(frame) {
 		// A negative offset can only come from a mis-set UDPSeqOffset, but
@@ -722,10 +646,7 @@ func (c *Collector) ingestUDP(t units.Time, frame []byte, h uint64) {
 	if !ok {
 		return
 	}
-	if h == 0 {
-		h = HashFlowKey(key)
-	}
-	f, inserted := c.flows.GetOrInsert(h, key)
+	f, inserted := c.flows.GetOrInsert(HashFlowKey(key), key)
 	if inserted {
 		f.FirstSeen = t
 		f.outPort = -1
@@ -937,43 +858,14 @@ func (c *Collector) checkCongestion(t units.Time, f *FlowState) {
 	}
 }
 
-// CooldownSnapshot returns the last congestion-event time per port,
-// omitting ports that never fired. A supervisor captures this after
-// every delivered event so that a replacement collector can be seeded
-// with RestoreCooldowns and not re-fire events the controller has
-// already acted on.
-//
-// The returned map is an internal scratch reused by the next
-// CooldownSnapshot call on this collector — copy it (or use
-// CooldownSnapshotInto with your own map) to retain it across calls.
-func (c *Collector) CooldownSnapshot() map[int]units.Time {
-	c.cooldownScratch = c.CooldownSnapshotInto(c.cooldownScratch)
-	return c.cooldownScratch
-}
-
-// CooldownSnapshotInto is CooldownSnapshot writing into dst (cleared
-// first), so periodic snapshotters stop allocating a map per call. A
-// nil dst allocates one. Returns dst.
-func (c *Collector) CooldownSnapshotInto(dst map[int]units.Time) map[int]units.Time {
-	if dst == nil {
-		dst = make(map[int]units.Time, len(c.lastEvent))
-	} else {
-		clear(dst)
-	}
-	for p, t := range c.lastEvent {
-		if t > -1<<62 {
-			dst[p] = t
-		}
-	}
-	return dst
-}
-
-// RestoreCooldowns seeds per-port event cooldowns from a snapshot taken
-// on a previous incarnation of this collector. For each port the later
-// of the current and restored time wins, so restoring is idempotent and
-// never un-fires a cooldown. Call it before the first Ingest of a
-// restarted collector: replayed or re-synced samples that would re-fire
-// an event inside EventCooldown of the snapshot are then suppressed.
+// RestoreCooldowns seeds per-port event cooldowns from the last
+// congestion-event time per port of a previous incarnation of this
+// collector, as a supervisor records them from delivered events. For
+// each port the later of the current and restored time wins, so
+// restoring is idempotent and never un-fires a cooldown. Call it before
+// the first Ingest of a restarted collector: replayed or re-synced
+// samples that would re-fire an event inside EventCooldown of a
+// restored time are then suppressed.
 func (c *Collector) RestoreCooldowns(snap map[int]units.Time) {
 	for p, t := range snap {
 		if p >= 0 && p < len(c.lastEvent) && t > c.lastEvent[p] {

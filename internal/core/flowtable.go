@@ -8,8 +8,8 @@ package core
 // dereference per sample; here a lookup is one folded-multiply hash
 // plus a single 8-slot group probe that resolves in one word-wide
 // compare for resident flows, and the hash itself is computed once per
-// sample and shared between IngestBatch's prefetch pass and the probe
-// (see flowHash). This is the same design pressure NetFlow-style
+// sample, inline from the decoded frame's bytes, and feeds both the
+// probe and any insert. This is the same design pressure NetFlow-style
 // collectors face: per-packet flow-record cost dominates, so the table
 // is the hot path.
 //
@@ -114,21 +114,16 @@ func matchZeroBytes(w uint64) uint64 {
 // operands feed a widening multiply whose halves are XORed, giving full
 // avalanche — the table's mask-indexing and the control tag's top bits
 // both see well-mixed bits even for flow populations with correlated
-// low bytes (sequential ports, sequential addresses). The result is never zero: zero is reserved as the "hash
-// not precomputed" sentinel carried through the batch pipeline.
+// low bytes (sequential ports, sequential addresses).
 func mixFlowHash(a, b uint64) uint64 {
 	hi, lo := bits.Mul64(a^hashC1, b^hashC2)
-	h := hi ^ lo
-	if h == 0 {
-		h = hashC1
-	}
-	return h
+	return hi ^ lo
 }
 
 // HashFlowKey hashes a decoded 5-tuple for FlowTable addressing. It is
-// bit-identical to flowHash over the raw frame bytes of the same tuple,
-// so key-based query paths (FlowRate, Flow) find records inserted from
-// frame bytes.
+// bit-identical to the hash ingest computes from the raw frame bytes of
+// the same tuple, so key-based query paths (FlowRate, Flow) find records
+// inserted from frame bytes.
 //
 // The address word is read with one unsafe 8-byte load of the key's
 // first two fields (SrcIP and DstIP are adjacent wire-order byte
@@ -142,37 +137,6 @@ func HashFlowKey(k packet.FlowKey) uint64 {
 	return mixFlowHash(
 		*(*uint64)(unsafe.Pointer(&k)),
 		uint64(k.SrcPort)<<24|uint64(k.DstPort)<<8|uint64(k.Proto))
-}
-
-// flowHash computes the same hash as HashFlowKey straight from raw
-// frame bytes, without a full decode — IngestBatch's per-sample
-// prefetch peek. ok is false when the frame carries no recognizable
-// IPv4 TCP/UDP transport flow (such frames hold no flow-table state).
-func flowHash(frame []byte) (uint64, bool) {
-	if len(frame) < packet.EthernetHeaderLen+packet.IPv4MinHeaderLen {
-		return 0, false
-	}
-	if frame[12] != 0x08 || frame[13] != 0x00 {
-		return 0, false
-	}
-	ip := frame[packet.EthernetHeaderLen:]
-	if ip[0]>>4 != 4 {
-		return 0, false
-	}
-	ihl := int(ip[0]&0x0f) * 4
-	if ihl < packet.IPv4MinHeaderLen || len(ip) < ihl+4 {
-		return 0, false
-	}
-	proto := ip[9]
-	if proto != uint8(packet.IPProtocolTCP) && proto != uint8(packet.IPProtocolUDP) {
-		return 0, false
-	}
-	// Native-order read of src ‖ dst — the same bytes HashFlowKey loads
-	// from the key struct, interpreted identically.
-	a := binary.NativeEndian.Uint64(ip[12:20])
-	sp := uint64(ip[ihl])<<8 | uint64(ip[ihl+1])
-	dp := uint64(ip[ihl+2])<<8 | uint64(ip[ihl+3])
-	return mixFlowHash(a, sp<<24|dp<<8|uint64(proto)), true
 }
 
 // flowSlot is one probe-array entry: the low 32 bits of the record's
@@ -303,66 +267,6 @@ func (t *FlowTable) lookupCold(h, a uint64, sp, dp uint16, proto packet.IPProtoc
 		i = (i + groupWidth) & mask
 	}
 	return nil
-}
-
-// probeFirst warms the probe path for h and returns the home group's
-// first tag candidate (with its cached slot hash), or nil. One call
-// touches exactly the memory a subsequent Lookup of the same hash needs
-// — the control word, the candidate slot, and the candidate record's
-// key line — so a batch of 8 probeFirst calls pipelines up to 24 cache
-// misses that a serial Lookup loop would take back to back. The caller
-// must still verify the candidate (slot hash == low word of h, and key
-// match): the tag is 7 bits and only the first candidate is returned.
-func (t *FlowTable) probeFirst(h uint64) (f *FlowState, slotHash uint32, key packet.FlowKey) {
-	if t.count == 0 {
-		return nil, 0, key
-	}
-	i := h & t.mask
-	diff := binary.LittleEndian.Uint64(t.ctrl[i:]) ^ (ctrlLoBits * uint64(ctrlTag(uint32(h))))
-	if m := matchZeroBytes(diff); m != 0 {
-		s := t.slots[(i+uint64(bits.TrailingZeros64(m))>>3)&t.mask]
-		f = t.record(s.ref)
-		// Reading the key here pulls the slab record's first cache line
-		// — the line Lookup's key compare and ingest's field updates hit.
-		return f, s.hash, f.Key
-	}
-	return nil, 0, key
-}
-
-// LookupBatch resolves keys[i] (hashed as hs[i]) into out[i] for
-// i < min(len(hs), len(keys), len(out)), equivalent to calling Lookup
-// element-wise, and returns how many elements it resolved. It processes
-// groupWidth keys at a time in two passes — probe all control groups
-// and candidate records first, then verify — so the cache misses of a
-// decoded batch overlap instead of serializing. Mutating the table
-// between the call and use of the results follows the same rules as
-// Lookup.
-func (t *FlowTable) LookupBatch(hs []uint64, keys []packet.FlowKey, out []*FlowState) int {
-	n := min(len(hs), len(keys), len(out))
-	var (
-		cand  [groupWidth]*FlowState
-		cHash [groupWidth]uint32
-		cKey  [groupWidth]packet.FlowKey
-	)
-	for base := 0; base < n; base += groupWidth {
-		m := min(groupWidth, n-base)
-		for j := range m {
-			cand[j], cHash[j], cKey[j] = t.probeFirst(hs[base+j])
-		}
-		for j := range m {
-			h, k := hs[base+j], keys[base+j]
-			if f := cand[j]; f != nil && cHash[j] == uint32(h) && cKey[j] == k {
-				out[base+j] = f
-			} else {
-				// The warmed first candidate missed. Re-run the full probe
-				// from the home window: the key may still live behind a
-				// colliding tag in the same window, so skipping straight to
-				// the cold continuation would lose it.
-				out[base+j] = t.LookupScalar(h, keyFirstWord(&k), k.SrcPort, k.DstPort, k.Proto)
-			}
-		}
-	}
-	return n
 }
 
 // GetOrInsert returns the record for (h, k), creating it when absent.

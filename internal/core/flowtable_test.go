@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"planck/internal/packet"
+	"planck/internal/units"
 )
 
 // ftKey draws from a deliberately small key space (~2k distinct keys)
@@ -204,63 +205,6 @@ func TestFlowTableBackwardShiftWrapAround(t *testing.T) {
 	}
 }
 
-// TestFlowTableLookupBatchEquivalence pins the batch probe's contract:
-// LookupBatch over any slice of (hash, key) pairs — hits, misses,
-// duplicates, chunks that are not a multiple of the group width — is
-// element-wise identical to calling Lookup, across table states from
-// empty through grown and churned.
-func TestFlowTableLookupBatchEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	var tab FlowTable
-	oracle := map[packet.FlowKey]*FlowState{}
-	var live []packet.FlowKey
-
-	checkBatch := func(stage string) {
-		for _, n := range []int{0, 1, 3, 8, 13, 64, 200} {
-			keys := make([]packet.FlowKey, n)
-			hs := make([]uint64, n)
-			out := make([]*FlowState, n)
-			for i := range keys {
-				keys[i] = ftKey(rng) // small key space: mixes hits and misses
-				hs[i] = HashFlowKey(keys[i])
-			}
-			if got := tab.LookupBatch(hs, keys, out); got != n {
-				t.Fatalf("%s n=%d: LookupBatch resolved %d", stage, n, got)
-			}
-			for i := range keys {
-				if want := tab.Lookup(hs[i], keys[i]); out[i] != want {
-					t.Fatalf("%s n=%d i=%d: LookupBatch(%v) = %p, Lookup = %p",
-						stage, n, i, keys[i], out[i], want)
-				}
-				if out[i] != oracle[keys[i]] {
-					t.Fatalf("%s n=%d i=%d: batch result for %v disagrees with oracle", stage, n, i, keys[i])
-				}
-			}
-		}
-	}
-
-	checkBatch("empty")
-	for i := 0; i < 1200; i++ {
-		k := ftKey(rng)
-		if _, ok := oracle[k]; !ok {
-			f, _ := tab.GetOrInsert(HashFlowKey(k), k)
-			oracle[k] = f
-			live = append(live, k)
-		}
-	}
-	checkBatch("grown")
-	for i := 0; i < 600 && len(live) > 0; i++ { // churn: backward-shift deletions
-		j := rng.Intn(len(live))
-		k := live[j]
-		tab.Remove(oracle[k])
-		delete(oracle, k)
-		live[j] = live[len(live)-1]
-		live = live[:len(live)-1]
-	}
-	checkBatch("churned")
-	checkCtrlInvariants(t, &tab)
-}
-
 // TestFlowTableProbeP99UnderChurn holds the probe-length distribution
 // to a bound after sustained insert/remove churn at the table's
 // steady-state load. Backward-shift deletion leaves no tombstones, so
@@ -329,10 +273,10 @@ func TestFlowTableProbeP99UnderChurn(t *testing.T) {
 	checkCtrlInvariants(t, &tab)
 }
 
-// TestFlowHashMatchesKeyHash checks the contract that lets one hash
-// serve both IngestBatch's prefetch pass and the table: for any frame the decoder
-// extracts a flow from, flowHash over the raw bytes equals HashFlowKey
-// over the decoded key.
+// TestFlowHashMatchesKeyHash checks the contract that lets ingest hash
+// straight from frame bytes while key-based queries hash the decoded
+// key: after ingesting each transport frame (UDP with UDPSeqEnabled),
+// Flow over the decoded key finds the record the frame created.
 func TestFlowHashMatchesKeyHash(t *testing.T) {
 	frames := [][]byte{
 		packet.BuildTCP(nil, packet.TCPSpec{
@@ -348,33 +292,25 @@ func TestFlowHashMatchesKeyHash(t *testing.T) {
 			SrcPort: 4000, DstPort: 4001, PayloadLen: 400, Seq: 7, HasSeq: true,
 		}),
 	}
+	c := New(Config{SwitchName: "sw0", NumPorts: 4, LinkRate: units.Rate10G, UDPSeqEnabled: true})
 	for i, fr := range frames {
-		h, ok := flowHash(fr)
-		if !ok {
-			t.Fatalf("frame %d: flowHash rejected a transport frame", i)
+		if err := c.Ingest(units.Time(i+1), fr); err != nil {
+			t.Fatalf("frame %d: ingest: %v", i, err)
 		}
 		var dec packet.Decoded
 		if err := dec.Decode(fr); err != nil {
 			t.Fatalf("frame %d: decode: %v", i, err)
 		}
-		key, okK := dec.Flow()
-		if !okK {
+		key, ok := dec.Flow()
+		if !ok {
 			t.Fatalf("frame %d: decoder extracted no flow", i)
 		}
-		if kh := HashFlowKey(key); kh != h {
-			t.Fatalf("frame %d: flowHash %#x != HashFlowKey %#x for %v", i, h, kh, key)
+		if f := c.Flow(key); f == nil || f.Key != key {
+			t.Fatalf("frame %d: Flow(%v) = %v after ingest", i, key, f)
 		}
 	}
-
-	arp := packet.BuildARP(nil, packet.ARPSpec{
-		SrcMAC: macA, DstMAC: macB, Op: packet.ARPRequest,
-		SenderMAC: macA, SenderIP: ipA, TargetIP: ipB,
-	})
-	if _, ok := flowHash(arp); ok {
-		t.Fatal("flowHash accepted an ARP frame")
-	}
-	if _, ok := flowHash(frames[0][:20]); ok {
-		t.Fatal("flowHash accepted a truncated frame")
+	if n := c.flows.Len(); n != len(frames) {
+		t.Fatalf("%d records after %d distinct flows", n, len(frames))
 	}
 }
 
@@ -396,8 +332,12 @@ func TestFlowHashDispersesCorrelatedFlows(t *testing.T) {
 			SrcPort: uint16(1000 + i), DstPort: 2000,
 			Flags: packet.TCPAck, PayloadLen: 1460,
 		})
-		h, _ := flowHash(f)
-		counts[h&3]++
+		var dec packet.Decoded
+		if err := dec.Decode(f); err != nil {
+			t.Fatal(err)
+		}
+		key, _ := dec.Flow()
+		counts[HashFlowKey(key)&3]++
 	}
 	busiest, used := 0, 0
 	for _, c := range counts {

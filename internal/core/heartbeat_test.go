@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"planck/internal/units"
@@ -62,25 +63,23 @@ func TestHeartbeatDefaults(t *testing.T) {
 	}
 }
 
-func TestCooldownSnapshotRestore(t *testing.T) {
-	cfg := Config{SwitchName: "sw", NumPorts: 4, LinkRate: units.Rate1G}
-	c1 := New(cfg)
-	c1.lastEvent[2] = hbms(50)
-	snap := c1.CooldownSnapshot()
-	if len(snap) != 1 || snap[2] != hbms(50) {
-		t.Fatalf("snapshot = %v, want {2: 50ms}", snap)
+// TestRestoreCooldowns seeds a restarted collector's per-port cooldowns
+// from the event times its predecessor fired at.
+func TestRestoreCooldowns(t *testing.T) {
+	c := New(Config{SwitchName: "sw", NumPorts: 4, LinkRate: units.Rate1G})
+	c.lastEvent[1] = hbms(60)
+	c.lastEvent[2] = hbms(10) // earlier than the restored time: restore must win
+	c.RestoreCooldowns(map[int]units.Time{2: hbms(50)})
+	if c.lastEvent[2] != hbms(50) {
+		t.Errorf("restore should take the later time: got %v", c.lastEvent[2])
 	}
-
-	c2 := New(cfg)
-	c2.lastEvent[1] = hbms(60)
-	c2.lastEvent[2] = hbms(10) // earlier than snapshot: restore must win
-	c2.RestoreCooldowns(snap)
-	if c2.lastEvent[2] != hbms(50) {
-		t.Errorf("restore should take the later time: got %v", c2.lastEvent[2])
-	}
-	if c2.lastEvent[1] != hbms(60) {
-		t.Errorf("restore must not regress unrelated ports: got %v", c2.lastEvent[1])
+	if c.lastEvent[1] != hbms(60) {
+		t.Errorf("restore must not regress unrelated ports: got %v", c.lastEvent[1])
 	}
 	// Out-of-range ports are ignored, not a panic.
-	c2.RestoreCooldowns(map[int]units.Time{-1: hbms(1), 99: hbms(1)})
+	before := slices.Clone(c.lastEvent)
+	c.RestoreCooldowns(map[int]units.Time{-1: hbms(1), 99: hbms(1)})
+	if !slices.Equal(c.lastEvent, before) {
+		t.Errorf("out-of-range restore changed cooldowns: %v, was %v", c.lastEvent, before)
+	}
 }

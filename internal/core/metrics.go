@@ -83,14 +83,6 @@ func (c *Collector) register(r *obs.Registry) {
 	}
 }
 
-// StageTimings returns the per-stage wall-clock histograms (decode,
-// flow-table, estimate, utilization, dispatch) or nils when timing is
-// disabled. Exposed for tests and embedders that bypass a Registry.
-func (c *Collector) StageTimings() (decode, flowTable, estimate, util, dispatch *obs.Histogram) {
-	m := &c.met
-	return m.stageDecode, m.stageFlowTable, m.stageEstimate, m.stageUtil, m.stageDispatch
-}
-
 // IngestTimings returns the whole-Ingest wall-clock histogram
 // (nanoseconds per sample), or nil when timing is disabled.
 func (c *Collector) IngestTimings() *obs.Histogram { return c.met.ingest }

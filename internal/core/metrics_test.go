@@ -57,31 +57,19 @@ func TestCollectorRegistersMetrics(t *testing.T) {
 			t.Fatalf("exposition missing %q:\n%s", name, text)
 		}
 	}
-}
-
-// TestCollectorStageTimingWithoutRegistry: StageTiming alone populates
-// the histograms for embedders that bypass a registry.
-func TestCollectorStageTimingWithoutRegistry(t *testing.T) {
-	c := New(Config{
-		SwitchName:  "sw0",
-		NumPorts:    4,
-		LinkRate:    units.Rate10G,
-		StageTiming: true,
-	})
-	c.SetPortMapper(staticMapper{macB.U64(): 2})
-	driveCollector(t, c, 500)
-
-	decode, flowTable, estimate, _, _ := c.StageTimings()
-	if decode.N() == 0 || flowTable.N() == 0 || estimate.N() == 0 {
-		t.Fatalf("stage counts decode=%d flowTable=%d estimate=%d, want all > 0",
-			decode.N(), flowTable.N(), estimate.N())
+	// The stage histograms fill from every sample that reaches them.
+	count := map[string]float64{}
+	for _, p := range reg.Snapshot() {
+		count[p.Name] = p.Value
+	}
+	for _, stage := range []string{"decode", "flow_table", "estimate"} {
+		if n := count[`planck_collector_stage_`+stage+`_ns{switch="sw0"}`]; n == 0 {
+			t.Fatalf("stage %s histogram is empty after 2001 samples", stage)
+		}
 	}
 	tm := c.IngestTimings()
-	if tm == nil || tm.N() != 501 {
-		t.Fatalf("ingest timings N = %v, want 501", tm.N())
-	}
-	if tm.Min() < 0 || tm.Median() <= 0 {
-		t.Fatalf("implausible ingest timing: min=%v median=%v", tm.Min(), tm.Median())
+	if tm.N() != 2001 || tm.Min() < 0 || tm.Median() <= 0 {
+		t.Fatalf("implausible ingest timing: n=%d min=%v median=%v", tm.N(), tm.Min(), tm.Median())
 	}
 }
 
@@ -118,8 +106,8 @@ func TestCollectorStatsMatchesMetrics(t *testing.T) {
 // TestFlowGaugeTracksTable: Stats().Flows reads a gauge published once
 // per call rather than once per insert, so whenever an Ingest,
 // IngestBatch or ExpireFlows call returns it must equal the table's
-// length — after the plain batch loop, the prefetching one (tables of
-// batchProbeMinFlows and more), the non-monotone fallback and an expiry.
+// length — after small and large (4,096-flow) batches, the non-monotone
+// fallback and an expiry.
 func TestFlowGaugeTracksTable(t *testing.T) {
 	c := newTestCollector()
 	var now units.Time
@@ -156,16 +144,16 @@ func TestFlowGaugeTracksTable(t *testing.T) {
 	}
 	batch(300, false)
 	check("a batch of 300 inserts", 300)
-	batch(batchProbeMinFlows, false)
+	batch(4096, false)
 	batch(500, false)
-	check("a prefetched batch of 500 inserts", 300+batchProbeMinFlows+500)
+	check("a batch of 500 inserts on a large table", 300+4096+500)
 	batch(50, true) // out of order: the first frame is ingested, the rest refused
-	check("a non-monotone batch", 300+batchProbeMinFlows+501)
+	check("a non-monotone batch", 300+4096+501)
 	if err := c.Ingest(now, newFlow()); err != nil {
 		t.Fatal(err)
 	}
-	check("one Ingest", 300+batchProbeMinFlows+502)
-	total := 300 + batchProbeMinFlows + 502
+	check("one Ingest", 300+4096+502)
+	total := 300 + 4096 + 502
 	n := c.ExpireFlows(now, 600) // the 500-flow batch and what followed stay
 	check("an expiry", total-n)
 	if n == 0 || n == total {

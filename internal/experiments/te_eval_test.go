@@ -3,6 +3,9 @@ package experiments
 import (
 	"testing"
 
+	"planck/internal/lab"
+	"planck/internal/te"
+	"planck/internal/topo"
 	"planck/internal/units"
 )
 
@@ -66,5 +69,24 @@ func TestFig14ShuffleCell(t *testing.T) {
 	}
 	if res.HostCompletion.N() != 16 {
 		t.Fatalf("host completions %d", res.HostCompletion.N())
+	}
+}
+
+// TestPlanckTEReproduciblePerSeed runs one seeded stride several times
+// with PlanckTE attached. Every run must reroute the same flows and
+// read the same goodput: no TE decision may hang on map iteration
+// order.
+func TestPlanckTEReproduciblePerSeed(t *testing.T) {
+	run := func() (float64, int64) {
+		l := mustLab(lab.Options{Net: topo.FatTree16(units.Rate10G), Mirror: true, Seed: 1})
+		app := te.NewPlanckTE(l.Ctrl, te.DefaultPlanckTEConfig())
+		res := RunWorkloadOn(l, WorkloadStride, 2<<20, 1, 10*units.Duration(units.Second))
+		return res.AvgGoodput().Gigabits(), app.Reroutes
+	}
+	g0, r0 := run()
+	for i := 1; i < 3; i++ {
+		if g, r := run(); g != g0 || r != r0 {
+			t.Fatalf("run %d: %.4f Gbps with %d reroutes; run 0: %.4f Gbps with %d reroutes", i, g, r, g0, r0)
+		}
 	}
 }

@@ -496,19 +496,7 @@ func (l *Lab) buildAggPlane() {
 	// deliverer gated by the fault schedule's partition and delay
 	// windows; otherwise a direct synchronous handoff.
 	if opts.Supervise != nil {
-		send := func(now units.Time, ev core.CongestionEvent) error {
-			sched := l.Faults
-			if sched.PartitionActive(now) {
-				return errPartitioned
-			}
-			if d := sched.ChannelDelay(now); d > 0 {
-				l.Eng.After(d, sim.Callback(func(units.Time) { l.Ctrl.DeliverEvent(ev) }), nil)
-				return nil
-			}
-			l.Ctrl.DeliverEvent(ev)
-			return nil
-		}
-		del := controller.NewSimDeliverer(l.Eng, opts.Supervise.Backoff, opts.Seed+0x5eed, send, nil)
+		del := controller.NewSimDeliverer(l.Eng, opts.Supervise.Backoff, opts.Seed+0x5eed, l.sendEvent, nil)
 		del.Tracer = opts.Tracer
 		l.Agg.Subscribe(func(ev core.CongestionEvent) {
 			now := l.Eng.Now()

@@ -48,9 +48,26 @@ type supEvent struct {
 	ev  core.CongestionEvent
 }
 
-// errPartitioned is what the supervisor's transport reports while a
-// controller partition window is active; the Deliverer retries it.
+// errPartitioned is what sendEvent reports while a controller
+// partition window is active; the Deliverer retries it.
 var errPartitioned = errors.New("lab: controller channel partitioned")
+
+// sendEvent is the controller event channel every supervised deliverer
+// sends through: it fails while partitioned, defers through an engine
+// timer while a channel-delay window is active, and otherwise hands ev
+// to the controller synchronously.
+func (l *Lab) sendEvent(now units.Time, ev core.CongestionEvent) error {
+	sched := l.Faults
+	if sched.PartitionActive(now) {
+		return errPartitioned
+	}
+	if d := sched.ChannelDelay(now); d > 0 {
+		l.Eng.After(d, sim.Callback(func(units.Time) { l.Ctrl.DeliverEvent(ev) }), nil)
+		return nil
+	}
+	l.Ctrl.DeliverEvent(ev)
+	return nil
+}
 
 // Supervisor is the per-switch supervision loop of the robustness
 // layer: it watches the collector feed with a heartbeat, restarts
@@ -127,22 +144,7 @@ func newSupervisor(l *Lab, s int, node *CollectorNode, cfg SupervisorConfig, est
 		sup.cooldown = 250 * units.Microsecond
 	}
 
-	// Event transport: fail while partitioned (the Deliverer retries),
-	// defer through an engine timer while a channel-delay window is
-	// active, otherwise hand to the controller synchronously.
-	send := func(now units.Time, ev core.CongestionEvent) error {
-		sched := l.Faults
-		if sched.PartitionActive(now) {
-			return errPartitioned
-		}
-		if d := sched.ChannelDelay(now); d > 0 {
-			l.Eng.After(d, sim.Callback(func(units.Time) { l.Ctrl.DeliverEvent(ev) }), nil)
-			return nil
-		}
-		l.Ctrl.DeliverEvent(ev)
-		return nil
-	}
-	sup.del = controller.NewSimDeliverer(l.Eng, cfg.Backoff, cfg.Seed, send, nil)
+	sup.del = controller.NewSimDeliverer(l.Eng, cfg.Backoff, cfg.Seed, l.sendEvent, nil)
 	sup.del.Tracer = l.opts.Tracer
 
 	// Graceful-degradation estimator: the sFlow side of the shared

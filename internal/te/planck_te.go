@@ -10,6 +10,10 @@
 package te
 
 import (
+	"bytes"
+	"cmp"
+	"slices"
+
 	"planck/internal/controller"
 	"planck/internal/core"
 	"planck/internal/packet"
@@ -105,6 +109,8 @@ type PlanckTE struct {
 	snap *routing.Snapshot
 
 	view map[packet.FlowKey]*flowView
+	// order is refreshView's scratch for the view in key order.
+	order []*flowView
 
 	// Reroutes counts route-change actuations issued.
 	Reroutes int64
@@ -189,7 +195,21 @@ func (t *PlanckTE) refreshView(now units.Time) {
 	}
 	t.expire(now)
 	t.refreshDemands()
+	// Each move changes linkLoad for the flows after it, so the pass
+	// visits flows in key order: the same seed makes the same moves.
+	t.order = t.order[:0]
 	for _, fv := range t.view {
+		t.order = append(t.order, fv)
+	}
+	slices.SortFunc(t.order, func(a, b *flowView) int {
+		return cmp.Or(
+			bytes.Compare(a.key.SrcIP[:], b.key.SrcIP[:]),
+			bytes.Compare(a.key.DstIP[:], b.key.DstIP[:]),
+			cmp.Compare(a.key.SrcPort, b.key.SrcPort),
+			cmp.Compare(a.key.DstPort, b.key.DstPort),
+			cmp.Compare(a.key.Proto, b.key.Proto))
+	})
+	for _, fv := range t.order {
 		if t.pathBottleneck(fv.src, fv.dst, fv.tree, fv) < 0 {
 			t.greedyRouteFlow(now, fv)
 		}
