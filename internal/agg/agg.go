@@ -16,12 +16,19 @@
 //     same freshness and rate-summing rules core.Collector applies, so
 //     the fleet's aggregate is bit-identical to a hypothetical global
 //     collector's view (the oracle in agg_test.go proves this);
-//   - merges congestion-event candidates from all vantages through an
-//     EventMerger that re-establishes network-wide stream order and
-//     owns the per-link cooldown — so overlapping vantages, epoch skew,
-//     and supervised collector restarts never duplicate an event;
+//   - passes congestion-event candidates from all vantages through an
+//     EventMerger that owns the per-link cooldown — so overlapping
+//     vantages, epoch skew, and supervised collector restarts never
+//     duplicate an event — and drops candidates behind the merge
+//     watermark;
 //   - tracks vantage liveness, flagging collectors that stop reporting
 //     as stale instead of silently serving their frozen flows forever.
+//
+// The plane orders nothing itself: reports must arrive in network-wide
+// time order. The in-process fleet delivers them in engine order; over
+// the wire, vantagelink.Receiver is the one reorder buffer, releasing
+// records once their order is final. The plane emits every candidate
+// synchronously, as its report is folded in.
 //
 // The plane is driven from the simulation engine goroutine (or any
 // single caller goroutine); it is not internally synchronized, matching
@@ -53,22 +60,13 @@ type Config struct {
 	// simply dark). Default 2 ms — a handful of poll intervals.
 	StaleAfter units.Duration
 
-	// ReorderWindow bounds how far out-of-order vantage reports may
-	// arrive. Zero (the default) emits synchronously: every candidate
-	// advances the merge watermark to its own timestamp, which is exact
-	// when vantages report in global time order (the lab's engine
-	// guarantees this). A positive window buffers candidates. One is
-	// released as soon as its order is final — every live vantage has
-	// reported past its time (see releaseFinal) — and at the latest once
-	// it is older than now−window, which is what releases it when a live
-	// vantage has nothing to report.
-	ReorderWindow units.Duration
-
-	// ExternalMergeAdvance stops Tick from advancing the event merger:
-	// a transport receiver (internal/vantagelink) owns the merge clock
-	// and drives it through AdvanceMerge with its delivery watermark,
-	// so wall-clock ticks can never outrun reports still in flight on
-	// the channel and drop their candidates as Late.
+	// ReorderWindow and ExternalMergeAdvance are ignored; nothing
+	// reads them. The plane no longer buffers candidates: reports
+	// arrive in final order (vantagelink.Receiver orders them over the
+	// wire), and the merge clock moves only with reports and
+	// AdvanceMerge, never with Tick. The fields remain so existing
+	// callers keep compiling.
+	ReorderWindow        units.Duration
 	ExternalMergeAdvance bool
 
 	// Metrics, when non-nil, receives the planck_agg_* instruments.
@@ -223,9 +221,7 @@ func (p *Plane) emitMerged(ev core.CongestionEvent) {
 }
 
 // Tick advances plane housekeeping to now: re-evaluates vantage
-// staleness and, with a positive ReorderWindow, releases buffered event
-// candidates older than now−window or no longer held by a vantage that
-// just went stale. Drive it from a periodic ticker.
+// staleness. Drive it from a periodic ticker.
 //
 // Staleness is judged on lastRecv — when the vantage last *reached*
 // the plane, on the plane's own clock — never on the report content
@@ -245,64 +241,24 @@ func (p *Plane) Tick(now units.Time) {
 		}
 	}
 	p.met.staleVant.Set(stale)
-	if w := p.cfg.ReorderWindow; w > 0 {
-		if !p.cfg.ExternalMergeAdvance {
-			p.merger.AdvanceTo(now.Add(-w))
-		}
-		p.releaseFinal()
-	}
 }
 
-// AdvanceMerge advances the reorder window's clock to the transport
-// receiver's delivery watermark: candidates older than
-// now−ReorderWindow are emitted whatever the vantages have reported,
-// which is what releases a candidate while a live vantage has nothing
-// to report. The margin is there because the watermark also advances
-// on heartbeats, whose stamps are the sender's wall clock and run
-// ahead of the stamps of data still on its way from capture. Younger
-// candidates are released by the reports themselves (releaseFinal).
-// The owner of the window's clock under Config.ExternalMergeAdvance.
+// AdvanceMerge moves the plane's clock and the merge watermark to a
+// transport receiver's delivery watermark (wire it to
+// vantagelink.Receiver.OnAdvance). Every record stamped before it has
+// been delivered, so a candidate older than it can only come from a
+// vantage back from exclusion; the merger drops that one as late.
 func (p *Plane) AdvanceMerge(now units.Time) {
 	if now > p.now {
 		p.now = now
 	}
-	if w := p.cfg.ReorderWindow; w > 0 {
-		p.merger.AdvanceTo(now.Add(-w))
-		p.releaseFinal()
-	} else {
-		p.merger.AdvanceTo(now)
-	}
+	p.merger.AdvanceTo(now)
 }
 
-// releaseFinal emits the buffered candidates whose place in the merged
-// order can no longer change. A vantage's report times never decrease,
-// so nothing it sends from now on is older than its newest report, and a
-// candidate strictly older than the newest report of every live vantage
-// has seen everything that could be ordered before it. Strictly: a
-// later report may carry the same time and a smaller link. A live
-// vantage that reports nothing (heartbeats only) holds its own floor
-// where it is, and the window releases instead; a stale one holds
-// nothing, as it holds nothing in the receiver's watermark.
-func (p *Plane) releaseFinal() {
-	if p.merger.Pending() == 0 {
-		return
-	}
-	floor, live := units.Time(0), false
-	for _, v := range p.vantages {
-		if v.stale {
-			continue
-		}
-		if !live || v.lastReport < floor {
-			floor, live = v.lastReport, true
-		}
-	}
-	if live {
-		p.merger.AdvanceTo(floor - 1)
-	}
-}
-
-// Flush drains any buffered event candidates (end of run).
-func (p *Plane) Flush() { p.merger.Flush() }
+// Flush does nothing: the plane emits every candidate as its report is
+// folded in, so nothing is ever buffered. It remains for callers that
+// end a run with it.
+func (p *Plane) Flush() {}
 
 // ExpireFlows drops merged records idle longer than idle, mirroring
 // core.Collector.ExpireFlows. Returns the number dropped.
@@ -478,8 +434,7 @@ func (p *Plane) detect(v *Vantage, t units.Time, af *aggFlow) {
 	}
 	link := LinkKey{Switch: sw.id, Port: port}
 	// Allocation-free pre-check: if the link is inside cooldown there is
-	// no point building the event's flow snapshot. False negatives
-	// (candidates still buffered in the merger) are caught at emission.
+	// no point building the event's flow snapshot.
 	if p.merger.Suppressed(link, t) {
 		p.met.suppressed.IncRelaxed()
 		return
@@ -494,11 +449,7 @@ func (p *Plane) detect(v *Vantage, t units.Time, af *aggFlow) {
 		Epoch:      af.epoch,
 		Vantage:    int(v.id),
 	}
-	v.seq++
-	p.merger.Offer(link, v.id, v.seq, ev)
-	if p.cfg.ReorderWindow == 0 {
-		p.merger.AdvanceTo(t)
-	}
+	p.merger.Offer(link, ev)
 }
 
 // Vantage is one collector's handle on the plane. It implements
@@ -506,16 +457,14 @@ func (p *Plane) detect(v *Vantage, t units.Time, af *aggFlow) {
 // transport receiver's delivery target) and the collector reports
 // every flow sample here.
 type Vantage struct {
-	p          *Plane
-	id         VantageID
-	sw         *planeSwitch
-	seq        uint64     // private offer counter for the merger's total order
-	lastReport units.Time // newest report content time (collector clock)
-	lastRecv   units.Time // when the vantage last reached the plane (plane clock)
-	transport  bool       // liveness owned by a transport receiver's NoteLive
-	stale      bool
-	restarts   int64
-	fallback   func(port int) units.Rate
+	p         *Plane
+	id        VantageID
+	sw        *planeSwitch
+	lastRecv  units.Time // when the vantage last reached the plane (plane clock)
+	transport bool       // liveness owned by a transport receiver's NoteLive
+	stale     bool
+	restarts  int64
+	fallback  func(port int) units.Rate
 }
 
 // ID returns the vantage's plane-assigned identifier (1-based).
@@ -574,8 +523,6 @@ func (v *Vantage) Report(rep *core.FlowReport) {
 	if t > p.now {
 		p.now = t
 	}
-	prev := v.lastReport
-	v.lastReport = t
 	if !v.transport {
 		// In-process delivery: receive time and report time are the same
 		// clock, so the report itself refreshes liveness. A transport
@@ -587,12 +534,6 @@ func (v *Vantage) Report(rep *core.FlowReport) {
 	}
 	p.met.updates.IncRelaxed()
 	v.fold(rep)
-	// The oldest buffered candidate was waiting for this vantage if its
-	// time lies in [prev, t): only then can this report have made it
-	// final.
-	if oldest, ok := p.merger.Oldest(); ok && prev <= oldest && oldest < t {
-		p.releaseFinal()
-	}
 }
 
 // fold merges one report into the flow records and, when it closed a

@@ -3,7 +3,6 @@ package agg
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 
 	"planck/internal/core"
@@ -11,14 +10,13 @@ import (
 )
 
 // mergeModel is the specification oracle for EventMerger: the same
-// semantics written in the most obvious way — an unordered slice that
-// is fully re-sorted on every advance, and a map of per-link emission
-// anchors. The fuzz target drives both implementations with the same
-// operation sequence and requires identical emissions and counters.
+// semantics written as plainly as possible — a watermark and a map of
+// per-link emission anchors. The fuzz target drives both
+// implementations with the same operation sequence and requires
+// identical emissions and counters.
 type mergeModel struct {
 	cooldown  units.Duration
-	pending   []pendingEvent
-	emitted   map[LinkKey]units.Time
+	anchors   map[LinkKey]units.Time
 	watermark units.Time
 	log       []string
 	nEmit     int64
@@ -27,7 +25,7 @@ type mergeModel struct {
 }
 
 func newMergeModel(cooldown units.Duration) *mergeModel {
-	return &mergeModel{cooldown: cooldown, emitted: map[LinkKey]units.Time{}}
+	return &mergeModel{cooldown: cooldown, anchors: map[LinkKey]units.Time{}}
 }
 
 func (m *mergeModel) offer(link LinkKey, v VantageID, seq uint64, t units.Time) bool {
@@ -35,43 +33,21 @@ func (m *mergeModel) offer(link LinkKey, v VantageID, seq uint64, t units.Time) 
 		m.nLate++
 		return false
 	}
-	m.pending = append(m.pending, pendingEvent{
-		link: link, vantage: v, seq: seq,
-		ev: core.CongestionEvent{Time: t, Port: int(link.Port), Vantage: int(v)},
-	})
-	return true
-}
-
-func (m *mergeModel) emitUpTo(t units.Time) {
-	sort.Slice(m.pending, func(i, j int) bool { return m.pending[i].before(&m.pending[j]) })
-	i := 0
-	for ; i < len(m.pending) && m.pending[i].ev.Time <= t; i++ {
-		pe := m.pending[i]
-		if last, ok := m.emitted[pe.link]; ok && pe.ev.Time.Sub(last) < m.cooldown {
-			m.nDedup++
-			continue
-		}
-		m.emitted[pe.link] = pe.ev.Time
-		m.nEmit++
-		m.log = append(m.log, renderMerged(pe.link, pe.vantage, pe.seq, pe.ev.Time))
+	m.watermark = t
+	if last, ok := m.anchors[link]; ok && t.Sub(last) < m.cooldown {
+		m.nDedup++
+		return true
 	}
-	m.pending = m.pending[i:]
+	m.anchors[link] = t
+	m.nEmit++
+	m.log = append(m.log, renderMerged(link, v, seq, t))
+	return true
 }
 
 func (m *mergeModel) advanceTo(t units.Time) {
 	if t > m.watermark {
 		m.watermark = t
 	}
-	m.emitUpTo(m.watermark)
-}
-
-func (m *mergeModel) flush() {
-	for _, pe := range m.pending {
-		if pe.ev.Time > m.watermark {
-			m.watermark = pe.ev.Time
-		}
-	}
-	m.emitUpTo(m.watermark)
 }
 
 func renderMerged(link LinkKey, v VantageID, seq uint64, t units.Time) string {
@@ -79,14 +55,15 @@ func renderMerged(link LinkKey, v VantageID, seq uint64, t units.Time) string {
 }
 
 // FuzzAggregateMerge decodes the fuzz input into a sequence of
-// Offer/AdvanceTo/Flush operations — out-of-order arrivals, duplicate
+// Offer/AdvanceTo operations — out-of-order arrivals, duplicate
 // candidates from overlapping vantages, epoch/time skew, late events —
 // and checks EventMerger's emissions and counters against the
 // specification model, operation by operation.
 func FuzzAggregateMerge(f *testing.F) {
 	// Seeds: ties at one instant across links and vantages; spacing at
 	// exactly the cooldown; a late arrival behind the watermark; heavy
-	// duplication on one link; interleaved advances; a flush tail.
+	// duplication on one link; interleaved advances; advances to the
+	// newest offer.
 	f.Add([]byte{0, 10, 0, 0, 0, 10, 1, 1, 0, 10, 2, 0, 2, 10})
 	f.Add([]byte{0, 10, 0, 0, 0, 110, 0, 0, 2, 120, 0, 5, 0, 0})
 	f.Add([]byte{0, 50, 0, 0, 2, 50, 0, 20, 0, 0, 3})
@@ -130,7 +107,7 @@ func FuzzAggregateMerge(f *testing.F) {
 					Time: base, Port: int(link.Port),
 					Util: units.Rate(link.Switch), Vantage: int(v), Epoch: seqs[v],
 				}
-				okGot := m.Offer(link, v, seqs[v], ev)
+				okGot := m.Offer(link, ev)
 				okWant := model.offer(link, v, seqs[v], base)
 				if okGot != okWant {
 					t.Fatalf("op %d: Offer accepted=%v model=%v", i, okGot, okWant)
@@ -140,25 +117,17 @@ func FuzzAggregateMerge(f *testing.F) {
 				at := base.Add(d)
 				m.AdvanceTo(at)
 				model.advanceTo(at)
-			case 3:
-				m.Flush()
-				model.flush()
+			case 3: // AdvanceTo the base time itself
+				m.AdvanceTo(base)
+				model.advanceTo(base)
 			}
 			if !reflect.DeepEqual(got, model.log) {
 				t.Fatalf("op %d: emissions diverge:\n got %v\nwant %v", i, got, model.log)
 			}
 		}
-		m.Flush()
-		model.flush()
-		if !reflect.DeepEqual(got, model.log) {
-			t.Fatalf("final emissions diverge:\n got %v\nwant %v", got, model.log)
-		}
 		if m.Emitted != model.nEmit || m.Deduped != model.nDedup || m.Late != model.nLate {
 			t.Fatalf("counters (emit=%d dedup=%d late=%d) != model (%d %d %d)",
 				m.Emitted, m.Deduped, m.Late, model.nEmit, model.nDedup, model.nLate)
-		}
-		if m.Pending() != 0 {
-			t.Fatalf("%d candidates still pending after Flush", m.Pending())
 		}
 	})
 }
@@ -173,14 +142,14 @@ func TestEventMergerEdgeCases(t *testing.T) {
 	link := LinkKey{Switch: 1, Port: 2}
 
 	// Sync-mode pattern: Offer then AdvanceTo(same t) emits immediately.
-	m.Offer(link, 1, 1, ev(1000))
+	m.Offer(link, ev(1000))
 	m.AdvanceTo(1000)
 	if len(emitted) != 1 {
 		t.Fatalf("sync offer not emitted: %v", emitted)
 	}
 	// A second candidate at the same instant is accepted (t == watermark
 	// is not late) and deduped at emission.
-	if !m.Offer(link, 2, 1, ev(1000)) {
+	if !m.Offer(link, ev(1000)) {
 		t.Fatal("offer at watermark rejected as late")
 	}
 	m.AdvanceTo(1000)
@@ -188,39 +157,31 @@ func TestEventMergerEdgeCases(t *testing.T) {
 		t.Fatalf("same-instant duplicate not deduped: %d", m.Deduped)
 	}
 	// Spacing strictly inside the cooldown is deduped...
-	m.Offer(link, 1, 2, ev(1000+units.Time(cd)-1))
+	m.Offer(link, ev(1000+units.Time(cd)-1))
 	m.AdvanceTo(1000 + units.Time(cd) - 1)
 	if m.Deduped != 2 {
 		t.Fatalf("inside-cooldown candidate not deduped: %d", m.Deduped)
 	}
 	// ...spacing exactly at the cooldown is emitted (matching the
 	// collector's strict < comparison).
-	m.Offer(link, 1, 3, ev(1000+units.Time(cd)))
+	m.Offer(link, ev(1000+units.Time(cd)))
 	m.AdvanceTo(1000 + units.Time(cd))
 	if len(emitted) != 2 {
 		t.Fatalf("exact-cooldown candidate suppressed: %v", emitted)
 	}
 	// Behind the watermark is late.
-	if m.Offer(link, 1, 4, ev(999)) {
+	if m.Offer(link, ev(999)) {
 		t.Fatal("late candidate accepted")
 	}
 	if m.Late != 1 {
 		t.Fatalf("late counter %d", m.Late)
 	}
-	// Cross-link ordering at one instant: lower (switch, port) first,
-	// and links dedup independently.
-	var order []string
-	m2 := NewEventMerger(cd, func(e core.CongestionEvent) {
-		order = append(order, fmt.Sprintf("%d/%d", e.Util, e.Port))
-	})
+	// Links dedup independently.
+	m2 := NewEventMerger(cd, nil)
 	a := LinkKey{Switch: 2, Port: 0}
 	b := LinkKey{Switch: 1, Port: 1}
-	m2.Offer(a, 1, 1, core.CongestionEvent{Time: 500, Util: 2, Port: 0})
-	m2.Offer(b, 2, 1, core.CongestionEvent{Time: 500, Util: 1, Port: 1})
-	m2.Flush()
-	if !reflect.DeepEqual(order, []string{"1/1", "2/0"}) {
-		t.Fatalf("cross-link order %v", order)
-	}
+	m2.Offer(a, core.CongestionEvent{Time: 500, Util: 2, Port: 0})
+	m2.Offer(b, core.CongestionEvent{Time: 500, Util: 1, Port: 1})
 	if m2.Emitted != 2 || m2.Deduped != 0 {
 		t.Fatalf("independent links interfered: emit=%d dedup=%d", m2.Emitted, m2.Deduped)
 	}

@@ -5,18 +5,21 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"planck/internal/agg"
 	"planck/internal/core"
 	"planck/internal/packet"
 	"planck/internal/units"
+	"planck/internal/vantagelink"
 )
 
-// The release rule: with a positive ReorderWindow the plane emits a
-// buffered candidate as soon as every live vantage has reported past
-// its time, and no later than the window allows. These tests drive the
-// plane directly — no link, no collector — with synthetic reports.
+// One order: the link receiver releases records in final (time,
+// vantage, seq) order and the plane emits each candidate as its report
+// arrives. These tests encode synthetic per-vantage report streams with
+// real link senders and deliver the frames to a receiver wired to the
+// plane — no collector, no channel.
 
 const relPorts = 4
 
@@ -36,8 +39,8 @@ func relReport(sw, port, flow int, t units.Time, rate units.Rate) core.FlowRepor
 	}
 }
 
-func relPlane(window units.Duration, events *[]string) (*agg.Plane, func(sw int) *agg.Vantage) {
-	p := agg.New(agg.Config{ReorderWindow: window, ExternalMergeAdvance: window > 0})
+func relPlane(events *[]string) (*agg.Plane, func(sw int) *agg.Vantage) {
+	p := agg.New(agg.Config{})
 	p.Subscribe(func(ev core.CongestionEvent) { *events = append(*events, renderEvent(ev)) })
 	return p, func(sw int) *agg.Vantage {
 		v := p.Join(sw, fmt.Sprintf("sw%d", sw), relPorts, units.Rate10G)
@@ -95,106 +98,172 @@ func relStreams(rng *rand.Rand, nv int, end units.Time) [][]relItem {
 	return streams
 }
 
-// TestReleaseRuleMatchesInOrderOracle delivers the same per-vantage
-// streams two ways: in global time order into a ReorderWindow-0 plane
-// (the oracle, which emits at once), and in a random cross-vantage
-// interleaving into planes with 1, 5 and 20 ms windows whose window
-// clock follows the slowest vantage's newest delivery, as a link
-// receiver's watermark does. Early release must never reorder, drop or
-// duplicate an event.
+// relFrame is one datagram a vantage's sender emitted, with the
+// virtual time it left.
+type relFrame struct {
+	at    units.Time
+	dgram []byte
+}
+
+// relEncode runs one vantage's stream through a real link sender and
+// returns its frames in sequence order. NoSyncGate makes every stamp
+// final (no clock offset, clamped monotone), so heartbeats are synced
+// and advance the receiver's watermark. A positive tick gives the
+// sender a clock that reads in whole ticks, so equal stamps within and
+// across vantages are common. A frame is flushed after a third of the
+// reports, at random, so frames carry one record or several.
+func relEncode(rng *rand.Rand, id uint16, stream []relItem, tick units.Duration) []relFrame {
+	var frames []relFrame
+	cfg := vantagelink.SenderConfig{Vantage: id, NoSyncGate: true, Heartbeat: 1}
+	if tick > 0 {
+		cfg.ClockSkew = func(t units.Time) units.Duration { return -units.Duration(t % units.Time(tick)) }
+	}
+	snd := vantagelink.NewSender(vantagelink.ChannelFunc(func(now units.Time, dgram []byte) error {
+		frames = append(frames, relFrame{at: now, dgram: append([]byte(nil), dgram...)})
+		return nil
+	}), cfg)
+	for i := range stream {
+		switch it := &stream[i]; {
+		case it.rejoin:
+			snd.Rejoin(it.at, 1)
+		case it.heartbeat:
+			snd.Tick(it.at)
+		default:
+			snd.Report(&it.rep)
+			if rng.Intn(3) == 0 || i == len(stream)-1 {
+				snd.BatchEnd(it.at)
+			}
+		}
+	}
+	return frames
+}
+
+// relStamped decodes the records and rejoins in a vantage's frames as
+// the sender stamped them, in sequence order.
+func relStamped(t *testing.T, v int, frames []relFrame) []relItem {
+	t.Helper()
+	var out []relItem
+	for _, f := range frames {
+		h, payload, err := vantagelink.ParseFrame(f.dgram)
+		if err != nil {
+			t.Fatalf("vantage %d: own frame does not parse: %v", v, err)
+		}
+		switch h.Type {
+		case vantagelink.FrameData:
+			for i := 0; i+vantagelink.RecordLen <= len(payload); i += vantagelink.RecordLen {
+				it := relItem{vantage: v}
+				vantagelink.DecodeRecord(payload[i:], &it.rep)
+				it.at = it.rep.Time
+				out = append(out, it)
+			}
+		case vantagelink.FrameRejoin:
+			out = append(out, relItem{at: h.Time, vantage: v, rejoin: true})
+		}
+	}
+	return out
+}
+
+// TestReleaseRuleMatchesInOrderOracle encodes each vantage's stream
+// with a real link sender and delivers the frames to a receiver in a
+// random cross-vantage interleaving, the plane wired to the receiver's
+// watermark through OnAdvance. The oracle is a plane fed the same
+// records as stamped, in global time order (vantage, then sequence,
+// breaking ties). The receiver's order is the only order: the two must
+// emit the same events, and nothing may be dropped late. Each stream
+// set runs twice: on the senders' exact clocks, and on 50 µs clocks
+// whose equal stamps exercise the receiver's tie-break.
 func TestReleaseRuleMatchesInOrderOracle(t *testing.T) {
 	const end = units.Time(60 * units.Millisecond)
 	for nv := 2; nv <= 4; nv++ {
 		for seed := int64(1); seed <= 3; seed++ {
-			rng := rand.New(rand.NewSource(seed*100 + int64(nv)))
-			streams := relStreams(rng, nv, end)
+			for _, tick := range []units.Duration{0, 50 * units.Microsecond} {
+				relOracle(t, nv, seed, end, tick)
+			}
+		}
+	}
+}
 
-			var want []string
-			oracle, joinOracle := relPlane(0, &want)
-			ov := make([]*agg.Vantage, nv)
-			var all []relItem
-			for v := range streams {
-				ov[v] = joinOracle(v)
-				all = append(all, streams[v]...)
-			}
-			sort.SliceStable(all, func(i, j int) bool { return all[i].at < all[j].at })
-			for i := range all {
-				if it := &all[i]; it.rejoin {
-					ov[it.vantage].Rejoin()
-				} else if !it.heartbeat {
-					ov[it.vantage].Report(&it.rep)
-				}
-			}
-			oracle.Flush()
-			if len(want) < 50 {
-				t.Fatalf("nv=%d seed=%d: oracle emitted only %d events; the comparison would be vacuous", nv, seed, len(want))
-			}
+func relOracle(t *testing.T, nv int, seed int64, end units.Time, tick units.Duration) {
+	t.Helper()
+	name := fmt.Sprintf("nv=%d seed=%d tick=%v", nv, seed, tick)
+	rng := rand.New(rand.NewSource(seed*100 + int64(nv)))
+	streams := relStreams(rng, nv, end)
+	frames := make([][]relFrame, nv)
+	var stamped []relItem
+	for v := range streams {
+		frames[v] = relEncode(rng, uint16(v+1), streams[v], tick)
+		stamped = append(stamped, relStamped(t, v, frames[v])...)
+	}
 
-			for _, window := range []units.Duration{units.Millisecond, 5 * units.Millisecond, 20 * units.Millisecond} {
-				var got []string
-				plane, join := relPlane(window, &got)
-				vs := make([]*agg.Vantage, nv)
-				for v := range vs {
-					vs[v] = join(v)
-				}
-				next := make([]int, nv)
-				through := make([]units.Time, nv)
-				wm := units.Time(0)
-				for left := len(all); left > 0; left-- {
-					// Half the time the globally oldest item, else any
-					// vantage's next: streams run ahead of and behind one
-					// another without bound.
-					pick := -1
-					for v := range streams {
-						if next[v] < len(streams[v]) && (pick < 0 || streams[v][next[v]].at < streams[pick][next[pick]].at) {
-							pick = v
-						}
-					}
-					if rng.Intn(2) == 0 {
-						for v := rng.Intn(nv); ; v = (v + 1) % nv {
-							if next[v] < len(streams[v]) {
-								pick = v
-								break
-							}
-						}
-					}
-					it := &streams[pick][next[pick]]
-					next[pick]++
-					switch {
-					case it.rejoin:
-						vs[pick].Rejoin()
-					case it.heartbeat:
-						vs[pick].NoteLive(it.at)
-					default:
-						vs[pick].NoteLive(it.at)
-						vs[pick].Report(&it.rep)
-					}
-					if it.at > through[pick] {
-						through[pick] = it.at
-					}
-					low := through[0]
-					for _, th := range through[1:] {
-						low = min(low, th)
-					}
-					if low > wm {
-						wm = low
-						plane.AdvanceMerge(wm)
-					}
-				}
-				held := plane.Merger().Pending()
-				plane.Flush()
-				name := fmt.Sprintf("nv=%d seed=%d window=%v", nv, seed, window)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: %d events, oracle %d; first difference at %d", name, len(got), len(want), firstDiff(got, want))
-				}
-				if late := plane.Merger().Late; late != 0 {
-					t.Errorf("%s: %d candidates dropped late", name, late)
-				}
-				if held > len(want)/4 {
-					t.Errorf("%s: %d of %d events still buffered at the end; the rule released almost nothing", name, held, len(want))
+	var want []string
+	oracle, joinOracle := relPlane(&want)
+	ov := make([]*agg.Vantage, nv)
+	for v := range ov {
+		ov[v] = joinOracle(v)
+	}
+	sort.SliceStable(stamped, func(i, j int) bool { return stamped[i].at < stamped[j].at })
+	for i := range stamped {
+		if it := &stamped[i]; it.rejoin {
+			ov[it.vantage].Rejoin()
+		} else {
+			ov[it.vantage].Report(&it.rep)
+		}
+	}
+	if len(want) < 50 {
+		t.Fatalf("%s: oracle emitted only %d events; the comparison would be vacuous", name, len(want))
+	}
+	if oracle.Merger().Late != 0 {
+		t.Fatalf("%s: the in-order oracle dropped %d candidates late", name, oracle.Merger().Late)
+	}
+
+	var got []string
+	plane, join := relPlane(&got)
+	recv := vantagelink.NewReceiver(vantagelink.ReceiverConfig{})
+	recv.OnAdvance = plane.AdvanceMerge
+	blackHole := vantagelink.ChannelFunc(func(units.Time, []byte) error { return nil })
+	for v := 0; v < nv; v++ {
+		recv.Join(uint16(v+1), planeSink{v: join(v)}, blackHole)
+	}
+	next := make([]int, nv)
+	total := 0
+	for v := range frames {
+		total += len(frames[v])
+	}
+	for left := total; left > 0; left-- {
+		// Half the time the globally oldest frame, else any
+		// vantage's next: streams run ahead of and behind one
+		// another without bound.
+		pick := -1
+		for v := range frames {
+			if next[v] < len(frames[v]) && (pick < 0 || frames[v][next[v]].at < frames[pick][next[pick]].at) {
+				pick = v
+			}
+		}
+		if rng.Intn(2) == 0 {
+			for v := rng.Intn(nv); ; v = (v + 1) % nv {
+				if next[v] < len(frames[v]) {
+					pick = v
+					break
 				}
 			}
 		}
+		f := frames[pick][next[pick]]
+		next[pick]++
+		recv.HandleDatagram(f.at, f.dgram)
+	}
+	released := len(got)
+	recv.Drain()
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: %d events, oracle %d; first difference at %d", name, len(got), len(want), firstDiff(got, want))
+	}
+	if late := plane.Merger().Late; late != 0 {
+		t.Errorf("%s: %d candidates dropped late", name, late)
+	}
+	if late := recv.LateRecords(); late != 0 {
+		t.Errorf("%s: %d records arrived behind the receiver's watermark", name, late)
+	}
+	if released < len(want)*3/4 {
+		t.Errorf("%s: only %d of %d events out before the final drain; the receiver released almost nothing", name, released, len(want))
 	}
 }
 
@@ -207,105 +276,157 @@ func firstDiff(a, b []string) int {
 	return min(len(a), len(b))
 }
 
-// TestReleaseHold counts, in virtual time, what a candidate waits for.
+// relLink wires nv vantages to a plane through a receiver, each with a
+// sender whose frames reach the receiver at once. send reports one
+// single-record frame; beat sends a synced heartbeat.
+type relLink struct {
+	plane  *agg.Plane
+	recv   *vantagelink.Receiver
+	snd    []*vantagelink.Sender
+	events []string
+}
+
+func newRelLink(nv int, rcfg vantagelink.ReceiverConfig) *relLink {
+	l := &relLink{recv: vantagelink.NewReceiver(rcfg)}
+	plane, join := relPlane(&l.events)
+	l.plane = plane
+	l.recv.OnAdvance = plane.AdvanceMerge
+	blackHole := vantagelink.ChannelFunc(func(units.Time, []byte) error { return nil })
+	toRecv := vantagelink.ChannelFunc(func(now units.Time, d []byte) error {
+		l.recv.HandleDatagram(now, d)
+		return nil
+	})
+	for i := 0; i < nv; i++ {
+		l.recv.Join(uint16(i+1), planeSink{v: join(i)}, blackHole)
+		l.snd = append(l.snd, vantagelink.NewSender(toRecv,
+			vantagelink.SenderConfig{Vantage: uint16(i + 1), NoSyncGate: true, Heartbeat: 1}))
+	}
+	return l
+}
+
+func (l *relLink) send(v, port, flow int, at units.Time, rate units.Rate) {
+	rep := relReport(v, port, flow, at, rate)
+	l.snd[v].Report(&rep)
+	l.snd[v].BatchEnd(at)
+}
+
+func (l *relLink) beat(v int, at units.Time) { l.snd[v].Tick(at) }
+
+// TestReleaseHold counts, in virtual time, what a candidate waits for
+// between the receiver — the fleet's one reorder buffer — and the
+// plane's subscriber.
 func TestReleaseHold(t *testing.T) {
 	const (
-		window  = units.Millisecond
 		cadence = 200 * units.Microsecond
 		hot     = units.Rate(9_500_000_000)
 		t0      = units.Time(10 * units.Millisecond)
 	)
 
-	t.Run("one vantage: the very next report", func(t *testing.T) {
-		var events []string
-		_, join := relPlane(window, &events)
-		v := join(0)
+	t.Run("one vantage: the last record leaves with its frame", func(t *testing.T) {
+		l := newRelLink(1, vantagelink.ReceiverConfig{})
+		cool := relReport(0, 2, 0, t0, 1000)
 		trigger := relReport(0, 1, 0, t0, hot)
-		v.Report(&trigger)
-		if len(events) != 0 {
-			t.Fatalf("emitted with the trigger itself: a later report could still carry the same time")
-		}
-		same := relReport(0, 2, 0, t0, 1000)
-		v.Report(&same)
-		if len(events) != 0 {
-			t.Fatalf("emitted by a report with the trigger's own time; release must be strict")
-		}
-		after := relReport(0, 2, 1, t0+1, 1000)
-		v.Report(&after)
-		if len(events) != 1 {
-			t.Fatalf("%d events after the next report, want 1: hold must not wait for the window", len(events))
+		l.snd[0].Report(&cool)
+		l.snd[0].Report(&trigger)
+		l.snd[0].BatchEnd(t0)
+		if len(l.events) != 1 {
+			t.Fatalf("%d events once the trigger's frame arrived, want 1: it must not wait for the next report", len(l.events))
 		}
 	})
 
 	t.Run("two vantages at 200us: within one cadence", func(t *testing.T) {
-		var events []string
-		_, join := relPlane(window, &events)
-		a, b := join(0), join(1)
-		// b reports half a cadence out of phase with a.
-		warm := relReport(1, 0, 0, t0.Add(-cadence/2), 1000)
-		b.Report(&warm)
-		trigger := relReport(0, 1, 0, t0, hot)
-		a.Report(&trigger)
-		nextB := relReport(1, 0, 0, t0.Add(cadence/2), 1000)
-		b.Report(&nextB)
-		if len(events) != 0 {
-			t.Fatalf("emitted before the trigger's own vantage had reported past it")
+		l := newRelLink(2, vantagelink.ReceiverConfig{})
+		// Vantage 1 reports half a cadence out of phase with vantage 0.
+		l.send(1, 0, 0, t0.Add(-cadence/2), 1000)
+		l.send(0, 1, 0, t0, hot)
+		if len(l.events) != 0 {
+			t.Fatalf("emitted before the other vantage had reached the trigger's time")
 		}
-		nextA := relReport(0, 2, 0, t0.Add(cadence), 1000)
-		a.Report(&nextA)
-		if len(events) != 1 {
-			t.Fatalf("%d events once both vantages are past the trigger (one report each, %v after it), want 1", len(events), cadence)
+		l.send(1, 0, 0, t0.Add(cadence/2), 1000)
+		if len(l.events) != 1 {
+			t.Fatalf("%d events once the other vantage reported past the trigger (%v after it), want 1", len(l.events), cadence/2)
 		}
 	})
 
-	t.Run("idle vantage: the window, as before", func(t *testing.T) {
-		var events []string
-		plane, join := relPlane(window, &events)
-		a, idle := join(0), join(1)
-		old := relReport(1, 0, 0, t0.Add(-5*units.Millisecond), 1000)
-		idle.Report(&old)
-		trigger := relReport(0, 1, 0, t0, hot)
-		a.Report(&trigger)
+	t.Run("idle vantage behind synced heartbeats: no window", func(t *testing.T) {
+		l := newRelLink(2, vantagelink.ReceiverConfig{})
+		l.send(1, 0, 0, t0.Add(-5*units.Millisecond), 1000)
+		l.send(0, 1, 0, t0, hot)
 		for i := 1; i <= 4; i++ {
-			idle.NoteLive(t0.Add(units.Duration(i) * cadence)) // heartbeats: alive, no data
-			r := relReport(0, 2, 0, t0.Add(units.Duration(i)*cadence), 1000)
-			a.Report(&r)
-			plane.AdvanceMerge(r.Time)
+			l.send(0, 2, 0, t0.Add(units.Duration(i)*cadence), 1000)
 		}
-		if len(events) != 0 {
-			t.Fatalf("emitted %v after the trigger while a live vantage had reported nothing since before it", 4*cadence)
+		if len(l.events) != 0 {
+			t.Fatalf("emitted while the idle vantage's clock still stood before the trigger")
 		}
-		plane.AdvanceMerge(t0.Add(window) - 1)
-		if len(events) != 0 {
-			t.Fatalf("emitted before the window had passed")
-		}
-		plane.AdvanceMerge(t0.Add(window))
-		if len(events) != 1 {
-			t.Fatalf("%d events once the delivery watermark is a window past the trigger, want 1", len(events))
+		l.beat(1, t0.Add(cadence))
+		if len(l.events) != 1 {
+			t.Fatalf("%d events after a synced heartbeat stamped past the trigger, want 1: an idle vantage must not need a window", len(l.events))
 		}
 	})
 
 	t.Run("stale vantage holds nothing", func(t *testing.T) {
-		var events []string
-		plane, join := relPlane(window, &events)
-		a, dead := join(0), join(1)
-		old := relReport(1, 0, 0, t0.Add(-5*units.Millisecond), 1000)
-		dead.NoteLive(old.Time)
-		dead.Report(&old)
-		a.NoteLive(t0)
-		trigger := relReport(0, 1, 0, t0, hot)
-		a.Report(&trigger)
-		after := relReport(0, 2, 0, t0+1, 1000)
-		a.Report(&after)
-		if len(events) != 0 {
-			t.Fatalf("emitted while the silent vantage was still counted live")
+		l := newRelLink(2, vantagelink.ReceiverConfig{HoldTimeout: units.Millisecond})
+		l.send(1, 0, 0, t0.Add(-5*units.Millisecond), 1000)
+		l.send(0, 1, 0, t0, hot)
+		l.send(0, 2, 0, t0+1, 1000)
+		if len(l.events) != 0 {
+			t.Fatalf("emitted while the silent vantage was still counted")
 		}
-		plane.Tick(t0 + 2) // 5 ms of silence > StaleAfter
-		if !dead.Stale() {
-			t.Fatalf("silent vantage not flagged stale")
+		l.recv.Tick(t0 + 2) // 5 ms of silence > HoldTimeout
+		if !l.recv.Excluded(2) {
+			t.Fatalf("silent vantage not excluded")
 		}
-		if len(events) != 1 {
-			t.Fatalf("%d events after the silent vantage went stale, want 1", len(events))
+		if len(l.events) != 1 {
+			t.Fatalf("%d events after the silent vantage was excluded, want 1", len(l.events))
 		}
 	})
+}
+
+// TestLateCandidateDropped is the one way a candidate can still reach
+// the plane behind the merge watermark: a vantage excluded for silence
+// comes back with a record stamped behind the watermark the rest of
+// the fleet has moved on. The receiver counts the record late and
+// still delivers it; the plane must drop its candidate, counted, not
+// emit it out of order. The vantage's next record behind no watermark
+// is an event as usual.
+func TestLateCandidateDropped(t *testing.T) {
+	const (
+		step = 200 * units.Microsecond
+		hot  = units.Rate(9_500_000_000)
+	)
+	l := newRelLink(2, vantagelink.ReceiverConfig{HoldTimeout: units.Millisecond})
+	l.send(0, 1, 0, units.Time(step), 1000)
+	l.send(1, 1, 0, units.Time(step), 1000)
+	// Vantage 1 falls silent; vantage 0 carries the watermark on alone
+	// once the receiver excludes the silent one.
+	now := units.Time(step)
+	for now < units.Time(5*units.Millisecond) {
+		now = now.Add(step)
+		l.send(0, 1, 0, now, 1000)
+		l.recv.Tick(now)
+	}
+	if !l.recv.Excluded(2) {
+		t.Fatal("silent vantage not excluded")
+	}
+	wm := l.recv.Watermark()
+	behind := units.Time(2 * units.Millisecond)
+	l.send(1, 1, 0, behind, hot)
+	// Vantage 1 reports past the watermark, so the late record leaves
+	// the receiver; then vantage 0 catches up to release the new one.
+	ahead := now.Add(step)
+	l.send(1, 1, 0, ahead, hot)
+	l.send(0, 1, 0, ahead.Add(step), 1000)
+
+	if n := l.recv.LateRecords(); n != 1 {
+		t.Fatalf("%d late records at the receiver, want 1 (stamped %v behind watermark %v)", n, behind, wm)
+	}
+	if late := l.plane.Merger().Late; late != 1 {
+		t.Errorf("plane dropped %d candidates late, want 1", late)
+	}
+	if len(l.events) != 1 {
+		t.Fatalf("%d events %v, want only the one at %v", len(l.events), l.events, ahead)
+	}
+	if want := fmt.Sprintf("t=%d ", ahead); !strings.HasPrefix(l.events[0], want) {
+		t.Errorf("event %q, want the candidate at %v", l.events[0], ahead)
+	}
 }

@@ -1,9 +1,7 @@
 package controller
 
 import (
-	"context"
 	"math/rand"
-	"time"
 
 	"planck/internal/core"
 	"planck/internal/obs"
@@ -77,7 +75,7 @@ func (p *BackoffPolicy) delayFor(retry int, rng *rand.Rand) units.Duration {
 type DeliveryMetrics struct {
 	Delivered obs.Counter // events that reached the controller
 	Retries   obs.Counter // individual re-send attempts
-	Abandoned obs.Counter // events dropped after MaxAttempts or cancellation
+	Abandoned obs.Counter // events dropped after MaxAttempts
 	// Backoff records the µs slept before each retry.
 	Backoff *obs.Histogram
 }
@@ -96,25 +94,20 @@ func (m *DeliveryMetrics) Register(reg *obs.Registry, labels ...string) {
 
 // Deliverer pushes congestion events from a collector to the
 // controller with bounded retry and exponential backoff. The transport
-// seams are injected so the same state machine runs inside the
-// discrete-event simulator (After = engine timer, cancellation = run
-// teardown) and on a live host (After = time.AfterFunc, cancellation =
-// context):
+// seams are injected so the state machine runs inside the
+// discrete-event simulator (after = engine timer) and under test with
+// a hand-fired timer:
 //
 //	send   attempts one delivery; a non-nil error means "retry later"
 //	after  schedules fn once, d from now
-//	cancelled  reports that the owner gave up (context done, lab torn
-//	           down); checked before every attempt
 //
 // Deliverer is not safe for concurrent use: in the lab every method
-// runs on the engine goroutine, live deployments serialize on the
-// collector's event goroutine.
+// runs on the engine goroutine.
 type Deliverer struct {
-	policy    BackoffPolicy
-	rng       *rand.Rand
-	send      func(now units.Time, ev core.CongestionEvent) error
-	after     func(d units.Duration, fn func(now units.Time))
-	cancelled func() bool
+	policy BackoffPolicy
+	rng    *rand.Rand
+	send   func(now units.Time, ev core.CongestionEvent) error
+	after  func(d units.Duration, fn func(now units.Time))
 
 	// Metrics may be read at any time.
 	Metrics DeliveryMetrics
@@ -131,43 +124,24 @@ type Deliverer struct {
 // perturb data-plane determinism.
 func NewDeliverer(policy BackoffPolicy, seed int64,
 	send func(now units.Time, ev core.CongestionEvent) error,
-	after func(d units.Duration, fn func(now units.Time)),
-	cancelled func() bool) *Deliverer {
+	after func(d units.Duration, fn func(now units.Time))) *Deliverer {
 	policy.fillDefaults()
-	if cancelled == nil {
-		cancelled = func() bool { return false }
-	}
 	return &Deliverer{
-		policy:    policy,
-		rng:       rand.New(rand.NewSource(seed)),
-		send:      send,
-		after:     after,
-		cancelled: cancelled,
+		policy: policy,
+		rng:    rand.New(rand.NewSource(seed)),
+		send:   send,
+		after:  after,
 	}
 }
 
 // NewSimDeliverer wires a deliverer to a simulation engine's timer
 // wheel: retries fire as engine events on the engine goroutine.
 func NewSimDeliverer(eng *sim.Engine, policy BackoffPolicy, seed int64,
-	send func(now units.Time, ev core.CongestionEvent) error,
-	cancelled func() bool) *Deliverer {
-	return NewDeliverer(policy, seed, send,
-		func(d units.Duration, fn func(now units.Time)) {
-			eng.After(d, sim.Callback(fn), nil)
-		}, cancelled)
-}
-
-// NewWallDeliverer wires a deliverer to the wall clock and a context:
-// retries fire from time.AfterFunc, timestamps are monotonic
-// nanoseconds since process start, and ctx cancellation abandons every
-// event still in flight at its next attempt.
-func NewWallDeliverer(ctx context.Context, policy BackoffPolicy, seed int64,
 	send func(now units.Time, ev core.CongestionEvent) error) *Deliverer {
 	return NewDeliverer(policy, seed, send,
 		func(d units.Duration, fn func(now units.Time)) {
-			time.AfterFunc(time.Duration(d), func() { fn(units.Time(obs.Nanos())) })
-		},
-		func() bool { return ctx.Err() != nil })
+			eng.After(d, sim.Callback(fn), nil)
+		})
 }
 
 // InFlight returns how many events are awaiting a retry.
@@ -181,13 +155,6 @@ func (d *Deliverer) Deliver(now units.Time, ev core.CongestionEvent) {
 }
 
 func (d *Deliverer) attempt(now units.Time, ev core.CongestionEvent, n int) {
-	if d.cancelled() {
-		d.Metrics.Abandoned.Inc()
-		if d.Tracer != nil {
-			d.Tracer.Drop(ev.ID, trace.OutcomeAbandoned)
-		}
-		return
-	}
 	err := d.send(now, ev)
 	if err == nil {
 		d.Metrics.Delivered.Inc()

@@ -1,7 +1,6 @@
 package controller
 
 import (
-	"context"
 	"errors"
 	"testing"
 
@@ -52,7 +51,7 @@ func TestDelivererRetriesUntilSuccess(t *testing.T) {
 		deliveredAt = append(deliveredAt, now)
 		return nil
 	}
-	d := NewDeliverer(BackoffPolicy{Base: units.Millisecond, Factor: 2, Jitter: 0.2, MaxAttempts: 6}, 1, send, ft.after, nil)
+	d := NewDeliverer(BackoffPolicy{Base: units.Millisecond, Factor: 2, Jitter: 0.2, MaxAttempts: 6}, 1, send, ft.after)
 	d.Deliver(0, core.CongestionEvent{Port: 1})
 	for ft.fireNext() {
 	}
@@ -82,7 +81,7 @@ func TestDelivererAbandonsAfterMaxAttempts(t *testing.T) {
 	ft := &fakeTimer{}
 	attempts := 0
 	send := func(units.Time, core.CongestionEvent) error { attempts++; return errDown }
-	d := NewDeliverer(BackoffPolicy{MaxAttempts: 4}, 2, send, ft.after, nil)
+	d := NewDeliverer(BackoffPolicy{MaxAttempts: 4}, 2, send, ft.after)
 	d.Deliver(0, core.CongestionEvent{})
 	for ft.fireNext() {
 	}
@@ -102,7 +101,7 @@ func TestDelivererBackoffCapsAtMax(t *testing.T) {
 	p.fillDefaults()
 	// Jitter<0 is not meaningful; neutralize it for exactness.
 	p.Jitter = 0
-	d := NewDeliverer(p, 3, nil, nil, nil)
+	d := NewDeliverer(p, 3, nil, nil)
 	if got := p.delayFor(1, d.rng); got != units.Millisecond {
 		t.Errorf("retry 1 delay = %v, want Base", got)
 	}
@@ -114,31 +113,11 @@ func TestDelivererBackoffCapsAtMax(t *testing.T) {
 	}
 }
 
-func TestDelivererContextCancelAbandons(t *testing.T) {
-	ft := &fakeTimer{}
-	ctx, cancel := context.WithCancel(context.Background())
-	attempts := 0
-	send := func(units.Time, core.CongestionEvent) error { attempts++; return errDown }
-	d := NewDeliverer(BackoffPolicy{MaxAttempts: 10}, 4, send, ft.after,
-		func() bool { return ctx.Err() != nil })
-	d.Deliver(0, core.CongestionEvent{})
-	ft.fireNext() // one retry happens live…
-	cancel()      // …then the owner gives up
-	for ft.fireNext() {
-	}
-	if attempts != 2 {
-		t.Errorf("attempts = %d, want 2 (initial + one retry before cancel)", attempts)
-	}
-	if got := d.Metrics.Abandoned.Value(); got != 1 {
-		t.Errorf("Abandoned = %d, want 1", got)
-	}
-}
-
 func TestDelivererDeterministicJitter(t *testing.T) {
 	run := func(seed int64) []units.Duration {
 		p := BackoffPolicy{}
 		p.fillDefaults()
-		d := NewDeliverer(p, seed, nil, nil, nil)
+		d := NewDeliverer(p, seed, nil, nil)
 		var out []units.Duration
 		for i := 1; i <= 5; i++ {
 			out = append(out, p.delayFor(i, d.rng))
@@ -164,7 +143,7 @@ func TestSimDelivererFiresOnEngine(t *testing.T) {
 		deliveredAt = now
 		return nil
 	}
-	d := NewSimDeliverer(eng, BackoffPolicy{Base: units.Millisecond, MaxAttempts: 10}, 5, send, nil)
+	d := NewSimDeliverer(eng, BackoffPolicy{Base: units.Millisecond, MaxAttempts: 10}, 5, send)
 	d.Deliver(eng.Now(), core.CongestionEvent{Port: 2})
 	eng.RunUntil(units.Time(50 * units.Millisecond))
 	if deliveredAt == 0 {

@@ -195,9 +195,9 @@ func runChaos(t *testing.T) {
 	if dm.Delivered.Value() == 0 {
 		t.Error("deliverer delivered nothing")
 	}
-	t.Logf("events=%d retries=%d abandoned=%d duplicates=%d stale=%d lost=%d",
+	t.Logf("events=%d retries=%d abandoned=%d stale=%d lost=%d",
 		len(arrivals), dm.Retries.Value(), dm.Abandoned.Value(),
-		sup.Duplicates.Value(), sup.StaleEvents.Value(), l.FaultMetrics().Lost.Value())
+		sup.StaleEvents.Value(), l.FaultMetrics().Lost.Value())
 
 	// (c) Re-convergence: the data plane is untouched by monitoring
 	// faults, so an oracle run of the identical workload with no faults

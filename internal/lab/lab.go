@@ -359,12 +359,16 @@ func New(opts Options) (*Lab, error) {
 				sim.Connect(node.Port(), l.Switches[s].Port(mp), linkDelay)
 			}
 			l.Collectors[s] = node
-			// One shared estimator per governed switch: the supervisor's
-			// dark-feed fallback reads the sFlow side, the governor
+			// One estimator per supervised or governed switch, fed from
+			// the switch's delivery hook: the supervisor's dark-feed
+			// fallback reads its sFlow side, the governor
 			// cross-references it against the mirror counters.
 			var est *governor.RateEstimator
-			if opts.Govern != nil {
-				ecfg := opts.Govern.Estimator
+			if opts.Supervise != nil || opts.Govern != nil {
+				var ecfg governor.EstimatorConfig
+				if opts.Govern != nil {
+					ecfg = opts.Govern.Estimator
+				}
 				if ecfg == (governor.EstimatorConfig{}) && opts.Supervise != nil {
 					ecfg = opts.Supervise.Fallback
 				}
@@ -372,6 +376,14 @@ func New(opts Options) (*Lab, error) {
 					ecfg.Seed = opts.Seed + int64(s)*7919 + 1
 				}
 				est = governor.NewRateEstimator(ecfg, len(net.Ports[s]))
+				sw := l.Switches[s]
+				prevHook := sw.OnDeliver
+				sw.OnDeliver = func(now units.Time, outPort int, pkt *sim.Packet) {
+					if prevHook != nil {
+						prevHook(now, outPort, pkt)
+					}
+					est.Observe(now, outPort, pkt.FlowKey(), pkt.WireLen)
+				}
 			}
 			if opts.Supervise != nil {
 				// Supervised feeds still get the routing oracle, but
@@ -403,19 +415,6 @@ func New(opts Options) (*Lab, error) {
 					// The chaos contract: the governor must not actuate
 					// from a dark vantage's stale estimate.
 					gov.SetDarkGuard(sup.Dark)
-				} else {
-					// No supervisor installed the delivery hook; feed the
-					// estimator's sFlow side here so the shed-port
-					// cross-reference still works.
-					sw := l.Switches[s]
-					prevHook := sw.OnDeliver
-					obsEst := est
-					sw.OnDeliver = func(now units.Time, outPort int, pkt *sim.Packet) {
-						if prevHook != nil {
-							prevHook(now, outPort, pkt)
-						}
-						obsEst.Observe(now, outPort, pkt.FlowKey(), pkt.WireLen)
-					}
 				}
 				if opts.Tracer != nil {
 					gov.SetTracer(opts.Tracer, l.Ctrl.RoutingStore().Epoch)
@@ -480,14 +479,6 @@ func (l *Lab) buildAggPlane() {
 		Metrics:       l.Metrics,
 		Tracer:        opts.Tracer,
 	}
-	if opts.link() != nil {
-		// Over a real transport, reports arrive out of global order
-		// across vantages: hold events in a reorder window and let the
-		// transport receiver's delivery watermark — not wall time —
-		// advance the merge clock.
-		acfg.ExternalMergeAdvance = true
-		acfg.ReorderWindow = units.Millisecond
-	}
 	l.Agg = agg.New(acfg)
 	l.vantages = make([]*agg.Vantage, l.Net.NumSwitches())
 
@@ -496,7 +487,7 @@ func (l *Lab) buildAggPlane() {
 	// deliverer gated by the fault schedule's partition and delay
 	// windows; otherwise a direct synchronous handoff.
 	if opts.Supervise != nil {
-		del := controller.NewSimDeliverer(l.Eng, opts.Supervise.Backoff, opts.Seed+0x5eed, l.sendEvent, nil)
+		del := controller.NewSimDeliverer(l.Eng, opts.Supervise.Backoff, opts.Seed+0x5eed, l.sendEvent)
 		del.Tracer = opts.Tracer
 		l.Agg.Subscribe(func(ev core.CongestionEvent) {
 			now := l.Eng.Now()

@@ -29,10 +29,6 @@ type SupervisorConfig struct {
 	// on this switch, both consumers share one estimator and therefore
 	// one config — this one.
 	Fallback governor.EstimatorConfig
-	// Seed feeds the supervisor's private PRNGs (delivery jitter, sFlow
-	// sampling) so supervision never perturbs data-plane determinism.
-	// Defaults to the lab seed mixed with the switch index.
-	Seed int64
 }
 
 // HeartbeatFlip records one dark/live transition of a supervised feed.
@@ -97,12 +93,11 @@ type Supervisor struct {
 
 	evQ []supEvent
 
-	// cooldowns mirrors the per-port event cooldown state from the
-	// supervisor's vantage: it survives collector crashes, dedups event
-	// replay across restarts, and seeds RestoreCooldowns on the
-	// replacement collector.
+	// cooldowns holds the anchor of each port's newest delivered event:
+	// it survives collector crashes and seeds RestoreCooldowns on the
+	// replacement collector, so replayed congestion cannot re-fire
+	// inside the cooldown.
 	cooldowns map[int]units.Time
-	cooldown  units.Duration
 
 	flips []HeartbeatFlip
 
@@ -111,9 +106,6 @@ type Supervisor struct {
 	FallbackActive obs.Gauge
 	// Restarts counts supervised collector restarts.
 	Restarts obs.Counter
-	// Duplicates counts events suppressed by the supervisor's
-	// cross-restart cooldown dedup.
-	Duplicates obs.Counter
 	// StaleEvents counts events discarded because a dead collector
 	// generation emitted them.
 	StaleEvents obs.Counter
@@ -123,49 +115,25 @@ type Supervisor struct {
 }
 
 // newSupervisor wires a supervisor over switch s's collector node and
-// starts its heartbeat ticker. est, when non-nil, is a shared
-// governor.RateEstimator (the lab passes the governor's when both run
-// on a switch); nil builds a private one from cfg.Fallback.
+// starts its heartbeat ticker. est is the switch's rate estimator, fed
+// by the lab and shared with the switch's governor when one runs; its
+// sFlow side is the supervisor's graceful-degradation source.
 func newSupervisor(l *Lab, s int, node *CollectorNode, cfg SupervisorConfig, est *governor.RateEstimator) *Supervisor {
-	if cfg.Seed == 0 {
-		cfg.Seed = l.opts.Seed + int64(s)*7919
-	}
 	sup := &Supervisor{
 		lab:        l,
 		s:          s,
 		node:       node,
 		cfg:        cfg,
 		hb:         core.NewHeartbeatMonitor(cfg.Heartbeat),
+		fb:         est,
 		cooldowns:  make(map[int]units.Time),
-		cooldown:   l.collectorCfgs[s].EventCooldown,
 		MissStreak: obs.NewScaledHistogram(1),
 	}
-	if sup.cooldown == 0 {
-		sup.cooldown = 250 * units.Microsecond
-	}
 
-	sup.del = controller.NewSimDeliverer(l.Eng, cfg.Backoff, cfg.Seed, l.sendEvent, nil)
+	// A private PRNG for delivery jitter, so supervision never perturbs
+	// data-plane determinism.
+	sup.del = controller.NewSimDeliverer(l.Eng, cfg.Backoff, l.opts.Seed+int64(s)*7919, l.sendEvent)
 	sup.del.Tracer = l.opts.Tracer
-
-	// Graceful-degradation estimator: the sFlow side of the shared
-	// rate estimator, chained onto the switch's delivery hook with a
-	// supervisor-private PRNG.
-	if est == nil {
-		ecfg := cfg.Fallback
-		if ecfg.Seed == 0 {
-			ecfg.Seed = cfg.Seed + 1
-		}
-		est = governor.NewRateEstimator(ecfg, len(l.Net.Ports[s]))
-	}
-	sup.fb = est
-	sw := l.Switches[s]
-	prev := sw.OnDeliver
-	sw.OnDeliver = func(now units.Time, outPort int, pkt *sim.Packet) {
-		if prev != nil {
-			prev(now, outPort, pkt)
-		}
-		sup.fb.Observe(now, outPort, pkt.FlowKey(), pkt.WireLen)
-	}
 
 	if l.Agg == nil {
 		sup.subscribe()
@@ -180,7 +148,6 @@ func newSupervisor(l *Lab, s int, node *CollectorNode, cfg SupervisorConfig, est
 	label := obs.Label("switch", l.Net.SwitchNames[s])
 	l.Metrics.MustRegister("planck_supervisor_fallback_active", &sup.FallbackActive, label)
 	l.Metrics.MustRegister("planck_supervisor_restarts_total", &sup.Restarts, label)
-	l.Metrics.MustRegister("planck_supervisor_duplicates_suppressed_total", &sup.Duplicates, label)
 	l.Metrics.MustRegister("planck_supervisor_stale_events_total", &sup.StaleEvents, label)
 	l.Metrics.MustRegister("planck_supervisor_heartbeat_miss_streak", sup.MissStreak, label)
 	sup.del.Metrics.Register(l.Metrics, label)
@@ -199,8 +166,10 @@ func (sup *Supervisor) subscribe() {
 }
 
 // drainEvents moves queued events to the controller on the engine
-// goroutine: stale generations are dropped, replayed events inside the
-// cooldown are suppressed, survivors go through the retrying deliverer.
+// goroutine: stale generations are dropped, the rest go through the
+// retrying deliverer and become their port's cooldown anchor. The live
+// collector was seeded with these anchors and applies the same
+// cooldown, so it never emits an event inside one.
 func (sup *Supervisor) drainEvents(now units.Time) {
 	q := sup.evQ
 	sup.evQ = nil
@@ -210,13 +179,6 @@ func (sup *Supervisor) drainEvents(now units.Time) {
 			sup.StaleEvents.Inc()
 			if tr != nil {
 				tr.Drop(e.ev.ID, trace.OutcomeDroppedStale)
-			}
-			continue
-		}
-		if last, ok := sup.cooldowns[e.ev.Port]; ok && e.ev.Time.Sub(last) < sup.cooldown {
-			sup.Duplicates.Inc()
-			if tr != nil {
-				tr.Drop(e.ev.ID, trace.OutcomeDroppedDuplicate)
 			}
 			continue
 		}

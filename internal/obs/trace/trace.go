@@ -47,11 +47,7 @@ const (
 	// OutcomeDroppedStale means a dead collector generation emitted the
 	// event and the supervisor discarded it.
 	OutcomeDroppedStale
-	// OutcomeDroppedDuplicate means the supervisor's cross-restart
-	// cooldown dedup suppressed the event.
-	OutcomeDroppedDuplicate
-	// OutcomeAbandoned means delivery gave up (MaxAttempts exceeded or
-	// the deliverer was cancelled).
+	// OutcomeAbandoned means delivery gave up (MaxAttempts exceeded).
 	OutcomeAbandoned
 	// OutcomeOrphaned means the run ended (or the active table
 	// overflowed) before the span could complete.
@@ -73,8 +69,6 @@ func (o Outcome) String() string {
 		return "no-change"
 	case OutcomeDroppedStale:
 		return "dropped-stale"
-	case OutcomeDroppedDuplicate:
-		return "dropped-duplicate"
 	case OutcomeAbandoned:
 		return "abandoned"
 	case OutcomeOrphaned:

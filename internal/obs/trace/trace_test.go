@@ -138,9 +138,6 @@ func TestOutcomes(t *testing.T) {
 	stale := tr.NextID()
 	tr.Begin(stale, 6000, "sw0", 0, 1, 9*units.Gbps, 10*units.Gbps)
 	tr.Drop(stale, OutcomeDroppedStale)
-	dup := tr.NextID()
-	tr.Begin(dup, 7000, "sw0", 0, 1, 9*units.Gbps, 10*units.Gbps)
-	tr.Drop(dup, OutcomeDroppedDuplicate)
 
 	// End-of-run flush.
 	open := tr.NextID()
@@ -149,8 +146,8 @@ func TestOutcomes(t *testing.T) {
 
 	want := map[uint64]Outcome{
 		noRR: OutcomeNoReroute, noCh: OutcomeNoChange,
-		stale: OutcomeDroppedStale, dup: OutcomeDroppedDuplicate,
-		open: OutcomeOrphaned,
+		stale: OutcomeDroppedStale,
+		open:  OutcomeOrphaned,
 	}
 	for _, s := range tr.Recorder().Snapshot() {
 		if s.Outcome != want[s.ID] {
@@ -159,7 +156,7 @@ func TestOutcomes(t *testing.T) {
 	}
 	counts := tr.OutcomeCounts()
 	for _, o := range []Outcome{OutcomeNoReroute, OutcomeNoChange,
-		OutcomeDroppedStale, OutcomeDroppedDuplicate, OutcomeOrphaned} {
+		OutcomeDroppedStale, OutcomeOrphaned} {
 		if counts[o] != 1 {
 			t.Errorf("OutcomeCounts[%v] = %d, want 1", o, counts[o])
 		}

@@ -56,9 +56,9 @@ func TestDataFrameRoundTrip(t *testing.T) {
 
 func TestRecordRoundTripEdgeCases(t *testing.T) {
 	cases := []core.FlowReport{
-		{},                          // zero value
-		{OutPort: -1},               // unknown egress
-		{Time: -1, Rate: -1},        // negative stamps survive
+		{},                   // zero value
+		{OutPort: -1},        // unknown egress
+		{Time: -1, Rate: -1}, // negative stamps survive
 		{Epoch: 1<<64 - 1, RateOK: true, RateUpdated: true},
 	}
 	for i, want := range cases {
