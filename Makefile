@@ -52,6 +52,7 @@ fuzz-smoke: vet
 	$(GO) test -run xxx -fuzz FuzzFlowTable -fuzztime 10s ./internal/core/
 	$(GO) test -run xxx -fuzz FuzzParseSpec -fuzztime 10s ./internal/faults/
 	$(GO) test -run xxx -fuzz FuzzTreeOfMAC -fuzztime 10s ./internal/topo/
+	$(GO) test -run xxx -fuzz FuzzLabelPort -fuzztime 10s ./internal/routing/
 	$(GO) test -run xxx -fuzz FuzzAggregateMerge -fuzztime 10s ./internal/agg/
 	$(GO) test -run xxx -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/vantagelink/
 

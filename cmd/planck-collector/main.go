@@ -159,6 +159,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	reg.GaugeFunc("planck_udp_short_datagrams_total", func() float64 { return float64(udpStats.ShortDatagrams.Load()) })
 	reg.GaugeFunc("planck_udp_timestamp_regressions_total", func() float64 { return float64(udpStats.TimestampRegressions.Load()) })
 	reg.GaugeFunc("planck_udp_ingest_errors_total", func() float64 { return float64(udpStats.IngestErrors.Load()) })
+	reg.GaugeFunc("planck_udp_unbatched_serves_total", func() float64 { return float64(udpStats.UnbatchedServes.Load()) })
 
 	if *metricsAddr != "" {
 		srv, err := obs.Serve(*metricsAddr, reg)

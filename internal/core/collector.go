@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
+	"math/bits"
 	"sync/atomic"
 
 	"planck/internal/obs"
@@ -239,9 +239,13 @@ type Collector struct {
 	// at index FlowState.portSlot-1. portUtil[p] is the running sum of
 	// their counted contributions — exactly what a scan of portFlows[p]
 	// for fresh, rate-bearing flows would add up, kept current on every
-	// event that changes a term (see account).
+	// event that changes a term (see account). Bit i of portFresh[p] is
+	// set exactly when portFlows[p][i] is within FlowFreshness of now,
+	// and no bit at or past len(portFlows[p]) is: FlowsOnPort's answer,
+	// kept current wherever a flow changes slot or freshness.
 	portFlows [][]*FlowState
 	portUtil  []units.Rate
+	portFresh [][]uint64
 
 	// oldest and newest are the ends of the recency list threading every
 	// live flow in LastSeen order: a sample moves its flow to newest, and
@@ -266,10 +270,6 @@ type Collector struct {
 	sinkBatch BatchEndSink
 
 	met collectorMetrics
-
-	// onPort is FlowsOnPort's scratch for the fresh flows of one port
-	// while they are put in port-list order.
-	onPort []*FlowState
 }
 
 // New creates a collector.
@@ -287,6 +287,7 @@ func New(cfg Config) *Collector {
 	if cfg.NumPorts > 0 {
 		c.portFlows = make([][]*FlowState, cfg.NumPorts)
 		c.portUtil = make([]units.Rate, cfg.NumPorts)
+		c.portFresh = make([][]uint64, cfg.NumPorts)
 		c.lastEvent = make([]units.Time, cfg.NumPorts)
 		for i := range c.lastEvent {
 			c.lastEvent[i] = -1 << 62
@@ -556,6 +557,12 @@ func (c *Collector) ingest(t units.Time, frame []byte) error {
 			f.setRtx(&RetransmitEstimator{})
 		}
 	}
+	// A sample reviving a stale, listed flow marks it fresh. The test
+	// reads the LastSeen about to be overwritten, so a sample of a flow
+	// that is already fresh pays one compare.
+	if t.Sub(f.LastSeen) > c.cfg.FlowFreshness && f.portSlot != 0 {
+		c.setFresh(f)
+	}
 	f.LastSeen = t
 	c.touch(f)
 	f.SampledPackets++
@@ -652,6 +659,9 @@ func (c *Collector) ingestUDP(t units.Time, frame []byte) {
 		f.outPort = -1
 		f.setPkt(&PacketSeqEstimator{Est: RateEstimator{MinGap: c.cfg.MinGap, MaxBurst: c.cfg.MaxBurst}})
 	}
+	if t.Sub(f.LastSeen) > c.cfg.FlowFreshness && f.portSlot != 0 {
+		c.setFresh(f)
+	}
 	f.LastSeen = t
 	c.touch(f)
 	f.SampledPackets++
@@ -714,8 +724,15 @@ func (c *Collector) remapFlowAt(t units.Time, f *FlowState) {
 	c.unlist(f)
 	f.outPort = int32(newPort)
 	if newPort >= 0 && newPort < len(c.portFlows) {
-		c.portFlows[newPort] = append(c.portFlows[newPort], f)
-		f.portSlot = int32(len(c.portFlows[newPort]))
+		l := append(c.portFlows[newPort], f)
+		c.portFlows[newPort] = l
+		f.portSlot = int32(len(l))
+		if i := len(l) - 1; i>>6 == len(c.portFresh[newPort]) {
+			c.portFresh[newPort] = append(c.portFresh[newPort], 0)
+		}
+		if c.now.Sub(f.LastSeen) <= c.cfg.FlowFreshness {
+			c.setFresh(f)
+		}
 		c.account(f)
 	}
 }
@@ -730,12 +747,27 @@ func (c *Collector) unlist(f *FlowState) {
 	c.portUtil[f.outPort] -= f.counted
 	f.counted = 0
 	l := c.portFlows[f.outPort]
-	last := l[len(l)-1]
-	l[f.portSlot-1] = last
+	fresh := c.portFresh[f.outPort]
+	hole, end := int(f.portSlot-1), len(l)-1
+	last := l[end]
+	l[hole] = last
 	last.portSlot = f.portSlot
-	l[len(l)-1] = nil
-	c.portFlows[f.outPort] = l[:len(l)-1]
+	// The last flow's freshness bit moves with it into the hole.
+	if fresh[end>>6]&(1<<(end&63)) != 0 {
+		fresh[hole>>6] |= 1 << (hole & 63)
+	} else {
+		fresh[hole>>6] &^= 1 << (hole & 63)
+	}
+	fresh[end>>6] &^= 1 << (end & 63)
+	l[end] = nil
+	c.portFlows[f.outPort] = l[:end]
 	f.portSlot = 0
+}
+
+// setFresh sets the freshness bit of listed flow f's port slot.
+func (c *Collector) setFresh(f *FlowState) {
+	i := f.portSlot - 1
+	c.portFresh[f.outPort][i>>6] |= 1 << (i & 63)
 }
 
 // account brings f's counted contribution, and with it its port's
@@ -792,15 +824,16 @@ func (c *Collector) touch(f *FlowState) {
 }
 
 // retireStale advances the fresh cursor past every flow last seen more
-// than FlowFreshness before now, dropping each one's contribution. A
-// flow is passed once per time it goes quiet, so the cost per sample is
-// constant on average.
+// than FlowFreshness before now, dropping each one's contribution and
+// freshness bit. A flow is passed once per time it goes quiet, so the
+// cost per sample is constant on average.
 func (c *Collector) retireStale() {
 	f := c.fresh
 	for f != nil && c.now.Sub(f.LastSeen) > c.cfg.FlowFreshness {
-		if f.counted != 0 {
+		if i := f.portSlot - 1; i >= 0 {
 			c.portUtil[f.outPort] -= f.counted
 			f.counted = 0
+			c.portFresh[f.outPort][i>>6] &^= 1 << (i & 63)
 		}
 		f = f.next
 	}
@@ -886,25 +919,30 @@ func (c *Collector) LinkUtilization(p int) units.Rate {
 }
 
 // FlowsOnPort snapshots the fresh flows mapped to egress port p, in
-// port-list order. It walks the fresh end of the recency list — every
-// fresh flow of the switch, not every flow of the port.
+// port-list order: the set bits of the port's freshness bitmap, counted
+// to size the answer and then read in slot order. The cost is one word
+// per 64 flows of the port plus one record per fresh flow; the port's
+// stale flows are never read.
 func (c *Collector) FlowsOnPort(p int) []FlowInfo {
 	if p < 0 || p >= len(c.portFlows) {
 		return nil
 	}
-	on := c.onPort[:0]
-	for f := c.fresh; f != nil; f = f.next {
-		if int(f.outPort) == p {
-			on = append(on, f)
+	fresh := c.portFresh[p]
+	n := 0
+	for _, w := range fresh {
+		n += bits.OnesCount64(w)
+	}
+	out := make([]FlowInfo, n)
+	l := c.portFlows[p]
+	i := 0
+	for wi, w := range fresh {
+		for ; w != 0; w &= w - 1 {
+			f := l[wi<<6|bits.TrailingZeros64(w)]
+			r, _ := f.Rate()
+			out[i] = FlowInfo{Key: f.Key, DstMAC: f.DstMAC, Rate: r, OutPort: p}
+			i++
 		}
 	}
-	slices.SortFunc(on, func(a, b *FlowState) int { return int(a.portSlot - b.portSlot) })
-	out := make([]FlowInfo, len(on))
-	for i, f := range on {
-		r, _ := f.Rate()
-		out[i] = FlowInfo{Key: f.Key, DstMAC: f.DstMAC, Rate: r, OutPort: p}
-	}
-	c.onPort = on
 	return out
 }
 

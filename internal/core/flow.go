@@ -148,8 +148,9 @@ func (w *rateWindow) observe(flags *uint8, minGap, maxBurst units.Duration, t un
 // It is laid out for the sample path. A sample of a resident flow reads
 // or writes fields in the first 128 bytes only; what lies past them is
 // written at insert and read for flows with an extension. Key comes
-// first for the table's compare, and outPort, portSlot and next — all
-// FlowsOnPort reads per fresh flow — share one 64-byte line.
+// first for the table's compare; counted, next, outPort and portSlot —
+// what retireStale reads of a flow going stale besides LastSeen — share
+// one 64-byte line.
 // footprint_test.go pins the size, the offsets and the slab fit.
 type FlowState struct {
 	Key    packet.FlowKey

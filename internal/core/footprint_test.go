@@ -49,7 +49,7 @@ func TestFlowRecordFootprint(t *testing.T) {
 			t.Errorf("per-sample field %s spans bytes %d–%d, past the first 128", h.name, h.off, h.off+h.size)
 		}
 	}
-	// FlowsOnPort's walk over the fresh flows reads these three per flow.
+	// retireStale's walk over the flows going stale reads these three per flow.
 	if line := unsafe.Offsetof(f.next) / 64; unsafe.Offsetof(f.outPort)/64 != line || unsafe.Offsetof(f.portSlot)/64 != line {
 		t.Errorf("next (%d), outPort (%d) and portSlot (%d) are not in one 64-byte line",
 			unsafe.Offsetof(f.next), unsafe.Offsetof(f.outPort), unsafe.Offsetof(f.portSlot))

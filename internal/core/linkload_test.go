@@ -13,7 +13,7 @@ import (
 
 // The collector keeps each link's utilisation as a running sum, finds
 // idle flows at the head of a recency list and builds FlowsOnPort from
-// that list's fresh end. This file holds the scan it replaced as the
+// a per-port bitmap of fresh slots. This file holds the scan it replaced as the
 // oracle: a model that knows only which samples it fed and what port the
 // collector resolved each flow to, keeps its own per-port slices with
 // the old append / search-and-swap-remove code, and answers both queries
@@ -164,7 +164,8 @@ func (m *loadModel) compare(t *testing.T, c *Collector, step int, what string) {
 // answers: one list of all live flows in LastSeen order, the fresh
 // cursor on the oldest fresh flow, each flow's contribution what its
 // state calls for, each port sum the total of its flows' contributions,
-// each port slot pointing back at its flow.
+// each port slot pointing back at its flow, and each port's freshness
+// bitmap set on exactly its fresh slots.
 func checkLinkLoadInvariants(t *testing.T, c *Collector) {
 	t.Helper()
 	n, listed := 0, 0
@@ -215,6 +216,24 @@ func checkLinkLoadInvariants(t *testing.T, c *Collector) {
 	}
 	if listed != 0 {
 		t.Fatalf("port lists hold %d entries more or fewer than there are mapped flows", -listed)
+	}
+	for p, l := range c.portFlows {
+		fresh := c.portFresh[p]
+		if len(fresh)*64 < len(l) {
+			t.Fatalf("port %d: %d bitmap words for %d slots", p, len(fresh), len(l))
+		}
+		for i := 0; i < len(fresh)*64; i++ {
+			set := fresh[i>>6]&(1<<(i&63)) != 0
+			if i >= len(l) {
+				if set {
+					t.Fatalf("port %d: freshness bit %d set past the list's %d slots", p, i, len(l))
+				}
+				continue
+			}
+			if isFresh := c.now.Sub(l[i].LastSeen) <= c.cfg.FlowFreshness; set != isFresh {
+				t.Fatalf("port %d slot %d: freshness bit %v, flow %v last seen %v before now", p, i, set, l[i].Key, c.now.Sub(l[i].LastSeen))
+			}
+		}
 	}
 }
 
@@ -544,6 +563,43 @@ func TestFlowsOnPortSizedToFreshSet(t *testing.T) {
 		if fi.Key.SrcIP != (packet.IPv4{10, 0, 0, byte(7 * i)}) {
 			t.Fatalf("flow %d is %v", i, fi.Key)
 		}
+	}
+}
+
+// TestFlowsOnPortAllocatesOnlyItsAnswer: the snapshot of a port with
+// fresh flows is one allocation, its slice; a port whose flows are all
+// stale, or that has none, costs none.
+func TestFlowsOnPortAllocatesOnlyItsAnswer(t *testing.T) {
+	c := newTestCollector()
+	end := fillPort(t, c, 1_000, 0, 10*units.Microsecond)
+	if a := testing.AllocsPerRun(100, func() {
+		if len(c.FlowsOnPort(2)) == 0 {
+			t.Fatal("no fresh flows on port 2")
+		}
+	}); a != 1 {
+		t.Errorf("FlowsOnPort with fresh flows: %.1f allocations, want 1", a)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		if len(c.FlowsOnPort(1)) != 0 {
+			t.Fatal("fresh flows on port 1")
+		}
+	}); a != 0 {
+		t.Errorf("FlowsOnPort on an empty port: %.1f allocations, want 0", a)
+	}
+	// An ARP frame 10 ms on moves the clock past every flow's freshness.
+	arp := packet.BuildARP(nil, packet.ARPSpec{
+		SrcMAC: macA, DstMAC: macB, Op: packet.ARPRequest,
+		SenderMAC: macA, SenderIP: ipA, TargetIP: ipB,
+	})
+	if err := c.Ingest(end.Add(10*units.Millisecond), arp); err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		if got := c.FlowsOnPort(2); got == nil || len(got) != 0 {
+			t.Fatalf("stale port answers %v", got)
+		}
+	}); a != 0 {
+		t.Errorf("FlowsOnPort on a port of stale flows: %.1f allocations, want 0", a)
 	}
 }
 

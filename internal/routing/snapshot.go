@@ -69,12 +69,6 @@ type Snapshot struct {
 	since units.Time
 	net   *topo.Network
 
-	// outPorts is the static shadow-MAC forwarding table per switch
-	// (label → egress port). All trees are pre-installed on every
-	// switch (§4.2: reroutes relabel packets, they do not reprogram
-	// MAC tables), so the table is shared by every epoch of a Store.
-	outPorts []map[packet.MAC]int32
-
 	// trees is the base routing tree per destination host.
 	trees []int
 	// pairTrees overrides the tree for all traffic of a src→dst host
@@ -182,13 +176,6 @@ func (s *Snapshot) TreeFor(key packet.FlowKey, src, dst int) int {
 func (s *Snapshot) FlowOverride(key packet.FlowKey) (src, dst, tree int, ok bool) {
 	o, ok := s.flowTrees[key]
 	return int(o.src), int(o.dst), int(o.tree), ok
-}
-
-// OutputPort resolves a shadow-MAC label to its egress port on switch
-// sw, exactly as the switch's static MAC table would.
-func (s *Snapshot) OutputPort(sw int, dst packet.MAC) (int, bool) {
-	p, ok := s.outPorts[sw][dst]
-	return int(p), ok
 }
 
 // PathFor returns the directed links of src→dst traffic on tree.

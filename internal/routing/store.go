@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"planck/internal/packet"
 	"planck/internal/topo"
 	"planck/internal/units"
 )
@@ -47,11 +46,6 @@ func (h *history) at(t units.Time) *Snapshot {
 type Store struct {
 	net *topo.Network
 
-	// outPorts is the static per-switch label→port table, precomputed
-	// once and shared by every snapshot (MAC tables never change —
-	// reroutes relabel traffic instead).
-	outPorts []map[packet.MAC]int32
-
 	mu  sync.Mutex // serializes Commit
 	cur atomic.Pointer[history]
 
@@ -66,22 +60,12 @@ type Store struct {
 // for every host, no overrides, mirroring off, active since the
 // beginning of time.
 func NewStore(net *topo.Network) *Store {
-	outPorts := make([]map[packet.MAC]int32, net.NumSwitches())
-	for sw := range outPorts {
-		entries := net.MACEntries(sw)
-		m := make(map[packet.MAC]int32, len(entries))
-		for mac, port := range entries {
-			m[mac] = int32(port)
-		}
-		outPorts[sw] = m
-	}
-	st := &Store{net: net, outPorts: outPorts}
+	st := &Store{net: net}
 	seed := &Snapshot{
-		epoch:    0,
-		since:    beginningOfTime,
-		net:      net,
-		outPorts: outPorts,
-		trees:    make([]int, net.NumHosts()),
+		epoch: 0,
+		since: beginningOfTime,
+		net:   net,
+		trees: make([]int, net.NumHosts()),
 	}
 	st.cur.Store(&history{snaps: []*Snapshot{seed}})
 	return st

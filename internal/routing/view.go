@@ -60,13 +60,29 @@ func (v *View) Refresh() uint64 {
 // with one inlined atomic load instead of a Refresh call.
 func (v *View) EpochRef() *atomic.Uint64 { return &v.store.epoch }
 
-// OutputPort implements core.PortMapper: static shadow-MAC table
-// lookup on the pinned current epoch. The table is epoch-invariant
-// (reroutes relabel packets, they don't reprogram MAC tables), so this
-// matches the switch for any sample carrying dst as its label.
+// OutputPort implements core.PortMapper: the switch's static
+// shadow-MAC table entry for dst. The table is epoch-invariant (reroutes
+// relabel packets, they don't reprogram MAC tables), so this matches the
+// switch for any sample carrying dst as its label.
 func (v *View) OutputPort(dst packet.MAC) (int, bool) {
-	p, ok := v.store.outPorts[v.sw][dst]
-	return int(p), ok
+	return labelPort(v.store.net, v.sw, dst)
+}
+
+// labelPort answers what switch sw's MAC table (topo.Network.MACEntries)
+// holds for dst, without a table: a shadow MAC names a (host, tree)
+// pair, and its entry is the tree's route toward the host. Every tree is
+// installed on every switch it spans (§4.2), so a label decoding to a
+// known host and tree is in the table exactly when sw is on the tree;
+// anything else — a foreign MAC, an unknown host or tree — is not.
+func labelPort(net *topo.Network, sw int, dst packet.MAC) (int, bool) {
+	host, tree, ok := topo.TreeOfMAC(dst)
+	if !ok || host >= net.NumHosts() || tree >= net.NumTrees {
+		return 0, false
+	}
+	if p := net.RoutePort(tree, host, sw); p >= 0 {
+		return p, true
+	}
+	return 0, false
 }
 
 // ResolveOutput implements core.RouteResolver. The label on a mirrored
@@ -84,8 +100,8 @@ func (v *View) ResolveOutput(t units.Time, key packet.FlowKey, dst packet.MAC) (
 			return p, snap.epoch, true
 		}
 	}
-	p, ok := v.store.outPorts[v.sw][dst]
-	return int(p), snap.epoch, ok
+	p, ok := labelPort(snap.net, v.sw, dst)
+	return p, snap.epoch, ok
 }
 
 // InputPort implements core.PortMapper: walk the source pair's tree

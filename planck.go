@@ -233,6 +233,11 @@ type UDPServeStats struct {
 	// IngestErrors counts frames the collector rejected (frames that
 	// failed to parse as Ethernet/IPv4/TCP-UDP).
 	IngestErrors atomic.Int64
+	// UnbatchedServes counts serve loops that started on the
+	// one-datagram-per-cycle fallback: conn was not a *net.UDPConn, or
+	// the platform cannot read a socket without blocking. Each such loop
+	// hands the collector one sample per IngestBatch call.
+	UnbatchedServes atomic.Int64
 }
 
 // DefaultUDPBatch is the drain-cycle batch size ServeUDPBatched uses
@@ -258,7 +263,7 @@ const DefaultUDPBatch = 32
 //
 // Only a *net.UDPConn on a Unix system can be asked for a datagram
 // without waiting for one; on any other net.PacketConn a cycle is its
-// one blocking read.
+// one blocking read, and st counts the loop in UnbatchedServes.
 //
 // When st is non-nil every datagram lands in one of its counters. A
 // datagram too short for the header is a ShortDatagram and does not
@@ -278,6 +283,9 @@ func ServeUDPBatched(conn net.PacketConn, c Ingester, maxSamples, batch int, st 
 	raw := rawUDPConn(conn)
 	if raw == nil {
 		batch = 1
+		if st != nil {
+			st.UnbatchedServes.Add(1)
+		}
 	}
 
 	const bufSize = 65536

@@ -328,6 +328,35 @@ func TestServeUDPBatchedPacketConnFallback(t *testing.T) {
 	}
 }
 
+// TestServeUDPBatchedCountsFallback: a serve loop that starts on the
+// one-datagram-per-cycle fallback says so in UDPServeStats, once per
+// loop; one draining a UDP socket does not.
+func TestServeUDPBatchedCountsFallback(t *testing.T) {
+	const k = 4
+	var st UDPServeStats
+	wrapped := struct{ net.PacketConn }{queuedSocket(t, k)}
+	if n, err := ServeUDPBatched(wrapped, &recordingIngester{}, k, 32, &st); n != k || err != nil {
+		t.Fatalf("ServeUDPBatched = (%d, %v), want (%d, nil)", n, err, k)
+	}
+	if got := st.UnbatchedServes.Load(); got != 1 {
+		t.Fatalf("UnbatchedServes = %d after one loop on a wrapped conn, want 1", got)
+	}
+	if got := st.Samples.Load(); got != k {
+		t.Fatalf("Samples = %d, want %d", got, k)
+	}
+
+	lc := queuedSocket(t, k)
+	if rawUDPConn(lc) == nil {
+		t.Skip("no non-blocking socket reads on this platform")
+	}
+	if n, err := ServeUDPBatched(lc, &recordingIngester{}, k, 32, &st); n != k || err != nil {
+		t.Fatalf("ServeUDPBatched = (%d, %v), want (%d, nil)", n, err, k)
+	}
+	if got := st.UnbatchedServes.Load(); got != 1 {
+		t.Fatalf("UnbatchedServes = %d after a loop on a UDP socket, want it unchanged at 1", got)
+	}
+}
+
 // TestServeUDPBatchedSocketCyclesDoNotAllocate holds the real-socket
 // drain cycle to the in-memory loop's promise: 64 cycles over a queue
 // the kernel already holds allocate nothing beyond the loop's set-up.
