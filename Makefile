@@ -54,6 +54,7 @@ fuzz-smoke: vet
 	$(GO) test -run xxx -fuzz FuzzTreeOfMAC -fuzztime 10s ./internal/topo/
 	$(GO) test -run xxx -fuzz FuzzLabelPort -fuzztime 10s ./internal/routing/
 	$(GO) test -run xxx -fuzz FuzzAggregateMerge -fuzztime 10s ./internal/agg/
+	$(GO) test -run xxx -fuzz FuzzPlaneFold -fuzztime 10s ./internal/agg/
 	$(GO) test -run xxx -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/vantagelink/
 
 # chaos-smoke runs the fault-injection suite and the supervised

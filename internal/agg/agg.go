@@ -9,13 +9,14 @@
 // rates locally, and reports per-flow samples and congestion candidates
 // upward. The plane:
 //
-//   - folds per-flow reports into one record per (switch, flow),
-//     deduplicating overlapping vantages by report time and routing
-//     epoch (the newest report under the newest epoch wins);
-//   - maintains per-switch per-egress-port link utilization with the
-//     same freshness and rate-summing rules core.Collector applies, so
-//     the fleet's aggregate is bit-identical to a hypothetical global
-//     collector's view (the oracle in agg_test.go proves this);
+//   - folds per-flow reports into one record per (switch, flow), kept
+//     by a core.Collector per monitored switch (Collector.Fold), so the
+//     plane's link accounting is the collector's own: the same records,
+//     freshness rule, running per-port sums and recency list. A report
+//     older than the record, by stamp or by routing epoch, is a
+//     duplicate from an overlapping vantage and is dropped. The fleet's
+//     aggregate is bit-identical to a hypothetical global collector's
+//     view (the oracle in agg_test.go proves this);
 //   - passes congestion-event candidates from all vantages through an
 //     EventMerger that owns the per-link cooldown — so overlapping
 //     vantages, epoch skew, and supervised collector restarts never
@@ -39,7 +40,6 @@ import (
 	"planck/internal/core"
 	"planck/internal/obs"
 	"planck/internal/obs/trace"
-	"planck/internal/packet"
 	"planck/internal/units"
 )
 
@@ -94,46 +94,23 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// flowAt keys the plane's flow map: one record per flow per monitored
-// switch (the same flow legitimately appears at every hop it crosses).
-type flowAt struct {
-	sw  int32
-	key packet.FlowKey
-}
-
-// aggFlow is the plane's merged record for one flow at one switch:
-// exactly the fields the utilization and event paths read, plus the
-// provenance (vantage, epoch) the cross-vantage dedup needs.
-type aggFlow struct {
-	key      packet.FlowKey
-	sw       *planeSwitch
-	dstMAC   packet.MAC
-	vantage  VantageID // vantage whose report currently owns the record
-	port     int32     // egress port at sw, -1 unknown
-	pos      int32     // position in sw.ports[port], -1 unlisted
-	rateOK   bool
-	rate     units.Rate
-	epoch    uint64 // routing epoch the port was resolved under
-	lastSeen units.Time
-}
-
-// planeSwitch is the plane's per-monitored-switch state: the egress
-// port lists the utilization sum walks, plus the vantages covering the
-// switch (for the all-stale fallback check).
+// planeSwitch is the plane's per-monitored-switch state: the collector
+// holding the switch's merged flow records, fed reports instead of
+// frames, plus the vantages covering the switch (for the all-stale
+// fallback check).
 type planeSwitch struct {
 	id       int32
 	name     string
+	numPorts int
 	capacity units.Rate
-	ports    [][]*aggFlow
+	col      *core.Collector
 	vantages []*Vantage
 }
 
 type planeMetrics struct {
 	updates    obs.Counter // flow reports folded in
-	flows      obs.Gauge   // live merged flow records
 	events     obs.Counter // merged events emitted to subscribers
 	dupReports obs.Counter // overlap reports dropped (older time/epoch)
-	takeovers  obs.Counter // records that changed owning vantage
 	suppressed obs.Counter // candidates skipped by the cooldown pre-check
 	staleVant  obs.Gauge   // vantages currently flagged stale
 	restarts   obs.Counter // vantage Rejoin calls (supervised restarts)
@@ -147,7 +124,6 @@ type Plane struct {
 	cfg      Config
 	vantages []*Vantage
 	switches map[int32]*planeSwitch
-	flows    map[flowAt]*aggFlow
 	merger   *EventMerger
 	subs     []func(ev core.CongestionEvent)
 	now      units.Time
@@ -160,15 +136,13 @@ func New(cfg Config) *Plane {
 	p := &Plane{
 		cfg:      cfg,
 		switches: make(map[int32]*planeSwitch),
-		flows:    make(map[flowAt]*aggFlow),
 	}
 	p.merger = NewEventMerger(cfg.EventCooldown, p.emitMerged)
 	if m := cfg.Metrics; m != nil {
 		m.MustRegister("planck_agg_updates_total", &p.met.updates)
-		m.MustRegister("planck_agg_flows", &p.met.flows)
+		m.MustRegister("planck_agg_flows", obs.GaugeFunc(func() float64 { return float64(p.FlowCount()) }))
 		m.MustRegister("planck_agg_events_total", &p.met.events)
 		m.MustRegister("planck_agg_dup_flow_reports_total", &p.met.dupReports)
-		m.MustRegister("planck_agg_flow_takeovers_total", &p.met.takeovers)
 		m.MustRegister("planck_agg_events_suppressed_total", &p.met.suppressed)
 		m.MustRegister("planck_agg_events_deduped_total", obs.GaugeFunc(func() float64 { return float64(p.merger.Deduped) }))
 		m.MustRegister("planck_agg_events_late_total", obs.GaugeFunc(func() float64 { return float64(p.merger.Late) }))
@@ -191,8 +165,14 @@ func (p *Plane) Join(sw int, switchName string, numPorts int, capacity units.Rat
 		ps = &planeSwitch{
 			id:       int32(sw),
 			name:     switchName,
+			numPorts: numPorts,
 			capacity: capacity,
-			ports:    make([][]*aggFlow, numPorts),
+			col: core.New(core.Config{
+				SwitchName:    switchName,
+				NumPorts:      numPorts,
+				LinkRate:      capacity,
+				FlowFreshness: p.cfg.FlowFreshness,
+			}),
 		}
 		p.switches[int32(sw)] = ps
 	}
@@ -260,19 +240,12 @@ func (p *Plane) AdvanceMerge(now units.Time) {
 // end a run with it.
 func (p *Plane) Flush() {}
 
-// ExpireFlows drops merged records idle longer than idle, mirroring
-// core.Collector.ExpireFlows. Returns the number dropped.
+// ExpireFlows drops merged records idle longer than idle, through each
+// switch's core.Collector.ExpireFlows. Returns the number dropped.
 func (p *Plane) ExpireFlows(now units.Time, idle units.Duration) int {
 	n := 0
-	for k, af := range p.flows {
-		if now.Sub(af.lastSeen) > idle {
-			p.moveFlow(af, -1)
-			delete(p.flows, k)
-			n++
-		}
-	}
-	if n > 0 {
-		p.met.flows.Set(int64(len(p.flows)))
+	for _, ps := range p.switches {
+		n += ps.col.ExpireFlows(now, idle)
 	}
 	return n
 }
@@ -285,14 +258,14 @@ func (p *Plane) ExpireFlows(now units.Time, idle units.Duration) int {
 // answers instead of the frozen merged flows.
 func (p *Plane) LinkUtilization(sw, port int) units.Rate {
 	ps := p.switches[int32(sw)]
-	if ps == nil || port < 0 || port >= len(ps.ports) {
+	if ps == nil || port < 0 || port >= ps.numPorts {
 		return 0
 	}
 	if fb := p.fallbackFor(ps); fb != nil {
 		p.met.fallback.IncRelaxed()
 		return fb(port)
 	}
-	return p.linkUtilAt(ps, int32(port), p.now)
+	return ps.col.LinkUtilizationAt(port, p.now)
 }
 
 // fallbackFor returns the switch's degraded-mode utilization source:
@@ -315,21 +288,23 @@ func (p *Plane) fallbackFor(ps *planeSwitch) func(port int) units.Rate {
 // the te.NetworkSource seam PlanckTE consumes instead of polling
 // per-switch collectors.
 func (p *Plane) EachFlow(fn func(sw int, fi core.FlowInfo, lastSeen units.Time)) {
-	for _, af := range p.flows {
-		if !af.rateOK {
-			continue
-		}
-		fn(int(af.sw.id), core.FlowInfo{
-			Key:     af.key,
-			DstMAC:  af.dstMAC,
-			Rate:    af.rate,
-			OutPort: int(af.port),
-		}, af.lastSeen)
+	for _, ps := range p.switches {
+		ps.col.Flows(func(f *core.FlowState) {
+			if r, ok := f.Rate(); ok {
+				fn(int(ps.id), core.FlowInfo{Key: f.Key, DstMAC: f.DstMAC, Rate: r, OutPort: f.OutPort()}, f.LastSeen)
+			}
+		})
 	}
 }
 
 // FlowCount returns the number of live merged flow records.
-func (p *Plane) FlowCount() int { return len(p.flows) }
+func (p *Plane) FlowCount() int {
+	n := 0
+	for _, ps := range p.switches {
+		n += ps.col.Stats().Flows
+	}
+	return n
+}
 
 // Now returns the newest report or tick time the plane has seen.
 func (p *Plane) Now() units.Time { return p.now }
@@ -356,9 +331,6 @@ func (p *Plane) Vantages() int { return len(p.vantages) }
 // cross-vantage dedup.
 func (p *Plane) DupReports() int64 { return p.met.dupReports.Value() }
 
-// Takeovers returns the count of records that changed owning vantage.
-func (p *Plane) Takeovers() int64 { return p.met.takeovers.Value() }
-
 // SuppressedCandidates returns the count of congestion candidates
 // skipped by the cooldown pre-check before an event was even built.
 func (p *Plane) SuppressedCandidates() int64 { return p.met.suppressed.Value() }
@@ -367,72 +339,24 @@ func (p *Plane) SuppressedCandidates() int64 { return p.met.suppressed.Value() }
 // by a stale vantage's registered fallback estimator.
 func (p *Plane) FallbackServes() int64 { return p.met.fallback.Value() }
 
-// linkUtilAt mirrors core.Collector.LinkUtilization: sum the rates of
-// fresh, rate-bearing flows on the port.
-func (p *Plane) linkUtilAt(ps *planeSwitch, port int32, now units.Time) units.Rate {
-	var util units.Rate
-	for _, af := range ps.ports[port] {
-		if now.Sub(af.lastSeen) > p.cfg.FlowFreshness {
-			continue
-		}
-		if af.rateOK {
-			util += af.rate
-		}
-	}
-	return util
-}
-
-// flowsOn mirrors core.Collector.FlowsOnPort: snapshot the fresh flows
-// on the port (rate 0 for flows without an estimate yet).
-func (p *Plane) flowsOn(ps *planeSwitch, port int32, now units.Time) []core.FlowInfo {
-	l := ps.ports[port]
-	out := make([]core.FlowInfo, 0, len(l))
-	for _, af := range l {
-		if now.Sub(af.lastSeen) > p.cfg.FlowFreshness {
-			continue
-		}
-		out = append(out, core.FlowInfo{Key: af.key, DstMAC: af.dstMAC, Rate: af.rate, OutPort: int(port)})
-	}
-	return out
-}
-
-// moveFlow changes a record's port-list membership (swap-remove from
-// the old list, append to the new), as the collector does.
-func (p *Plane) moveFlow(af *aggFlow, newPort int32) {
-	sw := af.sw
-	if af.port >= 0 && int(af.port) < len(sw.ports) {
-		l := sw.ports[af.port]
-		last := int32(len(l) - 1)
-		l[af.pos] = l[last]
-		l[af.pos].pos = af.pos
-		sw.ports[af.port] = l[:last]
-	}
-	af.port = newPort
-	af.pos = -1
-	if newPort >= 0 && int(newPort) < len(sw.ports) {
-		sw.ports[newPort] = append(sw.ports[newPort], af)
-		af.pos = int32(len(sw.ports[newPort]) - 1)
-	}
-}
-
 // detect replays the collector's congestion check against the merged
-// view after a rate-updating sample: same freshness-limited utilization
-// sum, same threshold comparison, and — via the merger — the same
+// view after a rate-updating sample: the switch collector's utilization
+// sum, the same threshold comparison, and — via the merger — the same
 // per-link cooldown arithmetic a global collector would apply.
-func (p *Plane) detect(v *Vantage, t units.Time, af *aggFlow) {
+func (p *Plane) detect(v *Vantage, t units.Time, f *core.FlowState) {
 	if len(p.subs) == 0 && p.cfg.Tracer == nil {
 		return
 	}
-	sw := af.sw
-	port := af.port
-	if port < 0 || int(port) >= len(sw.ports) {
+	sw := v.sw
+	port := f.OutPort()
+	if port < 0 || port >= sw.numPorts {
 		return
 	}
-	util := p.linkUtilAt(sw, port, t)
+	util := sw.col.LinkUtilization(port)
 	if float64(util) < p.cfg.UtilThreshold*float64(sw.capacity) {
 		return
 	}
-	link := LinkKey{Switch: sw.id, Port: port}
+	link := LinkKey{Switch: sw.id, Port: int32(port)}
 	// Allocation-free pre-check: if the link is inside cooldown there is
 	// no point building the event's flow snapshot.
 	if p.merger.Suppressed(link, t) {
@@ -442,11 +366,11 @@ func (p *Plane) detect(v *Vantage, t units.Time, af *aggFlow) {
 	ev := core.CongestionEvent{
 		Time:       t,
 		SwitchName: sw.name,
-		Port:       int(port),
+		Port:       port,
 		Util:       util,
 		Capacity:   sw.capacity,
-		Flows:      p.flowsOn(sw, port, t),
-		Epoch:      af.epoch,
+		Flows:      sw.col.FlowsOnPort(port),
+		Epoch:      f.RouteEpoch(),
 		Vantage:    int(v.id),
 	}
 	p.merger.Offer(link, ev)
@@ -536,38 +460,16 @@ func (v *Vantage) Report(rep *core.FlowReport) {
 	v.fold(rep)
 }
 
-// fold merges one report into the flow records and, when it closed a
-// rate window, checks its link for congestion.
+// fold merges one report into the switch's flow records and, when it
+// closed a rate window, checks its link for congestion. A report older
+// than the record (Collector.Fold's duplicate rule) is dropped.
 func (v *Vantage) fold(rep *core.FlowReport) {
-	p := v.p
-	t := rep.Time
-	k := flowAt{sw: v.sw.id, key: rep.Key}
-	af := p.flows[k]
-	if af == nil {
-		af = &aggFlow{key: rep.Key, sw: v.sw, vantage: v.id, port: -1, pos: -1}
-		p.flows[k] = af
-		p.met.flows.Add(1)
-	} else if af.vantage != v.id {
-		// Cross-vantage dedup for overlapping coverage: a report that is
-		// older than what the record already holds, or resolved under an
-		// older routing epoch, is a duplicate of information we have.
-		// Otherwise the newer vantage takes the record over.
-		if t < af.lastSeen || rep.Epoch < af.epoch {
-			p.met.dupReports.IncRelaxed()
-			return
-		}
-		af.vantage = v.id
-		p.met.takeovers.IncRelaxed()
-	}
-
-	af.lastSeen = t
-	af.dstMAC = rep.DstMAC
-	af.epoch = rep.Epoch
-	af.rate, af.rateOK = rep.Rate, rep.RateOK
-	if np := int32(rep.OutPort); np != af.port {
-		p.moveFlow(af, np)
+	f := v.sw.col.Fold(rep)
+	if f == nil {
+		v.p.met.dupReports.IncRelaxed()
+		return
 	}
 	if rep.RateUpdated {
-		p.detect(v, t, af)
+		v.p.detect(v, rep.Time, f)
 	}
 }

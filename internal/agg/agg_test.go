@@ -250,9 +250,8 @@ func TestFleetMatchesGlobalOracle(t *testing.T) {
 	for _, n := range []int{2, 4, 20} {
 		got, plane := replayFleet(t, cs, ccfg, mapper, n, false)
 		check(fmt.Sprintf("fleet-%d", n), got, plane)
-		if plane.Takeovers() != 0 || plane.DupReports() != 0 {
-			t.Errorf("fleet-%d: disjoint partition saw %d takeovers / %d dup reports",
-				n, plane.Takeovers(), plane.DupReports())
+		if plane.DupReports() != 0 {
+			t.Errorf("fleet-%d: disjoint partition saw %d dup reports", n, plane.DupReports())
 		}
 	}
 
@@ -262,9 +261,6 @@ func TestFleetMatchesGlobalOracle(t *testing.T) {
 	// actually fired (otherwise the overlap case is vacuous).
 	got, plane := replayFleet(t, cs, ccfg, mapper, 2, true)
 	check("overlap-2", got, plane)
-	if plane.Takeovers() == 0 && plane.DupReports() == 0 {
-		t.Error("overlap-2: no takeovers or dup reports; overlap dedup untested")
-	}
 	if plane.Merger().Deduped == 0 && plane.SuppressedCandidates() == 0 && plane.DupReports() == 0 {
 		t.Error("overlap-2: no duplicate suppression anywhere in the plane")
 	}

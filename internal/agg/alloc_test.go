@@ -1,6 +1,7 @@
 package agg_test
 
 import (
+	"runtime"
 	"testing"
 
 	"planck/internal/agg"
@@ -55,4 +56,60 @@ func TestVantageReportDoesNotAllocate(t *testing.T) {
 			t.Error("no candidate suppressed; the hot leg never reached the cooldown check")
 		}
 	}
+}
+
+// TestPlaneMemoryFlatUnderChurn folds ten waves of 100k never-seen
+// flows into one switch's records, expiring each wave once it has been
+// measured. Expired records are recycled, so the heap retained with one
+// wave live must not grow from wave to wave, and a live merged record
+// must cost no more than the collector's 200-byte budget.
+func TestPlaneMemoryFlatUnderChurn(t *testing.T) {
+	const waves, perWave = 10, 100_000
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	base := heap()
+	p := agg.New(agg.Config{})
+	v := p.Join(0, "sw0", 8, units.Rate10G)
+	rep := core.FlowReport{DstMAC: packet.MAC{2, 0, 0, 0, 0, 1}, Rate: 1000, RateOK: true}
+	at := units.Time(0)
+	var second int64
+	for w := 1; w <= waves; w++ {
+		for i := 0; i < perWave; i++ {
+			id := w*perWave + i
+			rep.Key = packet.FlowKey{
+				SrcIP: packet.IPv4{10, byte(id >> 16), byte(id >> 8), byte(id)}, DstIP: topo.HostIP(1),
+				SrcPort: uint16(id), DstPort: 80, Proto: packet.IPProtocolTCP,
+			}
+			rep.Time, rep.OutPort = at, i%8
+			v.Report(&rep)
+			at = at.Add(10)
+		}
+		if n := p.FlowCount(); n != perWave {
+			t.Fatalf("wave %d: %d live records, want %d", w, n, perWave)
+		}
+		live := heap() - base
+		if per := float64(live) / perWave; per > 200 {
+			t.Fatalf("wave %d: a live merged record costs %.1f bytes; the budget is 200", w, per)
+		}
+		switch w {
+		case 2:
+			second = live
+		case waves:
+			if float64(live) > 1.1*float64(second) {
+				t.Fatalf("retained heap grew from %d B after wave 2 to %d B after wave %d", second, live, w)
+			}
+			t.Logf("retained heap %d B after wave 2, %d B after wave %d (%.1f B per live record)",
+				second, live, w, float64(live)/perWave)
+		}
+		at = at.Add(units.Second)
+		if n := p.ExpireFlows(at, units.Millisecond); n != perWave {
+			t.Fatalf("wave %d: expired %d records, want %d", w, n, perWave)
+		}
+	}
+	runtime.KeepAlive(p)
 }

@@ -361,9 +361,8 @@ func TestFleetMatchesGlobalOracleOverTransport(t *testing.T) {
 	tf, got := replayTransport(t, cs, ccfg, mapper, transportOpts{n: 4, lossProb: 0.10})
 	check("transport-4-loss10", tf, got)
 	requireLoss("transport-4-loss10", tf)
-	if tf.plane.Takeovers() != 0 || tf.plane.DupReports() != 0 {
-		t.Errorf("transport-4-loss10: disjoint partition saw %d takeovers / %d dup reports",
-			tf.plane.Takeovers(), tf.plane.DupReports())
+	if tf.plane.DupReports() != 0 {
+		t.Errorf("transport-4-loss10: disjoint partition saw %d dup reports", tf.plane.DupReports())
 	}
 
 	// Fully overlapping coverage over the lossy link: cross-vantage
@@ -371,8 +370,8 @@ func TestFleetMatchesGlobalOracleOverTransport(t *testing.T) {
 	tf, got = replayTransport(t, cs, ccfg, mapper, transportOpts{n: 2, replicate: true, lossProb: 0.05})
 	check("transport-overlap-2-loss5", tf, got)
 	requireLoss("transport-overlap-2-loss5", tf)
-	if tf.plane.Takeovers() == 0 && tf.plane.DupReports() == 0 {
-		t.Error("transport-overlap-2: no takeovers or dup reports; overlap dedup untested")
+	if tf.plane.Merger().Deduped == 0 && tf.plane.SuppressedCandidates() == 0 && tf.plane.DupReports() == 0 {
+		t.Error("transport-overlap-2: no duplicate suppression anywhere in the plane")
 	}
 }
 

@@ -43,10 +43,3 @@ func (c *Controller) RegisterMetrics(r *obs.Registry) {
 	r.MustRegister("planck_controller_of_delay_us", c.met.ofDelay)
 	r.MustRegister("planck_controller_mirror_delay_us", c.met.mirrorDelay)
 }
-
-// ARPDelays returns the histogram of modelled ARP actuation delays (µs).
-func (c *Controller) ARPDelays() *obs.Histogram { return c.met.arpDelay }
-
-// OFDelays returns the histogram of modelled OpenFlow rule-install
-// delays (µs).
-func (c *Controller) OFDelays() *obs.Histogram { return c.met.ofDelay }

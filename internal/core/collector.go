@@ -715,26 +715,78 @@ func (c *Collector) remapFlowAt(t units.Time, f *FlowState) {
 			c.met.unmapped.IncRelaxed()
 		}
 	}
-	if newPort > math.MaxInt32 {
-		newPort = -1 // not a switch port; the record keeps 32 bits
+	c.moveTo(f, newPort)
+}
+
+// moveTo maps f to egress port, moving it between port lists when the
+// port changed. A port the switch does not have leaves f unlisted.
+func (c *Collector) moveTo(f *FlowState, port int) {
+	if port < 0 || port > math.MaxInt32 {
+		port = -1 // not a switch port; the record keeps 32 bits
 	}
-	if newPort == int(f.outPort) {
+	if port == int(f.outPort) {
 		return
 	}
 	c.unlist(f)
-	f.outPort = int32(newPort)
-	if newPort >= 0 && newPort < len(c.portFlows) {
-		l := append(c.portFlows[newPort], f)
-		c.portFlows[newPort] = l
+	f.outPort = int32(port)
+	if port >= 0 && port < len(c.portFlows) {
+		l := append(c.portFlows[port], f)
+		c.portFlows[port] = l
 		f.portSlot = int32(len(l))
-		if i := len(l) - 1; i>>6 == len(c.portFresh[newPort]) {
-			c.portFresh[newPort] = append(c.portFresh[newPort], 0)
+		if i := len(l) - 1; i>>6 == len(c.portFresh[port]) {
+			c.portFresh[port] = append(c.portFresh[port], 0)
 		}
 		if c.now.Sub(f.LastSeen) <= c.cfg.FlowFreshness {
 			c.setFresh(f)
 		}
 		c.account(f)
 	}
+}
+
+// Fold merges one vantage's report of a flow into the flow's record,
+// as ingest merges a sample: the record takes the report's stamp,
+// label, routing epoch, rate estimate and egress port, and the link
+// accounting follows. It is how an aggregation plane keeps one
+// collector per monitored switch fed by the vantages covering it.
+//
+// Overlapping vantages report the same flow. A report stamped before
+// the record's LastSeen, or resolved under an older routing epoch,
+// carries nothing the record lacks: Fold refuses it and returns nil.
+// Otherwise it returns the record. Time never goes backwards: a report
+// stamped behind the collector's clock is folded as of the clock.
+func (c *Collector) Fold(rep *FlowReport) *FlowState {
+	f, inserted := c.flows.GetOrInsert(HashFlowKey(rep.Key), rep.Key)
+	if inserted {
+		f.outPort = -1
+	} else if rep.Time < f.LastSeen || rep.Epoch < f.routeEpoch {
+		return nil
+	}
+	t := rep.Time
+	if t < c.now {
+		t = c.now
+	}
+	c.now = t
+	if o := c.fresh; o != nil && t.Sub(o.LastSeen) > c.cfg.FlowFreshness {
+		c.retireStale()
+	}
+	if inserted {
+		f.FirstSeen = t
+		c.publishFlows()
+	} else if t.Sub(f.LastSeen) > c.cfg.FlowFreshness && f.portSlot != 0 {
+		c.setFresh(f)
+	}
+	f.LastSeen = t
+	c.touch(f)
+	f.DstMAC = rep.DstMAC
+	f.routeEpoch = rep.Epoch
+	f.est.rate = rep.Rate
+	f.flags &^= estHaveRate
+	if rep.RateOK {
+		f.flags |= estHaveRate
+	}
+	c.moveTo(f, rep.OutPort)
+	c.account(f)
+	return f
 }
 
 // unlist takes f off its port list, if it is on one, and its counted
@@ -916,6 +968,26 @@ func (c *Collector) LinkUtilization(p int) units.Rate {
 		return 0
 	}
 	return c.portUtil[p]
+}
+
+// LinkUtilizationAt is LinkUtilization(p) as of now, a time at or past
+// the collector's clock: the flows that have gone stale between the
+// clock and now no longer count. It only reads, so a caller whose clock
+// runs ahead of the samples (an aggregation plane between reports) can
+// ask without moving the collector's. The stale flows are the head of
+// the recency list from the fresh cursor on, so the cost is the number
+// of flows going stale, not the number of flows.
+func (c *Collector) LinkUtilizationAt(p int, now units.Time) units.Rate {
+	if p < 0 || p >= len(c.portUtil) {
+		return 0
+	}
+	util := c.portUtil[p]
+	for f := c.fresh; f != nil && now.Sub(f.LastSeen) > c.cfg.FlowFreshness; f = f.next {
+		if f.portSlot != 0 && int(f.outPort) == p {
+			util -= f.counted
+		}
+	}
+	return util
 }
 
 // FlowsOnPort snapshots the fresh flows mapped to egress port p, in

@@ -86,9 +86,6 @@ func (r *RetransmitEstimator) Rate() (units.Rate, bool) {
 	return units.Rate(trueRegressed * 8 / dur.Seconds()), true
 }
 
-// RegressedSampledBytes exposes the raw duplicate volume seen.
-func (r *RetransmitEstimator) RegressedSampledBytes() int64 { return r.regressed }
-
 // PacketSeqEstimator estimates throughput for flows whose sequence
 // numbers count packets (§3.2.2's generalization): the sequence delta
 // across a burst window is multiplied by the running average sampled

@@ -165,7 +165,9 @@ func (m *loadModel) compare(t *testing.T, c *Collector, step int, what string) {
 // cursor on the oldest fresh flow, each flow's contribution what its
 // state calls for, each port sum the total of its flows' contributions,
 // each port slot pointing back at its flow, and each port's freshness
-// bitmap set on exactly its fresh slots.
+// bitmap set on exactly its fresh slots. LinkUtilizationAt, asked about
+// a later time, must answer what a scan of the port's list at that time
+// adds up.
 func checkLinkLoadInvariants(t *testing.T, c *Collector) {
 	t.Helper()
 	n, listed := 0, 0
@@ -216,6 +218,21 @@ func checkLinkLoadInvariants(t *testing.T, c *Collector) {
 	}
 	if listed != 0 {
 		t.Fatalf("port lists hold %d entries more or fewer than there are mapped flows", -listed)
+	}
+	fr := c.cfg.FlowFreshness
+	for _, d := range []units.Duration{0, fr / 2, fr + 1, 10 * fr} {
+		at := c.now.Add(d)
+		for p, l := range c.portFlows {
+			var want units.Rate
+			for _, f := range l {
+				if r, ok := f.Rate(); ok && at.Sub(f.LastSeen) <= fr {
+					want += r
+				}
+			}
+			if got := c.LinkUtilizationAt(p, at); got != want {
+				t.Fatalf("port %d at now+%v: utilisation %v, scan says %v", p, d, got, want)
+			}
+		}
 	}
 	for p, l := range c.portFlows {
 		fresh := c.portFresh[p]
@@ -515,6 +532,51 @@ func FuzzLinkLoad(f *testing.F) {
 		}
 		runLinkLoadScript(t, sc)
 	})
+}
+
+// TestFoldKeepsLinkLoadInvariants folds reports the way an aggregation
+// plane does — stamps that repeat and go backwards, epochs that skew,
+// ports on and off the switch, rates with and without an estimate —
+// and checks Fold's duplicate and clock rules and the accounting's
+// invariants after every one.
+func TestFoldKeepsLinkLoadInvariants(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	c := New(Config{NumPorts: 4, LinkRate: units.Rate10G})
+	var at units.Time
+	for i := 0; i < 4000; i++ {
+		at = at.Add(units.Duration(rng.Intn(1500)-300) * units.Microsecond)
+		n := rng.Intn(24)
+		rep := FlowReport{
+			Time:    at,
+			Key:     packet.FlowKey{SrcIP: packet.IPv4{10, 0, 0, byte(n)}, DstIP: packet.IPv4{10, 0, 1, 1}, SrcPort: uint16(n), DstPort: 80, Proto: packet.IPProtocolTCP},
+			DstMAC:  packet.MAC{2, 0, 0, 0, 0, byte(rng.Intn(2))},
+			OutPort: rng.Intn(6) - 1,
+			Epoch:   uint64(rng.Intn(4)),
+			Rate:    units.Rate(rng.Intn(1 << 30)),
+			RateOK:  rng.Intn(4) != 0,
+		}
+		clock, old := c.now, c.Flow(rep.Key)
+		dup := old != nil && (rep.Time < old.LastSeen || rep.Epoch < old.RouteEpoch())
+		f := c.Fold(&rep)
+		if (f == nil) != dup {
+			t.Fatalf("report %d (%+v): refused %v, duplicate %v", i, rep, f == nil, dup)
+		}
+		if dup {
+			if c.now != clock {
+				t.Fatalf("report %d: a refused report moved the clock %v → %v", i, clock, c.now)
+			}
+		} else {
+			want := max(rep.Time, clock)
+			r, ok := f.Rate()
+			if c.now != want || f.LastSeen != want || f.RouteEpoch() != rep.Epoch || r != rep.Rate || ok != rep.RateOK {
+				t.Fatalf("report %d (%+v) folded to clock %v, record seen %v epoch %d rate %v/%v", i, rep, c.now, f.LastSeen, f.RouteEpoch(), r, ok)
+			}
+			if f.OutPort() != rep.OutPort {
+				t.Fatalf("report %d: port %d, record on %d", i, rep.OutPort, f.OutPort())
+			}
+		}
+		checkLinkLoadInvariants(t, c)
+	}
 }
 
 // fillPort ingests one SYN each for n more flows labelled macB (port 2),

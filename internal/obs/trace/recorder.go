@@ -33,9 +33,6 @@ func NewRecorder(size int) *Recorder {
 	return &Recorder{slots: make([]atomic.Pointer[Span], n)}
 }
 
-// Cap is the ring capacity.
-func (r *Recorder) Cap() int { return len(r.slots) }
-
 // put publishes one completed span (the caller passes an exclusively
 // owned copy).
 func (r *Recorder) put(s *Span) {

@@ -123,7 +123,6 @@ type Reader struct {
 	r       *bufio.Reader
 	order   binary.ByteOrder
 	nanos   bool
-	snap    int
 	link    uint32
 	hdr     [recordHeaderLen]byte
 	scratch []byte
@@ -150,16 +149,12 @@ func NewReader(src io.Reader) (*Reader, error) {
 	default:
 		return nil, fmt.Errorf("pcap: magic %#08x: %w", magicLE, ErrBadMagic)
 	}
-	r.snap = int(r.order.Uint32(hdr[16:20]))
 	r.link = r.order.Uint32(hdr[20:24])
 	return r, nil
 }
 
 // LinkType returns the file's data link type.
 func (r *Reader) LinkType() uint32 { return r.link }
-
-// SnapLen returns the file's snap length.
-func (r *Reader) SnapLen() int { return r.snap }
 
 // Next returns the next record, or io.EOF at end of stream. The returned
 // Data slice is only valid until the following Next call.

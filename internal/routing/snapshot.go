@@ -117,13 +117,6 @@ func (s *Snapshot) MirrorPort(sw, port int) MirrorPortConfig {
 	return MirrorPortConfig{Mirrored: s.mirror}
 }
 
-// MirrorOverridden reports whether (sw, port) carries an explicit
-// mirror-config override in this snapshot.
-func (s *Snapshot) MirrorOverridden(sw, port int) bool {
-	_, ok := s.mirrorCfg[mirrorKey{int32(sw), int32(port)}]
-	return ok
-}
-
 // MirrorOverrides counts installed mirror-config overrides.
 func (s *Snapshot) MirrorOverrides() int { return len(s.mirrorCfg) }
 
@@ -172,24 +165,9 @@ func (s *Snapshot) TreeFor(key packet.FlowKey, src, dst int) int {
 	return s.PairTree(src, dst)
 }
 
-// FlowOverride reports the per-flow override for key, if any.
-func (s *Snapshot) FlowOverride(key packet.FlowKey) (src, dst, tree int, ok bool) {
-	o, ok := s.flowTrees[key]
-	return int(o.src), int(o.dst), int(o.tree), ok
-}
-
 // PathFor returns the directed links of src→dst traffic on tree.
 func (s *Snapshot) PathFor(src, dst, tree int) []topo.LinkID {
 	return s.net.PathFor(src, dst, tree)
-}
-
-// PortLink maps a switch port to the directed link it transmits on,
-// with ok=false for out-of-range ports.
-func (s *Snapshot) PortLink(sw, port int) (topo.LinkID, bool) {
-	if sw < 0 || sw >= s.net.NumSwitches() || port < 0 || port >= len(s.net.Ports[sw]) {
-		return topo.LinkID{}, false
-	}
-	return topo.LinkID{Switch: sw, Port: port}, true
 }
 
 // MACEntries returns the static label→port table to program on switch
@@ -375,21 +353,4 @@ func (tx *Tx) ClearMirrorPort(sw, port int) {
 		tx.ownMirror = true
 	}
 	delete(tx.snap.mirrorCfg, k)
-}
-
-// ClearFlowTree removes a per-flow override, letting the flow fall
-// back to its pair or base tree.
-func (tx *Tx) ClearFlowTree(flow packet.FlowKey) {
-	if _, ok := tx.snap.flowTrees[flow]; !ok {
-		return
-	}
-	if !tx.ownFlows {
-		cp := make(map[packet.FlowKey]flowOverride, len(tx.snap.flowTrees))
-		for k, v := range tx.snap.flowTrees {
-			cp[k] = v
-		}
-		tx.snap.flowTrees = cp
-		tx.ownFlows = true
-	}
-	delete(tx.snap.flowTrees, flow)
 }

@@ -45,7 +45,6 @@ func (f FatTree) Switches() int {
 type Jellyfish struct {
 	SwitchPorts  int
 	MonitorPorts int
-	HostsPerPort int // unused; kept 0
 	Hosts        int // target host count
 }
 

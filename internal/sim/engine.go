@@ -63,9 +63,6 @@ func New() *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() units.Time { return e.now }
 
-// Dispatched returns the number of events executed so far.
-func (e *Engine) Dispatched() uint64 { return e.dispatched }
-
 func (e *Engine) getEvent() *Event {
 	if n := len(e.pool); n > 0 {
 		ev := e.pool[n-1]
@@ -169,9 +166,6 @@ func (e *Engine) RunUntil(deadline units.Time) {
 
 // Stop aborts a Run/RunUntil in progress after the current event.
 func (e *Engine) Stop() { e.stopped = true }
-
-// Pending returns the number of queued (possibly canceled) events.
-func (e *Engine) Pending() int { return len(e.heap) }
 
 // --- binary heap keyed by (at, seq) ---
 

@@ -80,17 +80,11 @@ func Connect(a, b *Port, delay units.Duration) {
 // SetSource installs the packet supplier feeding this port's transmitter.
 func (p *Port) SetSource(src Outbound) { p.src = src }
 
-// Owner returns the node the port belongs to.
-func (p *Port) Owner() Node { return p.owner }
-
 // Peer returns the port at the other end of the link, or nil.
 func (p *Port) Peer() *Port { return p.peer }
 
 // Rate returns the line rate.
 func (p *Port) Rate() units.Rate { return p.rate }
-
-// Busy reports whether a transmission is in progress.
-func (p *Port) Busy() bool { return p.busy }
 
 // Kick starts the transmit pump if the port is idle. Call after enqueueing
 // to the port's source.

@@ -66,6 +66,3 @@ func (w *RollingWindow) Rate(t units.Time) units.Rate {
 	}
 	return units.Rate(w.sum * 8 / w.span.Seconds())
 }
-
-// Span returns the window length.
-func (w *RollingWindow) Span() units.Duration { return w.span }

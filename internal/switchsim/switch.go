@@ -251,18 +251,6 @@ func (sw *Switch) EnableMirror(monitorPort int, mirroredOut []int) {
 	sw.mirrored[monitorPort] = false
 }
 
-// DisableMirror turns mirroring off.
-func (sw *Switch) DisableMirror() {
-	sw.mirrorEnabled = false
-	sw.monitorPort = -1
-	for i := range sw.mirrored {
-		sw.mirrored[i] = false
-	}
-}
-
-// MirrorEnabled reports whether egress mirroring is on.
-func (sw *Switch) MirrorEnabled() bool { return sw.mirrorEnabled }
-
 // MonitorPort returns the designated monitor port, or -1 while
 // mirroring is off.
 func (sw *Switch) MonitorPort() int { return int(sw.monitorPort) }

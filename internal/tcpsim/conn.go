@@ -175,12 +175,6 @@ func (h *Host) acceptConn(now units.Time, key connKey, syn *sim.Packet) *Conn {
 
 // --- accessors used by labs and experiments ---
 
-// LocalPort returns the connection's local port.
-func (c *Conn) LocalPort() uint16 { return c.key.localPort }
-
-// RemotePort returns the connection's remote port.
-func (c *Conn) RemotePort() uint16 { return c.key.remotePort }
-
 // FlowKey returns the 5-tuple in the sender->receiver direction.
 func (c *Conn) FlowKey() packet.FlowKey {
 	return packet.FlowKey{
@@ -193,14 +187,8 @@ func (c *Conn) FlowKey() packet.FlowKey {
 // BytesAcked returns the sender's cumulative acknowledged payload bytes.
 func (c *Conn) BytesAcked() int64 { return c.una64 }
 
-// BytesReceived returns the receiver's in-order payload byte count.
-func (c *Conn) BytesReceived() int64 { return c.rcv64 }
-
 // FlowSize returns the transfer size.
 func (c *Conn) FlowSize() int64 { return c.flowSize }
-
-// Cwnd returns the current congestion window in bytes.
-func (c *Conn) Cwnd() float64 { return c.cwnd }
 
 // SRTT returns the smoothed RTT estimate.
 func (c *Conn) SRTT() units.Duration { return units.Duration(c.srtt) }

@@ -95,9 +95,6 @@ func (n *Network) NumSwitches() int { return len(n.Ports) }
 // NumHosts returns the host count.
 func (n *Network) NumHosts() int { return len(n.Hosts) }
 
-// BaseMAC returns host h's real MAC address.
-func (n *Network) BaseMAC(h int) packet.MAC { return ShadowMAC(h, 0) }
-
 // ShadowMAC returns the MAC addressing host h via tree t; tree 0 is the
 // base (real) address.
 func ShadowMAC(h, t int) packet.MAC {

@@ -239,9 +239,6 @@ func (s *Sender) FramesSent() int64 { return s.met.frames.Value() }
 // RecordsSent returns how many sample records the sender encoded.
 func (s *Sender) RecordsSent() int64 { return s.met.records.Value() }
 
-// HeartbeatRTT exposes the heartbeat→sync round-trip histogram (ns).
-func (s *Sender) HeartbeatRTT() *obs.Histogram { return s.met.hbRTT }
-
 // gated reports whether records are being held for the first sync.
 func (s *Sender) gated() bool {
 	return !s.cfg.NoSyncGate && !s.haveOffset && !s.syncGiveUp
