@@ -53,7 +53,6 @@ fuzz-smoke: vet
 	$(GO) test -run xxx -fuzz FuzzParseSpec -fuzztime 10s ./internal/faults/
 	$(GO) test -run xxx -fuzz FuzzTreeOfMAC -fuzztime 10s ./internal/topo/
 	$(GO) test -run xxx -fuzz FuzzLabelPort -fuzztime 10s ./internal/routing/
-	$(GO) test -run xxx -fuzz FuzzAggregateMerge -fuzztime 10s ./internal/agg/
 	$(GO) test -run xxx -fuzz FuzzPlaneFold -fuzztime 10s ./internal/agg/
 	$(GO) test -run xxx -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/vantagelink/
 

@@ -198,9 +198,8 @@ func fleetRun(stdout, stderr io.Writer, k, collectors int, size, seed int64, lin
 	fmt.Fprintf(stdout, "\nk=%d fleet pass: %d vantages, %d/%d flows completed at %v, epoch %d, %d reroutes\n",
 		k, l.Agg.Vantages(), res.Completed, res.Total, res.FinishedAt,
 		l.Ctrl.RoutingStore().Epoch(), l.Ctrl.ARPReroutes+l.Ctrl.OFReroutes)
-	m := l.Agg.Merger()
 	fmt.Fprintf(stdout, "aggregation plane: %d flows merged, %d events emitted, %d deduped, %d late, %d dup reports, %d stale vantages\n",
-		l.Agg.FlowCount(), m.Emitted, m.Deduped, m.Late, l.Agg.DupReports(), len(l.Agg.StaleVantages()))
+		l.Agg.FlowCount(), spacing.events, l.Agg.SuppressedCandidates(), l.Agg.LateReports(), l.Agg.DupReports(), len(l.Agg.StaleVantages()))
 	if link != nil {
 		if code := gateLinkTransport(stdout, stderr, l, net); code != 0 {
 			return code

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -56,7 +57,9 @@ func TestPaperTable(t *testing.T) {
 // simulated lossy wire, and expects every gate to pass: all 16 flows
 // complete, no duplicate event, and a full control loop in every pod.
 // The default seed 7 leaves a pod of the k=4 tree without a converged
-// loop, so the gate fails there; seed 2 closes all four.
+// loop, so the gate fails there; seed 2 closes all four. The plane's
+// link cooldowns must also have suppressed some candidates: the
+// summary's figure is the plane's real count, not a constant 0.
 func TestFleetPass(t *testing.T) {
 	for _, transport := range []string{"inproc", "link"} {
 		var stdout, stderr bytes.Buffer
@@ -68,6 +71,13 @@ func TestFleetPass(t *testing.T) {
 			if !strings.Contains(stdout.String(), want) {
 				t.Errorf("%s: report lacks %q:\n%s", transport, want, stdout.String())
 			}
+		}
+		var suppressed int
+		if i := strings.Index(stdout.String(), "aggregation plane: "); i < 0 {
+			t.Errorf("%s: report lacks the plane summary:\n%s", transport, stdout.String())
+		} else if _, err := fmt.Sscanf(stdout.String()[i:], "aggregation plane: %d flows merged, %d events emitted, %d deduped",
+			new(int), new(int), &suppressed); err != nil || suppressed <= 0 {
+			t.Errorf("%s: plane summary suppressed %d candidates (%v), want > 0:\n%s", transport, suppressed, err, stdout.String())
 		}
 		if transport == "link" && !strings.Contains(stdout.String(), "vantage link rx: ") {
 			t.Errorf("link: report lacks the receiver's totals:\n%s", stdout.String())

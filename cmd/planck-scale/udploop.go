@@ -194,14 +194,13 @@ func udpRun(ctx context.Context, stdout, stderr io.Writer, n int, loss float64, 
 	}
 	rx.Close()
 
-	m := plane.Merger()
 	fmt.Fprintf(stdout, "udp fleet: %d vantages over %s, loss %.0f%%: %d frames / %d records sent, %d lost on the wire, %d resent, %d shed\n",
 		n, rx.Addr(), loss*100, frames, records, lost, resends, sheds)
 	fmt.Fprintf(stdout, "udp fleet rx: %d records released, %d gaps, %d abandoned, %d dup frames, %d excluded\n",
 		rx.Receiver().RecordsReleased(), rx.Receiver().GapsDetected(),
 		rx.Receiver().Abandoned(), rx.Receiver().DupFrames(), rx.Receiver().Exclusions())
 	fmt.Fprintf(stdout, "udp fleet plane: %d events emitted (%d switches), %d deduped, %d late\n",
-		spacing.events, len(perSwitch), m.Deduped, m.Late)
+		spacing.events, len(perSwitch), plane.SuppressedCandidates(), plane.LateReports())
 	holdP50, holdP90 := time.Duration(holds.Median()), time.Duration(holds.Quantile(0.9))
 	fmt.Fprintf(stdout, "udp fleet merge hold (report delivered to event emitted): p50 %v, p90 %v over %d events\n",
 		holdP50, holdP90, holds.N())

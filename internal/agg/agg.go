@@ -17,19 +17,21 @@
 //     duplicate from an overlapping vantage and is dropped. The fleet's
 //     aggregate is bit-identical to a hypothetical global collector's
 //     view (the oracle in agg_test.go proves this);
-//   - passes congestion-event candidates from all vantages through an
-//     EventMerger that owns the per-link cooldown — so overlapping
-//     vantages, epoch skew, and supervised collector restarts never
-//     duplicate an event — and drops candidates behind the merge
-//     watermark;
+//   - detects congestion in the same collector: a folded report that
+//     closed a rate window runs Collector.CheckCongestion, whose
+//     per-port cooldown is then the link's one cooldown for the whole
+//     fleet — so overlapping vantages, epoch skew, and supervised
+//     collector restarts never duplicate an event. A report stamped
+//     behind the merge watermark skips detection and is counted late;
 //   - tracks vantage liveness, flagging collectors that stop reporting
 //     as stale instead of silently serving their frozen flows forever.
 //
 // The plane orders nothing itself: reports must arrive in network-wide
 // time order. The in-process fleet delivers them in engine order; over
 // the wire, vantagelink.Receiver is the one reorder buffer, releasing
-// records once their order is final. The plane emits every candidate
-// synchronously, as its report is folded in.
+// records once their order is final. The plane emits every event
+// synchronously, as its report is folded in, stamped with the reporting
+// vantage's ID.
 //
 // The plane is driven from the simulation engine goroutine (or any
 // single caller goroutine); it is not internally synchronized, matching
@@ -47,10 +49,10 @@ import (
 // defaults for the shared thresholds, so a plane and the collectors
 // feeding it agree on what "congested" and "fresh" mean.
 type Config struct {
-	// UtilThreshold, EventCooldown, and FlowFreshness mirror the
-	// core.Config fields of the same names; zero values take the same
-	// defaults, keeping plane-side detection coherent with what a
-	// single global collector would decide.
+	// UtilThreshold, EventCooldown, and FlowFreshness configure each
+	// switch's collector, as the core.Config fields of the same names;
+	// zero values take core's defaults, keeping plane-side detection
+	// coherent with what a single global collector would decide.
 	UtilThreshold float64
 	EventCooldown units.Duration
 	FlowFreshness units.Duration
@@ -72,22 +74,12 @@ type Config struct {
 	// Metrics, when non-nil, receives the planck_agg_* instruments.
 	Metrics *obs.Registry
 
-	// Tracer, when non-nil, opens a control-loop span for every merged
-	// event the plane emits (the detection end of the causal trace).
+	// Tracer, when non-nil, opens a control-loop span for every event
+	// the plane emits (the detection end of the causal trace).
 	Tracer *trace.Tracer
 }
 
 func (c Config) withDefaults() Config {
-	cc := core.Config{}.WithDefaults()
-	if c.UtilThreshold == 0 {
-		c.UtilThreshold = cc.UtilThreshold
-	}
-	if c.EventCooldown == 0 {
-		c.EventCooldown = cc.EventCooldown
-	}
-	if c.FlowFreshness == 0 {
-		c.FlowFreshness = cc.FlowFreshness
-	}
 	if c.StaleAfter == 0 {
 		c.StaleAfter = 2 * units.Millisecond
 	}
@@ -95,27 +87,29 @@ func (c Config) withDefaults() Config {
 }
 
 // planeSwitch is the plane's per-monitored-switch state: the collector
-// holding the switch's merged flow records, fed reports instead of
-// frames, plus the vantages covering the switch (for the all-stale
-// fallback check).
+// holding the switch's merged flow records and its links' cooldowns,
+// fed reports instead of frames, plus the vantages covering the switch
+// (for the all-stale fallback check).
 type planeSwitch struct {
 	id       int32
-	name     string
 	numPorts int
-	capacity units.Rate
 	col      *core.Collector
 	vantages []*Vantage
 }
 
 type planeMetrics struct {
 	updates    obs.Counter // flow reports folded in
-	events     obs.Counter // merged events emitted to subscribers
 	dupReports obs.Counter // overlap reports dropped (older time/epoch)
-	suppressed obs.Counter // candidates skipped by the cooldown pre-check
+	late       obs.Counter // rate-closing reports behind the merge watermark
 	staleVant  obs.Gauge   // vantages currently flagged stale
 	restarts   obs.Counter // vantage Rejoin calls (supervised restarts)
 	fallback   obs.Counter // utilization queries served by an sFlow fallback
 }
+
+// VantageID identifies one vantage collector within a fleet. IDs are
+// 1-based (Plane.Join assigns them) so a zero Vantage on an event still
+// reads as "not fleet-attributed".
+type VantageID int32
 
 // Plane is the aggregation tier. Build one with New, hand each
 // collector a sink from Join, subscribe the controller with Subscribe,
@@ -124,10 +118,12 @@ type Plane struct {
 	cfg      Config
 	vantages []*Vantage
 	switches map[int32]*planeSwitch
-	merger   *EventMerger
 	subs     []func(ev core.CongestionEvent)
 	now      units.Time
-	met      planeMetrics
+	// watermark is the merge clock: the newest emitted event or
+	// AdvanceMerge time. A rate-closing report stamped behind it is late.
+	watermark units.Time
+	met       planeMetrics
 }
 
 // New builds an empty plane.
@@ -137,15 +133,15 @@ func New(cfg Config) *Plane {
 		cfg:      cfg,
 		switches: make(map[int32]*planeSwitch),
 	}
-	p.merger = NewEventMerger(cfg.EventCooldown, p.emitMerged)
 	if m := cfg.Metrics; m != nil {
 		m.MustRegister("planck_agg_updates_total", &p.met.updates)
 		m.MustRegister("planck_agg_flows", obs.GaugeFunc(func() float64 { return float64(p.FlowCount()) }))
-		m.MustRegister("planck_agg_events_total", &p.met.events)
+		m.MustRegister("planck_agg_events_total", obs.GaugeFunc(func() float64 {
+			return float64(p.total(func(s core.Stats) int64 { return s.EventsEmitted }))
+		}))
 		m.MustRegister("planck_agg_dup_flow_reports_total", &p.met.dupReports)
-		m.MustRegister("planck_agg_events_suppressed_total", &p.met.suppressed)
-		m.MustRegister("planck_agg_events_deduped_total", obs.GaugeFunc(func() float64 { return float64(p.merger.Deduped) }))
-		m.MustRegister("planck_agg_events_late_total", obs.GaugeFunc(func() float64 { return float64(p.merger.Late) }))
+		m.MustRegister("planck_agg_events_suppressed_total", obs.GaugeFunc(func() float64 { return float64(p.SuppressedCandidates()) }))
+		m.MustRegister("planck_agg_events_late_total", &p.met.late)
 		m.MustRegister("planck_agg_vantages", obs.GaugeFunc(func() float64 { return float64(len(p.vantages)) }))
 		m.MustRegister("planck_agg_stale_vantages", &p.met.staleVant)
 		m.MustRegister("planck_agg_vantage_restarts_total", &p.met.restarts)
@@ -164,16 +160,18 @@ func (p *Plane) Join(sw int, switchName string, numPorts int, capacity units.Rat
 	if ps == nil {
 		ps = &planeSwitch{
 			id:       int32(sw),
-			name:     switchName,
 			numPorts: numPorts,
-			capacity: capacity,
 			col: core.New(core.Config{
 				SwitchName:    switchName,
 				NumPorts:      numPorts,
 				LinkRate:      capacity,
+				UtilThreshold: p.cfg.UtilThreshold,
+				EventCooldown: p.cfg.EventCooldown,
 				FlowFreshness: p.cfg.FlowFreshness,
+				Tracer:        p.cfg.Tracer,
 			}),
 		}
+		ps.col.Subscribe(p.emit)
 		p.switches[int32(sw)] = ps
 	}
 	v := &Vantage{p: p, id: VantageID(len(p.vantages) + 1), sw: ps}
@@ -187,14 +185,11 @@ func (p *Plane) Subscribe(fn func(ev core.CongestionEvent)) {
 	p.subs = append(p.subs, fn)
 }
 
-// emitMerged is the merger's output hook: stamp a trace span on the
-// event and fan out to subscribers.
-func (p *Plane) emitMerged(ev core.CongestionEvent) {
-	if tr := p.cfg.Tracer; tr != nil {
-		ev.ID = tr.NextID()
-		tr.Begin(ev.ID, ev.Time, ev.SwitchName, ev.Port, ev.Epoch, ev.Util, ev.Capacity)
-	}
-	p.met.events.Inc()
+// emit is every switch collector's subscriber: an emitted event raises
+// the merge watermark to its time and fans out to the plane's
+// subscribers.
+func (p *Plane) emit(ev core.CongestionEvent) {
+	p.watermark = ev.Time
 	for _, fn := range p.subs {
 		fn(ev)
 	}
@@ -226,13 +221,16 @@ func (p *Plane) Tick(now units.Time) {
 // AdvanceMerge moves the plane's clock and the merge watermark to a
 // transport receiver's delivery watermark (wire it to
 // vantagelink.Receiver.OnAdvance). Every record stamped before it has
-// been delivered, so a candidate older than it can only come from a
-// vantage back from exclusion; the merger drops that one as late.
+// been delivered, so a report older than it can only come from a
+// vantage back from exclusion; the plane folds that one but runs no
+// detection on it, and counts it late.
 func (p *Plane) AdvanceMerge(now units.Time) {
 	if now > p.now {
 		p.now = now
 	}
-	p.merger.AdvanceTo(now)
+	if now > p.watermark {
+		p.watermark = now
+	}
 }
 
 // Flush does nothing: the plane emits every candidate as its report is
@@ -299,19 +297,20 @@ func (p *Plane) EachFlow(fn func(sw int, fi core.FlowInfo, lastSeen units.Time))
 
 // FlowCount returns the number of live merged flow records.
 func (p *Plane) FlowCount() int {
-	n := 0
+	return int(p.total(func(s core.Stats) int64 { return int64(s.Flows) }))
+}
+
+// total sums one figure of the switch collectors' Stats.
+func (p *Plane) total(of func(core.Stats) int64) int64 {
+	n := int64(0)
 	for _, ps := range p.switches {
-		n += ps.col.Stats().Flows
+		n += of(ps.col.Stats())
 	}
 	return n
 }
 
 // Now returns the newest report or tick time the plane has seen.
 func (p *Plane) Now() units.Time { return p.now }
-
-// Merger exposes the event merger (counters, watermark) for tests and
-// dashboards.
-func (p *Plane) Merger() *EventMerger { return p.merger }
 
 // StaleVantages returns the vantages flagged stale by the last Tick.
 func (p *Plane) StaleVantages() []*Vantage {
@@ -331,50 +330,19 @@ func (p *Plane) Vantages() int { return len(p.vantages) }
 // cross-vantage dedup.
 func (p *Plane) DupReports() int64 { return p.met.dupReports.Value() }
 
-// SuppressedCandidates returns the count of congestion candidates
-// skipped by the cooldown pre-check before an event was even built.
-func (p *Plane) SuppressedCandidates() int64 { return p.met.suppressed.Value() }
+// SuppressedCandidates returns the count of congestion candidates the
+// switch collectors' link cooldowns suppressed.
+func (p *Plane) SuppressedCandidates() int64 {
+	return p.total(func(s core.Stats) int64 { return s.Suppressed })
+}
+
+// LateReports returns the count of rate-closing reports that arrived
+// behind the merge watermark and so skipped detection.
+func (p *Plane) LateReports() int64 { return p.met.late.Value() }
 
 // FallbackServes returns how many LinkUtilization calls were answered
 // by a stale vantage's registered fallback estimator.
 func (p *Plane) FallbackServes() int64 { return p.met.fallback.Value() }
-
-// detect replays the collector's congestion check against the merged
-// view after a rate-updating sample: the switch collector's utilization
-// sum, the same threshold comparison, and — via the merger — the same
-// per-link cooldown arithmetic a global collector would apply.
-func (p *Plane) detect(v *Vantage, t units.Time, f *core.FlowState) {
-	if len(p.subs) == 0 && p.cfg.Tracer == nil {
-		return
-	}
-	sw := v.sw
-	port := f.OutPort()
-	if port < 0 || port >= sw.numPorts {
-		return
-	}
-	util := sw.col.LinkUtilization(port)
-	if float64(util) < p.cfg.UtilThreshold*float64(sw.capacity) {
-		return
-	}
-	link := LinkKey{Switch: sw.id, Port: int32(port)}
-	// Allocation-free pre-check: if the link is inside cooldown there is
-	// no point building the event's flow snapshot.
-	if p.merger.Suppressed(link, t) {
-		p.met.suppressed.IncRelaxed()
-		return
-	}
-	ev := core.CongestionEvent{
-		Time:       t,
-		SwitchName: sw.name,
-		Port:       port,
-		Util:       util,
-		Capacity:   sw.capacity,
-		Flows:      sw.col.FlowsOnPort(port),
-		Epoch:      f.RouteEpoch(),
-		Vantage:    int(v.id),
-	}
-	p.merger.Offer(link, ev)
-}
 
 // Vantage is one collector's handle on the plane. It implements
 // core.AggregationSink: set it as the collector's Config.Sink (or as a
@@ -428,8 +396,8 @@ func (v *Vantage) SetFallback(fn func(port int) units.Rate) { v.fallback = fn }
 func (v *Vantage) Restarts() int64 { return v.restarts }
 
 // Rejoin records a supervised restart of the vantage's collector. The
-// plane keeps the vantage's merged flows and — critically — the
-// merger's per-link cooldown anchors, so a restarted collector
+// plane keeps the vantage's merged flows and — critically — the switch
+// collector's per-link cooldown anchors, so a restarted collector
 // re-reporting the same congestion cannot duplicate an event the fleet
 // already emitted.
 func (v *Vantage) Rejoin() {
@@ -439,8 +407,8 @@ func (v *Vantage) Rejoin() {
 
 // Report implements core.AggregationSink: fold one per-flow sample
 // from this vantage into the merged view and, when the sample closed a
-// rate-estimation window, run plane-side congestion detection — the
-// same trigger discipline core.Collector.checkCongestion uses.
+// rate-estimation window, run the switch collector's congestion check —
+// the same trigger discipline ingest uses.
 func (v *Vantage) Report(rep *core.FlowReport) {
 	p := v.p
 	t := rep.Time
@@ -461,15 +429,23 @@ func (v *Vantage) Report(rep *core.FlowReport) {
 }
 
 // fold merges one report into the switch's flow records and, when it
-// closed a rate window, checks its link for congestion. A report older
-// than the record (Collector.Fold's duplicate rule) is dropped.
+// closed a rate window, checks its link for congestion at the report's
+// time. A report older than the record (Collector.Fold's duplicate
+// rule) is dropped; one behind the merge watermark is folded but not
+// checked, and counted late. A plane nobody listens to checks nothing.
 func (v *Vantage) fold(rep *core.FlowReport) {
+	p := v.p
 	f := v.sw.col.Fold(rep)
 	if f == nil {
-		v.p.met.dupReports.IncRelaxed()
+		p.met.dupReports.IncRelaxed()
 		return
 	}
-	if rep.RateUpdated {
-		v.p.detect(v, rep.Time, f)
+	if !rep.RateUpdated || len(p.subs) == 0 && p.cfg.Tracer == nil {
+		return
 	}
+	if rep.Time < p.watermark {
+		p.met.late.IncRelaxed()
+		return
+	}
+	v.sw.col.CheckCongestion(rep.Time, f, int(v.id))
 }

@@ -242,8 +242,8 @@ func TestFleetMatchesGlobalOracle(t *testing.T) {
 		if got.expired != global.expired {
 			t.Errorf("%s: expired %d != global %d", name, got.expired, global.expired)
 		}
-		if m := plane.Merger(); m.Late != 0 {
-			t.Errorf("%s: merger dropped %d candidates late; engine-ordered replay must never be late", name, m.Late)
+		if late := plane.LateReports(); late != 0 {
+			t.Errorf("%s: merger dropped %d candidates late; engine-ordered replay must never be late", name, late)
 		}
 	}
 
@@ -261,7 +261,7 @@ func TestFleetMatchesGlobalOracle(t *testing.T) {
 	// actually fired (otherwise the overlap case is vacuous).
 	got, plane := replayFleet(t, cs, ccfg, mapper, 2, true)
 	check("overlap-2", got, plane)
-	if plane.Merger().Deduped == 0 && plane.SuppressedCandidates() == 0 && plane.DupReports() == 0 {
+	if plane.SuppressedCandidates() == 0 && plane.DupReports() == 0 {
 		t.Error("overlap-2: no duplicate suppression anywhere in the plane")
 	}
 }

@@ -212,8 +212,8 @@ func relOracle(t *testing.T, nv int, seed int64, end units.Time, tick units.Dura
 	if len(want) < 50 {
 		t.Fatalf("%s: oracle emitted only %d events; the comparison would be vacuous", name, len(want))
 	}
-	if oracle.Merger().Late != 0 {
-		t.Fatalf("%s: the in-order oracle dropped %d candidates late", name, oracle.Merger().Late)
+	if oracle.LateReports() != 0 {
+		t.Fatalf("%s: the in-order oracle dropped %d candidates late", name, oracle.LateReports())
 	}
 
 	var got []string
@@ -256,7 +256,7 @@ func relOracle(t *testing.T, nv int, seed int64, end units.Time, tick units.Dura
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("%s: %d events, oracle %d; first difference at %d", name, len(got), len(want), firstDiff(got, want))
 	}
-	if late := plane.Merger().Late; late != 0 {
+	if late := plane.LateReports(); late != 0 {
 		t.Errorf("%s: %d candidates dropped late", name, late)
 	}
 	if late := recv.LateRecords(); late != 0 {
@@ -420,7 +420,7 @@ func TestLateCandidateDropped(t *testing.T) {
 	if n := l.recv.LateRecords(); n != 1 {
 		t.Fatalf("%d late records at the receiver, want 1 (stamped %v behind watermark %v)", n, behind, wm)
 	}
-	if late := l.plane.Merger().Late; late != 1 {
+	if late := l.plane.LateReports(); late != 1 {
 		t.Errorf("plane dropped %d candidates late, want 1", late)
 	}
 	if len(l.events) != 1 {

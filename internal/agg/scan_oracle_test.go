@@ -19,8 +19,10 @@ import (
 // replaced as the oracle: a map of records keyed by (switch, flow),
 // swap-remove port lists, and scans of a port's list for utilization
 // and for an event's flow annotations, with the fold's duplicate and
-// clock rules written out plainly. A scripted op stream drives plane
-// and oracle side by side, and after every op every query must agree.
+// clock rules written out plainly. Detection has its own model too: a
+// merge watermark and per-(switch, port) cooldown anchors in a map. A
+// scripted op stream drives plane and oracle side by side, and after
+// every op every query must agree.
 
 type flowAt struct {
 	sw  int
@@ -48,26 +50,72 @@ type oracleSwitch struct {
 }
 
 type scanPlane struct {
-	cfg        core.Config // thresholds, as the plane defaults them
-	switches   map[int]*oracleSwitch
-	flows      map[flowAt]*aggFlow
-	merger     *agg.EventMerger
-	now        units.Time
-	dup        int64
-	suppressed int64
-	events     []string
+	cfg      core.Config // thresholds, as the plane's collectors default them
+	switches map[int]*oracleSwitch
+	flows    map[flowAt]*aggFlow
+	merge    *mergeModel
+	now      units.Time
+	dup      int64
+	events   []string
 }
 
-func newScanPlane() *scanPlane {
-	o := &scanPlane{
-		cfg:      core.Config{}.WithDefaults(),
+// linkAt is one monitored egress link: (switch, port).
+type linkAt struct{ sw, port int }
+
+// mergeModel is the plane's merge clock and link cooldowns written as
+// plainly as possible: a watermark and a map of per-link emission
+// anchors. A candidate behind the watermark is late; the late rule
+// comes before the cooldown.
+type mergeModel struct {
+	cooldown   units.Duration
+	anchors    map[linkAt]units.Time
+	watermark  units.Time
+	late       int64
+	suppressed int64
+}
+
+// isLate drops, counted, a candidate stamped behind the watermark.
+func (m *mergeModel) isLate(t units.Time) bool {
+	if t < m.watermark {
+		m.late++
+		return true
+	}
+	return false
+}
+
+// offer reports whether a candidate for link at t, not late, is
+// emitted: unless it falls within cooldown of the link's previous
+// emission, it is, and it becomes the link's anchor and the watermark.
+func (m *mergeModel) offer(link linkAt, t units.Time) bool {
+	if last, ok := m.anchors[link]; ok && t.Sub(last) < m.cooldown {
+		m.suppressed++
+		return false
+	}
+	m.anchors[link] = t
+	m.watermark = t
+	return true
+}
+
+func (m *mergeModel) advanceTo(t units.Time) {
+	if t > m.watermark {
+		m.watermark = t
+	}
+}
+
+// newScanPlane builds the oracle with the thresholds a plane built
+// from cfg gives its switch collectors.
+func newScanPlane(cfg agg.Config) *scanPlane {
+	cc := core.Config{
+		UtilThreshold: cfg.UtilThreshold,
+		EventCooldown: cfg.EventCooldown,
+		FlowFreshness: cfg.FlowFreshness,
+	}.WithDefaults()
+	return &scanPlane{
+		cfg:      cc,
 		switches: map[int]*oracleSwitch{},
 		flows:    map[flowAt]*aggFlow{},
+		merge:    &mergeModel{cooldown: cc.EventCooldown, anchors: map[linkAt]units.Time{}},
 	}
-	o.merger = agg.NewEventMerger(o.cfg.EventCooldown, func(ev core.CongestionEvent) {
-		o.events = append(o.events, renderFolded(ev))
-	})
-	return o
 }
 
 func (o *scanPlane) join(sw int, name string, numPorts int, capacity units.Rate) {
@@ -77,7 +125,8 @@ func (o *scanPlane) join(sw int, name string, numPorts int, capacity units.Rate)
 }
 
 // report is Vantage.Report: the duplicate rule, then the clock rule,
-// then the fold and, on a closed rate window, detection.
+// then the fold and, on a closed rate window, the late rule and
+// detection.
 func (o *scanPlane) report(sw, vantage int, rep core.FlowReport) {
 	if rep.Time > o.now {
 		o.now = rep.Time
@@ -109,7 +158,7 @@ func (o *scanPlane) report(sw, vantage int, rep core.FlowReport) {
 	if np != af.port {
 		o.moveFlow(af, np)
 	}
-	if rep.RateUpdated {
+	if rep.RateUpdated && !o.merge.isLate(rep.Time) {
 		o.detect(vantage, rep.Time, af)
 	}
 }
@@ -164,15 +213,13 @@ func (o *scanPlane) detect(vantage int, t units.Time, af *aggFlow) {
 	if float64(util) < o.cfg.UtilThreshold*float64(sw.capacity) {
 		return
 	}
-	link := agg.LinkKey{Switch: int32(sw.id), Port: port}
-	if o.merger.Suppressed(link, t) {
-		o.suppressed++
+	if !o.merge.offer(linkAt{sw: sw.id, port: int(port)}, t) {
 		return
 	}
-	o.merger.Offer(link, core.CongestionEvent{
+	o.events = append(o.events, renderFolded(core.CongestionEvent{
 		Time: t, SwitchName: sw.name, Port: int(port), Util: util, Capacity: sw.capacity,
 		Flows: o.flowsOn(sw, port, sw.clock), Epoch: af.epoch, Vantage: vantage,
-	})
+	}))
 }
 
 func (o *scanPlane) tick(now units.Time) {
@@ -183,7 +230,7 @@ func (o *scanPlane) tick(now units.Time) {
 
 func (o *scanPlane) advanceMerge(now units.Time) {
 	o.tick(now)
-	o.merger.AdvanceTo(now)
+	o.merge.advanceTo(now)
 }
 
 // expireFlows walks the whole map.
@@ -250,17 +297,17 @@ func foldKey(i int) packet.FlowKey {
 	}
 }
 
-// runFoldScript drives a plane and the oracle with three bytes per op.
-// b0 picks the op (reports five times in eight, else Tick, AdvanceMerge
+// runFoldScript drives a plane built from cfg and the oracle with three
+// bytes per op. b0 picks the op (reports five times in eight, else Tick, AdvanceMerge
 // or ExpireFlows) and the vantage; b1 the flow, port and rate (or the
 // time step); b2 the stamp step, RateOK, RateUpdated, an epoch bump and
 // a label change (or the idle bound).
-func runFoldScript(t *testing.T, sc []byte) {
+func runFoldScript(t *testing.T, cfg agg.Config, sc []byte) {
 	t.Helper()
-	p := agg.New(agg.Config{})
+	p := agg.New(cfg)
 	var got []string
 	p.Subscribe(func(ev core.CongestionEvent) { got = append(got, renderFolded(ev)) })
-	o := newScanPlane()
+	o := newScanPlane(cfg)
 	var vs []*agg.Vantage
 	for _, sw := range foldVantageSwitch {
 		name := fmt.Sprintf("sw%d", sw)
@@ -338,19 +385,31 @@ func compareFold(t *testing.T, step int, what string, p *agg.Plane, o *scanPlane
 	if g, w := p.DupReports(), o.dup; g != w {
 		t.Fatalf("step %d (%s): %d duplicate reports, scan %d", step, what, g, w)
 	}
-	if g, w := p.SuppressedCandidates(), o.suppressed; g != w {
+	if g, w := p.SuppressedCandidates(), o.merge.suppressed; g != w {
 		t.Fatalf("step %d (%s): %d suppressed candidates, scan %d", step, what, g, w)
+	}
+	if g, w := p.LateReports(), o.merge.late; g != w {
+		t.Fatalf("step %d (%s): %d late reports, scan %d", step, what, g, w)
 	}
 	if !reflect.DeepEqual(got, o.events) {
 		t.Fatalf("step %d (%s): events\n got %v\nscan %v", step, what, got, o.events)
 	}
 }
 
+// TestPlaneFoldMatchesScan runs 40 scripts at the default thresholds
+// and again at non-default ones, so a switch collector that ignored the
+// plane's thresholds would not pass.
 func TestPlaneFoldMatchesScan(t *testing.T) {
-	for seed := int64(1); seed <= 40; seed++ {
-		sc := make([]byte, 3*400)
-		rand.New(rand.NewSource(seed)).Read(sc)
-		runFoldScript(t, sc)
+	for _, cfg := range []agg.Config{{}, {
+		UtilThreshold: 0.5,
+		EventCooldown: units.Millisecond,
+		FlowFreshness: 2 * units.Millisecond,
+	}} {
+		for seed := int64(1); seed <= 40; seed++ {
+			sc := make([]byte, 3*400)
+			rand.New(rand.NewSource(seed)).Read(sc)
+			runFoldScript(t, cfg, sc)
+		}
 	}
 }
 
@@ -365,6 +424,6 @@ func FuzzPlaneFold(f *testing.F) {
 		if len(sc) > 3*512 {
 			sc = sc[:3*512]
 		}
-		runFoldScript(t, sc)
+		runFoldScript(t, agg.Config{}, sc)
 	})
 }

@@ -144,7 +144,7 @@ func TestLinkSurvivesReceiverStalls(t *testing.T) {
 		perBurst[burstOf{ev.SwitchName, int64(ev.Time) / int64(burstEvery)}]++
 	}
 	t.Logf("%d bursts x %d vantages: %d events over %d (switch, burst) pairs; merger late %d, receiver late records %d, abandoned %d; worst offset error %v",
-		bursts, nv, len(events), len(perBurst), plane.Merger().Late, recv.LateRecords(), recv.Abandoned(), worstOffset)
+		bursts, nv, len(events), len(perBurst), plane.LateReports(), recv.LateRecords(), recv.Abandoned(), worstOffset)
 	if len(perBurst) != bursts*nv {
 		t.Errorf("%d (switch, burst) pairs produced events, want every one of %d", len(perBurst), bursts*nv)
 	}
@@ -153,7 +153,7 @@ func TestLinkSurvivesReceiverStalls(t *testing.T) {
 			t.Errorf("%s burst %d: %d events, want 1", key.sw, key.number, n)
 		}
 	}
-	if late := plane.Merger().Late; late != 0 {
+	if late := plane.LateReports(); late != 0 {
 		t.Errorf("merger dropped %d candidates late", late)
 	}
 	if late := recv.LateRecords(); late != 0 {

@@ -327,8 +327,8 @@ func TestFleetMatchesGlobalOracleOverTransport(t *testing.T) {
 		if got.expired != global.expired {
 			t.Errorf("%s: expired %d != global %d", name, got.expired, global.expired)
 		}
-		if m := tf.plane.Merger(); m.Late != 0 {
-			t.Errorf("%s: merger dropped %d candidates late", name, m.Late)
+		if late := tf.plane.LateReports(); late != 0 {
+			t.Errorf("%s: merger dropped %d candidates late", name, late)
 		}
 		if l := tf.recv.LateRecords(); l != 0 {
 			t.Errorf("%s: %d records arrived below the delivery watermark", name, l)
@@ -370,7 +370,7 @@ func TestFleetMatchesGlobalOracleOverTransport(t *testing.T) {
 	tf, got = replayTransport(t, cs, ccfg, mapper, transportOpts{n: 2, replicate: true, lossProb: 0.05})
 	check("transport-overlap-2-loss5", tf, got)
 	requireLoss("transport-overlap-2-loss5", tf)
-	if tf.plane.Merger().Deduped == 0 && tf.plane.SuppressedCandidates() == 0 && tf.plane.DupReports() == 0 {
+	if tf.plane.SuppressedCandidates() == 0 && tf.plane.DupReports() == 0 {
 		t.Error("transport-overlap-2: no duplicate suppression anywhere in the plane")
 	}
 }
@@ -415,8 +415,8 @@ func TestSoakReorderWindow(t *testing.T) {
 		if !reflect.DeepEqual(got.utils, global.utils) {
 			t.Errorf("%s: utils %v != global %v", name, got.utils, global.utils)
 		}
-		if m := tf.plane.Merger(); m.Late != 0 {
-			t.Errorf("%s: merger dropped %d candidates late", name, m.Late)
+		if late := tf.plane.LateReports(); late != 0 {
+			t.Errorf("%s: merger dropped %d candidates late", name, late)
 		}
 		for i, s := range tf.senders {
 			off, ok := s.Offset()

@@ -212,6 +212,7 @@ type Stats struct {
 	Flows          int   // live flow-table entries
 	RateUpdates    int64
 	EventsEmitted  int64
+	Suppressed     int64 // congestion candidates inside their link's cooldown
 	OutOfOrder     int64 // sequence regressions ignored by estimators
 	UnmappedOutput int64 // samples whose egress port could not be inferred
 }
@@ -375,6 +376,7 @@ func (c *Collector) Stats() Stats {
 		Flows:          int(c.met.flowTableSize.Value()),
 		RateUpdates:    c.met.rateUpdates.Value(),
 		EventsEmitted:  c.met.events.Value(),
+		Suppressed:     c.met.suppressed.Value(),
 		OutOfOrder:     c.met.outOfOrder.Value(),
 		UnmappedOutput: c.met.unmapped.Value(),
 	}
@@ -612,7 +614,7 @@ func (c *Collector) ingest(t units.Time, frame []byte) error {
 	c.account(f)
 	if updated {
 		c.met.rateUpdates.IncRelaxed()
-		c.checkCongestion(t, f)
+		c.CheckCongestion(t, f, c.cfg.Vantage)
 	}
 	if c.cfg.Sink != nil {
 		c.sinkReport(t, f, updated)
@@ -678,7 +680,7 @@ func (c *Collector) ingestUDP(t units.Time, frame []byte) {
 	c.account(f)
 	if updated {
 		c.met.rateUpdates.IncRelaxed()
-		c.checkCongestion(t, f)
+		c.CheckCongestion(t, f, c.cfg.Vantage)
 	}
 	if c.cfg.Sink != nil {
 		c.sinkReport(t, f, updated)
@@ -892,9 +894,14 @@ func (c *Collector) retireStale() {
 	c.fresh = f
 }
 
-// checkCongestion reads the utilization of f's egress link and emits an
-// event if it crossed the threshold and the link is out of cooldown.
-func (c *Collector) checkCongestion(t units.Time, f *FlowState) {
+// CheckCongestion reads the utilization of f's egress link and, if it
+// crossed the threshold and the link is out of cooldown, emits an event
+// stamped t and vantage to the subscribers; inside the cooldown it
+// counts the candidate suppressed. Ingest runs it on every sample that
+// closes a rate window. An aggregation plane runs it on a record Fold
+// returned, for a report that closed one at the vantage, so the
+// switch's collector owns the link's cooldown for the whole fleet.
+func (c *Collector) CheckCongestion(t units.Time, f *FlowState, vantage int) {
 	p := int(f.outPort)
 	if p < 0 || p >= len(c.portFlows) || len(c.subs) == 0 {
 		return
@@ -914,6 +921,7 @@ func (c *Collector) checkCongestion(t units.Time, f *FlowState) {
 		return
 	}
 	if t.Sub(c.lastEvent[p]) < c.cfg.EventCooldown {
+		c.met.suppressed.IncRelaxed()
 		return
 	}
 	c.lastEvent[p] = t
@@ -925,7 +933,7 @@ func (c *Collector) checkCongestion(t units.Time, f *FlowState) {
 		Capacity:   c.cfg.LinkRate,
 		Flows:      c.FlowsOnPort(p),
 		Epoch:      f.routeEpoch,
-		Vantage:    c.cfg.Vantage,
+		Vantage:    vantage,
 	}
 	if tr := c.cfg.Tracer; tr != nil {
 		// The trace is born here: stamped with the triggering flow's

@@ -249,9 +249,3 @@ func (f *FlowState) RetransmitRate() (units.Rate, bool) {
 
 // OutPort returns the flow's egress port at this switch (-1 unknown).
 func (f *FlowState) OutPort() int { return int(f.outPort) }
-
-// RouteEpoch returns the routing epoch the flow's egress port was
-// resolved under (0 when no RouteResolver is installed). An aggregation
-// plane merging reports from several vantage collectors uses it to
-// order duplicate reports of the same flow across epoch skew.
-func (f *FlowState) RouteEpoch() uint64 { return f.routeEpoch }

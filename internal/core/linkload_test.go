@@ -556,7 +556,7 @@ func TestFoldKeepsLinkLoadInvariants(t *testing.T) {
 			RateOK:  rng.Intn(4) != 0,
 		}
 		clock, old := c.now, c.Flow(rep.Key)
-		dup := old != nil && (rep.Time < old.LastSeen || rep.Epoch < old.RouteEpoch())
+		dup := old != nil && (rep.Time < old.LastSeen || rep.Epoch < old.routeEpoch)
 		f := c.Fold(&rep)
 		if (f == nil) != dup {
 			t.Fatalf("report %d (%+v): refused %v, duplicate %v", i, rep, f == nil, dup)
@@ -568,8 +568,8 @@ func TestFoldKeepsLinkLoadInvariants(t *testing.T) {
 		} else {
 			want := max(rep.Time, clock)
 			r, ok := f.Rate()
-			if c.now != want || f.LastSeen != want || f.RouteEpoch() != rep.Epoch || r != rep.Rate || ok != rep.RateOK {
-				t.Fatalf("report %d (%+v) folded to clock %v, record seen %v epoch %d rate %v/%v", i, rep, c.now, f.LastSeen, f.RouteEpoch(), r, ok)
+			if c.now != want || f.LastSeen != want || f.routeEpoch != rep.Epoch || r != rep.Rate || ok != rep.RateOK {
+				t.Fatalf("report %d (%+v) folded to clock %v, record seen %v epoch %d rate %v/%v", i, rep, c.now, f.LastSeen, f.routeEpoch, r, ok)
 			}
 			if f.OutPort() != rep.OutPort {
 				t.Fatalf("report %d: port %d, record on %d", i, rep.OutPort, f.OutPort())

@@ -38,6 +38,10 @@ type collectorMetrics struct {
 	// proxy for table health that stays off the per-lookup path).
 	batchSamples *obs.Histogram
 	probeLen     *obs.Histogram
+
+	// suppressed counts congestion candidates inside their link's
+	// cooldown. It sits last so that no per-sample field moves for it.
+	suppressed obs.Counter
 }
 
 func (m *collectorMetrics) init(timed bool) {
