@@ -50,6 +50,7 @@ fuzz-smoke: vet
 	$(GO) test -run xxx -fuzz FuzzIngest -fuzztime 10s ./internal/core/
 	$(GO) test -run xxx -fuzz FuzzLinkLoad -fuzztime 10s ./internal/core/
 	$(GO) test -run xxx -fuzz FuzzFlowTable -fuzztime 10s ./internal/core/
+	$(GO) test -run xxx -fuzz FuzzMouseEquivalence -fuzztime 10s ./internal/core/
 	$(GO) test -run xxx -fuzz FuzzParseSpec -fuzztime 10s ./internal/faults/
 	$(GO) test -run xxx -fuzz FuzzTreeOfMAC -fuzztime 10s ./internal/topo/
 	$(GO) test -run xxx -fuzz FuzzLabelPort -fuzztime 10s ./internal/routing/

@@ -315,7 +315,7 @@ func (c *Collector) SetPortMapper(m PortMapper) {
 			c.epochRef = es.EpochRef()
 		}
 	}
-	c.flows.Iterate(func(f *FlowState) { c.remapFlowAt(f.LastSeen, f) })
+	c.remapAll()
 }
 
 // syncRoutes pins the current routing epoch (one atomic load) and, on
@@ -344,7 +344,17 @@ func (c *Collector) syncRoutes() {
 func (c *Collector) syncRoutesSlow() {
 	if e := c.resolver.Refresh(); e != c.routeEpoch {
 		c.routeEpoch = e
-		c.flows.Iterate(func(f *FlowState) { c.remapFlowAt(f.LastSeen, f) })
+		c.remapAll()
+	}
+}
+
+// remapAll re-resolves every live flow as of its last sample, mice
+// included, oldest sample first: the order Flows visits them in. The
+// recency list is the one order a flow's record kind does not change,
+// and re-resolving moves flows between port lists but never along it.
+func (c *Collector) remapAll() {
+	for f := c.oldest; f != nil; f = f.next {
+		c.remapFlowAt(f.LastSeen, f)
 	}
 }
 
@@ -541,23 +551,27 @@ func (c *Collector) ingest(t units.Time, frame []byte) error {
 	// Equivalent to HashFlowKey of the 5-tuple, spelled out because
 	// that call exceeds the inlining budget while mixFlowHash fits.
 	h := mixFlowHash(a, uint64(sp)<<24|uint64(dp)<<8|uint64(c.dec.IP.Protocol))
-	// LookupScalar probes without materialising a FlowKey; GetOrInsert
-	// (the rare insert) builds one and does not inline.
+	// LookupScalar probes without materialising a FlowKey; an insert
+	// builds one. A new flow starts as a mouse unless it needs an
+	// extension from its first sample; a mouse's second sample promotes
+	// it, so what follows only ever sees a full record.
 	f := c.flows.LookupScalar(h, a, sp, dp, c.dec.IP.Protocol)
-	inserted := false
 	if f == nil {
-		f, inserted = c.flows.GetOrInsert(h, packet.FlowKey{
+		k := packet.FlowKey{
 			SrcIP: c.dec.IP.Src, DstIP: c.dec.IP.Dst,
 			SrcPort: sp, DstPort: dp,
 			Proto: c.dec.IP.Protocol,
-		})
-	}
-	if inserted {
+		}
+		if !c.cfg.TrackRetransmits {
+			c.ingestMouse(t, h, k, start, t0)
+			return nil
+		}
+		f, _ = c.flows.GetOrInsert(h, k)
 		f.FirstSeen = t
 		f.outPort = -1
-		if c.cfg.TrackRetransmits {
-			f.setRtx(&RetransmitEstimator{})
-		}
+		f.setRtx(&RetransmitEstimator{})
+	} else if f.flags&isMouse != 0 {
+		f = c.promote(h, f)
 	}
 	// A sample reviving a stale, listed flow marks it fresh. The test
 	// reads the LastSeen about to be overwritten, so a sample of a flow
@@ -585,16 +599,7 @@ func (c *Collector) ingest(t units.Time, frame []byte) error {
 	}
 
 	if len(c.boundary) > 0 {
-		flags := c.dec.TCP.Flags
-		if flags&packet.TCPSyn != 0 && flags&packet.TCPAck == 0 {
-			for _, fn := range c.boundary {
-				fn(t, f.Key, FlowStart)
-			}
-		} else if flags&(packet.TCPFin|packet.TCPRst) != 0 {
-			for _, fn := range c.boundary {
-				fn(t, f.Key, FlowEnd)
-			}
-		}
+		c.noteBoundary(t, f.Key)
 	}
 
 	// Sequence-based estimation uses the left edge of the segment's
@@ -623,6 +628,83 @@ func (c *Collector) ingest(t units.Time, frame []byte) error {
 		c.met.ingest.Observe(obs.Nanos() - start)
 	}
 	return nil
+}
+
+// ingestMouse is ingest's tail for the first sample of a new TCP flow:
+// it files the flow as a mouse holding the sample, and does what the
+// full path does for a first sample — recency, label and port, flow
+// boundary, sink report — which opens an estimation window, counts for
+// nothing on the link and closes no window, so no congestion check.
+func (c *Collector) ingestMouse(t units.Time, h uint64, k packet.FlowKey, start, t0 int64) {
+	f := c.flows.insertMouse(h, k)
+	m := asMouse(f)
+	m.seq, m.wireLen = c.dec.TCP.Seq, uint32(c.dec.WireLen)
+	f.outPort = -1
+	f.LastSeen = t
+	c.touch(f)
+	f.DstMAC = c.dec.Eth.Dst
+	if c.mapper != nil {
+		c.remapFlowAt(t, f)
+	}
+	timed := c.met.timed
+	if timed {
+		now := obs.Nanos()
+		c.met.stageFlowTable.Observe(now - t0)
+		t0 = now
+	}
+	if len(c.boundary) > 0 {
+		c.noteBoundary(t, k)
+	}
+	if timed {
+		c.met.stageEstimate.Observe(obs.Nanos() - t0)
+	}
+	if c.cfg.Sink != nil {
+		c.sinkReport(t, f, false)
+	}
+	if timed {
+		c.met.ingest.Observe(obs.Nanos() - start)
+	}
+}
+
+// promote turns mouse m, whose key hashes to h, into a full record that
+// takes its place everywhere: its table slot, its recency position, and
+// its port-list entry with that entry's freshness bit. No order the
+// collector keeps or reports changes, and nothing is recounted: a mouse
+// counts for nothing, and so does a one-sample full record.
+func (c *Collector) promote(h uint64, m *FlowState) *FlowState {
+	f := c.flows.promote(h, m)
+	if f.prev != nil {
+		f.prev.next = f
+	} else {
+		c.oldest = f
+	}
+	if f.next != nil {
+		f.next.prev = f
+	} else {
+		c.newest = f
+	}
+	if c.fresh == m {
+		c.fresh = f
+	}
+	if f.portSlot != 0 {
+		c.portFlows[f.outPort][f.portSlot-1] = f
+	}
+	return f
+}
+
+// noteBoundary tells the boundary subscribers about a sampled SYN
+// (without ACK), FIN or RST of flow k.
+func (c *Collector) noteBoundary(t units.Time, k packet.FlowKey) {
+	flags := c.dec.TCP.Flags
+	if flags&packet.TCPSyn != 0 && flags&packet.TCPAck == 0 {
+		for _, fn := range c.boundary {
+			fn(t, k, FlowStart)
+		}
+	} else if flags&(packet.TCPFin|packet.TCPRst) != 0 {
+		for _, fn := range c.boundary {
+			fn(t, k, FlowEnd)
+		}
+	}
 }
 
 // sinkReport fills the scratch FlowReport from f and hands it to the
@@ -757,11 +839,15 @@ func (c *Collector) moveTo(f *FlowState, port int) {
 // Otherwise it returns the record. Time never goes backwards: a report
 // stamped behind the collector's clock is folded as of the clock.
 func (c *Collector) Fold(rep *FlowReport) *FlowState {
-	f, inserted := c.flows.GetOrInsert(HashFlowKey(rep.Key), rep.Key)
-	if inserted {
+	h := HashFlowKey(rep.Key)
+	f, inserted := c.flows.GetOrInsert(h, rep.Key)
+	switch {
+	case inserted:
 		f.outPort = -1
-	} else if rep.Time < f.LastSeen || rep.Epoch < f.routeEpoch {
+	case rep.Time < f.LastSeen || rep.Epoch < f.routeEpoch:
 		return nil
+	case f.flags&isMouse != 0:
+		f = c.promote(h, f)
 	}
 	t := rep.Time
 	if t < c.now {
@@ -1035,15 +1121,37 @@ func (c *Collector) FlowRate(k packet.FlowKey) (units.Rate, bool) {
 	return f.Rate()
 }
 
-// Flow returns the full flow record for k, or nil. The record is owned
-// by the flow table: it is recycled when the flow expires, so do not
-// retain the pointer across ExpireFlows.
+// Flow returns the full flow record for k, or nil. A flow still held as
+// a one-sample mouse is promoted to a full record first, in place: no
+// answer of the collector changes. The record is owned by the flow
+// table: it is recycled when the flow expires, so do not retain the
+// pointer across ExpireFlows.
 func (c *Collector) Flow(k packet.FlowKey) *FlowState {
-	return c.flows.Lookup(HashFlowKey(k), k)
+	h := HashFlowKey(k)
+	f := c.flows.Lookup(h, k)
+	if f != nil && f.flags&isMouse != 0 {
+		f = c.promote(h, f)
+	}
+	return f
 }
 
-// Flows iterates over all flow records.
-func (c *Collector) Flows(fn func(f *FlowState)) { c.flows.Iterate(fn) }
+// Flows calls fn for every live flow, oldest sample first — the order a
+// routing change re-resolves flows in. A flow with one sample may be
+// held as a mouse; fn then gets a read-only copy of the full record it
+// stands for (SampledPackets 1, FirstSeen = LastSeen, no rate), valid
+// until fn returns. Every other record is the table's own, valid until
+// ExpireFlows. fn must not ingest, expire or call Flow.
+func (c *Collector) Flows(fn func(f *FlowState)) {
+	var view FlowState
+	for f := c.oldest; f != nil; f = f.next {
+		if f.flags&isMouse != 0 {
+			asMouse(f).expand(&view)
+			fn(&view)
+		} else {
+			fn(f)
+		}
+	}
+}
 
 // FlowTableProbeStats reports the flow table's current mean and
 // maximum lookup probe length — an on-demand health check.

@@ -97,12 +97,6 @@ type PacketSeqEstimator struct {
 	sampledPkts  int64
 }
 
-// NewPacketSeqEstimator returns an estimator with the paper's window
-// constants.
-func NewPacketSeqEstimator() *PacketSeqEstimator {
-	return &PacketSeqEstimator{Est: RateEstimator{MinGap: DefaultMinGap, MaxBurst: DefaultMaxBurst}}
-}
-
 // Observe folds in a sample carrying packet-sequence seq and wireLen
 // bytes on the wire.
 func (p *PacketSeqEstimator) Observe(t units.Time, seq uint32, wireLen int) bool {

@@ -86,17 +86,13 @@ func (e *RateEstimator) Rate() (units.Rate, units.Time, bool) {
 	return e.w.rate, e.w.winT, true
 }
 
-// StreamBytes returns the relative stream offset of the newest sample —
-// the total bytes the flow has pushed past this switch since first seen,
-// regardless of how few samples survived mirroring.
-func (e *RateEstimator) StreamBytes() int64 { return e.w.lastSeq - int64(e.baseSeq) }
-
 // Bits of the flags byte that RateEstimator and FlowState each keep.
 const (
 	estStarted  uint8 = 1 << iota // the first sample has opened a window
 	estHaveRate                   // some window has closed with a rate
 	extRtx                        // FlowState.ext is a *RetransmitEstimator
 	extPkt                        // FlowState.ext is a *PacketSeqEstimator
+	isMouse                       // the record is a mouseRecord
 )
 
 // rateWindow is the burst-clustering estimator's state: what
@@ -147,10 +143,14 @@ func (w *rateWindow) observe(flags *uint8, minGap, maxBurst units.Duration, t un
 //
 // It is laid out for the sample path. A sample of a resident flow reads
 // or writes fields in the first 128 bytes only; what lies past them is
-// written at insert and read for flows with an extension. Key comes
-// first for the table's compare; counted, next, outPort and portSlot —
-// what retireStale reads of a flow going stale besides LastSeen — share
-// one 64-byte line.
+// written at insert and read for flows with an extension. It opens with
+// the header, Key to routeEpoch: the key for the table's compare, and
+// what the recency list, the port lists and the link accounting read.
+// A mouse (mouseRecord) has the same header at the same offsets, so a
+// *FlowState that points at a mouse reads its header like any other
+// record's. LastSeen, counted, next, outPort and portSlot — what
+// retireStale reads of a flow going stale — share the first 64-byte
+// line.
 // footprint_test.go pins the size, the offsets and the slab fit.
 type FlowState struct {
 	Key    packet.FlowKey
@@ -158,30 +158,17 @@ type FlowState struct {
 
 	// live marks a slab record as present in the table (false =
 	// free-listed); FlowTable maintains it. flags holds the estimator's
-	// bits and which extension ext points to. Both fit in the two bytes
-	// DstMAC leaves before the next word.
+	// bits, which extension ext points to, and whether the record is a
+	// mouse. Both fit in the two bytes DstMAC leaves before the next word.
 	live  bool
 	flags uint8
 
 	LastSeen units.Time
 
-	SampledPackets int64
-	SampledBytes   int64
-
-	// est is the sequence-number estimator's state (TCP flows; UDP flows
-	// estimate through their PacketSeqEstimator).
-	est rateWindow
-
 	// counted is what the record currently adds to the collector's
 	// portUtil[outPort]: its rate while it is on a port list, fresh and
-	// has an estimate, otherwise 0.
+	// has an estimate, otherwise 0 (always 0 for a mouse).
 	counted units.Rate
-
-	// routeEpoch is the routing epoch outPort was resolved under, as
-	// stamped by remapFlowAt from the resolver's answer. A mismatch
-	// with the collector's synced epoch re-resolves on the next
-	// sample; 0 throughout when no RouteResolver is installed.
-	routeEpoch uint64
 
 	// prev and next thread the record onto the collector's recency list:
 	// every live flow, oldest LastSeen at the head.
@@ -193,6 +180,19 @@ type FlowState struct {
 	outPort  int32
 	portSlot int32
 
+	// routeEpoch is the routing epoch outPort was resolved under, as
+	// stamped by remapFlowAt from the resolver's answer. A mismatch
+	// with the collector's synced epoch re-resolves on the next
+	// sample; 0 throughout when no RouteResolver is installed.
+	routeEpoch uint64
+
+	SampledPackets int64
+	SampledBytes   int64
+
+	// est is the sequence-number estimator's state (TCP flows; UDP flows
+	// estimate through their PacketSeqEstimator).
+	est rateWindow
+
 	FirstSeen units.Time
 
 	// ext is the record's one optional estimator, which flags names: a
@@ -202,11 +202,68 @@ type FlowState struct {
 	ext unsafe.Pointer
 }
 
-// Rate returns the flow's latest throughput estimate.
+// mouseRecord is the probationary record of a TCP flow sampled once:
+// FlowState's header and the one sample's sequence number and wire
+// length. Under scan traffic nearly every flow is one, so it costs 80
+// bytes where a FlowState costs 144. The flow's second sample, a
+// Collector.Flow query or a Fold of its key promotes it to a FlowState
+// that takes its place in the table, the recency list and its port
+// list (Collector.promote).
+//
+// A mouse travels as a *FlowState whose flags carry isMouse: through the
+// table's lookups, the recency list and the port lists. Only the header
+// may be read or written through such a pointer. Rate, Rtx, Pkt and
+// OutPort are safe, as they test flags before reading past it; nothing
+// else outside the header is.
+//
+// The header is spelled out here rather than shared as an embedded
+// struct: each field reached through an embedded struct costs the
+// inliner one more node per selector, which puts touch, run once per
+// sample, past its budget. footprint_test.go pins that every header
+// field sits at the same offset in both types.
+type mouseRecord struct {
+	Key        packet.FlowKey
+	DstMAC     packet.MAC
+	live       bool
+	flags      uint8
+	LastSeen   units.Time
+	counted    units.Rate
+	prev, next *FlowState
+	outPort    int32
+	portSlot   int32
+	routeEpoch uint64
+
+	seq     uint32
+	wireLen uint32
+}
+
+// asMouse returns the mouse record a *FlowState with isMouse points at.
+func asMouse(f *FlowState) *mouseRecord { return (*mouseRecord)(unsafe.Pointer(f)) }
+
+// expand writes into f the full record m stands for: the header with
+// isMouse cleared, one sample, and the estimator state that sample
+// leaves — exactly what a FlowState fed the same sample would hold.
+func (m *mouseRecord) expand(f *FlowState) {
+	*f = FlowState{
+		Key: m.Key, DstMAC: m.DstMAC, live: m.live, flags: m.flags &^ isMouse,
+		LastSeen: m.LastSeen, counted: m.counted, prev: m.prev, next: m.next,
+		outPort: m.outPort, portSlot: m.portSlot, routeEpoch: m.routeEpoch,
+		SampledPackets: 1,
+		SampledBytes:   int64(m.wireLen),
+		FirstSeen:      m.LastSeen,
+	}
+	// The first sample only opens a window; the bounds are not read.
+	f.est.observe(&f.flags, 0, 0, m.LastSeen, m.seq)
+}
+
+// Rate returns the flow's latest throughput estimate. A mouse has none.
 func (f *FlowState) Rate() (units.Rate, bool) {
-	if p := f.Pkt(); p != nil {
-		r, _, ok := p.Rate()
-		return r, ok
+	if f.flags&(extPkt|isMouse) != 0 {
+		if p := f.Pkt(); p != nil {
+			r, _, ok := p.Rate()
+			return r, ok
+		}
+		return 0, false
 	}
 	return f.est.rate, f.flags&estHaveRate != 0
 }

@@ -2,8 +2,8 @@ package core
 
 // This file implements the collector's flow table: an open-addressing
 // hash table with linear probing accelerated by Swiss-table-style group
-// probing, backward-shift deletion, and FlowState records allocated
-// inline from never-moving slabs. The built-in map[FlowKey]*FlowState
+// probing, backward-shift deletion, and flow records allocated inline
+// from never-moving slabs. The built-in map[FlowKey]*FlowState
 // it replaced costs a generic hash, a bucket walk, and a heap-pointer
 // dereference per sample; here a lookup is one folded-multiply hash
 // plus a single 8-slot group probe that resolves in one word-wide
@@ -35,6 +35,14 @@ package core
 // array. Under scan traffic the table is mostly one-sample flows, and
 // the probe array is the largest thing in it after the records.
 //
+// Records come in two sizes (flow.go). A full FlowState lives in the
+// full slabs; a mouse, the compact record of a TCP flow sampled once,
+// lives in the mouse slabs, and its ref carries mouseRef. GetOrInsert
+// always files a full record; insertMouse files a mouse, and promote
+// swaps a mouse for a full record in the same slot. Lookups return
+// either kind as a *FlowState; a mouse's flags carry isMouse, and only
+// its header may be read (flow.go).
+//
 // Invariants:
 //   - slot occupancy is ref != 0 ⇔ ctrl byte has the high bit set;
 //     slot.hash caches the low 32 bits of the record's hash (which hold
@@ -47,9 +55,11 @@ package core
 //     control write goes through setCtrl to keep the mirror current;
 //   - records never move: slabs are fixed-size arrays kept alive for
 //     the table's lifetime, so *FlowState pointers handed out (port
-//     lists, Flow()) stay valid until the record is Removed;
-//   - Remove recycles the record through a free list and zeroes it, so
-//     pointers obtained before a Remove must not be retained across it;
+//     lists, Flow()) stay valid until the record is Removed or, for a
+//     mouse, promoted;
+//   - Remove and promote recycle the record through its kind's free
+//     list and zero it, so pointers obtained before either must not be
+//     retained across it;
 //   - deletion backward-shifts the probe chain (no tombstones), so
 //     probe lengths never degrade as flows churn.
 
@@ -63,13 +73,16 @@ import (
 )
 
 const (
-	// flowSlabSize is how many FlowState records one slab holds: a power
-	// of two, for slot indexing, and a whole number of 8 KiB pages at the
-	// record's size (footprint_test.go), so the allocator rounds nothing
-	// up. Slabs never move and are never freed; expiry recycles records
-	// through the free list.
+	// flowSlabSize is how many records one slab holds, of either kind: a
+	// power of two, for slot indexing, and a whole number of 8 KiB pages
+	// at both record sizes (footprint_test.go), so the allocator rounds
+	// nothing up. Slabs never move and are never freed; expiry recycles
+	// records through the free lists.
 	flowSlabShift = 9
 	flowSlabSize  = 1 << flowSlabShift
+	// mouseRef marks a ref naming a mouse: its other bits are 1 + the
+	// mouse's index across the mouse slabs.
+	mouseRef = 1 << 31
 	// flowTableMinSlots is the initial probe-array size (power of two).
 	flowTableMinSlots = 64
 
@@ -140,8 +153,8 @@ func HashFlowKey(k packet.FlowKey) uint64 {
 }
 
 // flowSlot is one probe-array entry: the low 32 bits of the record's
-// flow hash and its ref, 1 + its index across the slabs. Empty slots
-// have ref == 0.
+// flow hash and its ref, 1 + its index across its kind's slabs, with
+// mouseRef set for a mouse. Empty slots have ref == 0.
 type flowSlot struct {
 	hash uint32
 	ref  uint32
@@ -167,6 +180,14 @@ type FlowTable struct {
 	slabs []*[flowSlabSize]FlowState
 	free  []uint32 // refs of recycled records
 
+	// mice and freeMice are the mouse records' slabs and free list. The
+	// last record of each mouse slab is never handed out: a *FlowState
+	// is 64 bytes longer than a mouse, and a pointer converted to one
+	// must not reach past the slab (the race detector's pointer checks
+	// enforce it).
+	mice     []*[flowSlabSize]mouseRecord
+	freeMice []uint32
+
 	// probe, when set, observes the probe length of each insert — a
 	// cheap standing proxy for table health that stays off the
 	// per-lookup path.
@@ -176,9 +197,14 @@ type FlowTable struct {
 // Len returns the number of live records.
 func (t *FlowTable) Len() int { return t.count }
 
-// record returns the record a slot's ref names.
+// record returns the record a slot's ref names; a mouse comes as the
+// *FlowState view of its header.
 func (t *FlowTable) record(ref uint32) *FlowState {
-	i := ref - 1
+	i := ref - 1 // keeps mouseRef: the index below it is ≥ 1
+	if i&mouseRef != 0 {
+		i &^= mouseRef
+		return (*FlowState)(unsafe.Pointer(&t.mice[i>>flowSlabShift][i&(flowSlabSize-1)]))
+	}
 	return &t.slabs[i>>flowSlabShift][i&(flowSlabSize-1)]
 }
 
@@ -269,9 +295,10 @@ func (t *FlowTable) lookupCold(h, a uint64, sp, dp uint16, proto packet.IPProtoc
 	return nil
 }
 
-// GetOrInsert returns the record for (h, k), creating it when absent.
-// A created record is zeroed except for Key (and the table's internal
-// bookkeeping); the caller initializes the rest. h must be
+// GetOrInsert returns the record for (h, k), creating a full record when
+// absent. A created record is zeroed except for Key (and the table's
+// internal bookkeeping); the caller initializes the rest. A resident
+// mouse is returned as it is, for the caller to promote. h must be
 // HashFlowKey(k). Insertion takes the first empty slot in linear-probe
 // order from the home slot — found a group at a time via the empty
 // mask — so placement is identical to a plain linear-probe table and
@@ -297,33 +324,84 @@ func (t *FlowTable) GetOrInsert(h uint64, k packet.FlowKey) (f *FlowState, inser
 			m &= m - 1
 		}
 		if e := matchZeroBytes(w); e != 0 {
-			idx := (g + uint64(bits.TrailingZeros64(e))>>3) & mask
 			ref := t.alloc()
 			f = t.record(ref)
 			f.Key = k
 			f.live = true
-			t.slots[idx] = flowSlot{hash: uint32(h), ref: ref}
-			t.setCtrl(idx, tag)
-			t.count++
-			if t.probe != nil {
-				t.probe.Observe(int64((idx - i) & mask))
-			}
+			t.fill((g+uint64(bits.TrailingZeros64(e))>>3)&mask, h, ref)
 			return f, true
 		}
 		g = (g + groupWidth) & mask
 	}
 }
 
-// Remove deletes f from the table, backward-shifting the probe chain so
-// no tombstone is left, and recycles the record. f must be a live
-// record of this table; it is zeroed and must not be used afterwards.
-// The search for f's slot starts from the home slot of its key's hash.
+// insertMouse files a mouse for (h, k), which must be absent, and
+// returns its header view: zeroed except for Key, live and isMouse.
+// With the key known absent the probe looks for the first empty slot
+// only, comparing no keys.
+func (t *FlowTable) insertMouse(h uint64, k packet.FlowKey) *FlowState {
+	if t.count >= t.growAt {
+		t.rehash()
+	}
+	g := h & t.mask
+	for {
+		if e := matchZeroBytes(binary.LittleEndian.Uint64(t.ctrl[g:])); e != 0 {
+			ref := t.allocMouse()
+			f := t.record(ref)
+			f.Key = k
+			f.live = true
+			f.flags = isMouse
+			t.fill((g+uint64(bits.TrailingZeros64(e))>>3)&t.mask, h, ref)
+			return f
+		}
+		g = (g + groupWidth) & t.mask
+	}
+}
+
+// fill occupies empty slot idx with ref, a new record of hash h.
+func (t *FlowTable) fill(idx, h uint64, ref uint32) {
+	t.slots[idx] = flowSlot{hash: uint32(h), ref: ref}
+	t.setCtrl(idx, ctrlTag(uint32(h)))
+	t.count++
+	if t.probe != nil {
+		t.probe.Observe(int64((idx - h) & t.mask))
+	}
+}
+
+// slotOf returns the index of the slot naming f, a live record of this
+// table whose key hashes to h.
+func (t *FlowTable) slotOf(h uint64, f *FlowState) uint64 {
+	i := h & t.mask
+	for s := t.slots[i]; s.ref == 0 || t.record(s.ref) != f; s = t.slots[i] {
+		i = (i + 1) & t.mask
+	}
+	return i
+}
+
+// promote replaces mouse m, whose key hashes to h, with the full record
+// it stands for (mouseRecord.expand), in m's slot, and recycles m. The
+// full record keeps m's recency and port-list links: the caller points
+// the lists at it. m is zeroed and must not be used afterwards.
+func (t *FlowTable) promote(h uint64, m *FlowState) *FlowState {
+	i := t.slotOf(h, m)
+	mref := t.slots[i].ref
+	ref := t.alloc()
+	f := t.record(ref)
+	asMouse(m).expand(f)
+	t.slots[i].ref = ref
+	*asMouse(m) = mouseRecord{}
+	t.freeMice = append(t.freeMice, mref)
+	return f
+}
+
+// Remove deletes f, a record of either kind, from the table,
+// backward-shifting the probe chain so no tombstone is left, and
+// recycles the record. f must be a live record of this table; it is
+// zeroed and must not be used afterwards. The search for f's slot
+// starts from the home slot of its key's hash.
 func (t *FlowTable) Remove(f *FlowState) {
 	mask := t.mask
-	i := HashFlowKey(f.Key) & mask
-	for s := t.slots[i]; s.ref == 0 || t.record(s.ref) != f; s = t.slots[i] {
-		i = (i + 1) & mask
-	}
+	i := t.slotOf(HashFlowKey(f.Key), f)
 	ref := t.slots[i].ref
 	// Backward shift: any later chain member whose probe distance
 	// reaches back to slot i (or earlier) can legally occupy i; pull the
@@ -337,8 +415,13 @@ func (t *FlowTable) Remove(f *FlowState) {
 				t.slots[i] = flowSlot{}
 				t.setCtrl(i, ctrlEmpty)
 				t.count--
-				*f = FlowState{}
-				t.free = append(t.free, ref)
+				if ref&mouseRef != 0 {
+					*asMouse(f) = mouseRecord{}
+					t.freeMice = append(t.freeMice, ref)
+				} else {
+					*f = FlowState{}
+					t.free = append(t.free, ref)
+				}
 				return
 			}
 			if (j-uint64(s.hash))&mask >= (j-i)&mask {
@@ -352,22 +435,8 @@ func (t *FlowTable) Remove(f *FlowState) {
 	}
 }
 
-// Iterate calls fn for every live record, in slab (insertion-slot)
-// order. Removing records during iteration — including the current one
-// — is safe: iteration walks the never-moving slabs, not the probe
-// array. Inserting during iteration is not.
-func (t *FlowTable) Iterate(fn func(*FlowState)) {
-	for _, slab := range t.slabs {
-		for i := range slab {
-			if slab[i].live {
-				fn(&slab[i])
-			}
-		}
-	}
-}
-
-// alloc hands out the ref of a zeroed record from the free list, cutting
-// a new slab when empty. Records never move once allocated.
+// alloc hands out the ref of a zeroed full record from the free list,
+// cutting a new slab when empty. Records never move once allocated.
 func (t *FlowTable) alloc() uint32 {
 	if n := len(t.free); n > 0 {
 		ref := t.free[n-1]
@@ -378,6 +447,22 @@ func (t *FlowTable) alloc() uint32 {
 	base := uint32(len(t.slabs)-1) << flowSlabShift
 	for i := uint32(flowSlabSize); i > 1; i-- {
 		t.free = append(t.free, base+i)
+	}
+	return base + 1
+}
+
+// allocMouse is alloc for mice; each slab's last record stays unused
+// (see FlowTable.mice).
+func (t *FlowTable) allocMouse() uint32 {
+	if n := len(t.freeMice); n > 0 {
+		ref := t.freeMice[n-1]
+		t.freeMice = t.freeMice[:n-1]
+		return ref
+	}
+	t.mice = append(t.mice, new([flowSlabSize]mouseRecord))
+	base := mouseRef | uint32(len(t.mice)-1)<<flowSlabShift
+	for i := uint32(flowSlabSize - 1); i > 1; i-- {
+		t.freeMice = append(t.freeMice, base+i)
 	}
 	return base + 1
 }

@@ -355,10 +355,13 @@ func TestFlowHashDispersesCorrelatedFlows(t *testing.T) {
 
 // FuzzFlowTable interprets the fuzz input as an op stream over a tiny
 // key space and cross-checks FlowTable against the map oracle, the same
-// way the differential test does but with coverage-guided inputs.
+// way the differential test does but with coverage-guided inputs. An op
+// byte with the high bit set works on mice: files one, promotes one,
+// removes one, or checks every slot's record kind.
 func FuzzFlowTable(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 1, 1, 2, 2, 1, 2, 3, 0, 0})
 	f.Add([]byte{0, 5, 0, 0, 5, 1, 0, 5, 2, 2, 5, 0, 2, 5, 1, 3, 0, 0})
+	f.Add([]byte{0x80, 1, 2, 0x80, 2, 2, 0, 3, 2, 0x81, 1, 2, 0x83, 0, 0, 0x82, 2, 2, 0x80, 4, 2, 3, 0, 0, 2, 1, 2, 0x83, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var tab FlowTable
 		oracle := map[packet.FlowKey]*FlowState{}
@@ -370,6 +373,10 @@ func FuzzFlowTable(f *testing.F) {
 				Proto: packet.IPProtocolTCP,
 			}
 			h := HashFlowKey(k)
+			if op&0x80 != 0 {
+				fuzzMouseOp(t, &tab, oracle, op%4, h, k)
+				continue
+			}
 			switch op % 4 {
 			case 0:
 				f, inserted := tab.GetOrInsert(h, k)
@@ -410,6 +417,46 @@ func FuzzFlowTable(f *testing.F) {
 		}
 		checkCtrlInvariants(t, &tab)
 	})
+}
+
+// fuzzMouseOp applies FuzzFlowTable's mouse op to key k, of hash h.
+func fuzzMouseOp(t *testing.T, tab *FlowTable, oracle map[packet.FlowKey]*FlowState, op uint8, h uint64, k packet.FlowKey) {
+	of := oracle[k]
+	switch op {
+	case 0: // file a mouse for an absent key
+		if of != nil {
+			return
+		}
+		f := tab.insertMouse(h, k)
+		if f.Key != k || !f.live || f.flags != isMouse {
+			t.Fatalf("insertMouse(%v) = %+v", k, *asMouse(f))
+		}
+		oracle[k] = f
+	case 1: // promote a mouse
+		if of == nil || of.flags&isMouse == 0 {
+			return
+		}
+		asMouse(of).seq, asMouse(of).wireLen, of.LastSeen = 7, 60, 11
+		f := tab.promote(h, of)
+		if f.Key != k || !f.live || f.flags&isMouse != 0 || f.SampledPackets != 1 || f.SampledBytes != 60 || f.FirstSeen != 11 || f.est.lastSeq != 7 {
+			t.Fatalf("promote(%v) = %+v", k, *f)
+		}
+		if *asMouse(of) != (mouseRecord{}) {
+			t.Fatalf("promoted mouse %v left behind as %+v", k, *asMouse(of))
+		}
+		oracle[k] = f
+	case 2: // remove a mouse
+		if of == nil || of.flags&isMouse == 0 {
+			return
+		}
+		tab.Remove(of)
+		delete(oracle, k)
+	default:
+		checkMouseRefs(t, tab)
+	}
+	if got := tab.Lookup(h, k); got != oracle[k] {
+		t.Fatalf("mouse op %d: Lookup(%v) = %p, oracle %p", op, k, got, oracle[k])
+	}
 }
 
 // TestFlowTableRecycledRecordIsBlank: the collector threads records onto

@@ -5,12 +5,13 @@ import (
 	"testing"
 	"unsafe"
 
+	"planck/internal/packet"
 	"planck/internal/units"
 )
 
-// TestFlowRecordFootprint pins what one live flow costs, so that a field
-// added to FlowState shows up here rather than as resident memory under
-// scan traffic, where nearly every sample is a new one-packet flow.
+// TestFlowRecordFootprint pins what one live flow with a full record
+// costs, so that a field added to FlowState shows up here rather than as
+// resident memory.
 func TestFlowRecordFootprint(t *testing.T) {
 	var f FlowState
 	size := unsafe.Sizeof(f)
@@ -49,29 +50,117 @@ func TestFlowRecordFootprint(t *testing.T) {
 			t.Errorf("per-sample field %s spans bytes %d–%d, past the first 128", h.name, h.off, h.off+h.size)
 		}
 	}
-	// retireStale's walk over the flows going stale reads these three per flow.
-	if line := unsafe.Offsetof(f.next) / 64; unsafe.Offsetof(f.outPort)/64 != line || unsafe.Offsetof(f.portSlot)/64 != line {
-		t.Errorf("next (%d), outPort (%d) and portSlot (%d) are not in one 64-byte line",
-			unsafe.Offsetof(f.next), unsafe.Offsetof(f.outPort), unsafe.Offsetof(f.portSlot))
+	// retireStale's walk over the flows going stale reads these three per
+	// flow, and LastSeen and counted; all five lie in the header's first
+	// line, in a mouse as in a full record.
+	if line := unsafe.Offsetof(f.next) / 64; unsafe.Offsetof(f.outPort)/64 != line || unsafe.Offsetof(f.portSlot)/64 != line ||
+		unsafe.Offsetof(f.LastSeen)/64 != line || unsafe.Offsetof(f.counted)/64 != line {
+		t.Errorf("next (%d), outPort (%d), portSlot (%d), LastSeen (%d) and counted (%d) are not in one 64-byte line",
+			unsafe.Offsetof(f.next), unsafe.Offsetof(f.outPort), unsafe.Offsetof(f.portSlot),
+			unsafe.Offsetof(f.LastSeen), unsafe.Offsetof(f.counted))
 	}
 
 	// Everything the collector keeps per flow — record, probe slot and
-	// control byte, port-list entry — measured as retained heap.
+	// control byte, port-list entry — measured as retained heap, with
+	// every flow sampled twice so that it holds a full record.
 	const flows = 100_000
+	per := retainedPerFlow(t, flows, func(c *Collector) {
+		fillPortTwice(t, c, flows, 0, units.Microsecond)
+		if len(c.flows.mice) != 1 || len(c.flows.freeMice) != flowSlabSize-1 {
+			t.Fatalf("%d mouse slabs, %d mice free: not every flow was promoted", len(c.flows.mice), len(c.flows.freeMice))
+		}
+	})
+	t.Logf("%d-byte record, %.1f bytes retained per flow", size, per)
+	if per > 200 {
+		t.Fatalf("a live flow costs %.1f bytes; the budget is 200", per)
+	}
+}
+
+// TestMouseRecordFootprint pins what a flow sampled once costs: under
+// scan traffic nearly every sample is a new one-packet flow, and each
+// is held as a mouse until its second sample.
+func TestMouseRecordFootprint(t *testing.T) {
+	size := unsafe.Sizeof(mouseRecord{})
+	if size > 80 || size%16 != 0 {
+		t.Fatalf("mouseRecord is %d bytes; the budget is 80, in multiples of 16", size)
+	}
+	if slab := flowSlabSize * size; slab%8192 != 0 {
+		t.Fatalf("a slab of %d mice is %d bytes, %d short of whole pages", flowSlabSize, slab, 8192-slab%8192)
+	}
+	// A mouse is read and written through *FlowState up to the end of
+	// its header, so every header field sits where FlowState has it, and
+	// both records go on past it only after it ends.
+	var f FlowState
+	var m mouseRecord
+	for _, h := range []struct {
+		name        string
+		full, mouse uintptr
+	}{
+		{"Key", unsafe.Offsetof(f.Key), unsafe.Offsetof(m.Key)},
+		{"DstMAC", unsafe.Offsetof(f.DstMAC), unsafe.Offsetof(m.DstMAC)},
+		{"live", unsafe.Offsetof(f.live), unsafe.Offsetof(m.live)},
+		{"flags", unsafe.Offsetof(f.flags), unsafe.Offsetof(m.flags)},
+		{"LastSeen", unsafe.Offsetof(f.LastSeen), unsafe.Offsetof(m.LastSeen)},
+		{"counted", unsafe.Offsetof(f.counted), unsafe.Offsetof(m.counted)},
+		{"prev", unsafe.Offsetof(f.prev), unsafe.Offsetof(m.prev)},
+		{"next", unsafe.Offsetof(f.next), unsafe.Offsetof(m.next)},
+		{"outPort", unsafe.Offsetof(f.outPort), unsafe.Offsetof(m.outPort)},
+		{"portSlot", unsafe.Offsetof(f.portSlot), unsafe.Offsetof(m.portSlot)},
+		{"routeEpoch", unsafe.Offsetof(f.routeEpoch), unsafe.Offsetof(m.routeEpoch)},
+	} {
+		if h.full != h.mouse {
+			t.Errorf("header field %s is at offset %d in FlowState, %d in mouseRecord", h.name, h.full, h.mouse)
+		}
+	}
+	if head := unsafe.Offsetof(m.routeEpoch) + unsafe.Sizeof(m.routeEpoch); unsafe.Offsetof(m.seq) < head || unsafe.Offsetof(f.SampledPackets) < head {
+		t.Errorf("the header ends at %d, but mouseRecord.seq is at %d and FlowState.SampledPackets at %d",
+			head, unsafe.Offsetof(m.seq), unsafe.Offsetof(f.SampledPackets))
+	}
+
+	const flows = 100_000
+	per := retainedPerFlow(t, flows, func(c *Collector) { fillPort(t, c, flows, 0, units.Microsecond) })
+	t.Logf("%d-byte mouse, %.1f bytes retained per flow", size, per)
+	if per > 120 {
+		t.Fatalf("a one-sample flow costs %.1f bytes; the budget is 120", per)
+	}
+}
+
+// retainedPerFlow measures the heap a fresh collector retains after fill
+// gives it flows live flows, per flow.
+func retainedPerFlow(t *testing.T, flows int, fill func(c *Collector)) float64 {
+	t.Helper()
 	c := newTestCollector()
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	fillPort(t, c, flows, 0, units.Microsecond)
+	fill(c)
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	if n := c.Stats().Flows; n != flows {
 		t.Fatalf("%d flows live, want %d", n, flows)
 	}
-	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / flows
-	t.Logf("%d-byte record, %.1f bytes retained per flow", size, per)
-	if per > 200 {
-		t.Fatalf("a live flow costs %.1f bytes; the budget is 200", per)
-	}
 	runtime.KeepAlive(c)
+	return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(flows)
+}
+
+// fillPortTwice is fillPort with each flow sampled a second time, step/2
+// after its first and before the next flow's, which promotes it to a
+// full record while the mouse it was is recycled for the next flow.
+func fillPortTwice(t testing.TB, c *Collector, n int, t0 units.Time, step units.Duration) units.Time {
+	t.Helper()
+	var frame []byte
+	for i := c.flows.Len(); n > 0; i, n = i+1, n-1 {
+		for j, at := range []units.Time{t0, t0.Add(step / 2)} {
+			frame = packet.BuildTCP(frame[:0], packet.TCPSpec{
+				SrcMAC: macA, DstMAC: macB,
+				SrcIP: packet.IPv4{10, byte(i >> 16), byte(i >> 8), byte(i)}, DstIP: ipB,
+				SrcPort: 1000, DstPort: 2000, Seq: uint32(j), Flags: packet.TCPSyn,
+			})
+			if err := c.Ingest(at, frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		t0 = t0.Add(step)
+	}
+	return t0
 }

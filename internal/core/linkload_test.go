@@ -712,3 +712,77 @@ func TestExpireWallClockBackstop(t *testing.T) {
 	}
 	t.Fatalf("one expiry of 45k flows took over 100 ms three times running, last %v", d)
 }
+
+// TestMousePromotionKeepsPlacement: a promoted mouse's full record takes
+// its table slot, recency position and port-list entry. On a port list
+// of 1,000 mice, every 7th is promoted in shuffled order by a Flow
+// query; every answer stays as it was. Half the flows then expire, a
+// hundred at a time, oldest sample first, and the port list loses them
+// by the swap-remove that order calls for.
+func TestMousePromotionKeepsPlacement(t *testing.T) {
+	const flows = 1_000
+	c := newTestCollector()
+	fillPort(t, c, flows, 0, units.Microsecond) // flow i sampled at i µs
+	keys := make([]packet.FlowKey, flows)
+	for i := range keys {
+		keys[i] = packet.FlowKey{SrcIP: packet.IPv4{10, 0, byte(i >> 8), byte(i)}, DstIP: ipB, SrcPort: 1000, DstPort: 2000, Proto: packet.IPProtocolTCP}
+	}
+	check := func(what string, want []FlowInfo) {
+		t.Helper()
+		checkLinkLoadInvariants(t, c)
+		checkMouseRefs(t, &c.flows)
+		got := c.FlowsOnPort(2)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d flows on port 2, want %d", what, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: port 2 flow %d is %+v, want %+v", what, i, got[i], want[i])
+			}
+		}
+	}
+	before := c.FlowsOnPort(2)
+	if len(before) != flows {
+		t.Fatalf("%d fresh flows on port 2, want %d", len(before), flows)
+	}
+	var promote []int
+	for i := 0; i < flows; i += 7 {
+		promote = append(promote, i)
+	}
+	rand.New(rand.NewSource(7)).Shuffle(len(promote), func(a, b int) { promote[a], promote[b] = promote[b], promote[a] })
+	for _, i := range promote {
+		f := c.Flow(keys[i])
+		if f == nil || f.flags&isMouse != 0 || f.SampledPackets != 1 || f.FirstSeen != f.LastSeen {
+			t.Fatalf("Flow(%v) = %+v: not a promoted one-sample record", keys[i], f)
+		}
+		check("promoting", before)
+	}
+	if got := c.Stats().Flows; got != flows {
+		t.Fatalf("%d flows after promotion, want %d", got, flows)
+	}
+
+	// The model port list: the flows in port-list order, losing each
+	// expired flow by a swap-remove.
+	model := append([]FlowInfo(nil), before...)
+	for done := 0; done < flows/2; done += 100 {
+		survivor := units.Time(0).Add(units.Duration(done+100) * units.Microsecond)
+		if n := c.ExpireFlows(survivor.Add(units.Millisecond), units.Millisecond); n != 100 {
+			t.Fatalf("expiry %d removed %d flows, want 100", done/100, n)
+		}
+		for _, k := range keys[done : done+100] {
+			for j := range model {
+				if model[j].Key == k {
+					model[j] = model[len(model)-1]
+					model = model[:len(model)-1]
+					break
+				}
+			}
+		}
+		check("expiring", model)
+		for i, k := range keys {
+			if f := c.flows.Lookup(HashFlowKey(k), k); (f != nil) != (i >= done+100) {
+				t.Fatalf("after expiry %d, flow %d present %v", done/100, i, f != nil)
+			}
+		}
+	}
+}
