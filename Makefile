@@ -5,7 +5,7 @@ GO ?= go
 # offline machines with a cold cache.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build vet fmt-check test race race-fast fuzz-smoke chaos-smoke trace-smoke fleet-smoke link-smoke governor-smoke soak-reorder staticcheck check bench-spine clean
+.PHONY: all build vet fmt-check inline-check test race race-fast fuzz-smoke chaos-smoke trace-smoke fleet-smoke link-smoke governor-smoke soak-reorder staticcheck check bench-spine clean
 
 all: check
 
@@ -124,10 +124,22 @@ staticcheck:
 		echo "staticcheck: skipped (no binary on PATH, module cache cold; pin honnef.co/go/tools@$(STATICCHECK_VERSION))"; \
 	fi
 
+# inline-check fails unless the compiler still inlines the per-sample
+# flow-table steps: the recency-list move (Collector.touch), the ref
+# resolver (FlowTable.record) and the link accounting
+# (Collector.account). Each sits close to the inlining budget, and a
+# field or branch more turns it into a call on every sample.
+inline-check:
+	@out=$$($(GO) build -gcflags=-m ./internal/core 2>&1) || { echo "$$out"; exit 1; }; \
+	for fn in '(*Collector).touch' '(*FlowTable).record' '(*Collector).account'; do \
+		echo "$$out" | sed -n 's/.*: can inline //p' | grep -qxF "$$fn" || { echo "inline-check: $$fn is not inlinable"; exit 1; }; \
+	done; \
+	echo "inline-check: touch, record and account inline"
+
 # check is the tier-1 gate: everything must compile, vet clean, lint
 # clean (where staticcheck is available), pass, and run every gated
 # spine workload with its oracles.
-check: vet fmt-check build test race-fast staticcheck trace-smoke fleet-smoke link-smoke governor-smoke soak-reorder bench-spine
+check: vet fmt-check inline-check build test race-fast staticcheck trace-smoke fleet-smoke link-smoke governor-smoke soak-reorder bench-spine
 
 # bench-spine runs the benchmark spine (bench/README.md): its own tests
 # (metric names against BENCHMARK.json, a smoke of all four workloads),

@@ -62,7 +62,7 @@ func TestVantageReportDoesNotAllocate(t *testing.T) {
 // flows into one switch's records, expiring each wave once it has been
 // measured. Expired records are recycled, so the heap retained with one
 // wave live must not grow from wave to wave, and a live merged record
-// must cost no more than the collector's 200-byte budget.
+// must cost no more than 195 bytes (177.4 measured on linux/amd64).
 func TestPlaneMemoryFlatUnderChurn(t *testing.T) {
 	const waves, perWave = 10, 100_000
 	heap := func() int64 {
@@ -93,8 +93,8 @@ func TestPlaneMemoryFlatUnderChurn(t *testing.T) {
 			t.Fatalf("wave %d: %d live records, want %d", w, n, perWave)
 		}
 		live := heap() - base
-		if per := float64(live) / perWave; per > 200 {
-			t.Fatalf("wave %d: a live merged record costs %.1f bytes; the budget is 200", w, per)
+		if per := float64(live) / perWave; per > 195 {
+			t.Fatalf("wave %d: a live merged record costs %.1f bytes; the budget is 195", w, per)
 		}
 		switch w {
 		case 2:

@@ -243,18 +243,26 @@ type Collector struct {
 	// event that changes a term (see account). Bit i of portFresh[p] is
 	// set exactly when portFlows[p][i] is within FlowFreshness of now,
 	// and no bit at or past len(portFlows[p]) is: FlowsOnPort's answer,
-	// kept current wherever a flow changes slot or freshness.
-	portFlows [][]*FlowState
+	// kept current wherever a flow changes slot or freshness. The lists
+	// hold table refs, so the garbage collector never scans them.
+	portFlows [][]uint32
 	portUtil  []units.Rate
 	portFresh [][]uint64
 
-	// oldest and newest are the ends of the recency list threading every
-	// live flow in LastSeen order: a sample moves its flow to newest, and
-	// timestamps never go backwards, so the order needs no sort. fresh is
-	// the oldest flow still within FlowFreshness of now (nil when none
-	// is); everything before it is stale and counts for nothing.
-	oldest, newest *FlowState
-	fresh          *FlowState
+	// The recency list threads every live flow in LastSeen order: a
+	// sample moves its flow to newest, and timestamps never go backwards,
+	// so the order needs no sort. Its head is the table's list head
+	// (FlowTable.head), whose next is the oldest flow; newest is its
+	// tail, nil when the list is empty. fresh is the ref of the oldest
+	// flow still within FlowFreshness of now (0 when none is);
+	// everything before it is stale and counts for nothing. freshSeen is
+	// a lower bound on that flow's LastSeen (never while fresh is 0), so
+	// a sample learns whether a flow may have gone stale without reading
+	// a record: moving the fresh flow away leaves the bound behind, and
+	// the next retireStale raises it again.
+	newest    *FlowState
+	fresh     uint32
+	freshSeen units.Time
 
 	lastEvent []units.Time
 
@@ -276,7 +284,7 @@ type Collector struct {
 // New creates a collector.
 func New(cfg Config) *Collector {
 	cfg.fillDefaults()
-	c := &Collector{cfg: cfg}
+	c := &Collector{cfg: cfg, freshSeen: never}
 	if cfg.Sink != nil {
 		c.sinkBatch, _ = cfg.Sink.(BatchEndSink)
 	}
@@ -286,7 +294,7 @@ func New(cfg Config) *Collector {
 		c.register(cfg.Metrics)
 	}
 	if cfg.NumPorts > 0 {
-		c.portFlows = make([][]*FlowState, cfg.NumPorts)
+		c.portFlows = make([][]uint32, cfg.NumPorts)
 		c.portUtil = make([]units.Rate, cfg.NumPorts)
 		c.portFresh = make([][]uint64, cfg.NumPorts)
 		c.lastEvent = make([]units.Time, cfg.NumPorts)
@@ -353,7 +361,7 @@ func (c *Collector) syncRoutesSlow() {
 // recency list is the one order a flow's record kind does not change,
 // and re-resolving moves flows between port lists but never along it.
 func (c *Collector) remapAll() {
-	for f := c.oldest; f != nil; f = f.next {
+	for f := c.oldest(); f != nil; f = c.flows.at(f.next) {
 		c.remapFlowAt(f.LastSeen, f)
 	}
 }
@@ -493,7 +501,7 @@ func (c *Collector) ingest(t units.Time, frame []byte) error {
 	c.now = t
 	// Every frame moves the clock, whether or not it reaches the flow
 	// table, so staleness is settled here.
-	if f := c.fresh; f != nil && t.Sub(f.LastSeen) > c.cfg.FlowFreshness {
+	if t.Sub(c.freshSeen) > c.cfg.FlowFreshness {
 		c.retireStale()
 	}
 	if c.ring != nil {
@@ -566,10 +574,10 @@ func (c *Collector) ingest(t units.Time, frame []byte) error {
 			c.ingestMouse(t, h, k, start, t0)
 			return nil
 		}
-		f, _ = c.flows.GetOrInsert(h, k)
-		f.FirstSeen = t
+		f = c.flows.insert(h, k, extRtx)
+		f.FirstSeen, f.LastSeen = t, t
 		f.outPort = -1
-		f.setRtx(&RetransmitEstimator{})
+		c.link(f)
 	} else if f.flags&isMouse != 0 {
 		f = c.promote(h, f)
 	}
@@ -580,7 +588,10 @@ func (c *Collector) ingest(t units.Time, frame []byte) error {
 		c.setFresh(f)
 	}
 	f.LastSeen = t
-	c.touch(f)
+	if f != c.newest {
+		c.touch(f)
+	}
+	c.holdFresh(f)
 	f.SampledPackets++
 	f.SampledBytes += int64(c.dec.WireLen)
 
@@ -636,12 +647,12 @@ func (c *Collector) ingest(t units.Time, frame []byte) error {
 // boundary, sink report — which opens an estimation window, counts for
 // nothing on the link and closes no window, so no congestion check.
 func (c *Collector) ingestMouse(t units.Time, h uint64, k packet.FlowKey, start, t0 int64) {
-	f := c.flows.insertMouse(h, k)
+	f := c.flows.insert(h, k, isMouse)
 	m := asMouse(f)
 	m.seq, m.wireLen = c.dec.TCP.Seq, uint32(c.dec.WireLen)
 	f.outPort = -1
 	f.LastSeen = t
-	c.touch(f)
+	c.link(f)
 	f.DstMAC = c.dec.Eth.Dst
 	if c.mapper != nil {
 		c.remapFlowAt(t, f)
@@ -672,22 +683,19 @@ func (c *Collector) ingestMouse(t units.Time, h uint64, k packet.FlowKey, start,
 // collector keeps or reports changes, and nothing is recounted: a mouse
 // counts for nothing, and so does a one-sample full record.
 func (c *Collector) promote(h uint64, m *FlowState) *FlowState {
+	mref := m.self
 	f := c.flows.promote(h, m)
-	if f.prev != nil {
-		f.prev.next = f
-	} else {
-		c.oldest = f
-	}
-	if f.next != nil {
-		f.next.prev = f
+	c.flows.record(f.prev).next = f.self
+	if f.next != 0 {
+		c.flows.record(f.next).prev = f.self
 	} else {
 		c.newest = f
 	}
-	if c.fresh == m {
-		c.fresh = f
+	if c.fresh == mref {
+		c.fresh = f.self
 	}
 	if f.portSlot != 0 {
-		c.portFlows[f.outPort][f.portSlot-1] = f
+		c.portFlows[f.outPort][f.portSlot-1] = f.self
 	}
 	return f
 }
@@ -737,17 +745,23 @@ func (c *Collector) ingestUDP(t units.Time, frame []byte) {
 	if !ok {
 		return
 	}
-	f, inserted := c.flows.GetOrInsert(HashFlowKey(key), key)
-	if inserted {
-		f.FirstSeen = t
+	h := HashFlowKey(key)
+	f := c.flows.Lookup(h, key)
+	if f == nil {
+		f = c.flows.insert(h, key, extPkt)
+		f.FirstSeen, f.LastSeen = t, t
 		f.outPort = -1
-		f.setPkt(&PacketSeqEstimator{Est: RateEstimator{MinGap: c.cfg.MinGap, MaxBurst: c.cfg.MaxBurst}})
+		f.Pkt().Est = RateEstimator{MinGap: c.cfg.MinGap, MaxBurst: c.cfg.MaxBurst}
+		c.link(f)
 	}
 	if t.Sub(f.LastSeen) > c.cfg.FlowFreshness && f.portSlot != 0 {
 		c.setFresh(f)
 	}
 	f.LastSeen = t
-	c.touch(f)
+	if f != c.newest {
+		c.touch(f)
+	}
+	c.holdFresh(f)
 	f.SampledPackets++
 	f.SampledBytes += int64(c.dec.WireLen)
 	if f.DstMAC != c.dec.Eth.Dst || f.outPort < 0 || f.routeEpoch != c.routeEpoch {
@@ -758,7 +772,15 @@ func (c *Collector) ingestUDP(t units.Time, frame []byte) {
 			c.remapFlowAt(t, f)
 		}
 	}
-	updated := f.Pkt().Observe(t, seq, c.dec.WireLen)
+	p := f.Pkt()
+	updated := p.Observe(t, seq, c.dec.WireLen)
+	// The record carries the estimate Rate reads: the mean packet size
+	// moves with every sample, so it is refreshed on every one.
+	f.est.rate, _, ok = p.Rate()
+	f.flags &^= estHaveRate
+	if ok {
+		f.flags |= estHaveRate
+	}
 	c.account(f)
 	if updated {
 		c.met.rateUpdates.IncRelaxed()
@@ -814,7 +836,7 @@ func (c *Collector) moveTo(f *FlowState, port int) {
 	c.unlist(f)
 	f.outPort = int32(port)
 	if port >= 0 && port < len(c.portFlows) {
-		l := append(c.portFlows[port], f)
+		l := append(c.portFlows[port], f.self)
 		c.portFlows[port] = l
 		f.portSlot = int32(len(l))
 		if i := len(l) - 1; i>>6 == len(c.portFresh[port]) {
@@ -854,17 +876,23 @@ func (c *Collector) Fold(rep *FlowReport) *FlowState {
 		t = c.now
 	}
 	c.now = t
-	if o := c.fresh; o != nil && t.Sub(o.LastSeen) > c.cfg.FlowFreshness {
+	if t.Sub(c.freshSeen) > c.cfg.FlowFreshness {
 		c.retireStale()
 	}
 	if inserted {
-		f.FirstSeen = t
+		f.FirstSeen, f.LastSeen = t, t
+		c.link(f)
 		c.publishFlows()
-	} else if t.Sub(f.LastSeen) > c.cfg.FlowFreshness && f.portSlot != 0 {
-		c.setFresh(f)
+	} else {
+		if t.Sub(f.LastSeen) > c.cfg.FlowFreshness && f.portSlot != 0 {
+			c.setFresh(f)
+		}
+		f.LastSeen = t
+		if f != c.newest {
+			c.touch(f)
+		}
+		c.holdFresh(f)
 	}
-	f.LastSeen = t
-	c.touch(f)
 	f.DstMAC = rep.DstMAC
 	f.routeEpoch = rep.Epoch
 	f.est.rate = rep.Rate
@@ -891,7 +919,7 @@ func (c *Collector) unlist(f *FlowState) {
 	hole, end := int(f.portSlot-1), len(l)-1
 	last := l[end]
 	l[hole] = last
-	last.portSlot = f.portSlot
+	c.flows.record(last).portSlot = f.portSlot
 	// The last flow's freshness bit moves with it into the hole.
 	if fresh[end>>6]&(1<<(end&63)) != 0 {
 		fresh[hole>>6] |= 1 << (hole & 63)
@@ -899,7 +927,6 @@ func (c *Collector) unlist(f *FlowState) {
 		fresh[hole>>6] &^= 1 << (hole & 63)
 	}
 	fresh[end>>6] &^= 1 << (end & 63)
-	l[end] = nil
 	c.portFlows[f.outPort] = l[:end]
 	f.portSlot = 0
 }
@@ -931,53 +958,76 @@ func (c *Collector) account(f *FlowState) {
 	}
 }
 
-// touch moves f, whose LastSeen was just set to now, to the newest end
-// of the recency list, linking it in if it is new. (The unlink is
-// spelled out, not shared with expire's, and the LastSeen store is the
-// caller's: either one more puts touch past the inlining budget, and it
-// runs once per sample.)
+// touch moves f, a linked record other than the newest whose LastSeen
+// was just set to now, to the newest end of the recency list; the list
+// head stands in for f's prev when f is the oldest. (The newest test,
+// the LastSeen store and the fresh cursor's start are the caller's, and
+// the unlink is spelled out, not shared with expire's: any one more
+// puts touch past the inlining budget, and it runs once per sample.)
 func (c *Collector) touch(f *FlowState) {
-	if f != c.newest {
-		if f.next != nil { // linked, and not last: unlink
-			if c.fresh == f {
-				c.fresh = f.next
-			}
-			if f.prev != nil {
-				f.prev.next = f.next
-			} else {
-				c.oldest = f.next
-			}
-			f.next.prev = f.prev
-			f.next = nil
-		}
-		f.prev = c.newest
-		if c.newest != nil {
-			c.newest.next = f
-		} else {
-			c.oldest = f
-		}
-		c.newest = f
+	if c.fresh == f.self {
+		c.fresh = f.next
 	}
-	if c.fresh == nil {
-		c.fresh = f
+	c.flows.record(f.prev).next = f.next
+	c.flows.record(f.next).prev = f.prev
+	f.prev = c.newest.self
+	f.next = 0
+	c.newest.next = f.self
+	c.newest = f
+}
+
+// link puts f, a record just filed with its LastSeen set, at the newest
+// end of the recency list.
+func (c *Collector) link(f *FlowState) {
+	if n := c.newest; n != nil {
+		f.prev = n.self
+		n.next = f.self
+	} else {
+		c.flows.head().next = f.self
+	}
+	c.newest = f
+	c.holdFresh(f)
+}
+
+// holdFresh starts the fresh cursor at f, the newest flow, when no flow
+// was fresh.
+func (c *Collector) holdFresh(f *FlowState) {
+	if c.fresh == 0 {
+		c.fresh, c.freshSeen = f.self, f.LastSeen
 	}
 }
 
+// oldest returns the head of the recency list, nil when it is empty.
+func (c *Collector) oldest() *FlowState {
+	if c.newest == nil {
+		return nil
+	}
+	return c.flows.record(c.flows.head().next)
+}
+
+// never is freshSeen while no flow is fresh: no sample is that late.
+const never = units.Time(math.MaxInt64)
+
 // retireStale advances the fresh cursor past every flow last seen more
 // than FlowFreshness before now, dropping each one's contribution and
-// freshness bit. A flow is passed once per time it goes quiet, so the
-// cost per sample is constant on average.
+// freshness bit, and sets freshSeen to the LastSeen of the flow it
+// stops at. A flow is passed once per time it goes quiet, so the cost
+// per sample is constant on average.
 func (c *Collector) retireStale() {
-	f := c.fresh
-	for f != nil && c.now.Sub(f.LastSeen) > c.cfg.FlowFreshness {
+	for r := c.fresh; r != 0; {
+		f := c.flows.record(r)
+		if c.now.Sub(f.LastSeen) <= c.cfg.FlowFreshness {
+			c.fresh, c.freshSeen = r, f.LastSeen
+			return
+		}
 		if i := f.portSlot - 1; i >= 0 {
 			c.portUtil[f.outPort] -= f.counted
 			f.counted = 0
 			c.portFresh[f.outPort][i>>6] &^= 1 << (i & 63)
 		}
-		f = f.next
+		r = f.next
 	}
-	c.fresh = f
+	c.fresh, c.freshSeen = 0, never
 }
 
 // CheckCongestion reads the utilization of f's egress link and, if it
@@ -1076,10 +1126,15 @@ func (c *Collector) LinkUtilizationAt(p int, now units.Time) units.Rate {
 		return 0
 	}
 	util := c.portUtil[p]
-	for f := c.fresh; f != nil && now.Sub(f.LastSeen) > c.cfg.FlowFreshness; f = f.next {
+	for r := c.fresh; r != 0; {
+		f := c.flows.record(r)
+		if now.Sub(f.LastSeen) <= c.cfg.FlowFreshness {
+			break
+		}
 		if f.portSlot != 0 && int(f.outPort) == p {
 			util -= f.counted
 		}
+		r = f.next
 	}
 	return util
 }
@@ -1103,7 +1158,7 @@ func (c *Collector) FlowsOnPort(p int) []FlowInfo {
 	i := 0
 	for wi, w := range fresh {
 		for ; w != 0; w &= w - 1 {
-			f := l[wi<<6|bits.TrailingZeros64(w)]
+			f := c.flows.record(l[wi<<6|bits.TrailingZeros64(w)])
 			r, _ := f.Rate()
 			out[i] = FlowInfo{Key: f.Key, DstMAC: f.DstMAC, Rate: r, OutPort: p}
 			i++
@@ -1143,7 +1198,7 @@ func (c *Collector) Flow(k packet.FlowKey) *FlowState {
 // ExpireFlows. fn must not ingest, expire or call Flow.
 func (c *Collector) Flows(fn func(f *FlowState)) {
 	var view FlowState
-	for f := c.oldest; f != nil; f = f.next {
+	for f := c.oldest(); f != nil; f = c.flows.at(f.next) {
 		if f.flags&isMouse != 0 {
 			asMouse(f).expand(&view)
 			fn(&view)
@@ -1168,14 +1223,18 @@ func (c *Collector) FlowTableProbeStats() (mean float64, max int) {
 // table holds.
 func (c *Collector) ExpireFlows(now units.Time, idle units.Duration) int {
 	n := 0
-	for f := c.oldest; f != nil && now.Sub(f.LastSeen) > idle; f = c.oldest {
+	for f := c.oldest(); f != nil && now.Sub(f.LastSeen) > idle; f = c.oldest() {
 		c.unlist(f)
-		if c.fresh == f {
+		if c.fresh == f.self {
+			// freshSeen stays a bound: the next flow is seen no earlier.
 			c.fresh = f.next
+			if f.next == 0 {
+				c.freshSeen = never
+			}
 		}
-		c.oldest = f.next
-		if f.next != nil {
-			f.next.prev = nil
+		c.flows.head().next = f.next
+		if f.next != 0 {
+			c.flows.record(f.next).prev = 0
 		} else {
 			c.newest = nil
 		}

@@ -1,7 +1,5 @@
 package core
 
-import "unsafe"
-
 // Helpers only core's own tests use.
 
 // StreamBytes returns the relative stream offset of the newest sample —
@@ -15,8 +13,8 @@ func NewPacketSeqEstimator() *PacketSeqEstimator {
 	return &PacketSeqEstimator{Est: RateEstimator{MinGap: DefaultMinGap, MaxBurst: DefaultMaxBurst}}
 }
 
-// Iterate calls fn for every live record, in slab (insertion-slot)
-// order: the full records, then the mice. A mouse comes as the
+// Iterate calls fn for every live record, in slab order: slab by slab
+// as they were cut, whatever their kind. A mouse comes as the
 // *FlowState view of its header, which Lookup also returns: only the
 // header fields and the Rate, Rtx, Pkt and OutPort methods may be read
 // through it (Collector.Flows yields mice as full copies instead). A
@@ -25,18 +23,27 @@ func NewPacketSeqEstimator() *PacketSeqEstimator {
 // safe: iteration walks the never-moving slabs, not the probe array.
 // Inserting or promoting during iteration is not.
 func (t *FlowTable) Iterate(fn func(*FlowState)) {
-	for _, slab := range t.slabs {
-		for i := range slab {
-			if slab[i].live {
-				fn(&slab[i])
+	for s, kind := range t.kinds {
+		for _, ref := range slabRefs(s, kind) {
+			if f := t.record(ref); f.self != 0 {
+				fn(f)
 			}
 		}
 	}
-	for _, slab := range t.mice {
-		for i := range slab {
-			if slab[i].live {
-				fn((*FlowState)(unsafe.Pointer(&slab[i])))
-			}
+}
+
+// slabRefs returns the refs of every record slab s, of the given kind,
+// may hand out.
+func slabRefs(s int, kind recordKind) []uint32 {
+	n := uint32(flowSlabSize)
+	if kind == kindMouse {
+		n--
+	}
+	var refs []uint32
+	for i := uint32(0); i < n; i++ {
+		if ref := uint32(s)<<refOffBits | i*uint32(recordSize[kind]/refUnit); ref != 0 {
+			refs = append(refs, ref)
 		}
 	}
+	return refs
 }

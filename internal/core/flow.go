@@ -90,8 +90,8 @@ func (e *RateEstimator) Rate() (units.Rate, units.Time, bool) {
 const (
 	estStarted  uint8 = 1 << iota // the first sample has opened a window
 	estHaveRate                   // some window has closed with a rate
-	extRtx                        // FlowState.ext is a *RetransmitEstimator
-	extPkt                        // FlowState.ext is a *PacketSeqEstimator
+	extRtx                        // the record is an extRecord holding a RetransmitEstimator
+	extPkt                        // the record is an extRecord holding a PacketSeqEstimator
 	isMouse                       // the record is a mouseRecord
 )
 
@@ -143,24 +143,26 @@ func (w *rateWindow) observe(flags *uint8, minGap, maxBurst units.Duration, t un
 //
 // It is laid out for the sample path. A sample of a resident flow reads
 // or writes fields in the first 128 bytes only; what lies past them is
-// written at insert and read for flows with an extension. It opens with
-// the header, Key to routeEpoch: the key for the table's compare, and
-// what the recency list, the port lists and the link accounting read.
-// A mouse (mouseRecord) has the same header at the same offsets, so a
-// *FlowState that points at a mouse reads its header like any other
-// record's. LastSeen, counted, next, outPort and portSlot — what
-// retireStale reads of a flow going stale — share the first 64-byte
-// line.
-// footprint_test.go pins the size, the offsets and the slab fit.
+// written at insert. It opens with the header, Key to routeEpoch: the
+// key for the table's compare, and what the recency list, the port
+// lists and the link accounting read. A mouse (mouseRecord) has the
+// same header at the same offsets, so a *FlowState that points at a
+// mouse reads its header like any other record's. LastSeen, counted,
+// next, outPort and portSlot — what retireStale reads of a flow going
+// stale — share the first 64-byte line.
+//
+// A record holds no Go pointer. Its links to other records are table
+// refs (flowtable.go), and an extension estimator lives in the record's
+// own slab, past the record (extRecord), so the slabs are memory the
+// garbage collector never scans. footprint_test.go pins the size, the
+// offsets, the slab fit and the absence of pointers.
 type FlowState struct {
 	Key    packet.FlowKey
 	DstMAC packet.MAC // latest routing label seen (changes on reroute)
 
-	// live marks a slab record as present in the table (false =
-	// free-listed); FlowTable maintains it. flags holds the estimator's
-	// bits, which extension ext points to, and whether the record is a
-	// mouse. Both fit in the two bytes DstMAC leaves before the next word.
-	live  bool
+	// flags holds the estimator's bits, which extension the record
+	// carries, and whether the record is a mouse. It fits in the padding
+	// DstMAC leaves before the next word.
 	flags uint8
 
 	LastSeen units.Time
@@ -170,9 +172,13 @@ type FlowState struct {
 	// has an estimate, otherwise 0 (always 0 for a mouse).
 	counted units.Rate
 
-	// prev and next thread the record onto the collector's recency list:
-	// every live flow, oldest LastSeen at the head.
-	prev, next *FlowState
+	// self is the record's own table ref, 0 while it is free-listed: a
+	// record is live exactly when self != 0. FlowTable stamps it. prev
+	// and next thread the record onto the collector's recency list:
+	// every live flow, oldest LastSeen first. Each is the neighbour's
+	// ref; next is 0 at the newest end, prev is 0 (the table's list
+	// head) at the oldest.
+	self, prev, next uint32
 
 	// outPort is the cached output-port mapping, -1 unknown. portSlot is
 	// 1 + the record's index in the collector's portFlows[outPort] (0 =
@@ -195,11 +201,7 @@ type FlowState struct {
 
 	FirstSeen units.Time
 
-	// ext is the record's one optional estimator, which flags names: a
-	// *RetransmitEstimator on a TCP flow when retransmission tracking is
-	// enabled, a *PacketSeqEstimator on a UDP flow when UDP sequence
-	// parsing is. No flow needs both.
-	ext unsafe.Pointer
+	_ uint64 // a record fills whole 16-byte ref units
 }
 
 // mouseRecord is the probationary record of a TCP flow sampled once:
@@ -222,16 +224,15 @@ type FlowState struct {
 // sample, past its budget. footprint_test.go pins that every header
 // field sits at the same offset in both types.
 type mouseRecord struct {
-	Key        packet.FlowKey
-	DstMAC     packet.MAC
-	live       bool
-	flags      uint8
-	LastSeen   units.Time
-	counted    units.Rate
-	prev, next *FlowState
-	outPort    int32
-	portSlot   int32
-	routeEpoch uint64
+	Key              packet.FlowKey
+	DstMAC           packet.MAC
+	flags            uint8
+	LastSeen         units.Time
+	counted          units.Rate
+	self, prev, next uint32
+	outPort          int32
+	portSlot         int32
+	routeEpoch       uint64
 
 	seq     uint32
 	wireLen uint32
@@ -240,13 +241,26 @@ type mouseRecord struct {
 // asMouse returns the mouse record a *FlowState with isMouse points at.
 func asMouse(f *FlowState) *mouseRecord { return (*mouseRecord)(unsafe.Pointer(f)) }
 
+// extRecord is the record of a flow with an extension estimator: a
+// FlowState and, past it, the estimator flags names, a
+// RetransmitEstimator or a PacketSeqEstimator. Both are pointer-free, so
+// ext is plain words. Extension records fill slabs of their own, so
+// Rtx and Pkt reach the estimator from the record alone.
+type extRecord struct {
+	FlowState
+	ext [extWords]uint64
+}
+
+// extWords is the extension estimators' common size in words.
+const extWords = (max(unsafe.Sizeof(RetransmitEstimator{}), unsafe.Sizeof(PacketSeqEstimator{})) + 7) / 8
+
 // expand writes into f the full record m stands for: the header with
 // isMouse cleared, one sample, and the estimator state that sample
 // leaves — exactly what a FlowState fed the same sample would hold.
 func (m *mouseRecord) expand(f *FlowState) {
 	*f = FlowState{
-		Key: m.Key, DstMAC: m.DstMAC, live: m.live, flags: m.flags &^ isMouse,
-		LastSeen: m.LastSeen, counted: m.counted, prev: m.prev, next: m.next,
+		Key: m.Key, DstMAC: m.DstMAC, flags: m.flags &^ isMouse,
+		LastSeen: m.LastSeen, counted: m.counted, self: m.self, prev: m.prev, next: m.next,
 		outPort: m.outPort, portSlot: m.portSlot, routeEpoch: m.routeEpoch,
 		SampledPackets: 1,
 		SampledBytes:   int64(m.wireLen),
@@ -257,42 +271,34 @@ func (m *mouseRecord) expand(f *FlowState) {
 }
 
 // Rate returns the flow's latest throughput estimate. A mouse has none.
+// A flow whose sequence numbers count packets has the one the collector
+// stored from its PacketSeqEstimator at its latest sample.
 func (f *FlowState) Rate() (units.Rate, bool) {
-	if f.flags&(extPkt|isMouse) != 0 {
-		if p := f.Pkt(); p != nil {
-			r, _, ok := p.Rate()
-			return r, ok
-		}
+	if f.flags&isMouse != 0 {
 		return 0, false
 	}
 	return f.est.rate, f.flags&estHaveRate != 0
 }
 
 // Rtx returns the flow's retransmission-rate estimator (§3.2.2
-// extension), or nil when retransmission tracking is off.
+// extension), or nil when retransmission tracking is off. The estimator
+// lies past the record in its slab, so it is reached only through the
+// table's own record, never through a copy of it.
 func (f *FlowState) Rtx() *RetransmitEstimator {
 	if f.flags&extRtx == 0 {
 		return nil
 	}
-	return (*RetransmitEstimator)(f.ext)
+	return (*RetransmitEstimator)(unsafe.Pointer(&(*extRecord)(unsafe.Pointer(f)).ext))
 }
 
 // Pkt returns the throughput estimator of a flow whose sequence numbers
 // count packets (UDP with an application counter); nil for TCP flows.
+// Like Rtx, it reads the table's own record only.
 func (f *FlowState) Pkt() *PacketSeqEstimator {
 	if f.flags&extPkt == 0 {
 		return nil
 	}
-	return (*PacketSeqEstimator)(f.ext)
-}
-
-// setRtx and setPkt give a new record its extension.
-func (f *FlowState) setRtx(r *RetransmitEstimator) {
-	f.ext, f.flags = unsafe.Pointer(r), f.flags|extRtx
-}
-
-func (f *FlowState) setPkt(p *PacketSeqEstimator) {
-	f.ext, f.flags = unsafe.Pointer(p), f.flags|extPkt
+	return (*PacketSeqEstimator)(unsafe.Pointer(&(*extRecord)(unsafe.Pointer(f)).ext))
 }
 
 // RetransmitRate returns the inferred retransmission rate, when tracking

@@ -27,21 +27,29 @@ package core
 // produces); tag matches may rarely be false positives and are rejected
 // by the 32-bit hash compare that follows.
 //
-// A slot names its record by index, not by pointer: 1 + the record's
-// position across the slabs, which are a power of two records long, so
-// the index splits into slab and offset with a shift and a mask. A slot
-// is then 8 bytes, half what a 64-bit hash and a pointer take, and
-// holds no pointer, so the garbage collector never scans the probe
-// array. Under scan traffic the table is mostly one-sample flows, and
-// the probe array is the largest thing in it after the records.
+// Nothing the table keeps per flow holds a Go pointer, so the garbage
+// collector never scans the probe array, the records or the lists that
+// thread them: with ~200k flows live, scanning them was most of every
+// collection's mark work, and each link store paid a write barrier
+// while marking ran. A record is named by a ref, a 32-bit table index: a
+// slot holds its record's ref, a record its own (self) and its
+// neighbours' on the collector's recency list, and the collector's port
+// lists hold refs. A ref is the record's slab index, shifted, and its
+// byte offset in the slab in 16-byte units: record resolves one with a
+// shift, a mask, one load from the slab table and an add, with no
+// branch on the record's kind. Ref 0 names no live record: the first
+// slab's first record is never handed out. It ends a list, and it is
+// the list head the collector's recency list hangs from (head). A ref
+// is an index, never an address kept as a uintptr: the race detector's
+// pointer checks reject a pointer rebuilt from a stored integer.
 //
-// Records come in two sizes (flow.go). A full FlowState lives in the
-// full slabs; a mouse, the compact record of a TCP flow sampled once,
-// lives in the mouse slabs, and its ref carries mouseRef. GetOrInsert
-// always files a full record; insertMouse files a mouse, and promote
-// swaps a mouse for a full record in the same slot. Lookups return
-// either kind as a *FlowState; a mouse's flags carry isMouse, and only
-// its header may be read (flow.go).
+// Records come in three kinds (flow.go), each in slabs of its own: a
+// full FlowState; a mouse, the compact record of a TCP flow sampled
+// once; and an extRecord, a FlowState with an extension estimator past
+// it. GetOrInsert files a full record; insert files a mouse or an
+// extension record, and promote swaps a mouse for a full record in the
+// same slot. Lookups return every kind as a *FlowState; a mouse's flags
+// carry isMouse, and only its header may be read (flow.go).
 //
 // Invariants:
 //   - slot occupancy is ref != 0 ⇔ ctrl byte has the high bit set;
@@ -54,9 +62,11 @@ package core
 //   - ctrl[len(slots)+j] mirrors ctrl[j] for j < groupWidth-1; every
 //     control write goes through setCtrl to keep the mirror current;
 //   - records never move: slabs are fixed-size arrays kept alive for
-//     the table's lifetime, so *FlowState pointers handed out (port
-//     lists, Flow()) stay valid until the record is Removed or, for a
-//     mouse, promoted;
+//     the table's lifetime, so *FlowState pointers handed out (Flow(),
+//     the collector's list ends) stay valid until the record is Removed
+//     or, for a mouse, promoted;
+//   - a live record's self is the ref of the slot naming it; a
+//     free-listed record is all zero;
 //   - Remove and promote recycle the record through its kind's free
 //     list and zero it, so pointers obtained before either must not be
 //     retained across it;
@@ -73,16 +83,18 @@ import (
 )
 
 const (
-	// flowSlabSize is how many records one slab holds, of either kind: a
-	// power of two, for slot indexing, and a whole number of 8 KiB pages
-	// at both record sizes (footprint_test.go), so the allocator rounds
-	// nothing up. Slabs never move and are never freed; expiry recycles
-	// records through the free lists.
-	flowSlabShift = 9
-	flowSlabSize  = 1 << flowSlabShift
-	// mouseRef marks a ref naming a mouse: its other bits are 1 + the
-	// mouse's index across the mouse slabs.
-	mouseRef = 1 << 31
+	// flowSlabSize is how many records one slab holds, of any kind: a
+	// whole number of 8 KiB pages at every record size
+	// (footprint_test.go), so the allocator rounds nothing up. Slabs
+	// never move and are never freed; expiry recycles records through
+	// the free lists.
+	flowSlabSize = 512
+	// A ref is slab<<refOffBits | offset/refUnit, offset the record's
+	// byte offset in its slab: 13 bits reach 128 KiB, past the largest
+	// slab, and leave 19 bits of slab index, over 200M records.
+	refOffBits = 13
+	refOffMask = 1<<refOffBits - 1
+	refUnit    = 16
 	// flowTableMinSlots is the initial probe-array size (power of two).
 	flowTableMinSlots = 64
 
@@ -153,8 +165,7 @@ func HashFlowKey(k packet.FlowKey) uint64 {
 }
 
 // flowSlot is one probe-array entry: the low 32 bits of the record's
-// flow hash and its ref, 1 + its index across its kind's slabs, with
-// mouseRef set for a mouse. Empty slots have ref == 0.
+// flow hash and its ref. Empty slots have ref == 0.
 type flowSlot struct {
 	hash uint32
 	ref  uint32
@@ -177,16 +188,16 @@ type FlowTable struct {
 	growAt int // count at which the probe array doubles (~75% load)
 	count  int
 
-	slabs []*[flowSlabSize]FlowState
-	free  []uint32 // refs of recycled records
-
-	// mice and freeMice are the mouse records' slabs and free list. The
+	// slabs is the slab table: refs index it, and each entry is the
+	// table's one reference to its slab. kinds holds each slab's record
+	// kind. free holds, per kind, the refs of its recycled records. The
 	// last record of each mouse slab is never handed out: a *FlowState
 	// is 64 bytes longer than a mouse, and a pointer converted to one
 	// must not reach past the slab (the race detector's pointer checks
 	// enforce it).
-	mice     []*[flowSlabSize]mouseRecord
-	freeMice []uint32
+	slabs []unsafe.Pointer
+	kinds []recordKind
+	free  [numKinds][]uint32
 
 	// probe, when set, observes the probe length of each insert — a
 	// cheap standing proxy for table health that stays off the
@@ -197,15 +208,53 @@ type FlowTable struct {
 // Len returns the number of live records.
 func (t *FlowTable) Len() int { return t.count }
 
-// record returns the record a slot's ref names; a mouse comes as the
-// *FlowState view of its header.
-func (t *FlowTable) record(ref uint32) *FlowState {
-	i := ref - 1 // keeps mouseRef: the index below it is ≥ 1
-	if i&mouseRef != 0 {
-		i &^= mouseRef
-		return (*FlowState)(unsafe.Pointer(&t.mice[i>>flowSlabShift][i&(flowSlabSize-1)]))
+// recordKind names a record layout: each slab holds one kind.
+type recordKind uint8
+
+const (
+	kindFull  recordKind = iota // FlowState
+	kindMouse                   // mouseRecord
+	kindExt                     // extRecord
+	numKinds
+)
+
+// recordSize is each kind's size in bytes, a multiple of refUnit.
+var recordSize = [numKinds]uintptr{
+	kindFull:  unsafe.Sizeof(FlowState{}),
+	kindMouse: unsafe.Sizeof(mouseRecord{}),
+	kindExt:   unsafe.Sizeof(extRecord{}),
+}
+
+// kindOf returns the kind of a live record with the given flags.
+func kindOf(flags uint8) recordKind {
+	switch {
+	case flags&isMouse != 0:
+		return kindMouse
+	case flags&(extRtx|extPkt) != 0:
+		return kindExt
 	}
-	return &t.slabs[i>>flowSlabShift][i&(flowSlabSize-1)]
+	return kindFull
+}
+
+// record returns the record ref names, of any kind, as a *FlowState; a
+// mouse comes as the view of its header. ref must name a record of this
+// table.
+func (t *FlowTable) record(ref uint32) *FlowState {
+	return (*FlowState)(unsafe.Add(t.slabs[ref>>refOffBits], ref&refOffMask*refUnit))
+}
+
+// head returns the list head: the table's first record, ref 0, which
+// is never handed out. The collector threads its recency list through
+// it: the head's next is the oldest flow's ref, and the oldest flow's
+// prev is 0. Only next is used. The table must have cut a slab.
+func (t *FlowTable) head() *FlowState { return t.record(0) }
+
+// at is record, with ref 0 (a list's end) giving nil.
+func (t *FlowTable) at(ref uint32) *FlowState {
+	if ref == 0 {
+		return nil
+	}
+	return t.record(ref)
 }
 
 // keyFirstWord reads the first 8 bytes of a resident FlowKey (SrcIP ‖
@@ -324,10 +373,10 @@ func (t *FlowTable) GetOrInsert(h uint64, k packet.FlowKey) (f *FlowState, inser
 			m &= m - 1
 		}
 		if e := matchZeroBytes(w); e != 0 {
-			ref := t.alloc()
+			ref := t.alloc(kindFull)
 			f = t.record(ref)
 			f.Key = k
-			f.live = true
+			f.self = ref
 			t.fill((g+uint64(bits.TrailingZeros64(e))>>3)&mask, h, ref)
 			return f, true
 		}
@@ -335,22 +384,23 @@ func (t *FlowTable) GetOrInsert(h uint64, k packet.FlowKey) (f *FlowState, inser
 	}
 }
 
-// insertMouse files a mouse for (h, k), which must be absent, and
-// returns its header view: zeroed except for Key, live and isMouse.
-// With the key known absent the probe looks for the first empty slot
-// only, comparing no keys.
-func (t *FlowTable) insertMouse(h uint64, k packet.FlowKey) *FlowState {
+// insert files a new record for (h, k), which must be absent, and
+// returns it: zeroed except for Key, self and flags. flags is isMouse
+// for a mouse, extRtx or extPkt for an extension record with a zeroed
+// estimator. With the key known absent the probe looks for the first
+// empty slot only, comparing no keys.
+func (t *FlowTable) insert(h uint64, k packet.FlowKey, flags uint8) *FlowState {
 	if t.count >= t.growAt {
 		t.rehash()
 	}
 	g := h & t.mask
 	for {
 		if e := matchZeroBytes(binary.LittleEndian.Uint64(t.ctrl[g:])); e != 0 {
-			ref := t.allocMouse()
+			ref := t.alloc(kindOf(flags))
 			f := t.record(ref)
 			f.Key = k
-			f.live = true
-			f.flags = isMouse
+			f.self = ref
+			f.flags = flags
 			t.fill((g+uint64(bits.TrailingZeros64(e))>>3)&t.mask, h, ref)
 			return f
 		}
@@ -372,7 +422,7 @@ func (t *FlowTable) fill(idx, h uint64, ref uint32) {
 // table whose key hashes to h.
 func (t *FlowTable) slotOf(h uint64, f *FlowState) uint64 {
 	i := h & t.mask
-	for s := t.slots[i]; s.ref == 0 || t.record(s.ref) != f; s = t.slots[i] {
+	for t.slots[i].ref != f.self {
 		i = (i + 1) & t.mask
 	}
 	return i
@@ -384,13 +434,13 @@ func (t *FlowTable) slotOf(h uint64, f *FlowState) uint64 {
 // the lists at it. m is zeroed and must not be used afterwards.
 func (t *FlowTable) promote(h uint64, m *FlowState) *FlowState {
 	i := t.slotOf(h, m)
-	mref := t.slots[i].ref
-	ref := t.alloc()
+	ref := t.alloc(kindFull)
 	f := t.record(ref)
 	asMouse(m).expand(f)
+	f.self = ref
 	t.slots[i].ref = ref
+	t.free[kindMouse] = append(t.free[kindMouse], m.self)
 	*asMouse(m) = mouseRecord{}
-	t.freeMice = append(t.freeMice, mref)
 	return f
 }
 
@@ -402,7 +452,6 @@ func (t *FlowTable) promote(h uint64, m *FlowState) *FlowState {
 func (t *FlowTable) Remove(f *FlowState) {
 	mask := t.mask
 	i := t.slotOf(HashFlowKey(f.Key), f)
-	ref := t.slots[i].ref
 	// Backward shift: any later chain member whose probe distance
 	// reaches back to slot i (or earlier) can legally occupy i; pull the
 	// first such member up and continue from its slot until a hole. The
@@ -415,12 +464,15 @@ func (t *FlowTable) Remove(f *FlowState) {
 				t.slots[i] = flowSlot{}
 				t.setCtrl(i, ctrlEmpty)
 				t.count--
-				if ref&mouseRef != 0 {
+				kind := kindOf(f.flags)
+				t.free[kind] = append(t.free[kind], f.self)
+				switch kind {
+				case kindMouse:
 					*asMouse(f) = mouseRecord{}
-					t.freeMice = append(t.freeMice, ref)
-				} else {
+				case kindExt:
+					*(*extRecord)(unsafe.Pointer(f)) = extRecord{}
+				default:
 					*f = FlowState{}
-					t.free = append(t.free, ref)
 				}
 				return
 			}
@@ -435,36 +487,48 @@ func (t *FlowTable) Remove(f *FlowState) {
 	}
 }
 
-// alloc hands out the ref of a zeroed full record from the free list,
-// cutting a new slab when empty. Records never move once allocated.
-func (t *FlowTable) alloc() uint32 {
-	if n := len(t.free); n > 0 {
-		ref := t.free[n-1]
-		t.free = t.free[:n-1]
+// alloc hands out the ref of a zeroed record of the given kind from
+// its free list, cutting a new slab when the list is empty. Records
+// never move once allocated.
+func (t *FlowTable) alloc(kind recordKind) uint32 {
+	if n := len(t.free[kind]); n > 0 {
+		ref := t.free[kind][n-1]
+		t.free[kind] = t.free[kind][:n-1]
 		return ref
 	}
-	t.slabs = append(t.slabs, new([flowSlabSize]FlowState))
-	base := uint32(len(t.slabs)-1) << flowSlabShift
-	for i := uint32(flowSlabSize); i > 1; i-- {
-		t.free = append(t.free, base+i)
-	}
-	return base + 1
+	return t.cut(kind)
 }
 
-// allocMouse is alloc for mice; each slab's last record stays unused
-// (see FlowTable.mice).
-func (t *FlowTable) allocMouse() uint32 {
-	if n := len(t.freeMice); n > 0 {
-		ref := t.freeMice[n-1]
-		t.freeMice = t.freeMice[:n-1]
-		return ref
+// cut adds a slab of the given kind to the slab table, free-lists its
+// records but the first, and returns the first's ref; refs go out in
+// slab order. Each mouse slab's last record stays unused (see
+// FlowTable.slabs), and the table's first record is ref 0, which names
+// none.
+func (t *FlowTable) cut(kind recordKind) uint32 {
+	var base unsafe.Pointer
+	switch kind {
+	case kindMouse:
+		base = unsafe.Pointer(new([flowSlabSize]mouseRecord))
+	case kindExt:
+		base = unsafe.Pointer(new([flowSlabSize]extRecord))
+	default:
+		base = unsafe.Pointer(new([flowSlabSize]FlowState))
 	}
-	t.mice = append(t.mice, new([flowSlabSize]mouseRecord))
-	base := mouseRef | uint32(len(t.mice)-1)<<flowSlabShift
-	for i := uint32(flowSlabSize - 1); i > 1; i-- {
-		t.freeMice = append(t.freeMice, base+i)
+	t.slabs = append(t.slabs, base)
+	t.kinds = append(t.kinds, kind)
+	first, n := uint32(0), uint32(flowSlabSize)
+	if kind == kindMouse {
+		n--
 	}
-	return base + 1
+	if len(t.slabs) == 1 {
+		first = 1
+	}
+	stride := uint32(recordSize[kind] / refUnit)
+	ref0 := uint32(len(t.slabs)-1) << refOffBits
+	for i := n - 1; i > first; i-- {
+		t.free[kind] = append(t.free[kind], ref0|i*stride)
+	}
+	return ref0 | first*stride
 }
 
 // rehash doubles the probe array (or cuts the initial one) and

@@ -427,9 +427,9 @@ func fuzzMouseOp(t *testing.T, tab *FlowTable, oracle map[packet.FlowKey]*FlowSt
 		if of != nil {
 			return
 		}
-		f := tab.insertMouse(h, k)
-		if f.Key != k || !f.live || f.flags != isMouse {
-			t.Fatalf("insertMouse(%v) = %+v", k, *asMouse(f))
+		f := tab.insert(h, k, isMouse)
+		if f.Key != k || f.self == 0 || tab.record(f.self) != f || f.flags != isMouse {
+			t.Fatalf("insert(%v, isMouse) = %+v", k, *asMouse(f))
 		}
 		oracle[k] = f
 	case 1: // promote a mouse
@@ -438,7 +438,7 @@ func fuzzMouseOp(t *testing.T, tab *FlowTable, oracle map[packet.FlowKey]*FlowSt
 		}
 		asMouse(of).seq, asMouse(of).wireLen, of.LastSeen = 7, 60, 11
 		f := tab.promote(h, of)
-		if f.Key != k || !f.live || f.flags&isMouse != 0 || f.SampledPackets != 1 || f.SampledBytes != 60 || f.FirstSeen != 11 || f.est.lastSeq != 7 {
+		if f.Key != k || f.self == 0 || tab.record(f.self) != f || f.flags&isMouse != 0 || f.SampledPackets != 1 || f.SampledBytes != 60 || f.FirstSeen != 11 || f.est.lastSeq != 7 {
 			t.Fatalf("promote(%v) = %+v", k, *f)
 		}
 		if *asMouse(of) != (mouseRecord{}) {
@@ -468,14 +468,17 @@ func TestFlowTableRecycledRecordIsBlank(t *testing.T) {
 	k1 := packet.FlowKey{SrcIP: packet.IPv4{10, 0, 0, 1}, SrcPort: 1, Proto: packet.IPProtocolTCP}
 	k2 := packet.FlowKey{SrcIP: packet.IPv4{10, 0, 0, 2}, SrcPort: 2, Proto: packet.IPProtocolTCP}
 	a, _ := tab.GetOrInsert(HashFlowKey(k1), k1)
-	var other FlowState
-	a.prev, a.next, a.counted, a.portSlot, a.outPort = &other, &other, 12345, 7, 3
+	a.prev, a.next, a.counted, a.portSlot, a.outPort = 99, 99, 12345, 7, 3
+	ref := a.self
 	tab.Remove(a)
+	if a.self != 0 {
+		t.Fatalf("removed record still names itself %#x", a.self)
+	}
 	b, inserted := tab.GetOrInsert(HashFlowKey(k2), k2)
-	if !inserted || b != a {
+	if !inserted || b != a || b.self != ref {
 		t.Fatalf("free list did not hand the removed record back (%p, %p)", a, b)
 	}
-	if b.prev != nil || b.next != nil || b.counted != 0 || b.portSlot != 0 {
-		t.Fatalf("recycled record carries prev %p next %p counted %v slot %d", b.prev, b.next, b.counted, b.portSlot)
+	if b.prev != 0 || b.next != 0 || b.counted != 0 || b.portSlot != 0 {
+		t.Fatalf("recycled record carries prev %#x next %#x counted %v slot %d", b.prev, b.next, b.counted, b.portSlot)
 	}
 }

@@ -173,10 +173,10 @@ func checkLinkLoadInvariants(t *testing.T, c *Collector) {
 	n, listed := 0, 0
 	sums := make([]units.Rate, len(c.portUtil))
 	var prev, firstFresh *FlowState
-	for f := c.oldest; f != nil; prev, f = f, f.next {
+	for f := c.oldest(); f != nil; prev, f = f, c.flows.at(f.next) {
 		n++
-		if !f.live || f.prev != prev {
-			t.Fatalf("recency list broken at node %d (live %v)", n, f.live)
+		if f.self == 0 || c.flows.record(f.self) != f || c.flows.at(f.prev) != prev {
+			t.Fatalf("recency list broken at node %d (self %#x, prev %#x)", n, f.self, f.prev)
 		}
 		if prev != nil && f.LastSeen < prev.LastSeen {
 			t.Fatalf("recency list out of order at node %d: %v after %v", n, f.LastSeen, prev.LastSeen)
@@ -192,7 +192,7 @@ func checkLinkLoadInvariants(t *testing.T, c *Collector) {
 		var want units.Rate
 		if onList {
 			listed++
-			if c.portFlows[f.outPort][f.portSlot-1] != f {
+			if c.portFlows[f.outPort][f.portSlot-1] != f.self {
 				t.Fatalf("flow %v: port %d slot %d holds another flow", f.Key, f.outPort, f.portSlot)
 			}
 			if r, ok := f.Rate(); ok && isFresh {
@@ -207,8 +207,11 @@ func checkLinkLoadInvariants(t *testing.T, c *Collector) {
 	if prev != c.newest || n != c.flows.Len() {
 		t.Fatalf("recency list holds %d flows ending at %p; table holds %d, newest is %p", n, prev, c.flows.Len(), c.newest)
 	}
-	if c.fresh != firstFresh {
-		t.Fatalf("fresh cursor at %p, oldest fresh flow is %p", c.fresh, firstFresh)
+	if c.flows.at(c.fresh) != firstFresh {
+		t.Fatalf("fresh cursor at %#x, oldest fresh flow is %p", c.fresh, firstFresh)
+	}
+	if firstFresh == nil && c.freshSeen != never || firstFresh != nil && c.freshSeen > firstFresh.LastSeen {
+		t.Fatalf("fresh bound %v, oldest fresh flow %p", c.freshSeen, firstFresh)
 	}
 	for p, l := range c.portFlows {
 		listed -= len(l)
@@ -224,7 +227,8 @@ func checkLinkLoadInvariants(t *testing.T, c *Collector) {
 		at := c.now.Add(d)
 		for p, l := range c.portFlows {
 			var want units.Rate
-			for _, f := range l {
+			for _, ref := range l {
+				f := c.flows.record(ref)
 				if r, ok := f.Rate(); ok && at.Sub(f.LastSeen) <= fr {
 					want += r
 				}
@@ -247,8 +251,9 @@ func checkLinkLoadInvariants(t *testing.T, c *Collector) {
 				}
 				continue
 			}
-			if isFresh := c.now.Sub(l[i].LastSeen) <= c.cfg.FlowFreshness; set != isFresh {
-				t.Fatalf("port %d slot %d: freshness bit %v, flow %v last seen %v before now", p, i, set, l[i].Key, c.now.Sub(l[i].LastSeen))
+			f := c.flows.record(l[i])
+			if isFresh := c.now.Sub(f.LastSeen) <= c.cfg.FlowFreshness; set != isFresh {
+				t.Fatalf("port %d slot %d: freshness bit %v, flow %v last seen %v before now", p, i, set, f.Key, c.now.Sub(f.LastSeen))
 			}
 		}
 	}
@@ -675,11 +680,11 @@ func TestExpireVisitsOnlyTheExpired(t *testing.T) {
 	end := fillPort(t, c, idle, 0, 10)
 	end = fillPort(t, c, total-idle, end.Add(50*units.Millisecond), 10)
 
-	f := c.oldest
+	f := c.oldest()
 	for i := 0; i <= idle; i++ { // past the idle flows and the first survivor
-		f = f.next
+		f = c.flows.at(f.next)
 	}
-	for ; f != nil; f = f.next {
+	for ; f != nil; f = c.flows.at(f.next) {
 		f.LastSeen = -units.Time(units.Second) // tripwire
 	}
 	n := c.ExpireFlows(end, 25*units.Millisecond)

@@ -3,6 +3,7 @@ package core
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"planck/internal/packet"
 	"planck/internal/units"
@@ -18,7 +19,8 @@ import (
 
 // flowSnap is what Flows yields for one flow, with what may differ
 // between the two collectors taken out: the retransmit extension, and
-// the recency links, which become the neighbours' keys.
+// the record's refs, its own and its recency links, which become the
+// neighbours' keys.
 type flowSnap struct {
 	rec              FlowState
 	prev, next       packet.FlowKey
@@ -29,15 +31,14 @@ func snapFlows(c *Collector) []flowSnap {
 	var out []flowSnap
 	c.Flows(func(f *FlowState) {
 		s := flowSnap{rec: *f}
-		s.rec.ext = nil
 		s.rec.flags &^= extRtx
-		if f.prev != nil {
-			s.prev, s.hasPrev = f.prev.Key, true
+		if f.prev != 0 {
+			s.prev, s.hasPrev = c.flows.record(f.prev).Key, true
 		}
-		if f.next != nil {
-			s.next, s.hasNext = f.next.Key, true
+		if f.next != 0 {
+			s.next, s.hasNext = c.flows.record(f.next).Key, true
 		}
-		s.rec.prev, s.rec.next = nil, nil
+		s.rec.self, s.rec.prev, s.rec.next = 0, 0, 0
 		out = append(out, s)
 	})
 	return out
@@ -228,10 +229,12 @@ func FuzzMouseEquivalence(f *testing.F) {
 	})
 }
 
-// checkMouseRefs verifies the two record kinds against the slots that
-// name them: a ref with mouseRef names a live mouse, any other ref a
-// live full record, each record is named by exactly one slot, and every
-// free-listed record of either kind is blank.
+// checkMouseRefs verifies the record kinds against the slots that name
+// them: a ref into a mouse slab names a live mouse, a ref into a slab of
+// another kind a live record of that kind, every live record's self is
+// the ref naming it, each record is named by exactly one slot, and
+// every free-listed record of each kind is blank and lies in a slab of
+// its kind.
 func checkMouseRefs(t *testing.T, tab *FlowTable) {
 	t.Helper()
 	named := make(map[*FlowState]bool, tab.count)
@@ -240,22 +243,31 @@ func checkMouseRefs(t *testing.T, tab *FlowTable) {
 			continue
 		}
 		f := tab.record(s.ref)
-		if !f.live || (s.ref&mouseRef != 0) != (f.flags&isMouse != 0) {
-			t.Fatalf("slot %d: ref %#x names a record with live %v, flags %#x", i, s.ref, f.live, f.flags)
+		if f.self != s.ref || tab.kinds[s.ref>>refOffBits] != kindOf(f.flags) {
+			t.Fatalf("slot %d: ref %#x names a record with self %#x, flags %#x", i, s.ref, f.self, f.flags)
 		}
 		if named[f] {
 			t.Fatalf("slot %d: a second slot names %v", i, f.Key)
 		}
 		named[f] = true
 	}
-	for _, ref := range tab.freeMice {
-		if *asMouse(tab.record(ref)) != (mouseRecord{}) {
-			t.Fatalf("free mouse %#x is not blank", ref)
-		}
-	}
-	for _, ref := range tab.free {
-		if f := tab.record(ref); *f != (FlowState{}) {
-			t.Fatalf("free record %#x is not blank", ref)
+	for kind, free := range tab.free {
+		for _, ref := range free {
+			if tab.kinds[ref>>refOffBits] != recordKind(kind) {
+				t.Fatalf("free kind-%d record %#x lies in a slab of kind %d", kind, ref, tab.kinds[ref>>refOffBits])
+			}
+			blank := false
+			switch f := tab.record(ref); recordKind(kind) {
+			case kindMouse:
+				blank = *asMouse(f) == (mouseRecord{})
+			case kindExt:
+				blank = *(*extRecord)(unsafe.Pointer(f)) == (extRecord{})
+			default:
+				blank = *f == (FlowState{})
+			}
+			if !blank {
+				t.Fatalf("free kind-%d record %#x is not blank", kind, ref)
+			}
 		}
 	}
 }
