@@ -7,7 +7,7 @@
 // Usage:
 //
 //	planck-collector -pcap capture.pcap
-//	planck-collector -pcap capture.pcap -threshold 0.8 -rate 10
+//	planck-collector -pcap capture.pcap -top 20
 //	planck-collector -pcap capture.pcap -fault "loss:0.05,skew:200us" -fault-seed 7
 //	planck-collector -listen :5601 -max-samples 100000
 //	planck-collector -listen :5601 -metrics :9090 -stats-every 5s
@@ -75,8 +75,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	pcapPath := fs.String("pcap", "", "pcap file to replay")
 	listen := fs.String("listen", "", "UDP address for a live sample stream (8B ns timestamp + frame per datagram)")
 	maxSamples := fs.Int("max-samples", 0, "stop the live listener after N samples (0 = run until interrupted)")
-	rateG := fs.Float64("rate", 10, "link rate in Gbps for utilization math")
-	threshold := fs.Float64("threshold", 0.9, "congestion threshold fraction")
 	topFlows := fs.Int("top", 10, "flows to print")
 	metricsAddr := fs.String("metrics", "", "HTTP address serving /metrics, /debug/vars, /debug/pprof (empty = off)")
 	statsEvery := fs.Duration("stats-every", 0, "period between one-line stats reports on stderr (0 = off)")
@@ -107,11 +105,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	reg := obs.NewRegistry()
 	ccfg := core.Config{
-		SwitchName:    "collector",
-		LinkRate:      units.Rate(*rateG * float64(units.Gbps)),
-		UtilThreshold: *threshold,
-		Metrics:       reg,
-		Vantage:       *vantage,
+		SwitchName: "collector",
+		Metrics:    reg,
+		Vantage:    *vantage,
 	}
 
 	// With -report, every ingested sample is forwarded to the

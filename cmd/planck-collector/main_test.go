@@ -112,8 +112,11 @@ func TestReplayPcapGolden(t *testing.T) {
 }
 
 func TestUsageErrors(t *testing.T) {
+	path := writeCapture(t)
 	for _, args := range [][]string{
 		nil,
+		{"-pcap", path, "-threshold", "0.8"},
+		{"-pcap", path, "-rate", "10"},
 		{"-pcap", "x.pcap", "-listen", "127.0.0.1:0"},
 		{"-pcap", "x.pcap", "-report", "127.0.0.1:9"},
 		{"-listen", "127.0.0.1:0", "-vantage", "0"},

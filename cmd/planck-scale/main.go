@@ -21,8 +21,8 @@
 // protocol over simulated lossy channels (link), or real UDP loopback
 // sockets with one goroutine pair per vantage (udp). link and udp
 // honour -link-loss, and both gate on zero duplicate congestion
-// events: per-link event spacing must respect the merger's cooldown
-// even while the transport is recovering lost report frames.
+// events: per-link event spacing must respect the plane's event
+// cooldown even while the transport is recovering lost report frames.
 package main
 
 import (
@@ -113,8 +113,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 }
 
 // eventSpacing watches emitted congestion events and counts per-link
-// cooldown violations — two events on one link closer than the merger's
-// cooldown means a duplicate slipped through the fleet's dedup.
+// cooldown violations — two events on one link closer than the plane's
+// event cooldown means a duplicate slipped through the fleet's dedup.
 type eventSpacing struct {
 	cooldown units.Duration
 	last     map[string]units.Time

@@ -80,6 +80,19 @@ func main() {
 		os.Exit(2)
 	}
 
+	// A crash, partition or chandelay rule acts only through a
+	// supervisor, so a schedule with one runs supervised.
+	var sched *faults.Schedule
+	supervised := false
+	if *faultSpec != "" {
+		sched, err = faults.ParseSpec(*faultSpec)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		supervised = lab.NeedsSupervisor(sched)
+	}
+
 	var tracer *trace.Tracer
 	if *traceFlag {
 		tracer = trace.New(256)
@@ -92,24 +105,26 @@ func main() {
 		if *governFlag {
 			opts.Govern = experiments.GovernorProfile()
 		}
+		if supervised {
+			opts.Supervise = &lab.SupervisorConfig{}
+		}
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	defer cleanup()
-	if *faultSpec != "" {
-		sched, err := faults.ParseSpec(*faultSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
+	if sched != nil {
 		fs := *faultSeed
 		if fs == 0 {
 			fs = *seed
 		}
 		l.ApplyFaults(sched, fs)
-		fmt.Fprintf(os.Stderr, "fault injection active: %s (seed %d)\n", sched, fs)
+		note := ""
+		if supervised {
+			note = " (supervised)"
+		}
+		fmt.Fprintf(os.Stderr, "fault injection active: %s (seed %d)%s\n", sched, fs, note)
 	}
 	if *metricsAddr != "" {
 		srv, err := obs.Serve(*metricsAddr, l.Metrics)

@@ -42,13 +42,23 @@ func TestExportedSurfaceRatchet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	listed, err := readUnusedList(unusedExportsFile)
+	checkRatchet(t, unused, unusedExportsFile,
+		"is exported but nothing outside tests uses it: use it, unexport it or delete it",
+		"is now used or gone")
+}
+
+// checkRatchet fails t on every name in found that the list file does
+// not list (why says what is wrong with it), and on every listed name
+// not in found (gone says why it no longer belongs).
+func checkRatchet(t *testing.T, found []string, file, why, gone string) {
+	t.Helper()
+	listed, err := readUnusedList(file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range unused {
+	for _, name := range found {
 		if !listed[name] {
-			t.Errorf("%s is exported but nothing outside tests uses it: use it, unexport it or delete it (or list it in %s with a reason)", name, unusedExportsFile)
+			t.Errorf("%s %s (or list it in %s with a reason)", name, why, file)
 		}
 		delete(listed, name)
 	}
@@ -58,7 +68,7 @@ func TestExportedSurfaceRatchet(t *testing.T) {
 	}
 	sort.Strings(stale)
 	for _, name := range stale {
-		t.Errorf("%s is listed in %s but is now used or gone: remove its line", name, unusedExportsFile)
+		t.Errorf("%s is listed in %s but %s: remove its line", name, file, gone)
 	}
 }
 
@@ -90,16 +100,16 @@ func readUnusedList(path string) (map[string]bool, error) {
 	return out, sc.Err()
 }
 
-// goFile is one parsed non-test source file and its import path.
+// goFile is one parsed source file and its import path.
 type goFile struct {
 	pkg  string // import path, e.g. planck/internal/core
 	file *ast.File
+	test bool // a _test.go file
 }
 
-// unusedExports returns the exported names declared under root/internal
-// that no non-test file under root references, as "pkg.Name" or
-// "pkg.Type.Method" with pkg relative to internal/.
-func unusedExports(root string) ([]string, error) {
+// parseGoFiles parses every .go file under root outside testdata and
+// dot directories, _test.go files only if tests is set.
+func parseGoFiles(root string, tests bool) ([]goFile, error) {
 	fset := token.NewFileSet()
 	var files []goFile
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -112,7 +122,8 @@ func unusedExports(root string) ([]string, error) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		test := strings.HasSuffix(path, "_test.go")
+		if !strings.HasSuffix(path, ".go") || test && !tests {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
@@ -124,9 +135,17 @@ func unusedExports(root string) ([]string, error) {
 		if rel != "." {
 			pkg += "/" + filepath.ToSlash(rel)
 		}
-		files = append(files, goFile{pkg: pkg, file: f})
+		files = append(files, goFile{pkg: pkg, file: f, test: test})
 		return nil
 	})
+	return files, err
+}
+
+// unusedExports returns the exported names declared under root/internal
+// that no non-test file under root references, as "pkg.Name" or
+// "pkg.Type.Method" with pkg relative to internal/.
+func unusedExports(root string) ([]string, error) {
+	files, err := parseGoFiles(root, false)
 	if err != nil {
 		return nil, err
 	}
@@ -242,4 +261,173 @@ func recvName(e ast.Expr) string {
 		return e.Name
 	}
 	return "?"
+}
+
+// The config-knob ratchet. Every exported field of a struct type named
+// *Config, *Options or *Policy in non-test code under internal/ must be
+// written somewhere other than its own package's non-test files — in a
+// test, bench/, cmd/, examples/ or another internal package — or be
+// listed, with a reason, in testdata/unset_knobs.txt. A field only its
+// own package's defaults ever fill has one value in every run: it is a
+// constant, and belongs in the code as one. The list only shrinks.
+//
+// A write is a composite-literal key of the field's type, the type
+// resolved through the file's imports, or an assignment or ++/-- to a
+// selector with the field's name. The second rule matches by name
+// alone: x.Window = … writes every knob named Window, whatever x is,
+// so a field that shares its name with an assigned field of another
+// type (packet.TCP's Window, say) passes unchecked. There the check
+// errs towards passing. It errs the other way on a literal whose type
+// is elided, as in []T{{…}}: none sets a knob today.
+
+const unsetKnobsFile = "testdata/unset_knobs.txt"
+
+func TestConfigKnobRatchet(t *testing.T) {
+	knobs, unset, err := unsetKnobs(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d settable fields, %d never written outside their package's defaults", knobs, len(unset))
+	checkRatchet(t, unset, unsetKnobsFile,
+		"is a config field nothing outside its package sets: make it a constant",
+		"is now set or gone")
+}
+
+// unsetKnobs returns how many exported knob fields non-test code under
+// root/internal declares, and those never written outside their own
+// package's non-test files, as "pkg.Type.Field" with pkg relative to
+// internal/.
+func unsetKnobs(root string) (int, []string, error) {
+	files, err := parseGoFiles(root, true)
+	if err != nil {
+		return 0, nil, err
+	}
+
+	const internal = "planck/internal/"
+	fields := make(map[string][]string) // pkg.Type → exported field names
+	for _, sf := range files {
+		if sf.test || !strings.HasPrefix(sf.pkg, internal) {
+			continue
+		}
+		for _, d := range sf.file.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, s := range gd.Specs {
+				ts, ok := s.(*ast.TypeSpec)
+				if !ok || !isKnobType(ts.Name.Name) {
+					continue
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					continue
+				}
+				typ := sf.pkg + "." + ts.Name.Name
+				for _, fl := range st.Fields.List {
+					for _, n := range fl.Names {
+						if n.IsExported() {
+							fields[typ] = append(fields[typ], n.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// writers[Field] holds who assigns to a selector of that name: a
+	// non-test file's package path, or "" for a test file.
+	written := make(map[string]bool) // pkg.Type.Field
+	writers := make(map[string]map[string]bool)
+	for _, sf := range files {
+		imports := make(map[string]string)
+		for _, im := range sf.file.Imports {
+			p, _ := strconv.Unquote(im.Path.Value)
+			name := p[strings.LastIndex(p, "/")+1:]
+			if im.Name != nil {
+				name = im.Name.Name
+			}
+			imports[name] = p
+		}
+		writer := sf.pkg
+		if sf.test {
+			writer = ""
+		}
+		// knobOf names the knob type a type expression denotes, or "".
+		knobOf := func(e ast.Expr) string {
+			if s, ok := e.(*ast.StarExpr); ok {
+				e = s.X
+			}
+			typ := ""
+			switch e := e.(type) {
+			case *ast.Ident:
+				typ = sf.pkg + "." + e.Name
+			case *ast.SelectorExpr:
+				if x, ok := e.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					typ = imports[x.Name] + "." + e.Sel.Name
+				}
+			}
+			if fields[typ] == nil {
+				return ""
+			}
+			return typ
+		}
+		assign := func(e ast.Expr) {
+			if s, ok := e.(*ast.SelectorExpr); ok {
+				if writers[s.Sel.Name] == nil {
+					writers[s.Sel.Name] = make(map[string]bool)
+				}
+				writers[s.Sel.Name][writer] = true
+			}
+		}
+		ast.Inspect(sf.file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				typ := knobOf(n.Type)
+				if typ == "" || typ[:strings.LastIndex(typ, ".")] == writer {
+					return true
+				}
+				for _, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if k, ok := kv.Key.(*ast.Ident); ok {
+							written[typ+"."+k.Name] = true
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				if n.Tok != token.DEFINE {
+					for _, l := range n.Lhs {
+						assign(l)
+					}
+				}
+			case *ast.IncDecStmt:
+				assign(n.X)
+			}
+			return true
+		})
+	}
+
+	knobs := 0
+	var unset []string
+	for typ, names := range fields {
+		pkg := typ[:strings.LastIndex(typ, ".")]
+		for _, name := range names {
+			knobs++
+			w := written[typ+"."+name]
+			for by := range writers[name] {
+				w = w || by != pkg
+			}
+			if !w {
+				unset = append(unset, strings.TrimPrefix(typ, internal)+"."+name)
+			}
+		}
+	}
+	sort.Strings(unset)
+	return knobs, unset, nil
+}
+
+// isKnobType reports whether a struct type's name marks it as settings.
+func isKnobType(name string) bool {
+	return ast.IsExported(name) && (strings.HasSuffix(name, "Config") ||
+		strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Policy"))
 }

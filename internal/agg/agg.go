@@ -57,11 +57,6 @@ type Config struct {
 	EventCooldown units.Duration
 	FlowFreshness units.Duration
 
-	// StaleAfter is how long a vantage may go without reporting a
-	// sample before Tick flags it stale (crashed, partitioned, or
-	// simply dark). Default 2 ms — a handful of poll intervals.
-	StaleAfter units.Duration
-
 	// ReorderWindow and ExternalMergeAdvance are ignored; nothing
 	// reads them. The plane no longer buffers candidates: reports
 	// arrive in final order (vantagelink.Receiver orders them over the
@@ -79,12 +74,10 @@ type Config struct {
 	Tracer *trace.Tracer
 }
 
-func (c Config) withDefaults() Config {
-	if c.StaleAfter == 0 {
-		c.StaleAfter = 2 * units.Millisecond
-	}
-	return c
-}
+// StaleAfter is how long a vantage may go without reporting a sample
+// before Tick flags it stale (crashed, partitioned, or simply dark): a
+// handful of poll intervals.
+const StaleAfter = 2 * units.Millisecond
 
 // planeSwitch is the plane's per-monitored-switch state: the collector
 // holding the switch's merged flow records and its links' cooldowns,
@@ -128,7 +121,6 @@ type Plane struct {
 
 // New builds an empty plane.
 func New(cfg Config) *Plane {
-	cfg = cfg.withDefaults()
 	p := &Plane{
 		cfg:      cfg,
 		switches: make(map[int32]*planeSwitch),
@@ -210,7 +202,7 @@ func (p *Plane) Tick(now units.Time) {
 	}
 	stale := int64(0)
 	for _, v := range p.vantages {
-		v.stale = now.Sub(v.lastRecv) > p.cfg.StaleAfter
+		v.stale = now.Sub(v.lastRecv) > StaleAfter
 		if v.stale {
 			stale++
 		}

@@ -243,7 +243,7 @@ func TestFleetMatchesGlobalOracle(t *testing.T) {
 			t.Errorf("%s: expired %d != global %d", name, got.expired, global.expired)
 		}
 		if late := plane.LateReports(); late != 0 {
-			t.Errorf("%s: merger dropped %d candidates late; engine-ordered replay must never be late", name, late)
+			t.Errorf("%s: plane dropped %d candidates late; engine-ordered replay must never be late", name, late)
 		}
 	}
 

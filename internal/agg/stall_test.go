@@ -143,7 +143,7 @@ func TestLinkSurvivesReceiverStalls(t *testing.T) {
 	for _, ev := range events {
 		perBurst[burstOf{ev.SwitchName, int64(ev.Time) / int64(burstEvery)}]++
 	}
-	t.Logf("%d bursts x %d vantages: %d events over %d (switch, burst) pairs; merger late %d, receiver late records %d, abandoned %d; worst offset error %v",
+	t.Logf("%d bursts x %d vantages: %d events over %d (switch, burst) pairs; plane late %d, receiver late records %d, abandoned %d; worst offset error %v",
 		bursts, nv, len(events), len(perBurst), plane.LateReports(), recv.LateRecords(), recv.Abandoned(), worstOffset)
 	if len(perBurst) != bursts*nv {
 		t.Errorf("%d (switch, burst) pairs produced events, want every one of %d", len(perBurst), bursts*nv)
@@ -154,7 +154,7 @@ func TestLinkSurvivesReceiverStalls(t *testing.T) {
 		}
 	}
 	if late := plane.LateReports(); late != 0 {
-		t.Errorf("merger dropped %d candidates late", late)
+		t.Errorf("plane dropped %d candidates late", late)
 	}
 	if late := recv.LateRecords(); late != 0 {
 		t.Errorf("%d records arrived behind the delivery watermark", late)

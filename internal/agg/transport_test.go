@@ -328,7 +328,7 @@ func TestFleetMatchesGlobalOracleOverTransport(t *testing.T) {
 			t.Errorf("%s: expired %d != global %d", name, got.expired, global.expired)
 		}
 		if late := tf.plane.LateReports(); late != 0 {
-			t.Errorf("%s: merger dropped %d candidates late", name, late)
+			t.Errorf("%s: plane dropped %d candidates late", name, late)
 		}
 		if l := tf.recv.LateRecords(); l != 0 {
 			t.Errorf("%s: %d records arrived below the delivery watermark", name, l)
@@ -416,7 +416,7 @@ func TestSoakReorderWindow(t *testing.T) {
 			t.Errorf("%s: utils %v != global %v", name, got.utils, global.utils)
 		}
 		if late := tf.plane.LateReports(); late != 0 {
-			t.Errorf("%s: merger dropped %d candidates late", name, late)
+			t.Errorf("%s: plane dropped %d candidates late", name, late)
 		}
 		for i, s := range tf.senders {
 			off, ok := s.Offset()

@@ -32,9 +32,6 @@ type Config struct {
 	NumPorts int
 	// LinkRate is the capacity of each egress link.
 	LinkRate units.Rate
-	// MinGap and MaxBurst configure the rate estimator (§3.2.2).
-	MinGap   units.Duration
-	MaxBurst units.Duration
 	// UtilThreshold is the fraction of LinkRate at which a link counts as
 	// congested and an event fires.
 	UtilThreshold float64
@@ -49,13 +46,10 @@ type Config struct {
 	// retransmission rates from duplicate sequence numbers.
 	TrackRetransmits bool
 	// UDPSeqEnabled gates §3.2.2's generalization to UDP: when true, the
-	// collector treats four payload bytes of each UDP datagram as a
-	// big-endian application packet counter and estimates UDP flow
-	// throughput from it. UDPSeqOffset is the byte offset of that
-	// counter within the UDP payload (0 means the first payload byte);
-	// it is ignored while UDPSeqEnabled is false.
+	// collector treats the first four payload bytes of each UDP datagram
+	// as a big-endian application packet counter and estimates UDP flow
+	// throughput from it.
 	UDPSeqEnabled bool
-	UDPSeqOffset  int
 	// Metrics, when non-nil, registers the collector's self-monitoring
 	// instruments (counters, flow-table gauge, per-stage pipeline
 	// histograms) into the registry, labelled with SwitchName, and
@@ -133,12 +127,6 @@ func (c Config) WithDefaults() Config {
 }
 
 func (c *Config) fillDefaults() {
-	if c.MinGap == 0 {
-		c.MinGap = DefaultMinGap
-	}
-	if c.MaxBurst == 0 {
-		c.MaxBurst = DefaultMaxBurst
-	}
 	if c.UtilThreshold == 0 {
 		c.UtilThreshold = 0.90
 	}
@@ -615,7 +603,7 @@ func (c *Collector) ingest(t units.Time, frame []byte) error {
 
 	// Sequence-based estimation uses the left edge of the segment's
 	// payload; pure ACKs advance nothing and naturally estimate ~0.
-	updated, regressed := f.est.observe(&f.flags, c.cfg.MinGap, c.cfg.MaxBurst, t, c.dec.TCP.Seq)
+	updated, regressed := f.est.observe(&f.flags, t, c.dec.TCP.Seq)
 	if r := f.Rtx(); r != nil {
 		// Only differences of the stream offset matter to it, so the
 		// extended sequence number serves.
@@ -733,10 +721,8 @@ func (c *Collector) sinkReport(t units.Time, f *FlowState, rateUpdated bool) {
 // ingestUDP estimates UDP flow throughput from an application-level
 // packet counter embedded in the payload (§3.2.2's generalization).
 func (c *Collector) ingestUDP(t units.Time, frame []byte) {
-	off := packet.EthernetHeaderLen + c.dec.IP.HeaderLen() + packet.UDPHeaderLen + c.cfg.UDPSeqOffset
-	if off < 0 || off+4 > len(frame) {
-		// A negative offset can only come from a mis-set UDPSeqOffset, but
-		// it must degrade to "no counter", not an out-of-range panic.
+	off := packet.EthernetHeaderLen + c.dec.IP.HeaderLen() + packet.UDPHeaderLen
+	if off+4 > len(frame) {
 		return
 	}
 	seq := uint32(frame[off])<<24 | uint32(frame[off+1])<<16 |
@@ -751,7 +737,6 @@ func (c *Collector) ingestUDP(t units.Time, frame []byte) {
 		f = c.flows.insert(h, key, extPkt)
 		f.FirstSeen, f.LastSeen = t, t
 		f.outPort = -1
-		f.Pkt().Est = RateEstimator{MinGap: c.cfg.MinGap, MaxBurst: c.cfg.MaxBurst}
 		c.link(f)
 	}
 	if t.Sub(f.LastSeen) > c.cfg.FlowFreshness && f.portSlot != 0 {

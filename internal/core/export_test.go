@@ -7,10 +7,9 @@ package core
 // regardless of how few samples survived mirroring.
 func (e *RateEstimator) StreamBytes() int64 { return e.w.lastSeq - int64(e.baseSeq) }
 
-// NewPacketSeqEstimator returns an estimator with the paper's window
-// constants.
+// NewPacketSeqEstimator returns an estimator with no samples yet.
 func NewPacketSeqEstimator() *PacketSeqEstimator {
-	return &PacketSeqEstimator{Est: RateEstimator{MinGap: DefaultMinGap, MaxBurst: DefaultMaxBurst}}
+	return &PacketSeqEstimator{}
 }
 
 // Iterate calls fn for every live record, in slab order: slab by slab

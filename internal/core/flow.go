@@ -34,12 +34,8 @@ import (
 // Fig. 10(b)'s smooth ramp.
 //
 // The collector's flow records run the same estimator on a compact copy
-// of its state (FlowState), with MinGap and MaxBurst taken from the
-// collector's Config instead of stored per flow.
+// of its state (FlowState).
 type RateEstimator struct {
-	MinGap   units.Duration
-	MaxBurst units.Duration
-
 	w       rateWindow
 	flags   uint8
 	baseSeq uint32 // the first sample's sequence number, StreamBytes' origin
@@ -52,15 +48,15 @@ type RateEstimator struct {
 	Samples int64
 }
 
-// Estimator defaults from §3.2.2 and footnote 2.
+// The estimator's window bounds, from §3.2.2 and footnote 2.
 const (
-	DefaultMinGap   = 200 * units.Microsecond
-	DefaultMaxBurst = 700 * units.Microsecond
+	MinGap   = 200 * units.Microsecond
+	MaxBurst = 700 * units.Microsecond
 )
 
-// NewRateEstimator returns an estimator with the paper's constants.
+// NewRateEstimator returns an estimator with no samples yet.
 func NewRateEstimator() *RateEstimator {
-	return &RateEstimator{MinGap: DefaultMinGap, MaxBurst: DefaultMaxBurst}
+	return &RateEstimator{}
 }
 
 // Observe folds in one sample with sequence number seq taken at time t.
@@ -71,7 +67,7 @@ func (e *RateEstimator) Observe(t units.Time, seq uint32) bool {
 	if e.flags&estStarted == 0 {
 		e.baseSeq = seq
 	}
-	updated, regressed := e.w.observe(&e.flags, e.MinGap, e.MaxBurst, t, seq)
+	updated, regressed := e.w.observe(&e.flags, t, seq)
 	if regressed {
 		e.OOO++
 	}
@@ -109,12 +105,11 @@ type rateWindow struct {
 	rate    units.Rate
 }
 
-// observe is the one estimator body. It folds in the sample (t, seq)
-// under the window bounds minGap and maxBurst, with flags holding the
-// estStarted and estHaveRate bits. updated reports that the sample
-// closed a window with a new rate; regressed, that it was ignored
-// because its sequence number went backwards.
-func (w *rateWindow) observe(flags *uint8, minGap, maxBurst units.Duration, t units.Time, seq uint32) (updated, regressed bool) {
+// observe is the one estimator body. It folds in the sample (t, seq),
+// with flags holding the estStarted and estHaveRate bits. updated
+// reports that the sample closed a window with a new rate; regressed,
+// that it was ignored because its sequence number went backwards.
+func (w *rateWindow) observe(flags *uint8, t units.Time, seq uint32) (updated, regressed bool) {
 	if *flags&estStarted == 0 {
 		*flags |= estStarted
 		w.lastSeq, w.lastT = int64(seq), t
@@ -127,7 +122,7 @@ func (w *rateWindow) observe(flags *uint8, minGap, maxBurst units.Duration, t un
 		return false, true
 	}
 	off := w.lastSeq + delta
-	if t.Sub(w.lastT) >= minGap || t.Sub(w.winT) >= maxBurst {
+	if t.Sub(w.lastT) >= MinGap || t.Sub(w.winT) >= MaxBurst {
 		if dur := t.Sub(w.winT); dur > 0 {
 			w.rate = units.RateOf(off-w.winSeq, dur)
 			*flags |= estHaveRate
@@ -266,8 +261,7 @@ func (m *mouseRecord) expand(f *FlowState) {
 		SampledBytes:   int64(m.wireLen),
 		FirstSeen:      m.LastSeen,
 	}
-	// The first sample only opens a window; the bounds are not read.
-	f.est.observe(&f.flags, 0, 0, m.LastSeen, m.seq)
+	f.est.observe(&f.flags, m.LastSeen, m.seq)
 }
 
 // Rate returns the flow's latest throughput estimate. A mouse has none.

@@ -10,42 +10,40 @@ import (
 // FuzzIngest feeds arbitrary frames through the full collector pipeline.
 // The collector sits on an oversubscribed mirror port: its input is, by
 // design, whatever bytes the switch felt like sampling, so no input may
-// panic it — including truncated UDP payloads around UDPSeqOffset and
-// pathological (negative / huge) offsets themselves.
+// panic it — including UDP payloads truncated around the counter.
 func FuzzIngest(f *testing.F) {
 	// Seed corpus: every frame family the pipeline special-cases.
-	f.Add(tcpFrame(0, 1460), 0, true)
-	f.Add(tcpFrame(0, 0), 4, true) // pure ACK
+	f.Add(tcpFrame(0, 1460), true)
+	f.Add(tcpFrame(0, 0), true) // pure ACK
 	f.Add(packet.BuildTCP(nil, packet.TCPSpec{
 		SrcMAC: macA, DstMAC: macB, SrcIP: ipA, DstIP: ipB,
 		SrcPort: 1, DstPort: 2, Flags: packet.TCPSyn,
-	}), 0, false)
+	}), false)
 	f.Add(packet.BuildUDP(nil, packet.UDPSpec{
 		SrcMAC: macA, DstMAC: macB, SrcIP: ipA, DstIP: ipB,
 		SrcPort: 1, DstPort: 2, PayloadLen: 8, Seq: 7, HasSeq: true,
-	}), 0, true)
+	}), true)
 	// Truncations straddling the UDP counter window.
 	udp := packet.BuildUDP(nil, packet.UDPSpec{
 		SrcMAC: macA, DstMAC: macB, SrcIP: ipA, DstIP: ipB,
 		SrcPort: 1, DstPort: 2, PayloadLen: 16, Seq: 7, HasSeq: true,
 	})
 	for cut := len(udp) - 20; cut <= len(udp); cut += 2 {
-		f.Add(append([]byte(nil), udp[:cut]...), 3, true)
+		f.Add(append([]byte(nil), udp[:cut]...), true)
 	}
 	f.Add(packet.BuildARP(nil, packet.ARPSpec{
 		SrcMAC: macA, DstMAC: macB, Op: packet.ARPRequest,
 		SenderMAC: macA, SenderIP: ipA, TargetIP: ipB,
-	}), -4, true)
-	f.Add([]byte{}, -128, true)
-	f.Add([]byte{0x08, 0x00}, 127, false)
+	}), true)
+	f.Add([]byte{}, true)
+	f.Add([]byte{0x08, 0x00}, false)
 
-	f.Fuzz(func(t *testing.T, frame []byte, udpOff int, udpEnabled bool) {
+	f.Fuzz(func(t *testing.T, frame []byte, udpEnabled bool) {
 		c := New(Config{
 			SwitchName:    "fuzz",
 			NumPorts:      4,
 			LinkRate:      units.Rate10G,
 			UDPSeqEnabled: udpEnabled,
-			UDPSeqOffset:  udpOff,
 			RingPackets:   8,
 		})
 		c.SetPortMapper(staticMapper{macB.U64(): 2})

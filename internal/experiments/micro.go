@@ -168,8 +168,8 @@ func Fig12(seed int64) *Fig12Result {
 		SampleMin:      units.Duration(sl.Samples.Quantile(0.01) * us),
 		SampleMax:      units.Duration(sl.Samples.Quantile(0.99) * us),
 		BufferedMedian: units.Duration(f8.Latency[SwitchG8264].Median() * us),
-		EstimateMin:    core.DefaultMinGap,
-		EstimateMax:    core.DefaultMaxBurst,
+		EstimateMin:    core.MinGap,
+		EstimateMax:    core.MaxBurst,
 	}
 }
 
@@ -220,8 +220,8 @@ func Table1(seed int64) *Table1Result {
 	} {
 		sl := SampleLatency(SampleLatencyParams{Kind: cfg.kind, MinBuffer: true, Seed: seed})
 		add(cfg.name,
-			units.Duration(sl.Samples.Quantile(0.01)*us)+core.DefaultMinGap,
-			units.Duration(sl.Samples.Quantile(0.99)*us)+core.DefaultMaxBurst,
+			units.Duration(sl.Samples.Quantile(0.01)*us)+core.MinGap,
+			units.Duration(sl.Samples.Quantile(0.99)*us)+core.MaxBurst,
 			true)
 	}
 
@@ -233,7 +233,7 @@ func Table1(seed int64) *Table1Result {
 		{SwitchG8264, "Planck 10Gbps"},
 		{SwitchPronto3290, "Planck 1Gbps"},
 	} {
-		worst := units.Duration(f8.Latency[cfg.kind].Quantile(0.999)*us) + core.DefaultMaxBurst
+		worst := units.Duration(f8.Latency[cfg.kind].Quantile(0.999)*us) + core.MaxBurst
 		add(cfg.name, 0, worst, true)
 	}
 

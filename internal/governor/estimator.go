@@ -27,6 +27,9 @@ import (
 	"planck/internal/units"
 )
 
+// EstimatorWindow is the estimator's sliding window.
+const EstimatorWindow = 8 * units.Millisecond
+
 // estBuckets is the ring size of the estimation window: the window is
 // split into 8 buckets so estimates age out smoothly (the supervisor's
 // fallback estimator used the same shape).
@@ -41,8 +44,6 @@ type EstimatorConfig struct {
 	// cross-references mirror counters against (default: the paper's
 	// G8264 numbers — 1-in-1024 capped at 300 samples/s).
 	SFlow sflow.Config
-	// Window is the sliding estimation window (default 8ms).
-	Window units.Duration
 	// Seed feeds the sampler's private PRNG so estimation never
 	// perturbs data-plane determinism.
 	Seed int64
@@ -56,9 +57,6 @@ func (c EstimatorConfig) withDefaults() EstimatorConfig {
 	}
 	if c.SFlow.ControlPlaneCap <= 0 {
 		c.SFlow.ControlPlaneCap = def.ControlPlaneCap
-	}
-	if c.Window <= 0 {
-		c.Window = 8 * units.Millisecond
 	}
 	return c
 }
@@ -138,7 +136,7 @@ func NewRateEstimator(cfg EstimatorConfig, numPorts int) *RateEstimator {
 	cfg = cfg.withDefaults()
 	e := &RateEstimator{
 		cfg:       cfg,
-		bucketDur: cfg.Window / estBuckets,
+		bucketDur: EstimatorWindow / estBuckets,
 		ports:     make([]portState, numPorts),
 	}
 	e.sampler = sflow.NewSampler(cfg.SFlow, rand.New(rand.NewSource(cfg.Seed)), e.record)
@@ -149,7 +147,7 @@ func NewRateEstimator(cfg EstimatorConfig, numPorts int) *RateEstimator {
 func (e *RateEstimator) Config() EstimatorConfig { return e.cfg }
 
 // Window returns the sliding estimation window.
-func (e *RateEstimator) Window() units.Duration { return e.cfg.Window }
+func (e *RateEstimator) Window() units.Duration { return EstimatorWindow }
 
 // NumPorts returns the port count the estimator was sized for.
 func (e *RateEstimator) NumPorts() int { return len(e.ports) }
@@ -234,7 +232,7 @@ func (e *RateEstimator) Utilization(now units.Time, p int) units.Rate {
 		return 0
 	}
 	w := e.window(now, p)
-	return units.RateOf(w.sampledBytes*int64(e.cfg.SFlow.SampleRate), e.cfg.Window)
+	return units.RateOf(w.sampledBytes*int64(e.cfg.SFlow.SampleRate), EstimatorWindow)
 }
 
 // confidence maps a backing sample count onto [0,1] via the §2.1 error
@@ -253,13 +251,13 @@ func confidence(n int64) float64 {
 // estimateFrom converts a summed window into an Estimate.
 func (e *RateEstimator) estimateFrom(w estBucket) Estimate {
 	est := Estimate{
-		Admitted: units.RateOf(w.queuedBytes, e.cfg.Window),
-		Dropped:  units.RateOf(w.dropBytes, e.cfg.Window),
+		Admitted: units.RateOf(w.queuedBytes, EstimatorWindow),
+		Dropped:  units.RateOf(w.dropBytes, EstimatorWindow),
 		Samples:  w.queuedPkts + w.dropPkts,
 	}
 	offered := w.queuedBytes + w.dropBytes
 	if offered > 0 {
-		est.Offered = units.RateOf(offered, e.cfg.Window)
+		est.Offered = units.RateOf(offered, EstimatorWindow)
 		est.Effective = float64(w.queuedBytes) / float64(offered)
 		est.Confidence = confidence(est.Samples)
 		return est
@@ -268,7 +266,7 @@ func (e *RateEstimator) estimateFrom(w estBucket) Estimate {
 	// without mirror copies means the tap is shed (or dead) — effective
 	// rate zero; no traffic anywhere means there is nothing to sample.
 	sflowBytes := w.sampledBytes * int64(e.cfg.SFlow.SampleRate)
-	est.Offered = units.RateOf(sflowBytes, e.cfg.Window)
+	est.Offered = units.RateOf(sflowBytes, EstimatorWindow)
 	if sflowBytes > 0 {
 		est.Effective = 0
 		est.Confidence = confidence(w.sampledPkts)

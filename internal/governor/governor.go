@@ -8,68 +8,51 @@ import (
 	"planck/internal/units"
 )
 
-// Config tunes one switch's governor loop. Zero fields take defaults
-// sized for the millisecond control loop.
-type Config struct {
-	// Tick is the governor's control period (default 1ms).
-	Tick units.Duration
+// The governor loop's fixed tuning, sized for the millisecond control
+// loop.
+const (
+	// Tick is the governor's control period.
+	Tick = 1 * units.Millisecond
 	// Cooldown rate-limits actuations: after a commit, the governor
-	// holds off further shed/tune/restore decisions for this long
-	// (default 5ms) — the same discipline the event path applies per
-	// link.
-	Cooldown units.Duration
+	// holds off further shed/tune/restore decisions for this long — the
+	// same discipline the event path applies per link.
+	Cooldown = 5 * units.Millisecond
+	// RecoverThreshold is the effective rate at or above which a
+	// pending episode counts as converged and restores become eligible.
+	RecoverThreshold float64 = 0.9
+	// MinConfidence gates actuation on estimate confidence: the
+	// governor never acts on an estimate backed by too few packets.
+	MinConfidence float64 = 0.5
+	// Headroom scales the monitor-link budget the tuner divides among
+	// the surviving ports.
+	Headroom float64 = 0.9
+	// HealthyTicks is how many consecutive healthy ticks (effective ≥
+	// RecoverThreshold) must pass before a shed port is restored —
+	// hysteresis against shed/restore oscillation.
+	HealthyTicks int = 8
+)
+
+// Config tunes one switch's governor loop. Zero fields take defaults.
+type Config struct {
 	// SaturationThreshold is the aggregate effective sampling rate
 	// below which the monitor port counts as saturated and a shed/tune
 	// episode begins (default 0.5).
 	SaturationThreshold float64
-	// RecoverThreshold is the effective rate at or above which a
-	// pending episode counts as converged and restores become eligible
-	// (default 0.9).
-	RecoverThreshold float64
-	// MinConfidence gates actuation on estimate confidence: the
-	// governor never acts on an estimate backed by too few packets
-	// (default 0.5).
-	MinConfidence float64
 	// ShedFraction: a mirrored port whose share of the offered mirror
 	// load is below this fraction is shed instead of tuned — it costs
 	// monitor-queue space but yields few samples (default 0.05).
 	ShedFraction float64
-	// Headroom scales the monitor-link budget the tuner divides among
-	// the surviving ports (default 0.9).
-	Headroom float64
-	// HealthyTicks is how many consecutive healthy ticks (effective ≥
-	// RecoverThreshold) must pass before a shed port is restored
-	// (default 8) — hysteresis against shed/restore oscillation.
-	HealthyTicks int
 	// Estimator configures the shared per-port rate estimator.
 	Estimator EstimatorConfig
 }
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
-	if c.Tick <= 0 {
-		c.Tick = 1 * units.Millisecond
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 5 * units.Millisecond
-	}
 	if c.SaturationThreshold <= 0 {
 		c.SaturationThreshold = 0.5
 	}
-	if c.RecoverThreshold <= 0 {
-		c.RecoverThreshold = 0.9
-	}
-	if c.MinConfidence <= 0 {
-		c.MinConfidence = 0.5
-	}
 	if c.ShedFraction <= 0 {
 		c.ShedFraction = 0.05
-	}
-	if c.Headroom <= 0 {
-		c.Headroom = 0.9
-	}
-	if c.HealthyTicks <= 0 {
-		c.HealthyTicks = 8
 	}
 	return c
 }
@@ -209,9 +192,6 @@ func New(cfg Config, name string, s int, sw Vantage, act Actuator, est *RateEsti
 	}
 }
 
-// Config returns the (defaulted) governor configuration.
-func (g *Governor) Config() Config { return g.cfg }
-
 // Estimator returns the shared rate estimator.
 func (g *Governor) Estimator() *RateEstimator { return g.est }
 
@@ -262,7 +242,7 @@ func (g *Governor) RegisterMetrics(r *obs.Registry) {
 	r.GaugeFunc("planck_governor_effective", func() float64 { return g.lastEffective }, label)
 }
 
-// Tick is one governor round, driven from a sim ticker at cfg.Tick.
+// Tick is one governor round, driven from a sim ticker every Tick.
 func (g *Governor) Tick(now units.Time) {
 	g.Ticks.Inc()
 
@@ -284,8 +264,8 @@ func (g *Governor) Tick(now units.Time) {
 	g.lastOfferedGauge.Set(int64(agg.Offered))
 
 	// Close a pending episode once the estimator confirms recovery.
-	if g.pending >= 0 && agg.Effective >= g.cfg.RecoverThreshold &&
-		agg.Confidence >= g.cfg.MinConfidence {
+	if g.pending >= 0 && agg.Effective >= RecoverThreshold &&
+		agg.Confidence >= MinConfidence {
 		ep := &g.episodes[g.pending]
 		if ep.ActuatedAt != 0 { // actuation landed; loop is closed
 			ep.ConvergedAt = now
@@ -305,7 +285,7 @@ func (g *Governor) Tick(now units.Time) {
 		return
 	}
 
-	healthy := agg.Effective >= g.cfg.RecoverThreshold
+	healthy := agg.Effective >= RecoverThreshold
 	if healthy {
 		g.healthyTicks++
 	} else {
@@ -318,7 +298,7 @@ func (g *Governor) Tick(now units.Time) {
 	}
 
 	if agg.Effective < g.cfg.SaturationThreshold {
-		if agg.Confidence < g.cfg.MinConfidence {
+		if agg.Confidence < MinConfidence {
 			g.SkippedLowConf.Inc()
 			return
 		}
@@ -328,7 +308,7 @@ func (g *Governor) Tick(now units.Time) {
 
 	// Sustained health with shed ports outstanding: restore one per
 	// episode, probing back toward full coverage.
-	if healthy && g.healthyTicks >= g.cfg.HealthyTicks && g.pending < 0 {
+	if healthy && g.healthyTicks >= HealthyTicks && g.pending < 0 {
 		g.restoreOne(now, agg)
 	}
 }
@@ -339,7 +319,7 @@ func (g *Governor) Tick(now units.Time) {
 // per-port target rates.
 func (g *Governor) shedTune(now units.Time, agg Estimate) {
 	mon := g.sw.MonitorPort()
-	budget := units.Rate(g.cfg.Headroom * float64(g.monitorRate))
+	budget := units.Rate(Headroom * float64(g.monitorRate))
 
 	// Per-port offered rates over the live mirrored set.
 	var total units.Rate
@@ -416,7 +396,7 @@ func (g *Governor) restoreOne(now units.Time, agg Estimate) {
 		if !g.haveCfg[p] || g.desired[p].Mirrored {
 			continue // not shed by us
 		}
-		probe := units.Rate(g.cfg.Headroom * g.cfg.ShedFraction * float64(g.monitorRate))
+		probe := units.Rate(Headroom * g.cfg.ShedFraction * float64(g.monitorRate))
 		plan := make([]routing.MirrorPortConfig, g.sw.NumPorts())
 		touch := make([]bool, g.sw.NumPorts())
 		plan[p] = routing.MirrorPortConfig{Mirrored: true, TargetRate: probe}
@@ -481,6 +461,6 @@ func (g *Governor) commit(now units.Time, kind EpisodeKind, agg Estimate,
 	g.Tunes.Add(int64(tunes))
 	g.Restores.Add(int64(restores))
 	g.pending = idx
-	g.cooldownUntil = now.Add(g.cfg.Cooldown)
+	g.cooldownUntil = now.Add(Cooldown)
 	g.healthyTicks = 0
 }

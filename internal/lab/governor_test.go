@@ -240,7 +240,7 @@ func TestChaosGovernorDarkGuard(t *testing.T) {
 	}
 	// Recovery-time actuation is prompt: within a handful of ticks of
 	// the feed coming back (the estimate stayed fresh while dark).
-	budget := recoverAt.Add(5 * gov.Config().Tick)
+	budget := recoverAt.Add(5 * governor.Tick)
 	if budget.Before(eps[0].At) {
 		t.Fatalf("first episode at %v, want within %v of recovery at %v", eps[0].At, budget, recoverAt)
 	}

@@ -213,6 +213,9 @@ func New(opts Options) (*Lab, error) {
 		if err != nil {
 			return nil, fmt.Errorf("lab: FaultSpec: %w", err)
 		}
+		if opts.Supervise == nil && NeedsSupervisor(sched) {
+			return nil, fmt.Errorf("lab: FaultSpec %q has a crash, partition or chandelay rule, which only a Supervisor acts on: set Options.Supervise", opts.FaultSpec)
+		}
 		faultSched = sched
 	}
 	if link := opts.link(); link != nil && link.FaultSpec != "" {
@@ -421,7 +424,7 @@ func New(opts Options) (*Lab, error) {
 				}
 				gov.RegisterMetrics(l.Metrics)
 				l.Governors[s] = gov
-				sim.NewTicker(eng, gov.Config().Tick, gov.Tick)
+				sim.NewTicker(eng, governor.Tick, gov.Tick)
 			}
 		}
 	}
@@ -466,6 +469,21 @@ func (l *Lab) ApplyFaults(sched *faults.Schedule, seed int64) {
 	}
 }
 
+// NeedsSupervisor reports whether sched has a rule only a Supervisor
+// acts on: a crash, which kills a collector only a supervisor restarts,
+// or a partition or channel delay, which only supervised event delivery
+// (Lab.sendEvent) reads. Without supervision a crash silences the
+// collector for the rest of the run and the other two change nothing.
+func NeedsSupervisor(sched *faults.Schedule) bool {
+	for _, r := range sched.Rules() {
+		switch r.Kind {
+		case faults.KindCrash, faults.KindPartition, faults.KindChanDelay:
+			return true
+		}
+	}
+	return false
+}
+
 // buildAggPlane assembles the federated aggregation plane for fleet
 // mode: threshold coherence with the collectors, merged-event delivery
 // into the controller, and a periodic tick for vantage liveness.
@@ -487,7 +505,7 @@ func (l *Lab) buildAggPlane() {
 	// deliverer gated by the fault schedule's partition and delay
 	// windows; otherwise a direct synchronous handoff.
 	if opts.Supervise != nil {
-		del := controller.NewSimDeliverer(l.Eng, opts.Supervise.Backoff, opts.Seed+0x5eed, l.sendEvent)
+		del := controller.NewSimDeliverer(l.Eng, controller.BackoffPolicy{}, opts.Seed+0x5eed, l.sendEvent)
 		del.Tracer = opts.Tracer
 		l.Agg.Subscribe(func(ev core.CongestionEvent) {
 			now := l.Eng.Now()

@@ -241,6 +241,9 @@ func TestNewRejectsBadOptions(t *testing.T) {
 		{"Govern without Mirror", Options{Net: net, Govern: &governor.Config{}}, "Govern requires Mirror"},
 		{"bad Link.FaultSpec", Options{Net: net, Mirror: true, Fleet: &Fleet{Link: &Link{FaultSpec: "nonsense"}}}, "lab: Fleet.Link.FaultSpec:"},
 		{"bad FaultSpec", Options{Net: net, Mirror: true, FaultSpec: "nonsense"}, "lab: FaultSpec:"},
+		{"crash without Supervise", Options{Net: net, Mirror: true, FaultSpec: "loss:0.5@1ms-2ms,crash@3ms"}, "only a Supervisor acts on"},
+		{"partition without Supervise", Options{Net: net, Mirror: true, FaultSpec: "partition@1ms-2ms"}, "only a Supervisor acts on"},
+		{"chandelay without Supervise", Options{Net: net, Mirror: true, FaultSpec: "chandelay:1ms"}, "only a Supervisor acts on"},
 		{"MonitorSwitches out of range", Options{Net: net, Mirror: true, MonitorSwitches: []int{1}}, "MonitorSwitches entry 1 out of range"},
 	} {
 		l, err := New(tc.opts)

@@ -22,8 +22,8 @@ func (a vantagePlaneSink) Live(now units.Time)         { a.v.NoteLive(now) }
 func (a vantagePlaneSink) Rejoin(uint32)               { a.v.Rejoin() }
 
 // buildLinkReceiver assembles the plane-side transport endpoint: one
-// shared receiver whose watermark advances drive the plane's event
-// merger, ticked on the link cadence for NACKs and silence exclusion.
+// shared receiver whose watermark advances drive the plane's merge
+// clock, ticked on the link cadence for NACKs and silence exclusion.
 func (l *Lab) buildLinkReceiver() {
 	l.linkRecv = vantagelink.NewReceiver(vantagelink.ReceiverConfig{
 		Metrics: l.Metrics,

@@ -18,8 +18,6 @@ import (
 type SupervisorConfig struct {
 	// Heartbeat drives staleness detection on the mirror feed.
 	Heartbeat core.HeartbeatConfig
-	// Backoff tunes retried collector→controller event delivery.
-	Backoff controller.BackoffPolicy
 	// Fallback configures the shared per-port rate estimator
 	// (governor.RateEstimator) whose sFlow side the supervisor degrades
 	// to when the mirror feed goes dark. Defaults: the paper's G8264
@@ -132,7 +130,7 @@ func newSupervisor(l *Lab, s int, node *CollectorNode, cfg SupervisorConfig, est
 
 	// A private PRNG for delivery jitter, so supervision never perturbs
 	// data-plane determinism.
-	sup.del = controller.NewSimDeliverer(l.Eng, cfg.Backoff, l.opts.Seed+int64(s)*7919, l.sendEvent)
+	sup.del = controller.NewSimDeliverer(l.Eng, controller.BackoffPolicy{}, l.opts.Seed+int64(s)*7919, l.sendEvent)
 	sup.del.Tracer = l.opts.Tracer
 
 	if l.Agg == nil {
@@ -249,9 +247,10 @@ func (sup *Supervisor) restart() {
 		snd.Rejoin(sup.lab.Eng.Now(), uint32(sup.gen))
 	} else if v := sup.lab.vantages[sup.s]; v != nil {
 		// The replacement inherits the vantage sink through the stored
-		// config; the plane's merger kept the link cooldown anchors
-		// while the collector was down, so replayed congestion cannot
-		// re-fire events the fleet already emitted.
+		// config; the plane's switch collector kept each link's
+		// cooldown anchor (its lastEvent) while the collector was down,
+		// so replayed congestion cannot re-fire events the fleet
+		// already emitted.
 		v.Rejoin()
 	}
 	sup.Restarts.Inc()

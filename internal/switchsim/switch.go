@@ -63,13 +63,15 @@ type Config struct {
 	// TCP SYN/FIN/RST flags through a small dedicated allocation that is
 	// served ahead of the normal mirror queue.
 	MirrorPriorityFlags bool
-	// MirrorPriorityReserve sizes the priority allocation (default 32 KiB).
-	MirrorPriorityReserve int64
 	// MirrorPriorityMaxFraction caps the share of transmitted samples the
 	// priority class may take, so a SYN flood cannot suppress normal
 	// samples (§9.2's caveat). Default 0.1.
 	MirrorPriorityMaxFraction float64
 }
+
+// MirrorPriorityReserve sizes the allocation of the MirrorPriorityFlags
+// class.
+const MirrorPriorityReserve int64 = 32 << 10
 
 // Validate reports configuration errors.
 func (c *Config) Validate() error {
@@ -519,11 +521,7 @@ func (sw *Switch) enqueueMirror(now units.Time, out int, pkt *sim.Packet) {
 	// small dedicated allocation served ahead of the normal queue.
 	if sw.cfg.MirrorPriorityFlags && pkt.Kind == sim.KindTCP &&
 		pkt.TCPFlags&(packet.TCPSyn|packet.TCPFin|packet.TCPRst) != 0 {
-		reserve := sw.cfg.MirrorPriorityReserve
-		if reserve == 0 {
-			reserve = 32 << 10
-		}
-		if sw.prioBytes+size <= reserve && sw.sharedUsed+size <= sw.cfg.SharedBufferBytes {
+		if sw.prioBytes+size <= MirrorPriorityReserve && sw.sharedUsed+size <= sw.cfg.SharedBufferBytes {
 			clone := sw.eng.ClonePacket(pkt)
 			clone.Mirrored = true
 			sw.prioQ = append(sw.prioQ, clone)

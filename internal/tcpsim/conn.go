@@ -131,10 +131,10 @@ func (h *Host) StartFlow(now units.Time, dstIP packet.IPv4, dstPort uint16, size
 		FlowID:    flowID,
 		iss:       h.rng.Uint32(),
 		flowSize:  size,
-		cwnd:      float64(h.cfg.InitialCwndSegments * h.cfg.MSS),
+		cwnd:      float64(InitialCwndSegments * MSS),
 		ssthresh:  1 << 60,
 		recover64: -1, // allow the first fast-retransmit at offset 0
-		rto:       h.cfg.InitialRTO,
+		rto:       InitialRTO,
 		StartedAt: now,
 		synSentAt: now,
 	}
@@ -158,7 +158,7 @@ func (h *Host) acceptConn(now units.Time, key connKey, syn *sim.Packet) *Conn {
 		iss:       h.rng.Uint32(),
 		remoteISS: syn.Seq,
 		ssthresh:  1 << 60,
-		rto:       h.cfg.InitialRTO,
+		rto:       InitialRTO,
 		StartedAt: now,
 	}
 	c.rtoH.c = c
@@ -286,15 +286,15 @@ func (c *Conn) attachSACK(pkt *sim.Packet) {
 
 // --- sender machinery ---
 
-func (c *Conn) mss() int      { return c.host.cfg.MSS }
-func (c *Conn) mssF() float64 { return float64(c.host.cfg.MSS) }
+func (c *Conn) mss() int      { return MSS }
+func (c *Conn) mssF() float64 { return float64(MSS) }
 
 func (c *Conn) inflight() int64 { return c.nxt64 - c.una64 }
 
 func (c *Conn) window() int64 {
 	w := int64(c.cwnd)
-	if w > c.host.cfg.RWnd {
-		w = c.host.cfg.RWnd
+	if w > RWnd {
+		w = RWnd
 	}
 	return w
 }
@@ -662,8 +662,8 @@ func (c *Conn) sampleRTT(r units.Duration) {
 		c.srtt = 0.875*c.srtt + 0.125*m
 	}
 	rto := units.Duration(c.srtt + maxF(float64(units.Millisecond), 4*c.rttvar))
-	if rto < c.host.cfg.MinRTO {
-		rto = c.host.cfg.MinRTO
+	if rto < MinRTO {
+		rto = MinRTO
 	}
 	c.rto = rto
 }
@@ -851,7 +851,7 @@ func (c *Conn) processData(now units.Time, pkt *sim.Packet) {
 		c.delackCount++
 		// A sub-MSS segment usually ends a send burst; acknowledging it
 		// immediately avoids stranding flow tails on the delack timer.
-		if c.delackCount >= c.host.cfg.DelAckSegments || len(c.ooo) > 0 ||
+		if c.delackCount >= DelAckSegments || len(c.ooo) > 0 ||
 			pkt.PayloadLen < c.mss() {
 			c.emitAck(now)
 		} else {
@@ -910,7 +910,7 @@ func (c *Conn) drainOOO() {
 
 func (c *Conn) armDelack(now units.Time) {
 	if c.delackEv == nil {
-		c.delackEv = c.host.eng.After(c.host.cfg.DelAckTimeout, &c.delackH, nil)
+		c.delackEv = c.host.eng.After(DelAckTimeout, &c.delackH, nil)
 	}
 }
 

@@ -24,7 +24,7 @@ func cubicConn(t *testing.T, cc string) *Conn {
 		cwnd:      100 * 1460,
 		ssthresh:  50 * 1460, // in CA
 		recover64: -1,
-		rto:       h.cfg.InitialRTO,
+		rto:       InitialRTO,
 	}
 	c.srtt = float64(200 * units.Microsecond)
 	return c

@@ -27,100 +27,60 @@ import (
 	"planck/internal/units"
 )
 
-// Config tunes the host model. Zero values are replaced by defaults
-// matching the paper's Linux 3.5 testbed.
-type Config struct {
+// The host model's fixed tuning, matching the paper's Linux 3.5
+// testbed.
+const (
 	// TxDelayMin/Max bound the uniformly distributed kernel send-path
 	// latency applied between the stack emitting a segment (the tcpdump
 	// stamp) and the NIC queue receiving it.
-	TxDelayMin, TxDelayMax units.Duration
+	TxDelayMin = 50 * units.Microsecond
+	TxDelayMax = 90 * units.Microsecond
 	// RxDelayMin/Max bound the receive-path latency between the NIC and
 	// the stack processing a packet.
-	RxDelayMin, RxDelayMax units.Duration
+	RxDelayMin = 20 * units.Microsecond
+	RxDelayMax = 40 * units.Microsecond
 	// MSS is the TCP maximum segment size in bytes.
-	MSS int
+	MSS int = 1460
 	// InitialCwndSegments is the initial congestion window (IW10 on the
 	// testbed's Linux 3.5).
-	InitialCwndSegments int
+	InitialCwndSegments int = 10
 	// MinRTO and InitialRTO follow RFC 6298 with the Linux 200 ms floor.
-	MinRTO, InitialRTO units.Duration
+	MinRTO     = 200 * units.Millisecond
+	InitialRTO = 1000 * units.Millisecond
 	// DelAckSegments is the number of full segments that trigger an
 	// immediate ACK; DelAckTimeout bounds how long an ACK may be held.
-	DelAckSegments int
-	DelAckTimeout  units.Duration
+	// Linux's delayed-ACK timeout adapts down to TCP_ATO_MIN scale on
+	// fast LANs; 4 ms approximates the testbed's effective ATO.
+	DelAckSegments int = 2
+	DelAckTimeout      = 4 * units.Millisecond
+	// RWnd caps the amount of unacknowledged in-flight data a sender may
+	// have, modelling the receiver's advertised window.
+	RWnd int64 = 16 << 20
+)
+
+// Config tunes the host model. Zero values are replaced by defaults
+// matching the paper's Linux 3.5 testbed.
+type Config struct {
 	// ARPLockTime is how long an ARP cache entry resists updates after a
 	// change (Linux locks entries by default; the paper sets a sysctl to
 	// zero it, which is also the default here).
 	ARPLockTime units.Duration
-	// NICQueuePackets caps the NIC transmit queue. TCP senders treat the
-	// cap as backpressure (as Linux qdisc/BQL accounting does) and stop
-	// emitting data until the queue drains; non-TCP traffic that
-	// overruns the cap is tail-dropped.
+	// NICQueuePackets caps the NIC transmit queue (default 1000). TCP
+	// senders treat the cap as backpressure (as Linux qdisc/BQL
+	// accounting does) and stop emitting data until the queue drains;
+	// non-TCP traffic that overruns the cap is tail-dropped.
 	NICQueuePackets int
-	// RWnd caps the amount of unacknowledged in-flight data a sender may
-	// have, modelling the receiver's advertised window.
-	RWnd int64
 	// CongestionControl selects "cubic" (the testbed's Linux default;
 	// also the package default) or "reno".
 	CongestionControl string
 }
 
-// DefaultConfig returns the testbed-calibrated defaults.
-func DefaultConfig() Config {
-	return Config{
-		TxDelayMin:          50 * units.Microsecond,
-		TxDelayMax:          90 * units.Microsecond,
-		RxDelayMin:          20 * units.Microsecond,
-		RxDelayMax:          40 * units.Microsecond,
-		MSS:                 1460,
-		InitialCwndSegments: 10,
-		MinRTO:              200 * units.Millisecond,
-		InitialRTO:          1000 * units.Millisecond,
-		DelAckSegments:      2,
-		// Linux's delayed-ACK timeout adapts down to TCP_ATO_MIN scale on
-		// fast LANs; 4 ms approximates the testbed's effective ATO.
-		DelAckTimeout:     4 * units.Millisecond,
-		ARPLockTime:       0,
-		NICQueuePackets:   1000,
-		RWnd:              16 << 20,
-		CongestionControl: "cubic",
-	}
-}
-
 func (c *Config) fillDefaults() {
-	d := DefaultConfig()
-	if c.MSS == 0 {
-		c.MSS = d.MSS
-	}
-	if c.InitialCwndSegments == 0 {
-		c.InitialCwndSegments = d.InitialCwndSegments
-	}
-	if c.MinRTO == 0 {
-		c.MinRTO = d.MinRTO
-	}
-	if c.InitialRTO == 0 {
-		c.InitialRTO = d.InitialRTO
-	}
-	if c.DelAckSegments == 0 {
-		c.DelAckSegments = d.DelAckSegments
-	}
-	if c.DelAckTimeout == 0 {
-		c.DelAckTimeout = d.DelAckTimeout
-	}
 	if c.NICQueuePackets == 0 {
-		c.NICQueuePackets = d.NICQueuePackets
-	}
-	if c.RWnd == 0 {
-		c.RWnd = d.RWnd
+		c.NICQueuePackets = 1000
 	}
 	if c.CongestionControl == "" {
 		c.CongestionControl = "cubic"
-	}
-	if c.TxDelayMax == 0 {
-		c.TxDelayMin, c.TxDelayMax = d.TxDelayMin, d.TxDelayMax
-	}
-	if c.RxDelayMax == 0 {
-		c.RxDelayMin, c.RxDelayMax = d.RxDelayMin, d.RxDelayMax
 	}
 }
 
@@ -237,11 +197,11 @@ func (h *Host) LookupNeighbor(ip packet.IPv4) (packet.MAC, bool) {
 
 // txDelay samples the kernel send-path latency.
 func (h *Host) txDelay() units.Duration {
-	return jitter(h.rng, h.cfg.TxDelayMin, h.cfg.TxDelayMax)
+	return jitter(h.rng, TxDelayMin, TxDelayMax)
 }
 
 func (h *Host) rxDelay() units.Duration {
-	return jitter(h.rng, h.cfg.RxDelayMin, h.cfg.RxDelayMax)
+	return jitter(h.rng, RxDelayMin, RxDelayMax)
 }
 
 func jitter(rng *rand.Rand, lo, hi units.Duration) units.Duration {

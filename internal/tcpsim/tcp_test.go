@@ -299,10 +299,10 @@ func TestSeqWrapLargeOffsets(t *testing.T) {
 		FlowID:    1,
 		iss:       0xffff_f000, // wraps ~4 KB into the transfer
 		flowSize:  4 << 20,
-		cwnd:      float64(a.cfg.InitialCwndSegments * a.cfg.MSS),
+		cwnd:      float64(InitialCwndSegments * MSS),
 		ssthresh:  1 << 60,
 		recover64: -1,
-		rto:       a.cfg.InitialRTO,
+		rto:       InitialRTO,
 	}
 	c.rtoH.c = c
 	c.delackH.c = c

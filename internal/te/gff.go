@@ -18,10 +18,11 @@ import (
 type GFFConfig struct {
 	// Interval is the polling period.
 	Interval units.Duration
-	// MinFlowFraction ignores flows smaller than this fraction of the
-	// line rate (Hedera considers flows above 10% of NIC bandwidth).
-	MinFlowFraction float64
 }
+
+// MinFlowFraction makes GFF ignore flows smaller than this fraction of
+// the line rate (Hedera considers flows above 10% of NIC bandwidth).
+const MinFlowFraction float64 = 0.1
 
 // GFF is the polling-based global-first-fit traffic engineer. Current
 // flow placements come from the controller's versioned routing store —
@@ -45,9 +46,6 @@ type GFF struct {
 func NewGFF(ctrl *controller.Controller, cfg GFFConfig) *GFF {
 	if cfg.Interval == 0 {
 		cfg.Interval = units.Duration(units.Second)
-	}
-	if cfg.MinFlowFraction == 0 {
-		cfg.MinFlowFraction = 0.1
 	}
 	g := &GFF{
 		ctrl:      ctrl,
@@ -101,7 +99,7 @@ func (g *GFF) poll(now units.Time) {
 				continue
 			}
 			rate := units.RateOf(delta, g.cfg.Interval)
-			if float64(rate) < g.cfg.MinFlowFraction*float64(g.net.LineRate) {
+			if float64(rate) < MinFlowFraction*float64(g.net.LineRate) {
 				continue
 			}
 			flows = append(flows, measuredFlow{key: key, src: src, dst: dst, rate: rate})

@@ -32,20 +32,26 @@ const (
 	ActuateOpenFlow
 )
 
+// PlanckTE's fixed tuning (§7.1).
+const (
+	// MoveCooldown prevents flapping: a flow is not rerouted again until
+	// this long after its last move (covers the in-flight actuation and
+	// the controller's settle period, §4.1). It is long enough for the
+	// ARP to land, the abandoned path's queue to drain, and the flow's
+	// reordering transient to settle before the flow may move again.
+	MoveCooldown = 10 * units.Millisecond
+	// MinFlowRate excludes traffic below this estimated rate from the
+	// network view — pure-ACK reverse streams estimate ≈0 b/s (their
+	// sequence numbers never advance) but would otherwise count as flows
+	// in the demand estimator and halve every real flow's demand.
+	MinFlowRate = 10 * units.Mbps
+)
+
 // PlanckTEConfig tunes the application.
 type PlanckTEConfig struct {
 	// FlowTimeout expunges flows not heard of recently (§6.2 uses 3 ms,
 	// approximately the latency of rerouting a flow).
 	FlowTimeout units.Duration
-	// MoveCooldown prevents flapping: a flow is not rerouted again until
-	// this long after its last move (covers the in-flight actuation and
-	// the controller's settle period, §4.1).
-	MoveCooldown units.Duration
-	// MinFlowRate excludes traffic below this estimated rate from the
-	// network view — pure-ACK reverse streams estimate ≈0 b/s (their
-	// sequence numbers never advance) but would otherwise count as flows
-	// in the demand estimator and halve every real flow's demand.
-	MinFlowRate units.Rate
 	// ViewRefresh is the period of the collector-query loop that keeps
 	// the network view complete. Congestion events only describe links
 	// above the utilization threshold; flows crushed onto quiet links
@@ -74,13 +80,8 @@ type NetworkSource interface {
 func DefaultPlanckTEConfig() PlanckTEConfig {
 	return PlanckTEConfig{
 		FlowTimeout: 3 * units.Millisecond,
-		// Long enough for the ARP to land, the abandoned path's queue to
-		// drain, and the flow's reordering transient to settle before the
-		// flow may move again.
-		MoveCooldown: 10 * units.Millisecond,
-		MinFlowRate:  10 * units.Mbps,
-		ViewRefresh:  units.Millisecond,
-		Actuate:      ActuateARP,
+		ViewRefresh: units.Millisecond,
+		Actuate:     ActuateARP,
 	}
 }
 
@@ -256,7 +257,7 @@ func (t *PlanckTE) refreshDemands() {
 // updateFlow folds a flow annotation into the view, returning nil for
 // flows that cannot be attributed to hosts (non-data traffic).
 func (t *PlanckTE) updateFlow(now units.Time, fi core.FlowInfo) *flowView {
-	if fi.Rate < t.cfg.MinFlowRate {
+	if fi.Rate < MinFlowRate {
 		return nil // ACK streams and mice play no part in engineering
 	}
 	src, ok := topo.HostOfIP(fi.Key.SrcIP)
@@ -332,7 +333,7 @@ func (t *PlanckTE) pathBottleneck(src, dst, tree int, skip *flowView) units.Rate
 // greedyRouteFlow implements Algorithm 1's greedy_route_flow: take the
 // alternate path with the strictly largest expected bottleneck capacity.
 func (t *PlanckTE) greedyRouteFlow(now units.Time, fv *flowView) {
-	if now.Sub(fv.lastMoved) < t.cfg.MoveCooldown {
+	if now.Sub(fv.lastMoved) < MoveCooldown {
 		return
 	}
 	bestTree := fv.tree

@@ -19,13 +19,14 @@ type ReportSink interface {
 	Rejoin(gen uint32)
 }
 
+// NackAfter is how long a detected gap may age before the first NACK
+// goes out: one channel round trip of margin for plain reordering to
+// fill the gap for free.
+const NackAfter = 100 * units.Microsecond
+
 // ReceiverConfig tunes the plane-side half of the link. Zero values
 // take the defaults below.
 type ReceiverConfig struct {
-	// NackAfter is how long a detected gap may age before the first
-	// NACK goes out. Default 100 µs — one channel round trip of margin
-	// for plain reordering to fill the gap for free.
-	NackAfter units.Duration
 	// NackBackoff is the spacing between repeated NACKs of the same
 	// gap. The head-of-line gap doubles it per attempt (capped at
 	// 64×); deeper gaps re-NACK at this flat pacing, since a
@@ -52,9 +53,6 @@ type ReceiverConfig struct {
 }
 
 func (c ReceiverConfig) withDefaults() ReceiverConfig {
-	if c.NackAfter == 0 {
-		c.NackAfter = 100 * units.Microsecond
-	}
 	if c.NackBackoff == 0 {
 		c.NackBackoff = 300 * units.Microsecond
 	}
@@ -158,7 +156,7 @@ type Receiver struct {
 
 	// OnAdvance, when non-nil, observes every watermark advance after
 	// the records behind it have been released — wire it to
-	// agg.Plane.AdvanceMerge so the plane's event merger follows the
+	// agg.Plane.AdvanceMerge so the plane's merge clock follows the
 	// delivery clock, never the wall clock.
 	OnAdvance func(wm units.Time)
 
@@ -283,7 +281,7 @@ func (r *Receiver) HandleDatagram(now units.Time, dgram []byte) {
 			if _, ok := v.gaps[seq]; ok {
 				continue
 			}
-			v.gaps[seq] = &gapState{missedAt: now, nextNack: now.Add(r.cfg.NackAfter)}
+			v.gaps[seq] = &gapState{missedAt: now, nextNack: now.Add(NackAfter)}
 			r.met.gaps.IncRelaxed()
 		}
 	}

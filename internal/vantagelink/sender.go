@@ -6,6 +6,10 @@ import (
 	"planck/internal/units"
 )
 
+// ResendBackoff is the minimum spacing between retransmits of the same
+// frame; it doubles per retransmit (capped at 64×).
+const ResendBackoff = 200 * units.Microsecond
+
 // SenderConfig tunes one vantage's sending half of the link. Zero
 // values take the defaults below.
 type SenderConfig struct {
@@ -28,10 +32,6 @@ type SenderConfig struct {
 	// NACK-recoverable from the ring) — ingest is never blocked.
 	// Default 256.
 	QueueFrames int
-	// ResendBackoff is the minimum spacing between retransmits of the
-	// same frame; it doubles per retransmit (capped at 64×).
-	// Default 200 µs.
-	ResendBackoff units.Duration
 	// SyncTimeout bounds how long early records wait for the first
 	// clock-sync exchange before going out uncorrected. Default 5 ms.
 	SyncTimeout units.Duration
@@ -62,9 +62,6 @@ func (c SenderConfig) withDefaults() SenderConfig {
 	}
 	if c.QueueFrames == 0 {
 		c.QueueFrames = 256
-	}
-	if c.ResendBackoff == 0 {
-		c.ResendBackoff = 200 * units.Microsecond
 	}
 	if c.SyncTimeout == 0 {
 		c.SyncTimeout = 5 * units.Millisecond
@@ -531,7 +528,7 @@ func (s *Sender) handleNack(now units.Time, payload []byte) {
 				s.met.nackMisses.IncRelaxed()
 				continue
 			}
-			backoff := s.cfg.ResendBackoff << uint(min(slot.retransmit, 6))
+			backoff := ResendBackoff << uint(min(slot.retransmit, 6))
 			if now.Sub(slot.lastSend) < backoff {
 				continue
 			}

@@ -123,29 +123,23 @@ type Result struct {
 // metric).
 func (r *Result) AvgGoodput() units.Rate { return units.Rate(r.Goodputs.Mean()) }
 
+const (
+	// StartJitter uniformly staggers flow starts, as launch scripts on a
+	// real testbed do.
+	StartJitter = 2 * units.Millisecond
+	// BasePort numbers flows' destination ports from here.
+	BasePort uint16 = 5001
+)
+
 // RunConfig tunes a run.
 type RunConfig struct {
-	// StartJitter uniformly staggers flow starts, as launch scripts on a
-	// real testbed do (defaults to 2 ms; use a negative value for 0).
-	StartJitter units.Duration
 	// Timeout aborts the run (default 120 s of virtual time).
 	Timeout units.Duration
-	// BasePort numbers flows' destination ports from here.
-	BasePort uint16
 }
 
 func (c *RunConfig) fill() {
-	if c.StartJitter == 0 {
-		c.StartJitter = 2 * units.Millisecond
-	}
-	if c.StartJitter < 0 {
-		c.StartJitter = 0
-	}
 	if c.Timeout == 0 {
 		c.Timeout = 120 * units.Duration(units.Second)
-	}
-	if c.BasePort == 0 {
-		c.BasePort = 5001
 	}
 }
 
@@ -165,8 +159,8 @@ func Run(l *lab.Lab, flows []Flow, cfg RunConfig) (*Result, error) {
 		if f.Src == f.Dst {
 			return nil, fmt.Errorf("workload: flow %d is a self-loop", i)
 		}
-		start := units.Time(f.Start).Add(jitter(l.Rng, cfg.StartJitter))
-		port := cfg.BasePort + uint16(i%60000)
+		start := units.Time(f.Start).Add(units.Duration(l.Rng.Int63n(int64(StartJitter))))
+		port := BasePort + uint16(i%60000)
 		l.Eng.Schedule(start, simCallback(func(now units.Time) error {
 			c, err := l.Hosts[f.Src].StartFlow(now, topo.HostIP(f.Dst), port, f.Size, int32(i))
 			if err != nil {
@@ -220,7 +214,7 @@ func RunShuffle(l *lab.Lab, size int64, fanout int, cfg RunConfig, rng *rand.Ran
 			}
 		}
 		rng.Shuffle(len(peers), func(a, b int) { peers[a], peers[b] = peers[b], peers[a] })
-		states[i] = &hostState{queue: peers, port: cfg.BasePort}
+		states[i] = &hostState{queue: peers, port: BasePort}
 	}
 
 	var startNext func(src int, now units.Time) error
@@ -259,7 +253,7 @@ func RunShuffle(l *lab.Lab, size int64, fanout int, cfg RunConfig, rng *rand.Ran
 
 	for i := 0; i < n; i++ {
 		i := i
-		start := jitter(l.Rng, cfg.StartJitter)
+		start := units.Duration(l.Rng.Int63n(int64(StartJitter)))
 		l.Eng.Schedule(units.Time(start), simCallback(func(now units.Time) error {
 			for k := 0; k < fanout; k++ {
 				if err := startNext(i, now); err != nil {
@@ -275,13 +269,6 @@ func RunShuffle(l *lab.Lab, size int64, fanout int, cfg RunConfig, rng *rand.Ran
 		l.Eng.RunUntil(l.Eng.Now().Add(step))
 	}
 	return res, nil
-}
-
-func jitter(rng *rand.Rand, max units.Duration) units.Duration {
-	if max <= 0 {
-		return 0
-	}
-	return units.Duration(rng.Int63n(int64(max)))
 }
 
 // simCallback adapts an error-returning launch function to a sim handler;
