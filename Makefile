@@ -5,7 +5,7 @@ GO ?= go
 # offline machines with a cold cache.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build vet fmt-check inline-check test race race-fast fuzz-smoke chaos-smoke trace-smoke fleet-smoke link-smoke governor-smoke soak-reorder staticcheck check bench-spine clean
+.PHONY: all build vet fmt-check inline-check alloc-check test race race-fast fuzz-smoke chaos-smoke trace-smoke fleet-smoke link-smoke governor-smoke soak-reorder staticcheck check bench-spine clean
 
 all: check
 
@@ -136,10 +136,16 @@ inline-check:
 	done; \
 	echo "inline-check: touch, record and account inline"
 
+# alloc-check runs the zero-allocation tests by name, so that a new
+# per-sample or per-event allocation fails fast and under its own name
+# rather than somewhere inside the full test run.
+alloc-check: vet
+	$(GO) test -count=1 -run 'NoAlloc|DoesNotAllocate|AllocatesOnly' ./internal/core ./internal/agg
+
 # check is the tier-1 gate: everything must compile, vet clean, lint
 # clean (where staticcheck is available), pass, and run every gated
 # spine workload with its oracles.
-check: vet fmt-check inline-check build test race-fast staticcheck trace-smoke fleet-smoke link-smoke governor-smoke soak-reorder bench-spine
+check: vet fmt-check inline-check alloc-check build test race-fast staticcheck trace-smoke fleet-smoke link-smoke governor-smoke soak-reorder bench-spine
 
 # bench-spine runs the benchmark spine (bench/README.md): its own tests
 # (metric names against BENCHMARK.json, a smoke of all four workloads),

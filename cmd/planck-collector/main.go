@@ -53,6 +53,7 @@ import (
 
 	"planck"
 	"planck/internal/core"
+	"planck/internal/faults"
 	"planck/internal/obs"
 	"planck/internal/units"
 	"planck/internal/vantagelink"
@@ -78,7 +79,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	topFlows := fs.Int("top", 10, "flows to print")
 	metricsAddr := fs.String("metrics", "", "HTTP address serving /metrics, /debug/vars, /debug/pprof (empty = off)")
 	statsEvery := fs.Duration("stats-every", 0, "period between one-line stats reports on stderr (0 = off)")
-	faultSpec := fs.String("fault", "", `fault-injection spec applied to the ingest stream, e.g. "loss:0.05" or "loss@20ms-40ms,skew:200us" (empty = off)`)
+	faultSpec := fs.String("fault", "", `mirror-path fault-injection spec applied to the ingest stream (loss, corrupt, dup, reorder, skew), e.g. "loss:0.05" or "loss@20ms-40ms,skew:200us" (empty = off)`)
 	faultSeed := fs.Int64("fault-seed", 1, "seed for the fault injector's PRNG")
 	reportAddr := fs.String("report", "", "UDP address of an aggregation-plane receiver; forwards every sample over the vantagelink transport (empty = off)")
 	vantage := fs.Int("vantage", 1, "fleet vantage id stamped on forwarded reports (with -report)")
@@ -143,6 +144,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
+		}
+		// A stall, crash, partition or channel delay acts on a collector
+		// node, a supervisor or the event channel, none of which this
+		// command has: a run under one would report no fault at all.
+		for _, r := range sched.Rules() {
+			switch r.Kind {
+			case faults.KindStall, faults.KindCrash, faults.KindPartition, faults.KindChanDelay:
+				fmt.Fprintf(stderr, "-fault %s: planck-collector injects only loss, corrupt, dup, reorder and skew\n", r.Kind)
+				return 2
+			}
 		}
 		faulty = planck.WrapFaults(col, sched, *faultSeed)
 		faulty.Injector().Metrics().Register(reg)

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -121,10 +122,19 @@ func TestUsageErrors(t *testing.T) {
 		{"-pcap", "x.pcap", "-report", "127.0.0.1:9"},
 		{"-listen", "127.0.0.1:0", "-vantage", "0"},
 		{"-no-such-flag"},
+		// Faults that need a collector node, a supervisor or an event
+		// channel, none of which the command has.
+		{"-pcap", path, "-fault", "stall@1ms-2ms"},
+		{"-pcap", path, "-fault", "crash@1ms"},
+		{"-pcap", path, "-fault", "partition@1ms-2ms"},
+		{"-pcap", path, "-fault", "loss:0.05,chandelay:5ms"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(context.Background(), args, &stdout, &stderr); code != 2 {
 			t.Errorf("%q: exit %d, want 2", args, code)
+		}
+		if slices.Contains(args, "-fault") && !strings.Contains(stderr.String(), "injects only loss, corrupt, dup, reorder and skew") {
+			t.Errorf("%q: stderr does not name the kinds the command injects:\n%s", args, stderr.String())
 		}
 	}
 }

@@ -119,7 +119,10 @@ func main() {
 		if fs == 0 {
 			fs = *seed
 		}
-		l.ApplyFaults(sched, fs)
+		if err := l.ApplyFaults(sched, fs); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 		note := ""
 		if supervised {
 			note = " (supervised)"

@@ -173,6 +173,8 @@ func (p *Plane) Join(sw int, switchName string, numPorts int, capacity units.Rat
 }
 
 // Subscribe registers fn for merged network-wide congestion events.
+// fn borrows each event's Flows from the switch collector that emitted
+// it (see core.CongestionEvent.Flows).
 func (p *Plane) Subscribe(fn func(ev core.CongestionEvent)) {
 	p.subs = append(p.subs, fn)
 }

@@ -12,17 +12,32 @@ import (
 )
 
 // TestVantageReportDoesNotAllocate pins the plane's per-sample merge as
-// allocation-free, both for a plain update of a resident flow and for a
-// rate-updating sample on a link held inside its event cooldown.
+// allocation-free: for a plain update of a resident flow, for a
+// rate-updating sample on a link held inside its event cooldown, and for
+// hot samples spaced past the cooldown, each of which emits an event
+// listing the link's flows.
 func TestVantageReportDoesNotAllocate(t *testing.T) {
-	for _, hot := range []bool{false, true} {
+	for _, leg := range []struct {
+		name string
+		hot  bool
+		step units.Duration
+	}{
+		{"cold", false, 1},
+		{"hot, inside the cooldown", true, 1},
+		{"hot, past the cooldown", true, 300 * units.Microsecond},
+	} {
 		p := agg.New(agg.Config{})
 		v := p.Join(0, "sw0", 8, units.Rate10G)
-		p.Subscribe(func(core.CongestionEvent) {})
+		events := 0
+		p.Subscribe(func(ev core.CongestionEvent) {
+			if len(ev.Flows) > 0 {
+				events++
+			}
+		})
 		// Two samples one 300 µs window apart give each flow a rate of
 		// perWindow bytes per 300 µs: ~40 Mbps, or ~10 Gbps when hot.
 		perWindow := uint32(1500)
-		if hot {
+		if leg.hot {
 			perWindow = 375_000
 		}
 		at := units.Time(units.Millisecond)
@@ -38,22 +53,30 @@ func TestVantageReportDoesNotAllocate(t *testing.T) {
 					SrcIP: topo.HostIP(0), DstIP: topo.HostIP(8),
 					SrcPort: uint16(1000 + i), DstPort: 5001, Proto: packet.IPProtocolTCP,
 				},
-				Rate: rate, RateOK: ok, RateUpdated: hot,
+				Rate: rate, RateOK: ok, RateUpdated: leg.hot,
 			}
 			v.Report(&reps[i])
 		}
 		i := 0
-		if a := testing.AllocsPerRun(1000, func() {
+		report := func() {
 			rep := &reps[i%len(reps)]
 			rep.Time = at
 			v.Report(rep)
 			i++
-			at = at.Add(1) // inside the 250 µs cooldown
-		}); a != 0 {
-			t.Errorf("hot=%v: Vantage.Report allocates %.1f per sample", hot, a)
+			at = at.Add(leg.step)
 		}
-		if hot && p.SuppressedCandidates() == 0 {
-			t.Error("no candidate suppressed; the hot leg never reached the cooldown check")
+		for range 2 * len(reps) { // every flow reported at the leg's spacing
+			report()
+		}
+		warm := events
+		if a := testing.AllocsPerRun(1000, report); a != 0 {
+			t.Errorf("%s: Vantage.Report allocates %.1f per sample", leg.name, a)
+		}
+		switch {
+		case leg.step == 1 && leg.hot && p.SuppressedCandidates() == 0:
+			t.Errorf("%s: no candidate suppressed; the leg never reached the cooldown check", leg.name)
+		case leg.step > 1 && events-warm < 1000:
+			t.Errorf("%s: %d events over 1000 reports, want one each", leg.name, events-warm)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package agg_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"planck/internal/agg"
@@ -36,7 +37,10 @@ func TestLinkSurvivesReceiverStalls(t *testing.T) {
 	pump := &linkPump{}
 	var events []core.CongestionEvent
 	plane := agg.New(agg.Config{ReorderWindow: units.Millisecond, ExternalMergeAdvance: true})
-	plane.Subscribe(func(ev core.CongestionEvent) { events = append(events, ev) })
+	plane.Subscribe(func(ev core.CongestionEvent) {
+		ev.Flows = slices.Clone(ev.Flows)
+		events = append(events, ev)
+	})
 	recv := vantagelink.NewReceiver(vantagelink.ReceiverConfig{HoldTimeout: 500 * units.Millisecond})
 	recv.OnAdvance = plane.AdvanceMerge
 

@@ -201,7 +201,8 @@ func (c *Controller) DeliverEvent(ev core.CongestionEvent) {
 func (c *Controller) Collector(s int) *core.Collector { return c.collectors[s] }
 
 // Subscribe registers an application for congestion events from any
-// collector.
+// collector. A directly attached collector's events arrive with their
+// Flows borrowed (see core.CongestionEvent.Flows).
 func (c *Controller) Subscribe(fn func(ev core.CongestionEvent)) {
 	c.subs = append(c.subs, fn)
 }

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"math/rand"
+	"slices"
 
 	"planck/internal/core"
 	"planck/internal/obs"
@@ -149,8 +150,10 @@ func (d *Deliverer) InFlight() int { return d.inFlight }
 
 // Deliver attempts to hand ev to the controller, retrying per the
 // policy. It returns after the first attempt; retries run from the
-// injected timer.
+// injected timer. A retry, or a send that delays the handoff, outlives
+// the emit that lent ev its Flows, so Deliver sends its own copy.
 func (d *Deliverer) Deliver(now units.Time, ev core.CongestionEvent) {
+	ev.Flows = slices.Clone(ev.Flows)
 	d.attempt(now, ev, 1)
 }
 

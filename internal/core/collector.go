@@ -176,7 +176,11 @@ type CongestionEvent struct {
 	Port       int
 	Util       units.Rate
 	Capacity   units.Rate
-	Flows      []FlowInfo
+	// Flows is borrowed from the emitting collector, as ingest frames
+	// are: it is valid until the subscriber returns, and the collector
+	// refills it for its next event. A subscriber that keeps the event
+	// past its return keeps slices.Clone(ev.Flows).
+	Flows []FlowInfo
 	// ID is the control-loop trace ID, monotonically assigned by the
 	// configured Tracer at emit time. Zero when tracing is off.
 	ID uint64
@@ -253,6 +257,11 @@ type Collector struct {
 	freshSeen units.Time
 
 	lastEvent []units.Time
+
+	// evFlows is the array CheckCongestion lends its events as Flows.
+	// It is taken while the subscribers run and put back after, so an
+	// event a subscriber makes this collector emit fills one of its own.
+	evFlows []FlowInfo
 
 	subs     []func(ev CongestionEvent)
 	boundary []func(t units.Time, key packet.FlowKey, kind BoundaryKind)
@@ -354,7 +363,9 @@ func (c *Collector) remapAll() {
 	}
 }
 
-// Subscribe registers fn for congestion events.
+// Subscribe registers fn for congestion events. fn runs synchronously,
+// inside the ingest or fold that fired the event, and borrows its Flows:
+// see CongestionEvent.Flows.
 func (c *Collector) Subscribe(fn func(ev CongestionEvent)) { c.subs = append(c.subs, fn) }
 
 // SubscribeFlowBoundaries registers fn for flow start/end observations —
@@ -1046,13 +1057,20 @@ func (c *Collector) CheckCongestion(t units.Time, f *FlowState, vantage int) {
 		return
 	}
 	c.lastEvent[p] = t
+	flows := c.evFlows
+	c.evFlows = nil
+	if n := c.freshOnPort(p); flows == nil || cap(flows) < n {
+		flows = make([]FlowInfo, n, n+n/4)
+	} else {
+		flows = flows[:n]
+	}
 	ev := CongestionEvent{
 		Time:       t,
 		SwitchName: c.cfg.SwitchName,
 		Port:       p,
 		Util:       util,
 		Capacity:   c.cfg.LinkRate,
-		Flows:      c.FlowsOnPort(p),
+		Flows:      c.fillFlowsOnPort(flows, p),
 		Epoch:      f.routeEpoch,
 		Vantage:    vantage,
 	}
@@ -1067,6 +1085,7 @@ func (c *Collector) CheckCongestion(t units.Time, f *FlowState, vantage int) {
 	for _, fn := range c.subs {
 		fn(ev)
 	}
+	c.evFlows = flows
 	if timed {
 		c.met.stageDispatch.Observe(obs.Nanos() - t0)
 	}
@@ -1128,20 +1147,29 @@ func (c *Collector) LinkUtilizationAt(p int, now units.Time) units.Rate {
 // port-list order: the set bits of the port's freshness bitmap, counted
 // to size the answer and then read in slot order. The cost is one word
 // per 64 flows of the port plus one record per fresh flow; the port's
-// stale flows are never read.
+// stale flows are never read. The answer is the caller's own.
 func (c *Collector) FlowsOnPort(p int) []FlowInfo {
 	if p < 0 || p >= len(c.portFlows) {
 		return nil
 	}
-	fresh := c.portFresh[p]
+	return c.fillFlowsOnPort(make([]FlowInfo, c.freshOnPort(p)), p)
+}
+
+// freshOnPort counts the fresh flows mapped to egress port p.
+func (c *Collector) freshOnPort(p int) int {
 	n := 0
-	for _, w := range fresh {
+	for _, w := range c.portFresh[p] {
 		n += bits.OnesCount64(w)
 	}
-	out := make([]FlowInfo, n)
+	return n
+}
+
+// fillFlowsOnPort writes FlowsOnPort(p)'s answer into out, whose length
+// is freshOnPort(p), and returns it.
+func (c *Collector) fillFlowsOnPort(out []FlowInfo, p int) []FlowInfo {
 	l := c.portFlows[p]
 	i := 0
-	for wi, w := range fresh {
+	for wi, w := range c.portFresh[p] {
 		for ; w != 0; w &= w - 1 {
 			f := c.flows.record(l[wi<<6|bits.TrailingZeros64(w)])
 			r, _ := f.Rate()

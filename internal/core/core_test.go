@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -224,7 +225,10 @@ func TestCollectorFlowTracking(t *testing.T) {
 func TestCollectorCongestionEvent(t *testing.T) {
 	c := newTestCollector()
 	var events []CongestionEvent
-	c.Subscribe(func(ev CongestionEvent) { events = append(events, ev) })
+	c.Subscribe(func(ev CongestionEvent) {
+		ev.Flows = slices.Clone(ev.Flows)
+		events = append(events, ev)
+	})
 	var t0 units.Time
 	var seq uint32
 	for i := 0; i < 3000; i++ {

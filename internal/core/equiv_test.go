@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -182,7 +183,10 @@ func equivConfig() Config {
 func runEquiv(t *testing.T, col equivCollector, stream []timedFrame, flush func()) runResult {
 	t.Helper()
 	res := runResult{rates: make(map[packet.FlowKey]units.Rate)}
-	col.Subscribe(func(ev CongestionEvent) { res.events = append(res.events, ev) })
+	col.Subscribe(func(ev CongestionEvent) {
+		ev.Flows = slices.Clone(ev.Flows)
+		res.events = append(res.events, ev)
+	})
 	col.SubscribeFlowBoundaries(func(bt units.Time, key packet.FlowKey, kind BoundaryKind) {
 		res.bounds = append(res.bounds, boundaryRec{t: bt, key: key, kind: kind})
 	})

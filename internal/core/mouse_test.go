@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -111,7 +112,10 @@ func runMouseEquivalence(t *testing.T, sc []byte) {
 	mk := func(rtx bool, evs *[]CongestionEvent) *Collector {
 		c := New(Config{SwitchName: "sw0", NumPorts: numPorts, LinkRate: 40 * units.Mbps, TrackRetransmits: rtx})
 		c.SetPortMapper(&fakeView{r: routes})
-		c.Subscribe(func(ev CongestionEvent) { *evs = append(*evs, ev) })
+		c.Subscribe(func(ev CongestionEvent) {
+			ev.Flows = slices.Clone(ev.Flows)
+			*evs = append(*evs, ev)
+		})
 		return c
 	}
 	p.full = mk(true, &p.fullEv)

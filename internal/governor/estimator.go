@@ -143,12 +143,6 @@ func NewRateEstimator(cfg EstimatorConfig, numPorts int) *RateEstimator {
 	return e
 }
 
-// Config returns the (defaulted) estimator configuration.
-func (e *RateEstimator) Config() EstimatorConfig { return e.cfg }
-
-// Window returns the sliding estimation window.
-func (e *RateEstimator) Window() units.Duration { return EstimatorWindow }
-
 // NumPorts returns the port count the estimator was sized for.
 func (e *RateEstimator) NumPorts() int { return len(e.ports) }
 

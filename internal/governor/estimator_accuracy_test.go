@@ -186,7 +186,7 @@ func TestEstimatorAccuracyRegimes(t *testing.T) {
 			t.Fatalf("k=%d idle port: %+v", tc.k, idle)
 		}
 		// The window ages out: far past the run nothing remains.
-		stale := r.est.Aggregate(end.Add(10 * r.est.Window()))
+		stale := r.est.Aggregate(end.Add(10 * governor.EstimatorWindow))
 		if stale.Samples != 0 || stale.Confidence != 0 {
 			t.Fatalf("k=%d: window failed to age out: %+v", tc.k, stale)
 		}

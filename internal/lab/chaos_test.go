@@ -2,6 +2,7 @@ package lab
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -96,6 +97,7 @@ func runChaos(t *testing.T) {
 	}
 	var arrivals []arrival
 	l.Ctrl.Subscribe(func(ev core.CongestionEvent) {
+		ev.Flows = slices.Clone(ev.Flows)
 		arrivals = append(arrivals, arrival{l.Eng.Now(), ev})
 	})
 

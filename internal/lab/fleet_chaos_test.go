@@ -3,6 +3,7 @@ package lab
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"planck/internal/core"
@@ -63,6 +64,7 @@ func TestFleetChaosCrashRestart(t *testing.T) {
 		res := result{victim: net.Hosts[4].Switch}
 		res.victimName = net.SwitchNames[res.victim]
 		l.Ctrl.Subscribe(func(ev core.CongestionEvent) {
+			ev.Flows = slices.Clone(ev.Flows)
 			res.events = append(res.events, ev)
 		})
 

@@ -213,8 +213,8 @@ func New(opts Options) (*Lab, error) {
 		if err != nil {
 			return nil, fmt.Errorf("lab: FaultSpec: %w", err)
 		}
-		if opts.Supervise == nil && NeedsSupervisor(sched) {
-			return nil, fmt.Errorf("lab: FaultSpec %q has a crash, partition or chandelay rule, which only a Supervisor acts on: set Options.Supervise", opts.FaultSpec)
+		if err := checkSupervised(sched, opts.Supervise != nil); err != nil {
+			return nil, err
 		}
 		faultSched = sched
 	}
@@ -429,7 +429,9 @@ func New(opts Options) (*Lab, error) {
 		}
 	}
 	if faultSched != nil {
-		l.ApplyFaults(faultSched, opts.Seed)
+		if err := l.ApplyFaults(faultSched, opts.Seed); err != nil {
+			return nil, err
+		}
 	}
 	return l, nil
 }
@@ -449,10 +451,15 @@ func (o *Options) link() *Link {
 // scheduled as engine events, and the schedule is published on
 // l.Faults for the supervisors' partition/delay checks. Call before
 // Run; calling with an empty schedule is a no-op beyond recording it.
-func (l *Lab) ApplyFaults(sched *faults.Schedule, seed int64) {
+// A schedule with a rule only a Supervisor acts on (NeedsSupervisor) is
+// refused on a lab built without Options.Supervise.
+func (l *Lab) ApplyFaults(sched *faults.Schedule, seed int64) error {
+	if err := checkSupervised(sched, l.opts.Supervise != nil); err != nil {
+		return err
+	}
 	l.Faults = sched
 	if sched.Empty() {
-		return
+		return nil
 	}
 	if l.faultMetrics == nil {
 		l.faultMetrics = &faults.Metrics{}
@@ -467,6 +474,7 @@ func (l *Lab) ApplyFaults(sched *faults.Schedule, seed int64) {
 			l.Eng.Schedule(ct, sim.Callback(node.Crash), nil)
 		}
 	}
+	return nil
 }
 
 // NeedsSupervisor reports whether sched has a rule only a Supervisor
@@ -482,6 +490,15 @@ func NeedsSupervisor(sched *faults.Schedule) bool {
 		}
 	}
 	return false
+}
+
+// checkSupervised refuses a schedule that needs a Supervisor for a lab
+// without one.
+func checkSupervised(sched *faults.Schedule, supervised bool) error {
+	if !supervised && NeedsSupervisor(sched) {
+		return fmt.Errorf("lab: fault schedule %q has a crash, partition or chandelay rule, which only a Supervisor acts on: set Options.Supervise", sched)
+	}
+	return nil
 }
 
 // buildAggPlane assembles the federated aggregation plane for fleet

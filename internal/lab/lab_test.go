@@ -1,10 +1,12 @@
 package lab
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"planck/internal/core"
+	"planck/internal/faults"
 	"planck/internal/governor"
 	"planck/internal/packet"
 	"planck/internal/topo"
@@ -117,7 +119,10 @@ func TestCongestionEventOnFatTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	var events []core.CongestionEvent
-	l.Ctrl.Subscribe(func(ev core.CongestionEvent) { events = append(events, ev) })
+	l.Ctrl.Subscribe(func(ev core.CongestionEvent) {
+		ev.Flows = slices.Clone(ev.Flows)
+		events = append(events, ev)
+	})
 	// Hosts 0 and 4 both send to pod 2 via tree 0: they share the
 	// agg->core->agg path segments.
 	l.Hosts[0].StartFlow(0, topo.HostIP(8), 5001, 50<<20, 1)
@@ -254,5 +259,35 @@ func TestNewRejectsBadOptions(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestApplyFaultsNeedsSupervisorForSupervisorFaults: ApplyFaults on a
+// built lab refuses what New refuses in Options.FaultSpec, a rule only
+// a Supervisor acts on, and leaves the lab fault-free; a mirror-path
+// schedule it takes.
+func TestApplyFaultsNeedsSupervisorForSupervisorFaults(t *testing.T) {
+	l, err := New(Options{Net: topo.SingleSwitch("sw0", 4, units.Rate10G, true), Mirror: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []string{"crash@3ms", "partition@1ms-2ms", "chandelay:1ms", "loss:0.5,crash@3ms"} {
+		sched, err := faults.ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.ApplyFaults(sched, 1); err == nil || !strings.Contains(err.Error(), "only a Supervisor acts on") {
+			t.Errorf("ApplyFaults(%s) on an unsupervised lab: %v, want a refusal", spec, err)
+		}
+		if l.Faults != nil || l.FaultMetrics() != nil {
+			t.Errorf("ApplyFaults(%s) was refused but armed the lab", spec)
+		}
+	}
+	sched, err := faults.ParseSpec("loss:0.5@1ms-2ms,stall@3ms-4ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.ApplyFaults(sched, 1); err != nil {
+		t.Errorf("ApplyFaults(%s): %v", sched, err)
 	}
 }

@@ -2,6 +2,7 @@ package lab
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"planck/internal/core"
@@ -63,7 +64,10 @@ func TestFleetTransportSmoke(t *testing.T) {
 		Seed:  7,
 	})
 	var events []core.CongestionEvent
-	l.Agg.Subscribe(func(ev core.CongestionEvent) { events = append(events, ev) })
+	l.Agg.Subscribe(func(ev core.CongestionEvent) {
+		ev.Flows = slices.Clone(ev.Flows)
+		events = append(events, ev)
+	})
 	l.Run(60 * units.Millisecond)
 
 	if len(events) == 0 {
@@ -188,7 +192,10 @@ func TestFleetChaosPartitionedLink(t *testing.T) {
 		Seed: 7,
 	})
 	var events []core.CongestionEvent
-	l.Agg.Subscribe(func(ev core.CongestionEvent) { events = append(events, ev) })
+	l.Agg.Subscribe(func(ev core.CongestionEvent) {
+		ev.Flows = slices.Clone(ev.Flows)
+		events = append(events, ev)
+	})
 
 	gate := l.LinkGate(victim)
 	if gate == nil {

@@ -3,6 +3,7 @@ package lab
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"planck/internal/controller"
 	"planck/internal/core"
@@ -155,10 +156,12 @@ func newSupervisor(l *Lab, s int, node *CollectorNode, cfg SupervisorConfig, est
 // subscribe attaches a generation-tagged event tap to the node's
 // current collector. The closure captures the generation at subscribe
 // time, so events a dead collector emitted are identifiable and
-// discarded.
+// discarded. The queue outlives the emit, so it keeps its own copy of
+// the event's borrowed Flows.
 func (sup *Supervisor) subscribe() {
 	myGen := sup.gen
 	sup.node.Collector().Subscribe(func(ev core.CongestionEvent) {
+		ev.Flows = slices.Clone(ev.Flows)
 		sup.evQ = append(sup.evQ, supEvent{myGen, ev})
 	})
 }
