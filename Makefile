@@ -136,11 +136,13 @@ inline-check:
 	done; \
 	echo "inline-check: touch, record and account inline"
 
-# alloc-check runs the zero-allocation tests by name, so that a new
+# alloc-check runs the zero-allocation pins by name, so that a new
 # per-sample or per-event allocation fails fast and under its own name
-# rather than somewhere inside the full test run.
+# rather than somewhere inside the full test run. The naming rule: a
+# pin's name says Alloc (DoesNotAllocate, NoAlloc, AllocatesOnly…), and
+# no other test's does. Each pin counts its whole window in one run.
 alloc-check: vet
-	$(GO) test -count=1 -run 'NoAlloc|DoesNotAllocate|AllocatesOnly' ./internal/core ./internal/agg
+	$(GO) test -count=1 -run Alloc ./internal/core ./internal/agg ./internal/routing ./internal/governor ./internal/obs/trace ./internal/vantagelink .
 
 # check is the tier-1 gate: everything must compile, vet clean, lint
 # clean (where staticcheck is available), pass, and run every gated

@@ -61,7 +61,7 @@ func (cs *capturedStream) n() int             { return len(cs.times) }
 
 // captureStream drives the lab's shared-bottleneck scenario and records
 // switch 0's mirror-port sample stream.
-func captureStream(t *testing.T) (*capturedStream, core.Config, core.PortMapper) {
+func captureStream(t *testing.T) (*capturedStream, core.Config, core.RouteResolver) {
 	t.Helper()
 	net := topo.SingleSwitch("sw0", 4, units.Rate10G, true)
 	l, err := lab.New(lab.Options{Net: net, Mirror: true, Seed: 11})
@@ -113,7 +113,7 @@ type report struct {
 }
 
 // replayGlobal pushes the stream through one monolithic collector.
-func replayGlobal(t *testing.T, cs *capturedStream, ccfg core.Config, mapper core.PortMapper) report {
+func replayGlobal(t *testing.T, cs *capturedStream, ccfg core.Config, mapper core.RouteResolver) report {
 	t.Helper()
 	rep := report{rates: map[string]units.Rate{}, utils: make([]units.Rate, ccfg.NumPorts)}
 	col := core.New(ccfg)
@@ -144,7 +144,7 @@ func replayGlobal(t *testing.T, cs *capturedStream, ccfg core.Config, mapper cor
 // one aggregation plane. With replicate=false frames are partitioned
 // across vantages by flow hash (disjoint coverage); with replicate=true
 // every vantage ingests every frame (fully overlapping coverage).
-func replayFleet(t *testing.T, cs *capturedStream, ccfg core.Config, mapper core.PortMapper, n int, replicate bool) (report, *agg.Plane) {
+func replayFleet(t *testing.T, cs *capturedStream, ccfg core.Config, mapper core.RouteResolver, n int, replicate bool) (report, *agg.Plane) {
 	t.Helper()
 	rep := report{rates: map[string]units.Rate{}, utils: make([]units.Rate, ccfg.NumPorts)}
 	plane := agg.New(agg.Config{})

@@ -110,7 +110,7 @@ type transportFleet struct {
 // virtual-clock link. end clamps the plane's merge clock: the drain
 // phase runs virtual time past the capture, and utilization freshness
 // must still be judged at the capture's end, like the monolith's.
-func newTransportFleet(ccfg core.Config, mapper core.PortMapper, o transportOpts, end units.Time) *transportFleet {
+func newTransportFleet(ccfg core.Config, mapper core.RouteResolver, o transportOpts, end units.Time) *transportFleet {
 	tf := &transportFleet{
 		pump:    &linkPump{},
 		senders: make([]*vantagelink.Sender, o.n),
@@ -194,7 +194,7 @@ func (tf *transportFleet) tick(now units.Time) {
 // replayTransport pushes the captured stream through the fleet over
 // the link, then drains: virtual time keeps running until every gap is
 // recovered, the heap force-releases, and the merger flushes.
-func replayTransport(t *testing.T, cs *capturedStream, ccfg core.Config, mapper core.PortMapper, o transportOpts) (*transportFleet, report) {
+func replayTransport(t *testing.T, cs *capturedStream, ccfg core.Config, mapper core.RouteResolver, o transportOpts) (*transportFleet, report) {
 	t.Helper()
 	end := cs.times[cs.n()-1]
 	tf := newTransportFleet(ccfg, mapper, o, end)
@@ -258,7 +258,7 @@ func replayTransport(t *testing.T, cs *capturedStream, ccfg core.Config, mapper 
 
 // replayGlobalQuiescent is replayGlobal without the mid-replay expiry:
 // the transport oracle compares expiry at the drained end instead.
-func replayGlobalQuiescent(t *testing.T, cs *capturedStream, ccfg core.Config, mapper core.PortMapper) report {
+func replayGlobalQuiescent(t *testing.T, cs *capturedStream, ccfg core.Config, mapper core.RouteResolver) report {
 	t.Helper()
 	rep := report{rates: map[string]units.Rate{}, utils: make([]units.Rate, ccfg.NumPorts)}
 	col := core.New(ccfg)

@@ -155,11 +155,12 @@ func (c *Controller) InstallRoutes(initialTrees []int, mirror bool) {
 func (c *Controller) InitialTree(d int) int { return c.store.Load().BaseTree(d) }
 
 // AttachCollector binds a collector to switch s: it receives the routing
-// oracle and its congestion events are forwarded to subscribers.
+// oracle and becomes what Collector(s) returns, the flow table the §3.3
+// query loop reads; a replacement (a supervised restart) takes over the
+// binding. Its events reach DeliverEvent however the caller routes them.
 func (c *Controller) AttachCollector(s int, col *core.Collector) {
 	c.collectors[s] = col
 	col.SetPortMapper(c.Mapper(s))
-	col.Subscribe(c.DeliverEvent)
 }
 
 // Mapper returns the routing oracle for switch s — an epoch-aware view
@@ -167,7 +168,7 @@ func (c *Controller) AttachCollector(s int, col *core.Collector) {
 // replacement collector it builds (§3.2.1's controller→collector
 // routing sync). A fresh view is always pinned to the current epoch,
 // so a restarted collector resynchronizes by construction.
-func (c *Controller) Mapper(s int) core.PortMapper { return routing.NewView(c.store, s) }
+func (c *Controller) Mapper(s int) *routing.View { return routing.NewView(c.store, s) }
 
 // SetTracer attaches a control-loop tracer: DeliverEvent marks
 // delivery and establishes cause context, reroute records decisions
@@ -175,7 +176,7 @@ func (c *Controller) Mapper(s int) core.PortMapper { return routing.NewView(c.st
 func (c *Controller) SetTracer(tr *trace.Tracer) { c.trc = tr }
 
 // DeliverEvent accepts one congestion event into the controller: it is
-// counted and fanned out to subscribers. Direct-attached collectors
+// counted and fanned out to subscribers. Directly subscribed collectors
 // call it synchronously; supervised collectors route events through a
 // Deliverer so partitions and delays surface as retries instead of
 // silent loss.
@@ -201,7 +202,7 @@ func (c *Controller) DeliverEvent(ev core.CongestionEvent) {
 func (c *Controller) Collector(s int) *core.Collector { return c.collectors[s] }
 
 // Subscribe registers an application for congestion events from any
-// collector. A directly attached collector's events arrive with their
+// collector. A directly subscribed collector's events arrive with their
 // Flows borrowed (see core.CongestionEvent.Flows).
 func (c *Controller) Subscribe(fn func(ev core.CongestionEvent)) {
 	c.subs = append(c.subs, fn)

@@ -137,16 +137,12 @@ func TestMapperIsEpochAwareView(t *testing.T) {
 	_, net, ctrl := rig(t, 4)
 	ctrl.InstallRoutes(nil, false)
 	s := net.Hosts[0].Switch
-	m := ctrl.Mapper(s)
-	v, ok := m.(core.RouteResolver)
-	if !ok {
-		t.Fatalf("Mapper returned %T, want a core.RouteResolver", m)
-	}
+	var v core.RouteResolver = ctrl.Mapper(s)
 	if e := v.Refresh(); e != ctrl.RoutingStore().Epoch() {
 		t.Fatalf("view epoch %d, store epoch %d", e, ctrl.RoutingStore().Epoch())
 	}
 	// The static-label half matches the switch MAC table.
-	port, ok := m.OutputPort(topo.ShadowMAC(8, 2))
+	port, _, ok := v.ResolveOutput(0, packet.FlowKey{}, topo.ShadowMAC(8, 2))
 	if !ok || port != 3 { // edge ports: 0,1 hosts; 2 -> agg0; 3 -> agg1
 		t.Fatalf("output port %d ok=%v", port, ok)
 	}

@@ -48,7 +48,7 @@ func (b *batchingEquiv) Subscribe(fn func(ev CongestionEvent)) { b.inner.Subscri
 func (b *batchingEquiv) SubscribeFlowBoundaries(fn func(t units.Time, key packet.FlowKey, kind BoundaryKind)) {
 	b.inner.SubscribeFlowBoundaries(fn)
 }
-func (b *batchingEquiv) SetPortMapper(m PortMapper) {
+func (b *batchingEquiv) SetPortMapper(m RouteResolver) {
 	b.flush()
 	b.inner.SetPortMapper(m)
 }

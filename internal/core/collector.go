@@ -14,16 +14,6 @@ import (
 	"planck/internal/units"
 )
 
-// PortMapper resolves sampled packets to the monitored switch's ports.
-// Mirrored frames carry no metadata (§3.2.1), so the collector infers
-// ports from routing state the controller shares with it.
-type PortMapper interface {
-	// OutputPort returns the switch egress port for a destination MAC.
-	OutputPort(dst packet.MAC) (int, bool)
-	// InputPort returns the ingress port for a (src, dst) MAC pair.
-	InputPort(src, dst packet.MAC) (int, bool)
-}
-
 // Config tunes a Collector. Zero values take paper defaults.
 type Config struct {
 	// SwitchName labels the monitored switch in events and dumps.
@@ -211,16 +201,15 @@ type Stats struct {
 
 // Collector is one monitor port's processing pipeline.
 type Collector struct {
-	cfg    Config
-	mapper PortMapper
+	cfg Config
 
-	// resolver is the epoch-aware face of mapper, set when the mapper
-	// is a RouteResolver (routing.View). routeEpoch is the epoch the
-	// collector is synced to; flows stamped with a different epoch
-	// re-resolve on their next sample. epochRef, when the resolver is
-	// also an EpochSource, is the publisher's epoch counter: syncRoutes
-	// polls it with one inlined atomic load and skips the virtual
-	// Refresh call entirely while no reroute has been committed.
+	// resolver is the routing state ports are inferred from, nil until
+	// SetPortMapper (every flow then stays unmapped at port -1).
+	// routeEpoch is the epoch the collector is synced to; flows stamped
+	// with a different epoch re-resolve on their next sample. epochRef
+	// is the resolver's epoch counter: syncRoutes polls it with one
+	// inlined atomic load and skips the virtual Refresh call entirely
+	// while no reroute has been committed.
 	resolver   RouteResolver
 	epochRef   *atomic.Uint64
 	routeEpoch uint64
@@ -306,19 +295,17 @@ func New(cfg Config) *Collector {
 }
 
 // SetPortMapper installs (or replaces, after a route change) the routing
-// state used for port inference. Live flows are re-resolved immediately:
-// when PlanckTE reroutes a flow (§4) the controller's new routing state
-// must move the flow's contribution to its new egress link even if no
-// further sample arrives before the next utilization query.
-func (c *Collector) SetPortMapper(m PortMapper) {
-	c.mapper = m
-	c.resolver, _ = m.(RouteResolver)
+// state used for port inference; nil removes it. Live flows are
+// re-resolved immediately: when PlanckTE reroutes a flow (§4) the
+// controller's new routing state must move the flow's contribution to
+// its new egress link even if no further sample arrives before the next
+// utilization query.
+func (c *Collector) SetPortMapper(r RouteResolver) {
+	c.resolver = r
 	c.epochRef = nil
-	if c.resolver != nil {
-		c.routeEpoch = c.resolver.Refresh()
-		if es, ok := m.(EpochSource); ok {
-			c.epochRef = es.EpochRef()
-		}
+	if r != nil {
+		c.routeEpoch = r.Refresh()
+		c.epochRef = r.EpochRef()
 	}
 	c.remapAll()
 }
@@ -330,9 +317,6 @@ func (c *Collector) SetPortMapper(m PortMapper) {
 // a per-flow property of the stream, while "now" depends on where the
 // batch ended. Called once per Ingest/IngestBatch, never per sample.
 func (c *Collector) syncRoutes() {
-	if c.resolver == nil {
-		return
-	}
 	// No-reroute fast path: the publisher's bare epoch counter, read
 	// inline. The slow path (a virtual Refresh re-pinning the history)
 	// only runs when the counter has actually moved — the counter is
@@ -340,7 +324,7 @@ func (c *Collector) syncRoutes() {
 	// guarantees Refresh sees that commit. Keeping the slow path in its
 	// own function keeps this check within the inlining budget, so the
 	// per-Ingest cost is one atomic load with no call.
-	if p := c.epochRef; p != nil && p.Load() == c.routeEpoch {
+	if p := c.epochRef; p == nil || p.Load() == c.routeEpoch {
 		return
 	}
 	c.syncRoutesSlow()
@@ -427,9 +411,7 @@ func (c *Collector) Ingest(t units.Time, frame []byte) error {
 	if t < c.now {
 		return fmt.Errorf("core: timestamp went backwards: %v after %v", t, c.now)
 	}
-	if c.resolver != nil {
-		c.syncRoutes()
-	}
+	c.syncRoutes()
 	c.met.samples.IncRelaxed()
 	err := c.ingest(t, frame)
 	c.publishFlows()
@@ -453,9 +435,7 @@ func (c *Collector) IngestBatch(ts []units.Time, frames [][]byte) error {
 	if n == 0 {
 		return nil
 	}
-	if c.resolver != nil {
-		c.syncRoutes()
-	}
+	c.syncRoutes()
 	if h := c.met.batchSamples; h != nil {
 		h.Observe(int64(n))
 	}
@@ -598,7 +578,7 @@ func (c *Collector) ingest(t units.Time, frame []byte) error {
 		f.DstMAC = c.dec.Eth.Dst
 		// Without routing state remapFlowAt is a no-op (the flow stays
 		// unmapped at outPort -1), so routeless collectors skip the call.
-		if c.mapper != nil {
+		if c.resolver != nil {
 			c.remapFlowAt(t, f)
 		}
 	}
@@ -653,7 +633,7 @@ func (c *Collector) ingestMouse(t units.Time, h uint64, k packet.FlowKey, start,
 	f.LastSeen = t
 	c.link(f)
 	f.DstMAC = c.dec.Eth.Dst
-	if c.mapper != nil {
+	if c.resolver != nil {
 		c.remapFlowAt(t, f)
 	}
 	timed := c.met.timed
@@ -764,7 +744,7 @@ func (c *Collector) ingestUDP(t units.Time, frame []byte) {
 		f.DstMAC = c.dec.Eth.Dst
 		// Without routing state remapFlowAt is a no-op (the flow stays
 		// unmapped at outPort -1), so routeless collectors skip the call.
-		if c.mapper != nil {
+		if c.resolver != nil {
 			c.remapFlowAt(t, f)
 		}
 	}
@@ -805,13 +785,6 @@ func (c *Collector) remapFlowAt(t units.Time, f *FlowState) {
 			c.cfg.Tracer.NoteResolve(t, f.Key, f.DstMAC, epoch)
 		}
 		if ok {
-			newPort = p
-		} else {
-			c.met.unmapped.IncRelaxed()
-		}
-	} else if c.mapper != nil {
-		f.routeEpoch = c.routeEpoch
-		if p, ok := c.mapper.OutputPort(f.DstMAC); ok {
 			newPort = p
 		} else {
 			c.met.unmapped.IncRelaxed()

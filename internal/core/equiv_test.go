@@ -160,7 +160,7 @@ type equivCollector interface {
 	IngestBatch(ts []units.Time, frames [][]byte) error
 	Subscribe(fn func(ev CongestionEvent))
 	SubscribeFlowBoundaries(fn func(t units.Time, key packet.FlowKey, kind BoundaryKind))
-	SetPortMapper(m PortMapper)
+	SetPortMapper(m RouteResolver)
 	ExpireFlows(now units.Time, idle units.Duration) int
 	LinkUtilization(p int) units.Rate
 	FlowRate(k packet.FlowKey) (units.Rate, bool)
@@ -178,7 +178,7 @@ func equivConfig() Config {
 }
 
 // runEquiv replays stream through col with a mid-stream expiry and a
-// mid-stream PortMapper swap, then snapshots all observable state.
+// mid-stream resolver swap, then snapshots all observable state.
 // flush is called at quiescence points (no-op for per-sample ingest).
 func runEquiv(t *testing.T, col equivCollector, stream []timedFrame, flush func()) runResult {
 	t.Helper()

@@ -21,18 +21,17 @@ type Ingester interface {
 	IngestBatch(ts []units.Time, frames [][]byte) error
 }
 
-// RouteResolver is the epoch-aware extension of PortMapper that the
-// versioned routing plane provides (routing.View implements it). A
-// collector that is handed a RouteResolver attributes each sample to
-// the routing epoch that was live at the sample's timestamp instead of
-// whatever state is current at processing time, so batching cannot
-// change per-link attribution.
+// RouteResolver is the routing state a collector infers ports from.
+// Mirrored frames carry no metadata (§3.2.1), so the collector resolves
+// each sample's egress port from routing state the controller shares
+// with it; the versioned routing plane provides it (routing.View). The
+// collector attributes each sample to the routing epoch that was live
+// at the sample's timestamp instead of whatever state is current at
+// processing time, so batching cannot change per-link attribution.
 type RouteResolver interface {
-	PortMapper
-
 	// Refresh re-pins the resolver to the current published routing
-	// state and returns its epoch. One atomic load; called once per
-	// ingest batch, never per sample.
+	// state and returns its epoch. Called only when EpochRef's counter
+	// has moved, never per sample.
 	Refresh() uint64
 
 	// ResolveOutput resolves the egress port for a sample of flow key
@@ -41,19 +40,14 @@ type RouteResolver interface {
 	// stamp the flow and skip re-resolution until the epoch moves.
 	// Lock-free and allocation-free: safe on the ingest hot path.
 	ResolveOutput(t units.Time, key packet.FlowKey, dst packet.MAC) (port int, epoch uint64, ok bool)
-}
 
-// EpochSource is an optional RouteResolver extension exposing the
-// published routing epoch as a shared atomic counter. A collector that
-// finds it caches the pointer at SetPortMapper time and turns the
-// per-Ingest epoch check into one inlined atomic load — skipping the
-// virtual Refresh call entirely on the no-change path, which is every
-// call between reroutes. The publisher must store the new epoch only
-// after the state it names is visible, so a changed counter read here
-// guarantees a subsequent Refresh observes that state.
-type EpochSource interface {
-	// EpochRef returns the counter holding the current published epoch.
-	// The pointer is stable for the resolver's lifetime.
+	// EpochRef returns the counter holding the current published epoch;
+	// the pointer is stable for the resolver's lifetime. The collector
+	// caches it at SetPortMapper time, so the per-Ingest epoch check is
+	// one inlined atomic load and Refresh runs only after a reroute. The
+	// publisher must store the new epoch only after the state it names
+	// is visible, so a changed counter read here guarantees a
+	// subsequent Refresh observes that state.
 	EpochRef() *atomic.Uint64
 }
 

@@ -295,17 +295,13 @@ func (v *fakeView) at(t units.Time) *fakeEpoch {
 	return e
 }
 
-func (v *fakeView) OutputPort(dst packet.MAC) (int, bool) {
-	return v.r.hist[v.pinned-1].ports.OutputPort(dst)
-}
-func (v *fakeView) InputPort(src, dst packet.MAC) (int, bool) { return 0, false }
 func (v *fakeView) Refresh() uint64 {
 	v.pinned = len(v.r.hist)
 	return v.r.hist[v.pinned-1].epoch
 }
 func (v *fakeView) ResolveOutput(t units.Time, _ packet.FlowKey, dst packet.MAC) (int, uint64, bool) {
 	e := v.at(t)
-	p, ok := e.ports.OutputPort(dst)
+	p, ok := e.ports.port(dst)
 	return p, e.epoch, ok
 }
 func (v *fakeView) EpochRef() *atomic.Uint64 { return &v.r.epoch }
@@ -639,19 +635,26 @@ func TestFlowsOnPortSizedToFreshSet(t *testing.T) {
 func TestFlowsOnPortAllocatesOnlyItsAnswer(t *testing.T) {
 	c := newTestCollector()
 	end := fillPort(t, c, 1_000, 0, 10*units.Microsecond)
-	if a := testing.AllocsPerRun(100, func() {
-		if len(c.FlowsOnPort(2)) == 0 {
-			t.Fatal("no fresh flows on port 2")
+	// Each count is one run of 100 calls: AllocsPerRun rounds its mean
+	// down, so a mean over 100 runs would pass up to 199 here.
+	const calls = 100
+	if a := testing.AllocsPerRun(1, func() {
+		for range calls {
+			if len(c.FlowsOnPort(2)) == 0 {
+				t.Fatal("no fresh flows on port 2")
+			}
 		}
-	}); a != 1 {
-		t.Errorf("FlowsOnPort with fresh flows: %.1f allocations, want 1", a)
+	}); a != calls {
+		t.Errorf("FlowsOnPort with fresh flows: %.0f allocations in %d calls, want %d", a, calls, calls)
 	}
-	if a := testing.AllocsPerRun(100, func() {
-		if len(c.FlowsOnPort(1)) != 0 {
-			t.Fatal("fresh flows on port 1")
+	if a := testing.AllocsPerRun(1, func() {
+		for range calls {
+			if len(c.FlowsOnPort(1)) != 0 {
+				t.Fatal("fresh flows on port 1")
+			}
 		}
 	}); a != 0 {
-		t.Errorf("FlowsOnPort on an empty port: %.1f allocations, want 0", a)
+		t.Errorf("FlowsOnPort on an empty port: %.0f allocations in %d calls, want 0", a, calls)
 	}
 	// An ARP frame 10 ms on moves the clock past every flow's freshness.
 	arp := packet.BuildARP(nil, packet.ARPSpec{
@@ -661,12 +664,14 @@ func TestFlowsOnPortAllocatesOnlyItsAnswer(t *testing.T) {
 	if err := c.Ingest(end.Add(10*units.Millisecond), arp); err != nil {
 		t.Fatal(err)
 	}
-	if a := testing.AllocsPerRun(100, func() {
-		if got := c.FlowsOnPort(2); got == nil || len(got) != 0 {
-			t.Fatalf("stale port answers %v", got)
+	if a := testing.AllocsPerRun(1, func() {
+		for range calls {
+			if got := c.FlowsOnPort(2); got == nil || len(got) != 0 {
+				t.Fatalf("stale port answers %v", got)
+			}
 		}
 	}); a != 0 {
-		t.Errorf("FlowsOnPort on a port of stale flows: %.1f allocations, want 0", a)
+		t.Errorf("FlowsOnPort on a port of stale flows: %.0f allocations in %d calls, want 0", a, calls)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // Table-driven coverage for remapFlowAt/removeFlow when the controller's
-// PortMapper changes routes mid-flow — the PlanckTE reroute case (§4):
+// routing state changes mid-flow — the PlanckTE reroute case (§4):
 // the controller installs new routing state and shares it with the
 // collector, which must immediately move each live flow's utilization
 // contribution to its new egress link, without waiting for the flow's

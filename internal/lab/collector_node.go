@@ -154,8 +154,8 @@ func (n *CollectorNode) Crash(now units.Time) {
 func (n *CollectorNode) Crashed() bool { return n.crashed }
 
 // Restart installs a replacement collector and resumes capture. The
-// supervisor owns rebuilding state (port mapper, event subscription,
-// cooldown restore) before calling this.
+// supervisor owns rebuilding state (controller attachment, event
+// subscription, cooldown restore) before calling this.
 func (n *CollectorNode) Restart(col *core.Collector) {
 	n.col = col
 	n.crashed = false

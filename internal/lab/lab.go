@@ -388,12 +388,12 @@ func New(opts Options) (*Lab, error) {
 					est.Observe(now, outPort, pkt.FlowKey(), pkt.WireLen)
 				}
 			}
+			// Every collector is attached: it gets the routing oracle
+			// and answers the controller's flow queries (§3.3).
+			l.Ctrl.AttachCollector(s, node.Collector())
 			if opts.Supervise != nil {
-				// Supervised feeds still get the routing oracle, but
-				// their events reach the controller through the
-				// supervisor's retrying Deliverer, not a direct
-				// subscription.
-				node.Collector().SetPortMapper(l.Ctrl.Mapper(s))
+				// Supervised events go through the supervisor's retrying
+				// Deliverer.
 				l.Supervisors[s] = newSupervisor(l, s, node, *opts.Supervise, est)
 				if l.vantages != nil && l.vantages[s] != nil {
 					// The plane serves this vantage's links from the
@@ -402,14 +402,11 @@ func New(opts Options) (*Lab, error) {
 					// supervisor's own dark-feed fallback.
 					l.vantages[s].SetFallback(l.Supervisors[s].FallbackUtilization)
 				}
-			} else if l.Agg != nil {
-				// Vantages get the routing oracle but are never
-				// attached: AttachCollector would subscribe the
-				// controller to local detection, double-reporting
-				// everything the plane merges.
-				node.Collector().SetPortMapper(l.Ctrl.Mapper(s))
-			} else {
-				l.Ctrl.AttachCollector(s, node.Collector())
+			} else if l.Agg == nil {
+				// Direct delivery. A vantage's events come from the
+				// plane instead: subscribing the controller to local
+				// detection as well would double-report what it merges.
+				node.Collector().Subscribe(l.Ctrl.DeliverEvent)
 			}
 			if opts.Govern != nil {
 				gov := governor.New(*opts.Govern, net.SwitchNames[s], s,

@@ -52,7 +52,7 @@ func (cs *capturedStream) frames() [][]byte {
 
 // captureTestbedStream drives the shared-bottleneck scenario and records
 // switch 0's sample stream.
-func captureTestbedStream(t *testing.T) (*capturedStream, core.Config, core.PortMapper) {
+func captureTestbedStream(t *testing.T) (*capturedStream, core.Config, core.RouteResolver) {
 	t.Helper()
 	net := topo.SingleSwitch("sw0", 4, units.Rate10G, true)
 	l, err := New(Options{Net: net, Mirror: true, Seed: 11})
@@ -104,7 +104,7 @@ func renderEvent(ev core.CongestionEvent) string {
 // sample when batch is 1, IngestBatch calls of up to batch samples
 // otherwise — with a deterministic ExpireFlows right after the midpoint
 // sample, then snapshots every observable output.
-func replayStream(t *testing.T, cs *capturedStream, ccfg core.Config, mapper core.PortMapper, col *core.Collector, batch int) oracleReport {
+func replayStream(t *testing.T, cs *capturedStream, ccfg core.Config, mapper core.RouteResolver, col *core.Collector, batch int) oracleReport {
 	t.Helper()
 	rep := oracleReport{rates: map[string]units.Rate{}, utils: make([]units.Rate, ccfg.NumPorts)}
 	col.SetPortMapper(mapper)

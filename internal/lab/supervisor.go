@@ -223,12 +223,13 @@ func (sup *Supervisor) dumpTraces(now units.Time, what string) {
 }
 
 // restart builds a replacement collector for the crashed one and
-// re-syncs it: a fresh routing view from the controller's versioned
-// store — pinned to the current epoch by construction, so a collector
-// that died before a reroute comes back attributing samples to the
-// post-reroute state, not its private pre-crash copy (§3.2.1's route
-// sync) — restored event cooldowns so replayed congestion does not
-// re-fire inside the cooldown, and a new-generation event tap.
+// re-syncs it: attached to the controller, so flow queries read it and
+// it gets a fresh routing view from the versioned store — pinned to the
+// current epoch by construction, so a collector that died before a
+// reroute comes back attributing samples to the post-reroute state, not
+// its private pre-crash copy (§3.2.1's route sync) — restored event
+// cooldowns so replayed congestion does not re-fire inside the
+// cooldown, and a new-generation event tap.
 func (sup *Supervisor) restart() {
 	sup.gen++
 	sup.dumpTraces(sup.lab.Eng.Now(), "collector crash restart")
@@ -237,7 +238,7 @@ func (sup *Supervisor) restart() {
 	// duplicate registration would panic, so replacements run bare.
 	ccfg.Metrics = nil
 	col := core.New(ccfg)
-	col.SetPortMapper(sup.lab.Ctrl.Mapper(sup.s))
+	sup.lab.Ctrl.AttachCollector(sup.s, col)
 	col.RestoreCooldowns(sup.cooldowns)
 	sup.node.Restart(col)
 	if sup.lab.Agg == nil {

@@ -35,17 +35,14 @@ func labelOracles() []*labelOracle {
 	}
 }
 
-// check resolves mac on every switch through OutputPort and through
-// ResolveOutput (no override installed) and demands the MAC table's
-// answer from both: the port and whether there is one, port 0 when not.
+// check resolves mac on every switch through ResolveOutput (no override
+// installed) and demands the MAC table's answer: the port and whether
+// there is one, port 0 when not.
 func (o *labelOracle) check(t *testing.T, mac packet.MAC) {
 	t.Helper()
 	key := packet.FlowKey{SrcIP: topo.HostIP(0), DstIP: topo.HostIP(1), SrcPort: 1, DstPort: 2, Proto: packet.IPProtocolTCP}
 	for sw, v := range o.views {
 		want, wantOK := o.entries[sw][mac]
-		if p, ok := v.OutputPort(mac); p != want || ok != wantOK {
-			t.Fatalf("%s switch %d label %v: OutputPort (%d, %v), MAC table (%d, %v)", o.name, sw, mac, p, ok, want, wantOK)
-		}
 		if p, _, ok := v.ResolveOutput(0, key, mac); p != want || ok != wantOK {
 			t.Fatalf("%s switch %d label %v: ResolveOutput (%d, %v), MAC table (%d, %v)", o.name, sw, mac, p, ok, want, wantOK)
 		}

@@ -136,38 +136,22 @@ func TestDiffFromYieldsExactlyTheChanges(t *testing.T) {
 	}
 }
 
-// TestViewPortInference ports the SwitchMapper expectations onto the
-// epoch-aware View: the static-label half must match the switch MAC
-// tables exactly.
+// TestViewPortInference: the View's static-label half must match the
+// switch MAC tables exactly.
 func TestViewPortInference(t *testing.T) {
 	net := topo.FatTree16(units.Rate10G)
 	// Output port at the ingress edge of host 0 for dst 8 tree 2 must be
 	// the uplink toward agg 1 (trees 2,3 ride agg index 1).
 	s := net.Hosts[0].Switch
 	v := StaticView(net, s)
-	port, ok := v.OutputPort(topo.ShadowMAC(8, 2))
+	key := testKey(0, 8, 5001)
+	port, _, ok := v.ResolveOutput(0, key, topo.ShadowMAC(8, 2))
 	if !ok || port != 3 { // edge ports: 0,1 hosts; 2 -> agg0; 3 -> agg1
 		t.Fatalf("output port %d ok=%v", port, ok)
 	}
-	// Input port for a flow from host 0 at its own edge is the host port.
-	in, ok := v.InputPort(topo.ShadowMAC(0, 0), topo.ShadowMAC(8, 2))
-	if !ok || in != net.Hosts[0].Port {
-		t.Fatalf("input port %d ok=%v", in, ok)
-	}
-	// At the core switch of tree 2, the input port is the agg uplink of
-	// pod 0.
-	coreSw := 16 + 2
-	vc := NewView(v.Store(), coreSw)
-	in, ok = vc.InputPort(topo.ShadowMAC(0, 0), topo.ShadowMAC(8, 2))
-	if !ok || in != 0 { // core port p connects pod p
-		t.Fatalf("core input port %d ok=%v", in, ok)
-	}
 	// Foreign MACs are rejected.
-	if _, ok := v.OutputPort(packet.MAC{0xde, 0xad, 0, 0, 0, 1}); ok {
+	if _, _, ok := v.ResolveOutput(0, key, packet.MAC{0xde, 0xad, 0, 0, 0, 1}); ok {
 		t.Fatal("foreign MAC mapped")
-	}
-	if _, ok := v.InputPort(packet.MAC{0xde, 0xad, 0, 0, 0, 1}, topo.ShadowMAC(8, 2)); ok {
-		t.Fatal("foreign src mapped")
 	}
 }
 
@@ -193,7 +177,7 @@ func TestResolveOutputFollowsEpochAtTimestamp(t *testing.T) {
 	}
 
 	oldLabel := topo.ShadowMAC(8, 0)
-	wantOld, _ := v.OutputPort(oldLabel)
+	wantOld := net.RoutePort(0, 8, ingress)
 	wantNew := net.RoutePort(2, 8, ingress)
 	if wantOld == wantNew {
 		t.Fatalf("degenerate topology: tree 0 and tree 2 share port %d", wantOld)

@@ -31,16 +31,13 @@ func NewView(st *Store, sw int) *View {
 
 // StaticView is a convenience for tests and standalone collectors: a
 // view over a fresh private store of net (epoch 0, base trees, no
-// overrides), equivalent to the old one-shot SwitchMapper.
+// overrides).
 func StaticView(net *topo.Network, sw int) *View {
 	return NewView(NewStore(net), sw)
 }
 
 // Store returns the store this view reads.
 func (v *View) Store() *Store { return v.store }
-
-// Switch returns the switch this view is scoped to.
-func (v *View) Switch() int { return v.sw }
 
 // Epoch returns the pinned (current-as-of-last-Refresh) epoch.
 func (v *View) Epoch() uint64 { return v.h.snaps[0].epoch }
@@ -55,18 +52,10 @@ func (v *View) Refresh() uint64 {
 	return v.h.snaps[0].epoch
 }
 
-// EpochRef implements core.EpochSource: the store's published-epoch
+// EpochRef implements core.RouteResolver: the store's published-epoch
 // counter, letting collectors detect "no reroute since last sample"
 // with one inlined atomic load instead of a Refresh call.
 func (v *View) EpochRef() *atomic.Uint64 { return &v.store.epoch }
-
-// OutputPort implements core.PortMapper: the switch's static
-// shadow-MAC table entry for dst. The table is epoch-invariant (reroutes
-// relabel packets, they don't reprogram MAC tables), so this matches the
-// switch for any sample carrying dst as its label.
-func (v *View) OutputPort(dst packet.MAC) (int, bool) {
-	return labelPort(v.store.net, v.sw, dst)
-}
 
 // labelPort answers what switch sw's MAC table (topo.Network.MACEntries)
 // holds for dst, without a table: a shadow MAC names a (host, tree)
@@ -102,31 +91,4 @@ func (v *View) ResolveOutput(t units.Time, key packet.FlowKey, dst packet.MAC) (
 	}
 	p, ok := labelPort(snap.net, v.sw, dst)
 	return p, snap.epoch, ok
-}
-
-// InputPort implements core.PortMapper: walk the source pair's tree
-// path (as of the pinned current epoch) and report the port the packet
-// entered this switch on.
-func (v *View) InputPort(src, dst packet.MAC) (int, bool) {
-	snap := v.h.snaps[0]
-	net := snap.net
-	srcHost, _, ok := topo.TreeOfMAC(src)
-	if !ok || srcHost >= net.NumHosts() {
-		return 0, false
-	}
-	dstHost, tree, ok := topo.TreeOfMAC(dst)
-	if !ok || tree >= net.NumTrees || dstHost >= net.NumHosts() || srcHost == dstHost {
-		return 0, false
-	}
-	attach := net.Hosts[srcHost]
-	if attach.Switch == v.sw {
-		return attach.Port, true
-	}
-	for _, l := range net.PathFor(srcHost, dstHost, tree) {
-		ep := net.Ports[l.Switch][l.Port]
-		if ep.Kind == topo.ToSwitch && ep.Switch == v.sw {
-			return ep.Port, true
-		}
-	}
-	return 0, false
 }
