@@ -5,7 +5,7 @@ GO ?= go
 # offline machines with a cold cache.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build vet fmt-check inline-check alloc-check test race race-fast fuzz-smoke chaos-smoke trace-smoke fleet-smoke link-smoke governor-smoke soak-reorder staticcheck check bench-spine clean
+.PHONY: all build vet fmt-check inline-check alloc-check surface-check test race race-fast fuzz-smoke chaos-smoke trace-smoke fleet-smoke link-smoke governor-smoke soak-reorder staticcheck check bench-spine clean
 
 all: check
 
@@ -144,10 +144,17 @@ inline-check:
 alloc-check: vet
 	$(GO) test -count=1 -run Alloc ./internal/core ./internal/agg ./internal/routing ./internal/governor ./internal/obs/trace ./internal/vantagelink .
 
+# surface-check runs both ratchets by name (exports_test.go): an
+# exported name under internal/ that no non-test code uses, or a config
+# field nothing outside its package sets, fails here under its own name
+# rather than somewhere inside the full test run.
+surface-check: vet
+	$(GO) test -count=1 -run Ratchet .
+
 # check is the tier-1 gate: everything must compile, vet clean, lint
 # clean (where staticcheck is available), pass, and run every gated
 # spine workload with its oracles.
-check: vet fmt-check inline-check alloc-check build test race-fast staticcheck trace-smoke fleet-smoke link-smoke governor-smoke soak-reorder bench-spine
+check: vet fmt-check inline-check alloc-check surface-check build test race-fast staticcheck trace-smoke fleet-smoke link-smoke governor-smoke soak-reorder bench-spine
 
 # bench-spine runs the benchmark spine (bench/README.md): its own tests
 # (metric names against BENCHMARK.json, a smoke of all four workloads),

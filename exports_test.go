@@ -4,11 +4,17 @@ import (
 	"bufio"
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -17,16 +23,22 @@ import (
 
 // The exported-surface ratchet. Every exported package-level name and
 // method declared in non-test code under internal/ must be referenced
-// by some non-test code in the repository — bench/ included, since the
-// benchmark's pins are uses — or be listed, with a reason, in
-// testdata/unused_exports.txt. The list can only shrink: a listed name
-// that is now used, or no longer declared, fails the test too.
+// by some non-test code in the repository — cmd/, examples/, the root
+// package and bench/ included, since the benchmark's pins are uses — or
+// be listed, with a reason, in testdata/unused_exports.txt. The list can
+// only shrink: a listed name that is now used, or no longer declared,
+// fails the test too.
 //
-// Matching is syntactic (go/parser, no type checking). A package-level
-// name counts as used when another file names it through its package's
-// import, or a file of its own package names it bare. A method counts
-// as used when any selector anywhere has its name, so a common method
-// name hides its unused namesakes; the check errs towards passing.
+// The scan type-checks every package's non-test files (go/types, with
+// the standard library read from the toolchain's export data), so a use
+// is a resolved identifier, not a matching name. A package-level name is
+// used when an identifier outside its declaration resolves to it. A
+// method is used when a selector or method expression resolves to it,
+// or when its type, or a pointer to it, implements an interface the
+// program mentions (named or anonymous, standard library included) that
+// declares the method: a value converted to that interface can be called
+// through it. The receiver of a method declaration is not a use of its
+// type.
 
 const unusedExportsFile = "testdata/unused_exports.txt"
 
@@ -37,11 +49,7 @@ var unusedReasons = []string{
 	"enum zero value", "interface method",
 }
 
-// TestExportedSurfaceRatchet enforces the ratchet above. Its blind spot
-// is the method rule: a method counts as used when any selector in the
-// repository has its name, whatever the receiver, so an unused method
-// that shares its name with a used one (Config, Window, String) passes
-// unseen, and the unused-exports list undercounts such methods.
+// TestExportedSurfaceRatchet enforces the ratchet above.
 func TestExportedSurfaceRatchet(t *testing.T) {
 	unused, err := unusedExports(".")
 	if err != nil {
@@ -50,6 +58,22 @@ func TestExportedSurfaceRatchet(t *testing.T) {
 	checkRatchet(t, unused, unusedExportsFile,
 		"is exported but nothing outside tests uses it: use it, unexport it or delete it",
 		"is now used or gone")
+}
+
+// TestExportedSurfaceRatchetFixture runs the scan over testdata/exports,
+// a module whose exports are used, or not, in the ways that matching by
+// name gets wrong: an unused method that shares its name with a used
+// one, a method reached only through an interface conversion, and a
+// type named only by its own receivers.
+func TestExportedSurfaceRatchetFixture(t *testing.T) {
+	got, err := unusedExports("testdata/exports")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"shapes.Gauge.Config", "shapes.Orphan", "shapes.Orphan.Bump"}
+	if !slices.Equal(got, want) {
+		t.Errorf("unused exports of the fixture: got %q, want %q", got, want)
+	}
 }
 
 // checkRatchet fails t on every name in found that the list file does
@@ -113,8 +137,8 @@ type goFile struct {
 }
 
 // parseGoFiles parses every .go file under root outside testdata and
-// dot directories, _test.go files only if tests is set.
-func parseGoFiles(root string, tests bool) ([]goFile, error) {
+// dot directories.
+func parseGoFiles(root string) ([]goFile, error) {
 	fset := token.NewFileSet()
 	var files []goFile
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -127,8 +151,7 @@ func parseGoFiles(root string, tests bool) ([]goFile, error) {
 			}
 			return nil
 		}
-		test := strings.HasSuffix(path, "_test.go")
-		if !strings.HasSuffix(path, ".go") || test && !tests {
+		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
@@ -140,118 +163,317 @@ func parseGoFiles(root string, tests bool) ([]goFile, error) {
 		if rel != "." {
 			pkg += "/" + filepath.ToSlash(rel)
 		}
-		files = append(files, goFile{pkg: pkg, file: f, test: test})
+		files = append(files, goFile{pkg: pkg, file: f, test: strings.HasSuffix(path, "_test.go")})
 		return nil
 	})
 	return files, err
 }
 
-// unusedExports returns the exported names declared under root/internal
-// that no non-test file under root references, as "pkg.Name" or
-// "pkg.Type.Method" with pkg relative to internal/.
+// unusedExports returns the exported names declared in non-test code
+// under root/internal that no non-test code under root references, as
+// "pkg.Name" or "pkg.Type.Method" with pkg relative to internal/.
 func unusedExports(root string) ([]string, error) {
-	files, err := parseGoFiles(root, false)
+	mod, pkgs, err := checkModule(root)
 	if err != nil {
 		return nil, err
 	}
 
-	const internal = "planck/internal/"
-	decls := make(map[string]string) // qualified name → reported name
-	methods := make(map[string]string)
-	for _, gf := range files {
-		if !strings.HasPrefix(gf.pkg, internal) {
+	// Every non-test use, except the receiver of a method declaration.
+	used := make(map[types.Object]bool)
+	ifaces := make(map[string][]*types.Interface) // method name → interfaces the program uses that declare it
+	seen := make(map[types.Type]bool)
+	for _, p := range pkgs {
+		recv := make(map[*ast.Ident]bool)
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+					ast.Inspect(fd.Recv, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok {
+							recv[id] = true
+						}
+						return true
+					})
+				}
+			}
+		}
+		for id, obj := range p.info.Uses {
+			if !recv[id] {
+				used[obj] = true
+			}
+			collectInterfaces(obj.Type(), ifaces, seen)
+		}
+		for _, obj := range p.info.Defs {
+			if obj != nil {
+				collectInterfaces(obj.Type(), ifaces, seen)
+			}
+		}
+		for _, tv := range p.info.Types {
+			collectInterfaces(tv.Type, ifaces, seen)
+		}
+	}
+
+	internal := mod + "/internal/"
+	var out []string
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.path, internal) {
 			continue
 		}
-		short := strings.TrimPrefix(gf.pkg, internal)
-		for _, d := range gf.file.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if !d.Name.IsExported() {
-					continue
-				}
-				if d.Recv == nil {
-					decls[gf.pkg+"."+d.Name.Name] = short + "." + d.Name.Name
-					continue
-				}
-				methods[short+"."+recvName(d.Recv.List[0].Type)+"."+d.Name.Name] = d.Name.Name
-			case *ast.GenDecl:
-				for _, s := range d.Specs {
-					switch s := s.(type) {
-					case *ast.TypeSpec:
-						if s.Name.IsExported() {
-							decls[gf.pkg+"."+s.Name.Name] = short + "." + s.Name.Name
+		short := strings.TrimPrefix(p.path, internal)
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				var names []*ast.Ident
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					names = append(names, d.Name)
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							names = append(names, s.Name)
+						case *ast.ValueSpec:
+							names = append(names, s.Names...)
 						}
-					case *ast.ValueSpec:
-						for _, n := range s.Names {
-							if n.IsExported() {
-								decls[gf.pkg+"."+n.Name] = short + "." + n.Name
+					}
+				}
+				for _, id := range names {
+					obj := p.info.Defs[id]
+					if !id.IsExported() || obj == nil || used[obj] {
+						continue
+					}
+					name := short + "." + id.Name
+					if fn, ok := obj.(*types.Func); ok {
+						if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+							if satisfies(recv.Type(), fn.Name(), ifaces) {
+								continue
 							}
+							name = short + "." + recvName(d.(*ast.FuncDecl).Recv.List[0].Type) + "." + id.Name
 						}
 					}
+					out = append(out, name)
 				}
 			}
-		}
-	}
-
-	used := make(map[string]bool)     // qualified package-level names
-	selected := make(map[string]bool) // every selector's name
-	for _, gf := range files {
-		imports := make(map[string]string)
-		for _, im := range gf.file.Imports {
-			p, _ := strconv.Unquote(im.Path.Value)
-			name := p[strings.LastIndex(p, "/")+1:]
-			if im.Name != nil {
-				name = im.Name.Name
-			}
-			imports[name] = p
-		}
-		// Declared names are not uses of themselves, and a selector's name
-		// is not a bare use in the selecting file's package.
-		skip := make(map[*ast.Ident]bool)
-		ast.Inspect(gf.file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				skip[n.Name] = true
-			case *ast.TypeSpec:
-				skip[n.Name] = true
-			case *ast.ValueSpec:
-				for _, id := range n.Names {
-					skip[id] = true
-				}
-			case *ast.Field:
-				for _, id := range n.Names {
-					skip[id] = true
-				}
-			case *ast.SelectorExpr:
-				skip[n.Sel] = true
-				selected[n.Sel.Name] = true
-				if x, ok := n.X.(*ast.Ident); ok {
-					if p, ok := imports[x.Name]; ok {
-						used[p+"."+n.Sel.Name] = true
-					}
-				}
-			case *ast.Ident:
-				if !skip[n] {
-					used[gf.pkg+"."+n.Name] = true
-				}
-			}
-			return true
-		})
-	}
-
-	var out []string
-	for q, name := range decls {
-		if !used[q] {
-			out = append(out, name)
-		}
-	}
-	for name, bare := range methods {
-		if !selected[bare] {
-			out = append(out, name)
 		}
 	}
 	sort.Strings(out)
 	return out, nil
+}
+
+// collectInterfaces records every interface with methods that t
+// mentions, through pointers, containers, signatures and anonymous
+// structs but not through a named type's fields or methods.
+func collectInterfaces(t types.Type, ifaces map[string][]*types.Interface, seen map[types.Type]bool) {
+	if t == nil || seen[t] {
+		return
+	}
+	seen[t] = true
+	switch u := t.(type) {
+	case *types.Named, *types.Alias:
+		if it, ok := t.Underlying().(*types.Interface); ok {
+			collectInterfaces(it, ifaces, seen)
+		}
+	case *types.Interface:
+		for i := 0; i < u.NumMethods(); i++ {
+			m := u.Method(i).Name()
+			ifaces[m] = append(ifaces[m], u)
+		}
+	case *types.Pointer:
+		collectInterfaces(u.Elem(), ifaces, seen)
+	case *types.Slice:
+		collectInterfaces(u.Elem(), ifaces, seen)
+	case *types.Array:
+		collectInterfaces(u.Elem(), ifaces, seen)
+	case *types.Chan:
+		collectInterfaces(u.Elem(), ifaces, seen)
+	case *types.Map:
+		collectInterfaces(u.Key(), ifaces, seen)
+		collectInterfaces(u.Elem(), ifaces, seen)
+	case *types.Signature:
+		collectInterfaces(u.Params(), ifaces, seen)
+		collectInterfaces(u.Results(), ifaces, seen)
+	case *types.Tuple:
+		for i := 0; i < u.Len(); i++ {
+			collectInterfaces(u.At(i).Type(), ifaces, seen)
+		}
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			collectInterfaces(u.Field(i).Type(), ifaces, seen)
+		}
+	}
+}
+
+// satisfies reports whether the receiver type recv, or a pointer to it,
+// implements one of the used interfaces that declare method.
+func satisfies(recv types.Type, method string, ifaces map[string][]*types.Interface) bool {
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	for _, it := range ifaces[method] {
+		if types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it) {
+			return true
+		}
+	}
+	return false
+}
+
+// checkedPkg is one package type-checked from its non-test files.
+type checkedPkg struct {
+	path  string // import path
+	files []*ast.File
+	info  *types.Info
+	pkg   *types.Package
+}
+
+// checkModule type-checks the non-test files of every package under
+// root (outside testdata and dot directories, nested modules such as
+// bench/ included, under the root module's path), applying build
+// constraints for the host platform. Imports from outside the module
+// (the standard library) are read from the toolchain's export data. It returns the module path and the
+// packages in dependency order.
+func checkModule(root string) (string, []*checkedPkg, error) {
+	gomod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return "", nil, err
+	}
+	mod := modfilePath(gomod)
+	if mod == "" {
+		return "", nil, fmt.Errorf("%s/go.mod: no module line", root)
+	}
+	fset := token.NewFileSet()
+	sources := make(map[string][]*ast.File) // import path → parsed non-test files
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if n := d.Name(); path != root && (n == "testdata" || strings.HasPrefix(n, ".")) {
+			return filepath.SkipDir
+		}
+		ents, err := os.ReadDir(path)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		ip := mod
+		if rel != "." {
+			ip += "/" + filepath.ToSlash(rel)
+		}
+		for _, e := range ents {
+			n := e.Name()
+			if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
+				continue
+			}
+			if ok, err := build.Default.MatchFile(path, n); err != nil || !ok {
+				if err != nil {
+					return err
+				}
+				continue
+			}
+			f, err := parser.ParseFile(fset, filepath.Join(path, n), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			sources[ip] = append(sources[ip], f)
+		}
+		return nil
+	})
+	if err != nil {
+		return "", nil, err
+	}
+	std, err := stdImporter(fset, sources)
+	if err != nil {
+		return "", nil, err
+	}
+	imp := &moduleImporter{fset: fset, sources: sources, done: make(map[string]*checkedPkg), std: std}
+	paths := make([]string, 0, len(sources))
+	for p := range sources {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	for _, p := range paths {
+		if _, err := imp.Import(p); err != nil {
+			return "", nil, err
+		}
+	}
+	return mod, imp.order, nil
+}
+
+// stdImporter returns an importer reading the export data of every
+// package the sources import from outside the module. One go list call
+// finds it all; the default importer would run go list once a package.
+func stdImporter(fset *token.FileSet, sources map[string][]*ast.File) (types.Importer, error) {
+	args := []string{"list", "-export", "-deps", "-f", "{{.ImportPath}}\t{{.Export}}"}
+	seen := make(map[string]bool)
+	for _, files := range sources {
+		for _, f := range files {
+			for _, im := range f.Imports {
+				p, _ := strconv.Unquote(im.Path.Value)
+				if _, ok := sources[p]; !ok && !seen[p] && p != "unsafe" {
+					seen[p] = true
+					args = append(args, p)
+				}
+			}
+		}
+	}
+	export := make(map[string]string)
+	if len(seen) > 0 {
+		out, err := exec.Command(filepath.Join(build.Default.GOROOT, "bin", "go"), args...).Output()
+		if err != nil {
+			return nil, fmt.Errorf("go list -export: %v", err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+			path, file, _ := strings.Cut(line, "\t")
+			export[path] = file
+		}
+	}
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if export[path] == "" {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(export[path])
+	}), nil
+}
+
+// moduleImporter type-checks module packages from source on first
+// import and defers the rest to the standard-library importer.
+type moduleImporter struct {
+	fset    *token.FileSet
+	sources map[string][]*ast.File
+	done    map[string]*checkedPkg
+	order   []*checkedPkg
+	std     types.Importer
+}
+
+func (m *moduleImporter) Import(path string) (*types.Package, error) {
+	files, ok := m.sources[path]
+	if !ok {
+		return m.std.Import(path)
+	}
+	if cp := m.done[path]; cp != nil {
+		return cp.pkg, nil
+	}
+	cp := &checkedPkg{path: path, files: files, info: &types.Info{
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
+	}}
+	conf := types.Config{Importer: m}
+	pkg, err := conf.Check(path, m.fset, files, cp.info)
+	if err != nil {
+		return nil, err
+	}
+	cp.pkg = pkg
+	m.done[path] = cp
+	m.order = append(m.order, cp)
+	return pkg, nil
+}
+
+// modfilePath returns the module path a go.mod file declares.
+func modfilePath(gomod []byte) string {
+	for _, line := range strings.Split(string(gomod), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == "module" {
+			return strings.Trim(f[1], `"`)
+		}
+	}
+	return ""
 }
 
 func recvName(e ast.Expr) string {
@@ -303,7 +525,7 @@ func TestConfigKnobRatchet(t *testing.T) {
 // package's non-test files, as "pkg.Type.Field" with pkg relative to
 // internal/.
 func unsetKnobs(root string) (int, []string, error) {
-	files, err := parseGoFiles(root, true)
+	files, err := parseGoFiles(root)
 	if err != nil {
 		return 0, nil, err
 	}

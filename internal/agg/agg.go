@@ -232,16 +232,6 @@ func (p *Plane) AdvanceMerge(now units.Time) {
 // end a run with it.
 func (p *Plane) Flush() {}
 
-// ExpireFlows drops merged records idle longer than idle, through each
-// switch's core.Collector.ExpireFlows. Returns the number dropped.
-func (p *Plane) ExpireFlows(now units.Time, idle units.Duration) int {
-	n := 0
-	for _, ps := range p.switches {
-		n += ps.col.ExpireFlows(now, idle)
-	}
-	return n
-}
-
 // LinkUtilization sums the fresh flow rates merged onto (sw, port) as
 // of the plane's current time — the network-wide answer to the query a
 // single collector answers for its own switch. While every vantage
@@ -303,9 +293,6 @@ func (p *Plane) total(of func(core.Stats) int64) int64 {
 	return n
 }
 
-// Now returns the newest report or tick time the plane has seen.
-func (p *Plane) Now() units.Time { return p.now }
-
 // StaleVantages returns the vantages flagged stale by the last Tick.
 func (p *Plane) StaleVantages() []*Vantage {
 	var out []*Vantage
@@ -334,10 +321,6 @@ func (p *Plane) SuppressedCandidates() int64 {
 // behind the merge watermark and so skipped detection.
 func (p *Plane) LateReports() int64 { return p.met.late.Value() }
 
-// FallbackServes returns how many LinkUtilization calls were answered
-// by a stale vantage's registered fallback estimator.
-func (p *Plane) FallbackServes() int64 { return p.met.fallback.Value() }
-
 // Vantage is one collector's handle on the plane. It implements
 // core.AggregationSink: set it as the collector's Config.Sink (or as a
 // transport receiver's delivery target) and the collector reports
@@ -349,18 +332,11 @@ type Vantage struct {
 	lastRecv  units.Time // when the vantage last reached the plane (plane clock)
 	transport bool       // liveness owned by a transport receiver's NoteLive
 	stale     bool
-	restarts  int64
 	fallback  func(port int) units.Rate
 }
 
 // ID returns the vantage's plane-assigned identifier (1-based).
 func (v *Vantage) ID() VantageID { return v.id }
-
-// Switch returns the monitored switch's index.
-func (v *Vantage) Switch() int { return int(v.sw.id) }
-
-// Stale reports whether the last Tick flagged this vantage stale.
-func (v *Vantage) Stale() bool { return v.stale }
 
 // NoteLive marks the vantage live as of the plane's receive clock —
 // a transport receiver calls it for every frame (data or heartbeat)
@@ -386,16 +362,12 @@ func (v *Vantage) BindTransport() { v.transport = true }
 // merged flows.
 func (v *Vantage) SetFallback(fn func(port int) units.Rate) { v.fallback = fn }
 
-// Restarts returns how many times Rejoin has been called.
-func (v *Vantage) Restarts() int64 { return v.restarts }
-
 // Rejoin records a supervised restart of the vantage's collector. The
 // plane keeps the vantage's merged flows and — critically — the switch
 // collector's per-link cooldown anchors, so a restarted collector
 // re-reporting the same congestion cannot duplicate an event the fleet
 // already emitted.
 func (v *Vantage) Rejoin() {
-	v.restarts++
 	v.p.met.restarts.Inc()
 }
 

@@ -88,7 +88,7 @@ func captureStream(t *testing.T) (*capturedStream, core.Config, core.RouteResolv
 		t.Fatalf("capture too small to exercise the fleet: %d samples", cs.n())
 	}
 	ccfg := core.Config{SwitchName: "sw0", NumPorts: len(net.Ports[0]), LinkRate: net.LineRate}
-	return cs, ccfg, routing.StaticView(net, 0)
+	return cs, ccfg, routing.NewView(routing.NewStore(net), 0)
 }
 
 func renderEvent(ev core.CongestionEvent) string {

@@ -33,9 +33,6 @@ func NewSimActuator(eng *sim.Engine, net *topo.Network, switches []*switchsim.Sw
 // Switch returns switch s.
 func (a *SimActuator) Switch(s int) *switchsim.Switch { return a.switches[s] }
 
-// Host returns host h.
-func (a *SimActuator) Host(h int) *tcpsim.Host { return a.hosts[h] }
-
 // InstallSnapshot implements routing.Actuator: program every switch
 // with the MAC entries of all routing trees, the egress shadow-MAC
 // restore rules, edge-port marking, and — when the snapshot says so —

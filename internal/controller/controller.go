@@ -151,9 +151,6 @@ func (c *Controller) InstallRoutes(initialTrees []int, mirror bool) {
 	c.act.InstallSnapshot(snap)
 }
 
-// InitialTree returns the base tree assigned to destination d this run.
-func (c *Controller) InitialTree(d int) int { return c.store.Load().BaseTree(d) }
-
 // AttachCollector binds a collector to switch s: it receives the routing
 // oracle and becomes what Collector(s) returns, the flow table the §3.3
 // query loop reads; a replacement (a supervised restart) takes over the
@@ -217,15 +214,6 @@ func (c *Controller) Switch(s int) *switchsim.Switch {
 	return nil
 }
 
-// Host returns host h when the controller drives the simulated data
-// plane, nil behind a custom actuator.
-func (c *Controller) Host(h int) *tcpsim.Host {
-	if a, ok := c.act.(*SimActuator); ok {
-		return a.Host(h)
-	}
-	return nil
-}
-
 func (c *Controller) delay(lo, hi units.Duration) units.Duration {
 	if hi <= lo {
 		return lo
@@ -267,50 +255,67 @@ func (c *Controller) reroute(now units.Time, flow packet.FlowKey, srcHost, dstHo
 		d = c.delay(c.cfg.OFDelayMin, c.cfg.OFDelayMax)
 	}
 	c.met.observe(viaARP, d)
-	at := now.Add(d)
-
-	prev := c.store.Load()
-	snap := c.store.Commit(at, func(tx *routing.Tx) {
-		if viaARP {
-			tx.SetPairTree(srcHost, dstHost, tree)
-		} else {
-			tx.SetFlowTree(flow, srcHost, dstHost, tree)
-		}
-	})
-	diff := snap.DiffFrom(prev)
 
 	// Attribute the decision to the event being fanned out, if any
 	// (reroutes from TE's periodic view refresh have no cause and are
-	// untraced). Only the causing span's first decision claims it; the
-	// actuation callbacks below then feed its actuation stage.
+	// untraced). Only the causing span's first decision claims it; its
+	// actuations then feed the span's actuation stage.
 	var traceID uint64
+	var dec trace.Decision
 	if c.trc != nil && c.curCause != 0 {
-		dec := trace.Decision{
-			EpochNew: snap.Epoch(),
-			ViaARP:   viaARP,
-			Flow:     flow,
-			NewMAC:   topo.ShadowMAC(dstHost, tree),
-			SrcHost:  srcHost, DstHost: dstHost, Tree: tree,
-			Changes: len(diff),
+		traceID = c.curCause
+		dec = trace.Decision{
+			ViaARP:  viaARP,
+			Flow:    flow,
+			NewMAC:  topo.ShadowMAC(dstHost, tree),
+			SrcHost: srcHost, DstHost: dstHost, Tree: tree,
 		}
 		if viaARP {
 			// Pair moves carry no 5-tuple; convergence matches on the
 			// src/dst pair plus the new shadow-MAC label.
 			dec.Flow = packet.FlowKey{SrcIP: topo.HostIP(srcHost), DstIP: topo.HostIP(dstHost)}
 		}
-		if c.trc.MarkDecided(c.curCause, now, dec) {
-			traceID = c.curCause
-		}
 	}
+	c.commit(now, now.Add(d), func(tx *routing.Tx) {
+		if viaARP {
+			tx.SetPairTree(srcHost, dstHost, tree)
+		} else {
+			tx.SetFlowTree(flow, srcHost, dstHost, tree)
+		}
+	}, traceID, dec, nil)
+}
+
+// commit is the actuation tail reroutes and mirror transactions share:
+// commit mutate as the next epoch, activating at at; offer the decision
+// dec, completed with the new epoch and the diff size, to the span
+// traceID (0: untraced); then schedule exactly the snapshot diff to
+// land at at, marking each actuation on the span if it claimed the
+// decision. onActuated, when set, fires once after the last change
+// lands. Returns the diff size.
+func (c *Controller) commit(now, at units.Time, mutate func(*routing.Tx), traceID uint64, dec trace.Decision, onActuated func(fire units.Time)) int {
+	prev := c.store.Load()
+	snap := c.store.Commit(at, mutate)
+	diff := snap.DiffFrom(prev)
+
+	claimed := false
+	if c.trc != nil && traceID != 0 {
+		dec.EpochNew, dec.Changes = snap.Epoch(), len(diff)
+		claimed = c.trc.MarkDecided(traceID, now, dec)
+	}
+	remaining := len(diff)
 	for _, ch := range diff {
-		ch := ch
 		c.eng.Schedule(at, sim.Callback(func(fire units.Time) {
 			c.act.Apply(fire, ch)
-			if traceID != 0 {
+			if claimed {
 				c.trc.MarkActuated(traceID, fire)
+			}
+			remaining--
+			if remaining == 0 && onActuated != nil {
+				onActuated(fire)
 			}
 		}), nil)
 	}
+	return len(diff)
 }
 
 // CommitMirror commits a mirror-configuration transaction — the
@@ -326,38 +331,11 @@ func (c *Controller) reroute(now units.Time, flow packet.FlowKey, srcHost, dstHo
 // set, fires once after the last diff entry lands.
 func (c *Controller) CommitMirror(now units.Time, traceID uint64, mutate func(*routing.Tx), onActuated func(fire units.Time)) int {
 	d := c.delay(c.cfg.OFDelayMin, c.cfg.OFDelayMax)
-	at := now.Add(d)
-
-	prev := c.store.Load()
-	snap := c.store.Commit(at, mutate)
-	diff := snap.DiffFrom(prev)
-
-	claimed := false
-	if c.trc != nil && traceID != 0 {
-		claimed = c.trc.MarkDecided(traceID, now, trace.Decision{
-			EpochNew: snap.Epoch(),
-			Changes:  len(diff),
-		})
-	}
-	if len(diff) == 0 {
+	n := c.commit(now, now.Add(d), mutate, traceID, trace.Decision{}, onActuated)
+	if n == 0 {
 		return 0
 	}
 	c.MirrorCommits++
 	c.met.mirrorDelay.Observe(int64(d))
-
-	remaining := len(diff)
-	for _, ch := range diff {
-		ch := ch
-		c.eng.Schedule(at, sim.Callback(func(fire units.Time) {
-			c.act.Apply(fire, ch)
-			if claimed {
-				c.trc.MarkActuated(traceID, fire)
-			}
-			remaining--
-			if remaining == 0 && onActuated != nil {
-				onActuated(fire)
-			}
-		}), nil)
-	}
-	return len(diff)
+	return n
 }

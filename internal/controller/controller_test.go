@@ -71,7 +71,7 @@ func TestInstallRoutesProgramsEverything(t *testing.T) {
 			if h == d {
 				continue
 			}
-			mac, ok := ctrl.Host(h).LookupNeighbor(topo.HostIP(d))
+			mac, ok := host(ctrl, h).LookupNeighbor(topo.HostIP(d))
 			if !ok {
 				t.Fatalf("host %d missing neighbor %d", h, d)
 			}
@@ -80,8 +80,8 @@ func TestInstallRoutesProgramsEverything(t *testing.T) {
 			}
 		}
 	}
-	if ctrl.InitialTree(5) != 1 {
-		t.Fatalf("initial tree %d", ctrl.InitialTree(5))
+	if tr := ctrl.store.Load().BaseTree(5); tr != 1 {
+		t.Fatalf("initial tree %d", tr)
 	}
 }
 
@@ -89,7 +89,7 @@ func TestRerouteARPLandsWithinModelBounds(t *testing.T) {
 	eng, _, ctrl := rig(t, 2)
 	ctrl.InstallRoutes(make([]int, 16), false)
 	var updated units.Time
-	ctrl.Host(3).OnARPUpdate = func(now units.Time, ip packet.IPv4, mac packet.MAC) {
+	host(ctrl, 3).OnARPUpdate = func(now units.Time, ip packet.IPv4, mac packet.MAC) {
 		if updated == 0 {
 			updated = now
 		}
@@ -103,7 +103,7 @@ func TestRerouteARPLandsWithinModelBounds(t *testing.T) {
 	if updated < units.Time(2200*units.Microsecond) || updated > units.Time(3400*units.Microsecond) {
 		t.Fatalf("ARP landed at %v", units.Duration(updated))
 	}
-	if got, _ := ctrl.Host(3).LookupNeighbor(topo.HostIP(9)); got != topo.ShadowMAC(9, 2) {
+	if got, _ := host(ctrl, 3).LookupNeighbor(topo.HostIP(9)); got != topo.ShadowMAC(9, 2) {
 		t.Fatalf("cache now %v", got)
 	}
 	if ctrl.ARPReroutes != 1 {
@@ -159,7 +159,7 @@ func TestRerouteCommitsEpochs(t *testing.T) {
 	base := st.Epoch()
 
 	var arpSeen int
-	ctrl.Host(3).OnARPUpdate = func(now units.Time, ip packet.IPv4, mac packet.MAC) { arpSeen++ }
+	host(ctrl, 3).OnARPUpdate = func(now units.Time, ip packet.IPv4, mac packet.MAC) { arpSeen++ }
 
 	ctrl.RerouteARP(0, 3, 9, 2)
 	if st.Epoch() != base+1 {
@@ -186,3 +186,6 @@ func TestRerouteCommitsEpochs(t *testing.T) {
 		t.Fatalf("ARPReroutes %d, want 2", ctrl.ARPReroutes)
 	}
 }
+
+// host returns host h of a controller driving the simulated data plane.
+func host(ctrl *Controller, h int) *tcpsim.Host { return ctrl.act.(*SimActuator).hosts[h] }

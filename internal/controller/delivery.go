@@ -11,72 +11,45 @@ import (
 	"planck/internal/units"
 )
 
-// BackoffPolicy tunes retry behavior for collector→controller event
-// delivery. Zero fields take defaults chosen for the millisecond
-// control loop: a congestion event is worthless after a few tens of
-// milliseconds (the congestion either cleared or TCP collapsed), so
-// the policy gives up quickly rather than queueing stale events.
-type BackoffPolicy struct {
-	// Base is the delay before the first retry (default 500µs).
-	Base units.Duration
-	// Max caps the per-retry delay (default 8ms).
-	Max units.Duration
-	// Factor multiplies the delay each retry (default 2).
-	Factor float64
-	// Jitter is the fraction of each delay that is randomized — the
-	// delay is scaled by a uniform draw from [1−Jitter/2, 1+Jitter/2] —
-	// so synchronized collectors do not retry in lockstep against a
-	// recovering controller (default 0.2).
-	Jitter float64
-	// MaxAttempts bounds total sends, the first included (default 6).
-	MaxAttempts int
+// The retry policy of collector→controller event delivery, chosen for
+// the millisecond control loop: a congestion event is worthless after
+// a few tens of milliseconds (the congestion either cleared or TCP
+// collapsed), so delivery gives up quickly rather than queueing stale
+// events.
+const (
+	backoffBase   = 500 * units.Microsecond // delay before the first retry
+	backoffMax    = 8 * units.Millisecond   // cap on any one retry's delay
+	backoffFactor = 2                       // delay growth per retry
+	// backoffJitter is the fraction of each delay that is randomized —
+	// the delay is scaled by a uniform draw from [1−J/2, 1+J/2] — so
+	// synchronized collectors do not retry in lockstep against a
+	// recovering controller.
+	backoffJitter = 0.2
+	maxAttempts   = 6 // total sends, the first included
+)
+
+// backoff returns the delay before retry number retry (1-based) before
+// jitter: backoffBase × backoffFactor^(retry−1), capped at backoffMax.
+func backoff(retry int) units.Duration {
+	d := backoffBase
+	for i := 1; i < retry && d < backoffMax; i++ {
+		d *= backoffFactor
+	}
+	return min(d, backoffMax)
 }
 
-func (p *BackoffPolicy) fillDefaults() {
-	if p.Base == 0 {
-		p.Base = 500 * units.Microsecond
-	}
-	if p.Max == 0 {
-		p.Max = 8 * units.Millisecond
-	}
-	if p.Factor == 0 {
-		p.Factor = 2
-	}
-	if p.Jitter == 0 {
-		p.Jitter = 0.2
-	}
-	if p.MaxAttempts == 0 {
-		p.MaxAttempts = 6
-	}
-}
-
-// delayFor returns the jittered backoff before retry number retry
-// (1-based), drawing from rng.
-func (p *BackoffPolicy) delayFor(retry int, rng *rand.Rand) units.Duration {
-	d := float64(p.Base)
-	for i := 1; i < retry; i++ {
-		d *= p.Factor
-		if d >= float64(p.Max) {
-			break
-		}
-	}
-	if d > float64(p.Max) {
-		d = float64(p.Max)
-	}
-	if p.Jitter > 0 {
-		d *= 1 - p.Jitter/2 + p.Jitter*rng.Float64()
-	}
-	if d < 1 {
-		d = 1
-	}
-	return units.Duration(d)
+// backoffDelay returns the jittered backoff before retry number retry,
+// drawing from rng.
+func backoffDelay(retry int, rng *rand.Rand) units.Duration {
+	d := float64(backoff(retry)) * (1 - backoffJitter/2 + backoffJitter*rng.Float64())
+	return units.Duration(max(d, 1))
 }
 
 // DeliveryMetrics are the obs instruments of one Deliverer.
 type DeliveryMetrics struct {
 	Delivered obs.Counter // events that reached the controller
 	Retries   obs.Counter // individual re-send attempts
-	Abandoned obs.Counter // events dropped after MaxAttempts
+	Abandoned obs.Counter // events dropped after maxAttempts sends
 	// Backoff records the µs slept before each retry.
 	Backoff *obs.Histogram
 }
@@ -105,10 +78,9 @@ func (m *DeliveryMetrics) Register(reg *obs.Registry, labels ...string) {
 // Deliverer is not safe for concurrent use: in the lab every method
 // runs on the engine goroutine.
 type Deliverer struct {
-	policy BackoffPolicy
-	rng    *rand.Rand
-	send   func(now units.Time, ev core.CongestionEvent) error
-	after  func(d units.Duration, fn func(now units.Time))
+	rng   *rand.Rand
+	send  func(now units.Time, ev core.CongestionEvent) error
+	after func(d units.Duration, fn func(now units.Time))
 
 	// Metrics may be read at any time.
 	Metrics DeliveryMetrics
@@ -123,33 +95,28 @@ type Deliverer struct {
 // NewDeliverer builds a deliverer over explicit seams. seed feeds the
 // jitter PRNG; rng state is private to the deliverer so retries never
 // perturb data-plane determinism.
-func NewDeliverer(policy BackoffPolicy, seed int64,
+func NewDeliverer(seed int64,
 	send func(now units.Time, ev core.CongestionEvent) error,
 	after func(d units.Duration, fn func(now units.Time))) *Deliverer {
-	policy.fillDefaults()
 	return &Deliverer{
-		policy: policy,
-		rng:    rand.New(rand.NewSource(seed)),
-		send:   send,
-		after:  after,
+		rng:   rand.New(rand.NewSource(seed)),
+		send:  send,
+		after: after,
 	}
 }
 
 // NewSimDeliverer wires a deliverer to a simulation engine's timer
 // wheel: retries fire as engine events on the engine goroutine.
-func NewSimDeliverer(eng *sim.Engine, policy BackoffPolicy, seed int64,
+func NewSimDeliverer(eng *sim.Engine, seed int64,
 	send func(now units.Time, ev core.CongestionEvent) error) *Deliverer {
-	return NewDeliverer(policy, seed, send,
+	return NewDeliverer(seed, send,
 		func(d units.Duration, fn func(now units.Time)) {
 			eng.After(d, sim.Callback(fn), nil)
 		})
 }
 
-// InFlight returns how many events are awaiting a retry.
-func (d *Deliverer) InFlight() int { return d.inFlight }
-
-// Deliver attempts to hand ev to the controller, retrying per the
-// policy. It returns after the first attempt; retries run from the
+// Deliver attempts to hand ev to the controller, retrying with
+// jittered exponential backoff. It returns after the first attempt; retries run from the
 // injected timer. A retry, or a send that delays the handoff, outlives
 // the emit that lent ev its Flows, so Deliver sends its own copy.
 func (d *Deliverer) Deliver(now units.Time, ev core.CongestionEvent) {
@@ -163,14 +130,14 @@ func (d *Deliverer) attempt(now units.Time, ev core.CongestionEvent, n int) {
 		d.Metrics.Delivered.Inc()
 		return
 	}
-	if n >= d.policy.MaxAttempts {
+	if n >= maxAttempts {
 		d.Metrics.Abandoned.Inc()
 		if d.Tracer != nil {
 			d.Tracer.Drop(ev.ID, trace.OutcomeAbandoned)
 		}
 		return
 	}
-	delay := d.policy.delayFor(n, d.rng)
+	delay := backoffDelay(n, d.rng)
 	d.Metrics.Retries.Inc()
 	if d.Tracer != nil {
 		d.Tracer.RecordRetry(ev.ID, delay)

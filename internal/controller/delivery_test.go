@@ -2,6 +2,7 @@ package controller
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"planck/internal/core"
@@ -51,7 +52,7 @@ func TestDelivererRetriesUntilSuccess(t *testing.T) {
 		deliveredAt = append(deliveredAt, now)
 		return nil
 	}
-	d := NewDeliverer(BackoffPolicy{Base: units.Millisecond, Factor: 2, Jitter: 0.2, MaxAttempts: 6}, 1, send, ft.after)
+	d := NewDeliverer(1, send, ft.after)
 	d.Deliver(0, core.CongestionEvent{Port: 1})
 	for ft.fireNext() {
 	}
@@ -67,12 +68,12 @@ func TestDelivererRetriesUntilSuccess(t *testing.T) {
 	if got := d.Metrics.Abandoned.Value(); got != 0 {
 		t.Errorf("Abandoned = %d, want 0", got)
 	}
-	if d.InFlight() != 0 {
-		t.Errorf("InFlight = %d after settling", d.InFlight())
+	if d.inFlight != 0 {
+		t.Errorf("inFlight = %d after settling", d.inFlight)
 	}
-	// Three retries with Base=1ms, Factor=2, Jitter=0.2: total backoff in
-	// [0.9+1.8+3.6, 1.1+2.2+4.4] ms.
-	if at := deliveredAt[0]; at < units.Time(6300*units.Microsecond) || at > units.Time(7700*units.Microsecond) {
+	// Three retries with base 500µs, factor 2, jitter 0.2: total backoff
+	// in [0.45+0.9+1.8, 0.55+1.1+2.2] ms.
+	if at := deliveredAt[0]; at < units.Time(3150*units.Microsecond) || at > units.Time(3850*units.Microsecond) {
 		t.Errorf("delivery landed at %v, outside the jittered backoff envelope", at)
 	}
 }
@@ -81,46 +82,49 @@ func TestDelivererAbandonsAfterMaxAttempts(t *testing.T) {
 	ft := &fakeTimer{}
 	attempts := 0
 	send := func(units.Time, core.CongestionEvent) error { attempts++; return errDown }
-	d := NewDeliverer(BackoffPolicy{MaxAttempts: 4}, 2, send, ft.after)
+	d := NewDeliverer(2, send, ft.after)
 	d.Deliver(0, core.CongestionEvent{})
 	for ft.fireNext() {
 	}
-	if attempts != 4 {
-		t.Errorf("attempts = %d, want MaxAttempts = 4", attempts)
+	if attempts != 6 {
+		t.Errorf("attempts = %d, want maxAttempts = 6", attempts)
 	}
 	if got := d.Metrics.Abandoned.Value(); got != 1 {
 		t.Errorf("Abandoned = %d, want 1", got)
 	}
-	if got := d.Metrics.Retries.Value(); got != 3 {
-		t.Errorf("Retries = %d, want 3", got)
+	if got := d.Metrics.Retries.Value(); got != 5 {
+		t.Errorf("Retries = %d, want 5", got)
 	}
 }
 
 func TestDelivererBackoffCapsAtMax(t *testing.T) {
-	p := BackoffPolicy{Base: units.Millisecond, Max: 3 * units.Millisecond, Factor: 10, Jitter: -1, MaxAttempts: 5}
-	p.fillDefaults()
-	// Jitter<0 is not meaningful; neutralize it for exactness.
-	p.Jitter = 0
-	d := NewDeliverer(p, 3, nil, nil)
-	if got := p.delayFor(1, d.rng); got != units.Millisecond {
-		t.Errorf("retry 1 delay = %v, want Base", got)
+	if got := backoff(1); got != backoffBase {
+		t.Errorf("retry 1 backoff = %v, want base %v", got, backoffBase)
 	}
-	if got := p.delayFor(2, d.rng); got != 3*units.Millisecond {
-		t.Errorf("retry 2 delay = %v, want Max cap", got)
+	if got := backoff(4); got != 4*units.Millisecond {
+		t.Errorf("retry 4 backoff = %v, want base × factor³ = 4ms", got)
 	}
-	if got := p.delayFor(4, d.rng); got != 3*units.Millisecond {
-		t.Errorf("retry 4 delay = %v, want Max cap", got)
+	for _, retry := range []int{5, 6, 9} {
+		if got := backoff(retry); got != backoffMax {
+			t.Errorf("retry %d backoff = %v, want the cap %v", retry, got, backoffMax)
+		}
+	}
+	// Jitter scales each delay by a draw from [1−J/2, 1+J/2].
+	rng := rand.New(rand.NewSource(3))
+	for retry := 1; retry <= 9; retry++ {
+		b := float64(backoff(retry))
+		if got := float64(backoffDelay(retry, rng)); got < b*(1-backoffJitter/2) || got > b*(1+backoffJitter/2) {
+			t.Errorf("retry %d delay = %v outside the jitter envelope of %v", retry, units.Duration(got), units.Duration(b))
+		}
 	}
 }
 
 func TestDelivererDeterministicJitter(t *testing.T) {
 	run := func(seed int64) []units.Duration {
-		p := BackoffPolicy{}
-		p.fillDefaults()
-		d := NewDeliverer(p, seed, nil, nil)
+		d := NewDeliverer(seed, nil, nil)
 		var out []units.Duration
 		for i := 1; i <= 5; i++ {
-			out = append(out, p.delayFor(i, d.rng))
+			out = append(out, backoffDelay(i, d.rng))
 		}
 		return out
 	}
@@ -143,7 +147,7 @@ func TestSimDelivererFiresOnEngine(t *testing.T) {
 		deliveredAt = now
 		return nil
 	}
-	d := NewSimDeliverer(eng, BackoffPolicy{Base: units.Millisecond, MaxAttempts: 10}, 5, send)
+	d := NewSimDeliverer(eng, 5, send)
 	d.Deliver(eng.Now(), core.CongestionEvent{Port: 2})
 	eng.RunUntil(units.Time(50 * units.Millisecond))
 	if deliveredAt == 0 {

@@ -105,7 +105,7 @@ func TestInjectorDeterminism(t *testing.T) {
 				out = append(out, at.String()+"/"+string(fr)+"/"+map[bool]string{true: "c", false: "x"}[cur])
 			})
 		}
-		in.Flush(func(at units.Time, fr []byte, cur bool) {
+		in.releaseHeld(func(at units.Time, fr []byte, cur bool) {
 			out = append(out, "flush:"+string(fr))
 		})
 		return out

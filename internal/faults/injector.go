@@ -109,13 +109,6 @@ func (in *Injector) Apply(t units.Time, frame []byte, deliver func(t units.Time,
 	in.releaseHeld(deliver)
 }
 
-// Flush releases a held reordered frame, if any. Callers invoke it at
-// stream end (or batch boundaries) so a reorder on the last frame does
-// not swallow it.
-func (in *Injector) Flush(deliver func(t units.Time, frame []byte, current bool)) {
-	in.releaseHeld(deliver)
-}
-
 func (in *Injector) releaseHeld(deliver func(t units.Time, frame []byte, current bool)) {
 	if !in.holding {
 		return

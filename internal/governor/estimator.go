@@ -143,9 +143,6 @@ func NewRateEstimator(cfg EstimatorConfig, numPorts int) *RateEstimator {
 	return e
 }
 
-// NumPorts returns the port count the estimator was sized for.
-func (e *RateEstimator) NumPorts() int { return len(e.ports) }
-
 // Observe offers one switched packet (egress port, flow key, wire
 // length) to the sFlow-style sampler side of the estimator.
 func (e *RateEstimator) Observe(now units.Time, outPort int, key packet.FlowKey, wireLen int) {

@@ -86,7 +86,7 @@ func runChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup := l.Supervisor(0)
+	sup := l.Supervisors[0]
 	if sup == nil {
 		t.Fatal("no supervisor on the monitored switch")
 	}
@@ -106,22 +106,22 @@ func runChaos(t *testing.T) {
 	var midUtil units.Rate
 	l.Eng.Schedule(units.Time(30*units.Millisecond), sim.Callback(func(units.Time) {
 		midDark = sup.Dark()
-		midUtil = sup.Utilization(2)
+		midUtil = utilization(sup, 2)
 	}), nil)
 
 	startChaosTraffic(t, l)
 	l.Run(chaosRunFor)
 
 	// The injector actually bit: the loss burst dropped mirror frames.
-	if lost := l.FaultMetrics().Lost.Value(); lost == 0 {
+	if lost := l.faultMetrics.Lost.Value(); lost == 0 {
 		t.Error("loss burst dropped nothing")
 	}
 
 	// (b) Fallback flips. Dark must be declared within the heartbeat
 	// budget of the burst start — StaleAfter plus MissThreshold+1 ticks
 	// of quantization — and cleared shortly after the mirror recovers.
-	hbCfg := sup.Heartbeat().Config()
-	flips := sup.Flips()
+	hbCfg := sup.hb.Config()
+	flips := sup.flips
 	if len(flips) != 2 {
 		t.Fatalf("flips = %+v, want exactly [dark, recover] around the loss burst", flips)
 	}
@@ -151,8 +151,8 @@ func runChaos(t *testing.T) {
 	if got := sup.Restarts.Value(); got != 1 {
 		t.Errorf("restarts = %d, want 1", got)
 	}
-	if sup.Generation() != 1 {
-		t.Errorf("generation = %d, want 1", sup.Generation())
+	if sup.gen != 1 {
+		t.Errorf("generation = %d, want 1", sup.gen)
 	}
 	node := l.Collectors[0]
 	if node.Crashed() {
@@ -190,7 +190,7 @@ func runChaos(t *testing.T) {
 			t.Fatalf("event delivered at %v, inside the partition window", a.at)
 		}
 	}
-	dm := &sup.Deliverer().Metrics
+	dm := &sup.del.Metrics
 	if dm.Retries.Value() == 0 {
 		t.Error("no delivery retries despite a 15ms partition")
 	}
@@ -199,7 +199,7 @@ func runChaos(t *testing.T) {
 	}
 	t.Logf("events=%d retries=%d abandoned=%d stale=%d lost=%d",
 		len(arrivals), dm.Retries.Value(), dm.Abandoned.Value(),
-		sup.StaleEvents.Value(), l.FaultMetrics().Lost.Value())
+		sup.StaleEvents.Value(), l.faultMetrics.Lost.Value())
 
 	// (c) Re-convergence: the data plane is untouched by monitoring
 	// faults, so an oracle run of the identical workload with no faults
@@ -211,8 +211,8 @@ func runChaos(t *testing.T) {
 	startChaosTraffic(t, oracle)
 	oracle.Run(chaosRunFor)
 	for _, p := range []int{2, 3} {
-		want := oracle.Supervisor(0).Utilization(p)
-		got := sup.Utilization(p)
+		want := utilization(oracle.Supervisors[0], p)
+		got := utilization(sup, p)
 		if want == 0 {
 			t.Fatalf("oracle sees no load on port %d", p)
 		}
@@ -221,4 +221,14 @@ func runChaos(t *testing.T) {
 				p, got, want, diff*100)
 		}
 	}
+}
+
+// utilization answers "how loaded is port p right now" from the best
+// source the supervisor has: the collector's ms-scale estimate while the
+// feed is live, the sFlow fallback while it is dark.
+func utilization(sup *Supervisor, p int) units.Rate {
+	if sup.Dark() {
+		return sup.FallbackUtilization(p)
+	}
+	return sup.node.Collector().LinkUtilization(p)
 }

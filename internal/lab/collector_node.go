@@ -166,9 +166,6 @@ func (n *CollectorNode) Restart(col *core.Collector) {
 // from boot).
 func (n *CollectorNode) LastDelivery() units.Time { return n.lastDelivery }
 
-// Delivered returns how many post-fault frames reached the collector.
-func (n *CollectorNode) Delivered() int64 { return n.delivered }
-
 // ingestOne runs one delivered sample through the fault layer (if any),
 // the collector, and the latency accounting shared by both capture
 // paths.

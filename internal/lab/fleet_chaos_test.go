@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"planck/internal/agg"
 	"planck/internal/core"
 	"planck/internal/sim"
 	"planck/internal/topo"
@@ -34,14 +35,15 @@ func TestFleetChaosCrashRestart(t *testing.T) {
 	)
 
 	type result struct {
-		events      []core.CongestionEvent
-		victim      int
-		victimName  string
-		staleAtPro  int  // stale vantages at the mid-crash probe
-		victimStale bool // victim flagged stale at the probe
-		restarts    int64
-		staleEnd    int  // stale vantages at end of run (idle switches count)
-		victimEnd   bool // victim still stale at end of run
+		events         []core.CongestionEvent
+		victim         int
+		victimName     string
+		staleAtPro     int   // stale vantages at the mid-crash probe
+		victimStale    bool  // victim flagged stale at the probe
+		restarts       int64 // vantage rejoins the plane counted, every vantage
+		victimRestarts int64 // the victim supervisor's collector restarts
+		staleEnd       int   // stale vantages at end of run (idle switches count)
+		victimEnd      bool  // victim still stale at end of run
 	}
 
 	run := func(crash bool) result {
@@ -85,13 +87,14 @@ func TestFleetChaosCrashRestart(t *testing.T) {
 			l.Eng.Schedule(units.Time(crashAt), sim.Callback(node.Crash), nil)
 			l.Eng.Schedule(units.Time(probeAt), sim.Callback(func(units.Time) {
 				res.staleAtPro = len(l.Agg.StaleVantages())
-				res.victimStale = l.Vantage(res.victim).Stale()
+				res.victimStale = stale(l.Agg, l.vantages[res.victim])
 			}), nil)
 		}
 		l.Run(runFor)
-		res.restarts = l.Vantage(res.victim).Restarts()
+		res.restarts = metric(l, "planck_agg_vantage_restarts_total")
+		res.victimRestarts = l.Supervisors[res.victim].Restarts.Value()
 		res.staleEnd = len(l.Agg.StaleVantages())
-		res.victimEnd = l.Vantage(res.victim).Stale()
+		res.victimEnd = stale(l.Agg, l.vantages[res.victim])
 		return res
 	}
 
@@ -118,8 +121,9 @@ func TestFleetChaosCrashRestart(t *testing.T) {
 	if chaos.staleAtPro == 0 {
 		t.Error("plane reported no stale vantages mid-crash")
 	}
-	if chaos.restarts < 1 {
-		t.Errorf("victim vantage recorded %d restarts, want >= 1", chaos.restarts)
+	if chaos.restarts < 1 || chaos.restarts != chaos.victimRestarts {
+		t.Errorf("plane recorded %d vantage restarts, the victim's supervisor %d: want the same count, >= 1",
+			chaos.restarts, chaos.victimRestarts)
 	}
 	// Idle switches (no traffic crosses them) are legitimately stale in
 	// both runs; the crash must not add to that set once restarted.
@@ -177,4 +181,20 @@ func TestFleetChaosCrashRestart(t *testing.T) {
 	if resumed == 0 {
 		t.Error("victim emitted no events after restart; feed never recovered")
 	}
+}
+
+// stale reports whether the plane's last Tick flagged v stale.
+func stale(p *agg.Plane, v *agg.Vantage) bool {
+	return slices.Contains(p.StaleVantages(), v)
+}
+
+// metric returns the current value of the lab registry's instrument
+// with the full name name, or 0 when none is registered.
+func metric(l *Lab, name string) int64 {
+	for _, p := range l.Metrics.Snapshot() {
+		if p.Name == name {
+			return int64(p.Value)
+		}
+	}
+	return 0
 }

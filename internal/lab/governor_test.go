@@ -6,6 +6,7 @@ import (
 	"planck/internal/core"
 	"planck/internal/governor"
 	"planck/internal/obs/trace"
+	"planck/internal/routing"
 	"planck/internal/sflow"
 	"planck/internal/sim"
 	"planck/internal/topo"
@@ -120,11 +121,14 @@ func TestGovernorShedsTunesAndConverges(t *testing.T) {
 
 	// The routing store carries the overrides — actuation went through
 	// the epoch-versioned plane, not directly at the switch.
-	snap := l.Ctrl.RoutingStore().Load()
-	if snap.MirrorOverrides() == 0 {
+	overrides := make(map[[2]int]routing.MirrorPortConfig)
+	l.Ctrl.RoutingStore().Load().EachMirrorOverride(func(sw, port int, cfg routing.MirrorPortConfig) {
+		overrides[[2]int{sw, port}] = cfg
+	})
+	if len(overrides) == 0 {
 		t.Fatal("no mirror overrides in the routing snapshot")
 	}
-	if got := snap.MirrorPort(0, 2); !got.Mirrored || got.TargetRate != sw.PortMirrorRate(2) {
+	if got := overrides[[2]int{0, 2}]; !got.Mirrored || got.TargetRate != sw.PortMirrorRate(2) {
 		t.Fatalf("snapshot override %+v disagrees with switch state %v", got, sw.PortMirrorRate(2))
 	}
 
@@ -197,12 +201,12 @@ func TestChaosGovernorDarkGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	gov := l.Governor(0)
-	sup := l.Supervisor(0)
+	sup := l.Supervisors[0]
 	if gov == nil || sup == nil {
 		t.Fatal("governor or supervisor missing")
 	}
 	// The governor and the supervisor share one estimator.
-	if gov.Estimator() != sup.Estimator() {
+	if gov.Estimator() != sup.fb {
 		t.Fatal("governor and supervisor do not share the rate estimator")
 	}
 
@@ -213,7 +217,7 @@ func TestChaosGovernorDarkGuard(t *testing.T) {
 	}), nil)
 	l.Run(chaosRunFor)
 
-	flips := sup.Flips()
+	flips := sup.flips
 	if len(flips) != 2 || !flips[0].Dark || flips[1].Dark {
 		t.Fatalf("flips = %+v, want exactly [dark, recover]", flips)
 	}

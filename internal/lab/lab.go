@@ -519,7 +519,7 @@ func (l *Lab) buildAggPlane() {
 	// deliverer gated by the fault schedule's partition and delay
 	// windows; otherwise a direct synchronous handoff.
 	if opts.Supervise != nil {
-		del := controller.NewSimDeliverer(l.Eng, controller.BackoffPolicy{}, opts.Seed+0x5eed, l.sendEvent)
+		del := controller.NewSimDeliverer(l.Eng, opts.Seed+0x5eed, l.sendEvent)
 		del.Tracer = opts.Tracer
 		l.Agg.Subscribe(func(ev core.CongestionEvent) {
 			now := l.Eng.Now()
@@ -546,23 +546,6 @@ func (l *Lab) Collector(s int) *core.Collector {
 	return nil
 }
 
-// Vantage returns switch s's aggregation-plane vantage, or nil when
-// the lab was built without Options.Fleet (or s is unmonitored).
-func (l *Lab) Vantage(s int) *agg.Vantage {
-	if l.vantages == nil {
-		return nil
-	}
-	return l.vantages[s]
-}
-
-// Supervisor returns switch s's supervision loop, or nil when the lab
-// was built without Options.Supervise.
-func (l *Lab) Supervisor(s int) *Supervisor { return l.Supervisors[s] }
-
 // Governor returns switch s's sampling-rate governor, or nil when the
 // lab was built without Options.Govern.
 func (l *Lab) Governor(s int) *governor.Governor { return l.Governors[s] }
-
-// FaultMetrics returns the shared injected-fault counters, or nil when
-// no faults are active.
-func (l *Lab) FaultMetrics() *faults.Metrics { return l.faultMetrics }

@@ -9,6 +9,7 @@ import (
 	"planck/internal/faults"
 	"planck/internal/governor"
 	"planck/internal/packet"
+	"planck/internal/tcpsim"
 	"planck/internal/topo"
 	"planck/internal/units"
 )
@@ -84,19 +85,20 @@ func TestFatTreeTestbedAllPairs(t *testing.T) {
 	// A handful of flows spanning intra-edge, intra-pod, and inter-pod
 	// paths.
 	pairs := [][2]int{{0, 8}, {3, 12}, {5, 14}, {9, 2}, {15, 0}, {0, 1}, {2, 3}}
+	var conns []*tcpsim.Conn
 	for i, p := range pairs {
-		if _, err := l.Hosts[p[0]].StartFlow(0, topo.HostIP(p[1]), uint16(5001+i), 4<<20, int32(i)); err != nil {
+		conn, err := l.Hosts[p[0]].StartFlow(0, topo.HostIP(p[1]), uint16(5001+i), 4<<20, int32(i))
+		if err != nil {
 			t.Fatal(err)
 		}
+		conns = append(conns, conn)
 	}
 	l.Run(2 * units.Second)
 	// All flows complete and every traversed switch's collector saw
 	// samples.
-	for h, host := range l.Hosts {
-		for _, conn := range host.Conns() {
-			if conn.FlowSize() > 0 && !conn.Completed {
-				t.Fatalf("host %d flow incomplete (%d/%d)", h, conn.BytesAcked(), conn.FlowSize())
-			}
+	for i, conn := range conns {
+		if !conn.Completed {
+			t.Fatalf("host %d flow incomplete (%d/%d)", pairs[i][0], conn.BytesAcked(), 4<<20)
 		}
 	}
 	saw := 0
@@ -279,7 +281,7 @@ func TestApplyFaultsNeedsSupervisorForSupervisorFaults(t *testing.T) {
 		if err := l.ApplyFaults(sched, 1); err == nil || !strings.Contains(err.Error(), "only a Supervisor acts on") {
 			t.Errorf("ApplyFaults(%s) on an unsupervised lab: %v, want a refusal", spec, err)
 		}
-		if l.Faults != nil || l.FaultMetrics() != nil {
+		if l.Faults != nil || l.faultMetrics != nil {
 			t.Errorf("ApplyFaults(%s) was refused but armed the lab", spec)
 		}
 	}

@@ -210,12 +210,12 @@ func TestFleetChaosPartitionedLink(t *testing.T) {
 	var utilDuring units.Rate
 	victimPort := -1
 	l.Eng.Schedule(units.Time(partStart), sim.Callback(func(units.Time) {
-		fallbackBefore = l.Agg.FallbackServes()
+		fallbackBefore = metric(l, "planck_agg_fallback_util_total")
 	}), nil)
 	l.Eng.Schedule(units.Time(probeAt), sim.Callback(func(units.Time) {
-		victimStale = l.Vantage(victim).Stale()
-		supDark = l.Supervisor(victim).Dark()
-		excluded = l.LinkReceiver().Excluded(uint16(l.Vantage(victim).ID()))
+		victimStale = stale(l.Agg, l.vantages[victim])
+		supDark = l.Supervisors[victim].Dark()
+		excluded = l.LinkReceiver().Excluded(uint16(l.vantages[victim].ID()))
 		// Host 4 hangs off the victim edge switch; find its port and ask
 		// the plane for utilization — it must come from the fallback.
 		for p, ep := range l.Net.Ports[victim] {
@@ -224,7 +224,7 @@ func TestFleetChaosPartitionedLink(t *testing.T) {
 			}
 		}
 		utilDuring = l.Agg.LinkUtilization(victim, victimPort)
-		fallbackProbe = l.Agg.FallbackServes()
+		fallbackProbe = metric(l, "planck_agg_fallback_util_total")
 	}), nil)
 	l.Run(runFor)
 
@@ -243,10 +243,10 @@ func TestFleetChaosPartitionedLink(t *testing.T) {
 	if utilDuring == 0 {
 		t.Errorf("fallback utilization for victim port %d is zero; the sFlow estimator saw the hot link", victimPort)
 	}
-	if l.Vantage(victim).Stale() {
+	if stale(l.Agg, l.vantages[victim]) {
 		t.Error("victim vantage still stale at end of run; the healed channel never recovered")
 	}
-	if l.LinkReceiver().Excluded(uint16(l.Vantage(victim).ID())) {
+	if l.LinkReceiver().Excluded(uint16(l.vantages[victim].ID())) {
 		t.Error("victim still excluded from the watermark at end of run")
 	}
 

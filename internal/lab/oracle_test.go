@@ -82,7 +82,7 @@ func captureTestbedStream(t *testing.T) (*capturedStream, core.Config, core.Rout
 		t.Fatalf("capture too small to exercise the pipeline: %d samples", cs.n())
 	}
 	ccfg := core.Config{SwitchName: "sw0", NumPorts: len(net.Ports[0]), LinkRate: net.LineRate}
-	return cs, ccfg, routing.StaticView(net, 0)
+	return cs, ccfg, routing.NewView(routing.NewStore(net), 0)
 }
 
 // oracleReport is everything observable about one replay.

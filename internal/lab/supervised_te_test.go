@@ -55,7 +55,7 @@ func TestSupervisedQueryLoopReadsLiveCollectors(t *testing.T) {
 			continue
 		}
 		supervised++
-		if sup.Generation() == 0 {
+		if sup.gen == 0 {
 			t.Fatalf("switch %d: collector never restarted; the crash fault did not bite", s)
 		}
 		if got, live := l.Ctrl.Collector(s), l.Collector(s); got != live {

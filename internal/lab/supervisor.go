@@ -131,7 +131,7 @@ func newSupervisor(l *Lab, s int, node *CollectorNode, cfg SupervisorConfig, est
 
 	// A private PRNG for delivery jitter, so supervision never perturbs
 	// data-plane determinism.
-	sup.del = controller.NewSimDeliverer(l.Eng, controller.BackoffPolicy{}, l.opts.Seed+int64(s)*7919, l.sendEvent)
+	sup.del = controller.NewSimDeliverer(l.Eng, l.opts.Seed+int64(s)*7919, l.sendEvent)
 	sup.del.Tracer = l.opts.Tracer
 
 	if l.Agg == nil {
@@ -263,37 +263,8 @@ func (sup *Supervisor) restart() {
 // Dark reports whether the feed is currently dark (fallback active).
 func (sup *Supervisor) Dark() bool { return sup.hb.Dark() }
 
-// Flips returns the dark/live transition history.
-func (sup *Supervisor) Flips() []HeartbeatFlip {
-	return append([]HeartbeatFlip(nil), sup.flips...)
-}
-
-// Generation returns the live collector generation (0 = original).
-func (sup *Supervisor) Generation() int { return sup.gen }
-
-// Deliverer exposes the event-delivery state machine (for its metrics).
-func (sup *Supervisor) Deliverer() *controller.Deliverer { return sup.del }
-
-// Heartbeat exposes the staleness monitor.
-func (sup *Supervisor) Heartbeat() *core.HeartbeatMonitor { return sup.hb }
-
-// Utilization answers "how loaded is port p right now" from the best
-// available source: the collector's ms-scale estimate while the feed is
-// live, the sFlow fallback while it is dark — graceful degradation
-// rather than a blind spot.
-func (sup *Supervisor) Utilization(p int) units.Rate {
-	if sup.hb.Dark() {
-		return sup.fb.Utilization(sup.lab.Eng.Now(), p)
-	}
-	return sup.node.Collector().LinkUtilization(p)
-}
-
 // FallbackUtilization reads the sFlow estimator directly, regardless of
 // feed state.
 func (sup *Supervisor) FallbackUtilization(p int) units.Rate {
 	return sup.fb.Utilization(sup.lab.Eng.Now(), p)
 }
-
-// Estimator exposes the supervisor's rate estimator — shared with the
-// switch's governor when both run.
-func (sup *Supervisor) Estimator() *governor.RateEstimator { return sup.fb }

@@ -39,9 +39,6 @@ type Gauge struct {
 // Set replaces the level.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add moves the level by delta (may be negative).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 

@@ -100,34 +100,11 @@ func (r *Registry) MustRegister(name string, metric any, labels ...string) {
 	r.entries = append(r.entries, e)
 }
 
-// Counter creates and registers a counter.
-func (r *Registry) Counter(name string, labels ...string) *Counter {
-	c := &Counter{}
-	r.MustRegister(name, c, labels...)
-	return c
-}
-
-// Gauge creates and registers a settable gauge.
-func (r *Registry) Gauge(name string, labels ...string) *Gauge {
-	g := &Gauge{}
-	r.MustRegister(name, g, labels...)
-	return g
-}
-
 // GaugeFunc registers fn as a callback gauge. fn must be safe to call
 // from the exposition goroutine; values it reads non-atomically are
 // best-effort.
 func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...string) {
 	r.MustRegister(name, GaugeFunc(fn), labels...)
-}
-
-// Histogram creates and registers a histogram whose reported values are
-// raw observations multiplied by scale (use NewScale helpers, e.g.
-// record nanoseconds with scale 1e-3 to report microseconds).
-func (r *Registry) Histogram(name string, scale float64, labels ...string) *Histogram {
-	h := NewScaledHistogram(scale)
-	r.MustRegister(name, h, labels...)
-	return h
 }
 
 // snapshotEntries returns the entries sorted by full name.

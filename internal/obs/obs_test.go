@@ -13,13 +13,13 @@ import (
 
 func TestRegistryExposition(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("planck_test_samples_total", Label("switch", "sw0"))
+	c := newCounter(r, "planck_test_samples_total", Label("switch", "sw0"))
 	c.Add(41)
 	c.Inc()
-	g := r.Gauge("planck_test_flow_table_size")
+	g := newGauge(r, "planck_test_flow_table_size")
 	g.Set(7)
 	r.GaugeFunc("planck_test_pending", func() float64 { return 3.5 })
-	h := r.Histogram("planck_test_latency_us", 1e-3, Label("switch", "sw0"))
+	h := newHistogram(r, "planck_test_latency_us", 1e-3, Label("switch", "sw0"))
 	for i := 1; i <= 1000; i++ {
 		h.Observe(int64(i) * 1000)
 	}
@@ -63,18 +63,18 @@ func TestRegistryExposition(t *testing.T) {
 
 func TestRegistryDuplicatePanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x_total")
+	newCounter(r, "x_total")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate registration must panic")
 		}
 	}()
-	r.Counter("x_total")
+	newCounter(r, "x_total")
 }
 
 func TestServeEndpoints(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("planck_test_served_total").Add(5)
+	newCounter(r, "planck_test_served_total").Add(5)
 	srv, err := Serve("127.0.0.1:0", r)
 	if err != nil {
 		t.Fatal(err)
@@ -109,8 +109,8 @@ func TestServeEndpoints(t *testing.T) {
 // snapshots.
 func TestConcurrentObserve(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("planck_test_conc_total")
-	h := r.Histogram("planck_test_conc_ns", 1)
+	c := newCounter(r, "planck_test_conc_total")
+	h := newHistogram(r, "planck_test_conc_ns", 1)
 	const workers, per = 8, 5000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -144,7 +144,7 @@ func TestConcurrentObserve(t *testing.T) {
 
 func TestLogPeriodically(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("planck_test_log_total").Inc()
+	newCounter(r, "planck_test_log_total").Inc()
 	var mu sync.Mutex
 	var buf bytes.Buffer
 	w := writerFunc(func(p []byte) (int, error) {
@@ -175,3 +175,23 @@ func TestLogPeriodically(t *testing.T) {
 type writerFunc func(p []byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// newCounter, newGauge and newHistogram register a fresh instrument of
+// their kind in r under name and labels.
+func newCounter(r *Registry, name string, labels ...string) *Counter {
+	c := &Counter{}
+	r.MustRegister(name, c, labels...)
+	return c
+}
+
+func newGauge(r *Registry, name string, labels ...string) *Gauge {
+	g := &Gauge{}
+	r.MustRegister(name, g, labels...)
+	return g
+}
+
+func newHistogram(r *Registry, name string, scale float64, labels ...string) *Histogram {
+	h := NewScaledHistogram(scale)
+	r.MustRegister(name, h, labels...)
+	return h
+}

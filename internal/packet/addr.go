@@ -26,19 +26,11 @@ func (m MAC) String() string {
 	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
 }
 
-// IsBroadcast reports whether m is the broadcast address.
-func (m MAC) IsBroadcast() bool { return m == BroadcastMAC }
-
 // U64 packs the address into the low 48 bits of a uint64, useful as a
 // compact map key.
 func (m MAC) U64() uint64 {
 	return uint64(m[0])<<40 | uint64(m[1])<<32 | uint64(m[2])<<24 |
 		uint64(m[3])<<16 | uint64(m[4])<<8 | uint64(m[5])
-}
-
-// MACFromU64 unpacks a uint64 produced by MAC.U64.
-func MACFromU64(v uint64) MAC {
-	return MAC{byte(v >> 40), byte(v >> 32), byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}
 }
 
 // IPv4 is a 32-bit IPv4 address.
@@ -51,10 +43,3 @@ func (ip IPv4) String() string {
 
 // U32 packs the address into a uint32 (network byte order semantics).
 func (ip IPv4) U32() uint32 { return binary.BigEndian.Uint32(ip[:]) }
-
-// IPv4FromU32 unpacks a uint32 produced by IPv4.U32.
-func IPv4FromU32(v uint32) IPv4 {
-	var ip IPv4
-	binary.BigEndian.PutUint32(ip[:], v)
-	return ip
-}

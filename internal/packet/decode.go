@@ -91,7 +91,6 @@ func (d *Decoded) DecodeTCPFast(b []byte) bool {
 	d.TCP.Flags = b[47] & 0x3f
 	d.TCP.Window = binary.BigEndian.Uint16(b[48:50])
 	d.TCP.Checksum = binary.BigEndian.Uint16(b[50:52])
-	d.TCP.hdrLen = TCPMinHeaderLen
 
 	d.PayloadLen = ipPayload - TCPMinHeaderLen
 	d.WireLen = EthernetHeaderLen + int(totalLen)
@@ -200,11 +199,6 @@ func (k FlowKey) String() string {
 		proto = "udp"
 	}
 	return fmt.Sprintf("%s %s:%d>%s:%d", proto, k.SrcIP, k.SrcPort, k.DstIP, k.DstPort)
-}
-
-// Reverse returns the key of the opposite direction of the same flow.
-func (k FlowKey) Reverse() FlowKey {
-	return FlowKey{SrcIP: k.DstIP, DstIP: k.SrcIP, SrcPort: k.DstPort, DstPort: k.SrcPort, Proto: k.Proto}
 }
 
 // Flow extracts the 5-tuple of a decoded TCP or UDP packet. ok is false

@@ -195,8 +195,8 @@ const (
 	TCPUrg uint8 = 1 << 5
 )
 
-// TCPHeader is a TCP header (options preserved on decode as raw length,
-// never emitted on serialize).
+// TCPHeader is a TCP header (options skipped on decode, never emitted
+// on serialize).
 type TCPHeader struct {
 	SrcPort  uint16
 	DstPort  uint16
@@ -205,19 +205,7 @@ type TCPHeader struct {
 	Flags    uint8
 	Window   uint16
 	Checksum uint16
-	hdrLen   int
 }
-
-// HeaderLen returns the decoded header length in bytes.
-func (t *TCPHeader) HeaderLen() int {
-	if t.hdrLen == 0 {
-		return TCPMinHeaderLen
-	}
-	return t.hdrLen
-}
-
-// Has reports whether all of the given flag bits are set.
-func (t *TCPHeader) Has(flags uint8) bool { return t.Flags&flags == flags }
 
 func (t *TCPHeader) decode(b []byte) (int, error) {
 	if len(b) < TCPMinHeaderLen {
@@ -227,7 +215,6 @@ func (t *TCPHeader) decode(b []byte) (int, error) {
 	if off < TCPMinHeaderLen || off > len(b) {
 		return 0, fmt.Errorf("tcp data offset %d of %d: %w", off, len(b), ErrBadHdrLen)
 	}
-	t.hdrLen = off
 	t.SrcPort = binary.BigEndian.Uint16(b[0:2])
 	t.DstPort = binary.BigEndian.Uint16(b[2:4])
 	t.Seq = binary.BigEndian.Uint32(b[4:8])

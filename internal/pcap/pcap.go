@@ -153,9 +153,6 @@ func NewReader(src io.Reader) (*Reader, error) {
 	return r, nil
 }
 
-// LinkType returns the file's data link type.
-func (r *Reader) LinkType() uint32 { return r.link }
-
 // Next returns the next record, or io.EOF at end of stream. The returned
 // Data slice is only valid until the following Next call.
 func (r *Reader) Next() (Record, error) {

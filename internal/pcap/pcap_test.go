@@ -41,8 +41,8 @@ func roundTrip(t *testing.T, opts ...WriterOption) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.LinkType() != LinkTypeEthernet {
-		t.Fatalf("link type %d", r.LinkType())
+	if r.link != LinkTypeEthernet {
+		t.Fatalf("link type %d", r.link)
 	}
 	nanos := false
 	for _, o := range opts {

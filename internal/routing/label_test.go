@@ -14,13 +14,14 @@ import (
 // of each switch that resolves labels from the route table instead.
 type labelOracle struct {
 	name    string
+	net     *topo.Network
 	views   []*routing.View
 	entries []map[packet.MAC]int
 }
 
 func newLabelOracle(name string, net *topo.Network) *labelOracle {
 	st := routing.NewStore(net)
-	o := &labelOracle{name: name}
+	o := &labelOracle{name: name, net: net}
 	for sw := 0; sw < net.NumSwitches(); sw++ {
 		o.views = append(o.views, routing.NewView(st, sw))
 		o.entries = append(o.entries, net.MACEntries(sw))
@@ -55,7 +56,7 @@ func (o *labelOracle) check(t *testing.T, mac packet.MAC) {
 // ranges, and MACs that are no label at all.
 func TestLabelPortMatchesMACEntries(t *testing.T) {
 	for _, o := range labelOracles() {
-		net := o.views[0].Store().Net()
+		net := o.net
 		for h := 0; h < net.NumHosts()+2; h++ {
 			for tr := 0; tr < net.NumTrees+2; tr++ {
 				o.check(t, topo.ShadowMAC(h, tr))

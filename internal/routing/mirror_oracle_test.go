@@ -21,11 +21,21 @@ import (
 // mirrorState flattens a snapshot's mirror-plane state for comparison.
 func mirrorState(s *routing.Snapshot) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "mirror=%v overrides=%d;", s.Mirror(), s.MirrorOverrides())
+	fmt.Fprintf(&b, "mirror=%v overrides=%d;", s.Mirror(), len(mirrorOverrides(s)))
 	s.EachMirrorOverride(func(sw, port int, cfg routing.MirrorPortConfig) {
 		fmt.Fprintf(&b, " %d/%d={%v,%v}", sw, port, cfg.Mirrored, cfg.TargetRate)
 	})
 	return b.String()
+}
+
+// mirrorOverrides collects the snapshot's explicit mirror-config
+// overrides by switch and port.
+func mirrorOverrides(s *routing.Snapshot) map[[2]int]routing.MirrorPortConfig {
+	out := make(map[[2]int]routing.MirrorPortConfig)
+	s.EachMirrorOverride(func(sw, port int, cfg routing.MirrorPortConfig) {
+		out[[2]int{sw, port}] = cfg
+	})
+	return out
 }
 
 // diffString flattens an actuation diff for comparison.
@@ -177,10 +187,11 @@ func TestRerouteDiffsCarryNoMirrorChanges(t *testing.T) {
 		t.Fatalf("stable mirror override re-actuated: %v", diffString(diff))
 	}
 	// And the override is still resolvable through the new epoch.
-	if snap.MirrorPort(3, 1).Mirrored {
+	ov := mirrorOverrides(snap)
+	if got, ok := ov[[2]int{3, 1}]; !ok || got.Mirrored {
 		t.Fatal("override lost across reroute commit")
 	}
-	if !snap.MirrorPort(3, 2).Mirrored {
+	if _, ok := ov[[2]int{3, 2}]; ok || !snap.Mirror() {
 		t.Fatal("default port lost global mirror setting")
 	}
 }

@@ -176,7 +176,7 @@ func TestRerouteMidStreamMatchesBatchBoundary(t *testing.T) {
 
 	// Sanity: the rerouted flow must actually have moved port, and its
 	// old port must no longer carry it.
-	oldPort, _, _ := routing.StaticView(net, stream.sw).ResolveOutput(0, packet.FlowKey{}, topo.ShadowMAC(8, 0))
+	oldPort, _, _ := routing.NewView(routing.NewStore(net), stream.sw).ResolveOutput(0, packet.FlowKey{}, topo.ShadowMAC(8, 0))
 	newPort := net.RoutePort(2, 8, stream.sw)
 	if oldPort == newPort {
 		t.Fatalf("degenerate fixture: tree 0 and tree 2 share port %d", oldPort)

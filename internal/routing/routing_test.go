@@ -84,7 +84,7 @@ func TestHistoryResolvesByTimestamp(t *testing.T) {
 		{units.Time(units.Second), 2},
 	}
 	for _, c := range cases {
-		if got := st.At(c.t).Epoch(); got != c.want {
+		if got := st.cur.Load().at(c.t).Epoch(); got != c.want {
 			t.Fatalf("At(%v) epoch %d, want %d", c.t, got, c.want)
 		}
 	}
@@ -92,15 +92,15 @@ func TestHistoryResolvesByTimestamp(t *testing.T) {
 	// Activation clamping: a commit scheduled before its predecessor's
 	// activation cannot reorder the history.
 	s := st.Commit(units.Time(2*units.Millisecond), nil)
-	if s.Since() != units.Time(5*units.Millisecond) {
-		t.Fatalf("clamped since %v, want 5ms", s.Since())
+	if s.since != units.Time(5*units.Millisecond) {
+		t.Fatalf("clamped since %v, want 5ms", s.since)
 	}
 
 	// The ring stays bounded and old epochs fall off the back.
 	for i := 0; i < 2*HistoryDepth; i++ {
 		st.Commit(units.Time(units.Second), nil)
 	}
-	if got := st.At(0).Epoch(); got == 0 {
+	if got := st.cur.Load().at(0).Epoch(); got == 0 {
 		t.Fatal("epoch 0 should have been evicted from the history ring")
 	}
 }
@@ -143,7 +143,7 @@ func TestViewPortInference(t *testing.T) {
 	// Output port at the ingress edge of host 0 for dst 8 tree 2 must be
 	// the uplink toward agg 1 (trees 2,3 ride agg index 1).
 	s := net.Hosts[0].Switch
-	v := StaticView(net, s)
+	v := NewView(NewStore(net), s)
 	key := testKey(0, 8, 5001)
 	port, _, ok := v.ResolveOutput(0, key, topo.ShadowMAC(8, 2))
 	if !ok || port != 3 { // edge ports: 0,1 hosts; 2 -> agg0; 3 -> agg1

@@ -90,12 +90,6 @@ type Snapshot struct {
 // empty pre-install state every Store starts from.
 func (s *Snapshot) Epoch() uint64 { return s.epoch }
 
-// Since is the activation time of this snapshot.
-func (s *Snapshot) Since() units.Time { return s.since }
-
-// Net exposes the static topology the snapshot routes over.
-func (s *Snapshot) Net() *topo.Network { return s.net }
-
 // NumTrees reports how many precomputed routing trees exist.
 func (s *Snapshot) NumTrees() int { return s.net.NumTrees }
 
@@ -104,21 +98,6 @@ func (s *Snapshot) LineRate() units.Rate { return s.net.LineRate }
 
 // Mirror reports whether egress mirroring to the monitor port is on.
 func (s *Snapshot) Mirror() bool { return s.mirror }
-
-// MirrorPort resolves the mirror configuration of output port p on
-// switch sw in this snapshot: the override if one is installed, else
-// the default — every port mirrored (at the construction-time rate)
-// while the global mirror setting is on. Callers are expected to treat
-// the monitor port itself as never mirrored.
-func (s *Snapshot) MirrorPort(sw, port int) MirrorPortConfig {
-	if cfg, ok := s.mirrorCfg[mirrorKey{int32(sw), int32(port)}]; ok {
-		return cfg
-	}
-	return MirrorPortConfig{Mirrored: s.mirror}
-}
-
-// MirrorOverrides counts installed mirror-config overrides.
-func (s *Snapshot) MirrorOverrides() int { return len(s.mirrorCfg) }
 
 // EachMirrorOverride visits every explicit mirror-config override in
 // deterministic (switch, port) order — the installer's iteration.
@@ -335,22 +314,4 @@ func (tx *Tx) SetMirrorPort(sw, port int, cfg MirrorPortConfig) {
 		tx.ownMirror = true
 	}
 	tx.snap.mirrorCfg[mirrorKey{int32(sw), int32(port)}] = cfg
-}
-
-// ClearMirrorPort removes the mirror-config override for (sw, port),
-// restoring the port to the snapshot default.
-func (tx *Tx) ClearMirrorPort(sw, port int) {
-	k := mirrorKey{int32(sw), int32(port)}
-	if _, ok := tx.snap.mirrorCfg[k]; !ok {
-		return
-	}
-	if !tx.ownMirror {
-		cp := make(map[mirrorKey]MirrorPortConfig, len(tx.snap.mirrorCfg))
-		for kk, v := range tx.snap.mirrorCfg {
-			cp[kk] = v
-		}
-		tx.snap.mirrorCfg = cp
-		tx.ownMirror = true
-	}
-	delete(tx.snap.mirrorCfg, k)
 }

@@ -80,10 +80,6 @@ func (s *Store) Load() *Snapshot { return s.cur.Load().snaps[0] }
 // Epoch returns the current epoch number (lock-free).
 func (s *Store) Epoch() uint64 { return s.Load().epoch }
 
-// At returns the snapshot that was live at time t, within the retained
-// history window (lock-free).
-func (s *Store) At(t units.Time) *Snapshot { return s.cur.Load().at(t) }
-
 // Commit builds the next snapshot by applying mutate to a copy-on-write
 // clone of the current one, stamps it with the next epoch, and
 // publishes it as active from time at. Activation times are clamped

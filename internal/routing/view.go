@@ -29,22 +29,6 @@ func NewView(st *Store, sw int) *View {
 	return &View{store: st, sw: sw, h: st.cur.Load()}
 }
 
-// StaticView is a convenience for tests and standalone collectors: a
-// view over a fresh private store of net (epoch 0, base trees, no
-// overrides).
-func StaticView(net *topo.Network, sw int) *View {
-	return NewView(NewStore(net), sw)
-}
-
-// Store returns the store this view reads.
-func (v *View) Store() *Store { return v.store }
-
-// Epoch returns the pinned (current-as-of-last-Refresh) epoch.
-func (v *View) Epoch() uint64 { return v.h.snaps[0].epoch }
-
-// At returns the pinned snapshot that was live at time t.
-func (v *View) At(t units.Time) *Snapshot { return v.h.at(t) }
-
 // Refresh implements core.RouteResolver: re-pin to the currently
 // published history and report its epoch.
 func (v *View) Refresh() uint64 {

@@ -4,50 +4,17 @@
 // (~300 samples/s on the paper's IBM G8264). A collector estimates flow
 // and link rates by multiplying sampled counts by N — accurate only when
 // aggregated over long windows, which is exactly the latency wall
-// motivating Planck.
-//
-// The package also implements the standard error model the paper quotes:
-// the relative error of a throughput estimate from s samples is
-// ≈ 196 * sqrt(1/s) percent (at 95% confidence).
+// motivating Planck. The package's tests check the standard error model
+// the paper quotes: the relative error of a throughput estimate from s
+// samples is ≈ 196 * sqrt(1/s) percent (at 95% confidence).
 package sflow
 
 import (
-	"math"
 	"math/rand"
 
 	"planck/internal/packet"
 	"planck/internal/units"
 )
-
-// EstimateErrorPct returns the §2.1 rule-of-thumb percentage error of an
-// sFlow throughput estimate built from s samples.
-func EstimateErrorPct(s int64) float64 {
-	if s <= 0 {
-		return math.Inf(1)
-	}
-	return 196 * math.Sqrt(1/float64(s))
-}
-
-// SamplesForErrorPct inverts EstimateErrorPct: how many samples a target
-// error requires.
-func SamplesForErrorPct(pct float64) int64 {
-	if pct <= 0 {
-		return math.MaxInt64
-	}
-	s := 196 / pct
-	return int64(math.Ceil(s * s))
-}
-
-// TimeToError returns how long a collector must aggregate to reach the
-// target error at a given sample rate — the "seconds or more" latency of
-// §2.1/Table 1.
-func TimeToError(pct float64, samplesPerSecond float64) units.Duration {
-	if samplesPerSecond <= 0 {
-		return units.Duration(math.MaxInt64)
-	}
-	need := float64(SamplesForErrorPct(pct))
-	return units.Duration(need / samplesPerSecond * float64(units.Second))
-}
 
 // Config models a switch's sFlow pipeline.
 type Config struct {
@@ -65,7 +32,7 @@ func DefaultG8264() Config {
 
 // Sampler applies one-in-N selection and the control-plane cap. It is
 // driven with packet observations (timestamp + flow key + bytes) and
-// feeds a Collector.
+// delivers the samples that pass to its output.
 type Sampler struct {
 	cfg Config
 	rng *rand.Rand
@@ -113,53 +80,4 @@ func (s *Sampler) Observe(t units.Time, key packet.FlowKey, wireLen int) {
 	s.tokens--
 	s.Sampled++
 	s.out(t, key, wireLen)
-}
-
-// Collector aggregates sFlow samples into rate estimates by count
-// multiplication over a window.
-type Collector struct {
-	cfg     Config
-	start   units.Time
-	now     units.Time
-	byFlow  map[packet.FlowKey]int64 // sampled bytes
-	samples int64
-}
-
-// NewCollector builds an aggregating collector.
-func NewCollector(cfg Config) *Collector {
-	return &Collector{cfg: cfg, byFlow: make(map[packet.FlowKey]int64)}
-}
-
-// Add folds in one sample.
-func (c *Collector) Add(t units.Time, key packet.FlowKey, wireLen int) {
-	if c.samples == 0 {
-		c.start = t
-	}
-	c.now = t
-	c.samples++
-	c.byFlow[key] += int64(wireLen)
-}
-
-// Samples returns how many samples the window holds.
-func (c *Collector) Samples() int64 { return c.samples }
-
-// Window returns the aggregation window length.
-func (c *Collector) Window() units.Duration { return c.now.Sub(c.start) }
-
-// FlowRate estimates a flow's rate: sampled bytes x N / window.
-func (c *Collector) FlowRate(key packet.FlowKey) (units.Rate, bool) {
-	b, ok := c.byFlow[key]
-	if !ok || c.Window() <= 0 {
-		return 0, false
-	}
-	return units.RateOf(b*int64(c.cfg.SampleRate), c.Window()), true
-}
-
-// ErrorPct returns the current estimate's §2.1 error bound.
-func (c *Collector) ErrorPct() float64 { return EstimateErrorPct(c.samples) }
-
-// Reset clears the window.
-func (c *Collector) Reset() {
-	c.byFlow = make(map[packet.FlowKey]int64)
-	c.samples = 0
 }

@@ -35,9 +35,6 @@ type Event struct {
 	index    int // position in heap, -1 when not queued
 }
 
-// Time returns the virtual time at which the event will fire.
-func (e *Event) Time() units.Time { return e.at }
-
 // Engine runs the event loop.
 type Engine struct {
 	now   units.Time

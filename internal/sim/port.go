@@ -83,9 +83,6 @@ func (p *Port) SetSource(src Outbound) { p.src = src }
 // Peer returns the port at the other end of the link, or nil.
 func (p *Port) Peer() *Port { return p.peer }
 
-// Rate returns the line rate.
-func (p *Port) Rate() units.Rate { return p.rate }
-
 // Kick starts the transmit pump if the port is idle. Call after enqueueing
 // to the port's source.
 func (p *Port) Kick(now units.Time) {

@@ -1,6 +1,5 @@
 // Package stats provides the small statistical toolkit the experiment
-// harnesses need: percentiles, empirical CDFs, rolling time windows,
-// exponentially weighted averages, and error metrics. Everything is
+// harnesses need: percentiles, rolling time windows and error metrics. Everything is
 // deterministic and allocation-conscious; no third-party dependencies.
 package stats
 
@@ -28,18 +27,8 @@ func (s *Sample) Add(v float64) {
 	s.sorted = false
 }
 
-// AddAll records a slice of observations.
-func (s *Sample) AddAll(vs []float64) {
-	for _, v := range vs {
-		s.Add(v)
-	}
-}
-
 // N returns the number of observations.
 func (s *Sample) N() int { return len(s.vals) }
-
-// Sum returns the sum of all observations.
-func (s *Sample) Sum() float64 { return s.sum }
 
 // Mean returns the arithmetic mean, or 0 for an empty sample.
 func (s *Sample) Mean() float64 {
@@ -126,23 +115,6 @@ func (s *Sample) Values() []float64 {
 	return s.vals
 }
 
-// CDFPoint is one (value, cumulative-fraction) pair of an empirical CDF.
-type CDFPoint struct {
-	Value    float64
-	Fraction float64
-}
-
-// CDF returns the empirical CDF of the sample, one point per observation.
-func (s *Sample) CDF() []CDFPoint {
-	s.ensureSorted()
-	n := len(s.vals)
-	out := make([]CDFPoint, n)
-	for i, v := range s.vals {
-		out[i] = CDFPoint{Value: v, Fraction: float64(i+1) / float64(n)}
-	}
-	return out
-}
-
 // FractionAtOrBelow returns the fraction of observations <= x.
 func (s *Sample) FractionAtOrBelow(x float64) float64 {
 	if len(s.vals) == 0 {
@@ -174,28 +146,6 @@ func MeanRelativeError(est, truth []float64) (float64, error) {
 	return acc / float64(n), nil
 }
 
-// EWMA is an exponentially weighted moving average. The zero value with a
-// positive Alpha is ready to use.
-type EWMA struct {
-	Alpha float64 // weight of the newest observation, in (0,1]
-	val   float64
-	init  bool
-}
-
-// Update folds in one observation and returns the new average.
-func (e *EWMA) Update(v float64) float64 {
-	if !e.init {
-		e.val = v
-		e.init = true
-		return v
-	}
-	e.val = e.Alpha*v + (1-e.Alpha)*e.val
-	return e.val
-}
-
-// Value returns the current average (0 before any update).
-func (e *EWMA) Value() float64 { return e.val }
-
 // Counter is a monotonically increasing event counter with byte accounting.
 type Counter struct {
 	Packets int64
@@ -206,10 +156,4 @@ type Counter struct {
 func (c *Counter) Add(n int) {
 	c.Packets++
 	c.Bytes += int64(n)
-}
-
-// AddCounter accumulates another counter into c.
-func (c *Counter) AddCounter(o Counter) {
-	c.Packets += o.Packets
-	c.Bytes += o.Bytes
 }

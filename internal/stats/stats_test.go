@@ -12,15 +12,22 @@ import (
 
 func TestSampleMoments(t *testing.T) {
 	s := NewSample(4)
-	s.AddAll([]float64{2, 4, 4, 4, 5, 5, 7, 9})
+	addAll(s, 2, 4, 4, 4, 5, 5, 7, 9)
 	if got := s.Mean(); got != 5 {
 		t.Fatalf("Mean = %v", got)
 	}
 	if got := s.Stddev(); got != 2 {
 		t.Fatalf("Stddev = %v", got)
 	}
-	if s.N() != 8 || s.Sum() != 40 {
-		t.Fatalf("N=%d Sum=%v", s.N(), s.Sum())
+	if s.N() != 8 || s.sum != 40 {
+		t.Fatalf("N=%d sum=%v", s.N(), s.sum)
+	}
+}
+
+// addAll records each of vs in s.
+func addAll(s *Sample, vs ...float64) {
+	for _, v := range vs {
+		s.Add(v)
 	}
 }
 
@@ -54,9 +61,6 @@ func TestEmptySampleIsSafe(t *testing.T) {
 	if got := s.FractionAtOrBelow(10); got != 0 {
 		t.Fatalf("FractionAtOrBelow on empty = %v", got)
 	}
-	if cdf := s.CDF(); len(cdf) != 0 {
-		t.Fatalf("CDF on empty has %d points", len(cdf))
-	}
 }
 
 // Property: quantiles are monotone in q and bounded by min/max.
@@ -76,7 +80,7 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 			q1, q2 = q2, q1
 		}
 		s := &Sample{}
-		s.AddAll(vals)
+		addAll(s, vals...)
 		a, b := s.Quantile(q1), s.Quantile(q2)
 		return a <= b && a >= s.Min() && b <= s.Max()
 	}
@@ -85,37 +89,9 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 	}
 }
 
-// Property: the empirical CDF is non-decreasing in both coordinates and
-// ends at fraction 1.
-func TestCDFProperty(t *testing.T) {
-	f := func(vals []float64) bool {
-		clean := vals[:0]
-		for _, v := range vals {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				clean = append(clean, v)
-			}
-		}
-		if len(clean) == 0 {
-			return true
-		}
-		s := &Sample{}
-		s.AddAll(clean)
-		cdf := s.CDF()
-		for i := 1; i < len(cdf); i++ {
-			if cdf[i].Value < cdf[i-1].Value || cdf[i].Fraction <= cdf[i-1].Fraction {
-				return false
-			}
-		}
-		return cdf[len(cdf)-1].Fraction == 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFractionAtOrBelow(t *testing.T) {
 	s := &Sample{}
-	s.AddAll([]float64{1, 2, 2, 3})
+	addAll(s, 1, 2, 2, 3)
 	cases := []struct {
 		x    float64
 		want float64
@@ -140,19 +116,6 @@ func TestMeanRelativeError(t *testing.T) {
 	}
 }
 
-func TestEWMA(t *testing.T) {
-	e := EWMA{Alpha: 0.5}
-	if got := e.Update(10); got != 10 {
-		t.Fatalf("first update = %v", got)
-	}
-	if got := e.Update(0); got != 5 {
-		t.Fatalf("second update = %v", got)
-	}
-	if e.Value() != 5 {
-		t.Fatalf("Value = %v", e.Value())
-	}
-}
-
 func TestRollingWindowRate(t *testing.T) {
 	w := NewRollingWindow(200 * units.Microsecond)
 	// 10 packets of 1250 bytes over 100µs = 1 Gbps over the 200µs window
@@ -165,11 +128,12 @@ func TestRollingWindowRate(t *testing.T) {
 		t.Fatalf("Rate = %v", got)
 	}
 	// 300µs later everything expired.
-	if got := w.Sum(at.Add(300 * units.Microsecond)); got != 0 {
-		t.Fatalf("Sum after expiry = %v", got)
+	w.expire(at.Add(300 * units.Microsecond))
+	if w.sum != 0 {
+		t.Fatalf("sum after expiry = %v", w.sum)
 	}
-	if got := w.Count(at.Add(300 * units.Microsecond)); got != 0 {
-		t.Fatalf("Count after expiry = %v", got)
+	if n := len(w.pts) - w.head; n != 0 {
+		t.Fatalf("%d points live after expiry", n)
 	}
 }
 
@@ -191,8 +155,8 @@ func TestRollingWindowExpiry(t *testing.T) {
 				want += p.val
 			}
 		}
-		if got := w.Sum(tm); math.Abs(got-want) > 1e-6 {
-			t.Fatalf("step %d: Sum=%v want %v", i, got, want)
+		if w.expire(tm); math.Abs(w.sum-want) > 1e-6 {
+			t.Fatalf("step %d: sum=%v want %v", i, w.sum, want)
 		}
 	}
 }
@@ -201,9 +165,7 @@ func TestCounter(t *testing.T) {
 	var c Counter
 	c.Add(100)
 	c.Add(200)
-	var d Counter
-	d.Add(50)
-	c.AddCounter(d)
+	c.Add(50)
 	if c.Packets != 3 || c.Bytes != 350 {
 		t.Fatalf("counter = %+v", c)
 	}
@@ -211,7 +173,7 @@ func TestCounter(t *testing.T) {
 
 func TestValuesSorted(t *testing.T) {
 	s := &Sample{}
-	s.AddAll([]float64{3, 1, 2})
+	addAll(s, 3, 1, 2)
 	vals := s.Values()
 	if !sort.Float64sAreSorted(vals) {
 		t.Fatal("Values not sorted")

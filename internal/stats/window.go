@@ -45,18 +45,6 @@ func (w *RollingWindow) expire(t units.Time) {
 	}
 }
 
-// Sum returns the sum of values within [t-span, t].
-func (w *RollingWindow) Sum(t units.Time) float64 {
-	w.expire(t)
-	return w.sum
-}
-
-// Count returns the number of live points within [t-span, t].
-func (w *RollingWindow) Count(t units.Time) int {
-	w.expire(t)
-	return len(w.pts) - w.head
-}
-
 // Rate treats the values as byte counts and returns the average data rate
 // over the window ending at t.
 func (w *RollingWindow) Rate(t units.Time) units.Rate {

@@ -103,7 +103,7 @@ func TestTargetRateMirroringThinsWithoutBuffering(t *testing.T) {
 
 	var maxQ int64
 	tick := sim.NewTicker(eng, 20*units.Microsecond, func(units.Time) {
-		if q := sw.QueueBytes(5); q > maxQ {
+		if q := sw.queues[5].bytes; q > maxQ {
 			maxQ = q
 		}
 	})

@@ -147,7 +147,7 @@ func TestSetPortMirrorRate(t *testing.T) {
 
 	q2, d2 := sw.MirrorPortCounters(2)
 	q3, d3 := sw.MirrorPortCounters(3)
-	th2 := sw.MirrorPortThinned(2)
+	th2 := sw.mirrorThinnedBy[2]
 	// Bucket discards are intentional thinning, not sampling drops: they
 	// land in the thinned counter, never in the dropped one.
 	if d2.Packets != 0 {
@@ -182,8 +182,8 @@ func TestSetPortMirrorRate(t *testing.T) {
 	sw.Port(0).Peer().Kick(eng.Now())
 	eng.Run()
 	q2b, _ := sw.MirrorPortCounters(2)
-	if q2b.Packets-q2.Packets != 100 || sw.MirrorPortThinned(2).Packets != th2.Packets {
+	if q2b.Packets-q2.Packets != 100 || sw.mirrorThinnedBy[2].Packets != th2.Packets {
 		t.Fatalf("cleared override still thinning: +%d queued, thinned %d -> %d",
-			q2b.Packets-q2.Packets, th2.Packets, sw.MirrorPortThinned(2).Packets)
+			q2b.Packets-q2.Packets, th2.Packets, sw.mirrorThinnedBy[2].Packets)
 	}
 }

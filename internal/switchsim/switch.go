@@ -222,9 +222,6 @@ func New(eng *sim.Engine, cfg Config) (*Switch, error) {
 // Name implements sim.Node.
 func (sw *Switch) Name() string { return sw.name }
 
-// Config returns the switch configuration.
-func (sw *Switch) Config() Config { return sw.cfg }
-
 // Port returns port i.
 func (sw *Switch) Port(i int) *sim.Port { return sw.ports[i] }
 
@@ -309,17 +306,6 @@ func (sw *Switch) MirrorPortCounters(p int) (queued, dropped stats.Counter) {
 	return sw.mirrorQueuedBy[p], sw.mirrorDroppedBy[p]
 }
 
-// MirrorPortThinned returns the cumulative mirror copies port p's
-// per-port rate override discarded — intentional, governor-configured
-// thinning, accounted apart from the uncontrolled sampling drops in
-// MirrorPortCounters.
-func (sw *Switch) MirrorPortThinned(p int) stats.Counter {
-	if p < 0 || p >= len(sw.mirrorThinnedBy) {
-		return stats.Counter{}
-	}
-	return sw.mirrorThinnedBy[p]
-}
-
 // InstallMAC points dstMAC at output port out.
 func (sw *Switch) InstallMAC(mac packet.MAC, out int) {
 	if out < 0 || out >= len(sw.ports) {
@@ -363,24 +349,10 @@ func (sw *Switch) InstallFlowRule(r FlowRule) *FlowRule {
 	return &rule
 }
 
-// RemoveFlowRule deletes the rule matching k, if present.
-func (sw *Switch) RemoveFlowRule(k packet.FlowKey) { delete(sw.flowRules, k) }
-
-// IngressCounter returns the edge-port flow counter for k, or nil.
-func (sw *Switch) IngressCounter(k packet.FlowKey) *stats.Counter {
-	return sw.ingressCounters[k]
-}
-
 // IngressCounters exposes the whole edge counter table (read-only use).
 func (sw *Switch) IngressCounters() map[packet.FlowKey]*stats.Counter {
 	return sw.ingressCounters
 }
-
-// QueueBytes returns the current occupancy of output queue i.
-func (sw *Switch) QueueBytes(i int) int64 { return sw.queues[i].bytes }
-
-// SharedUsed returns the shared-pool occupancy.
-func (sw *Switch) SharedUsed() int64 { return sw.sharedUsed }
 
 // Receive implements sim.Node: the switching pipeline.
 func (sw *Switch) Receive(now units.Time, in *sim.Port, pkt *sim.Packet) {

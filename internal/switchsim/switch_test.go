@@ -151,7 +151,7 @@ func TestFlowRuleRewriteAndCount(t *testing.T) {
 	if rule.Counter.Packets != 1 || rule.Counter.Bytes != int64(500+sim.TCPHeaderBytes) {
 		t.Fatalf("rule counter %+v", rule.Counter)
 	}
-	sw.RemoveFlowRule(key)
+	delete(sw.flowRules, key)
 	pkt2 := tcpPkt(eng, 1, 2, 500)
 	inject(eng, qs, 1, pkt2, hosts)
 	sw.Port(1).Peer().Kick(eng.Now())
@@ -250,7 +250,7 @@ func TestDTDropsWhenOversubscribed(t *testing.T) {
 	}
 	var maxQ int64
 	tick := sim.NewTicker(eng, 10*units.Microsecond, func(now units.Time) {
-		if q := sw.QueueBytes(2); q > maxQ {
+		if q := sw.queues[2].bytes; q > maxQ {
 			maxQ = q
 		}
 	})
@@ -290,9 +290,9 @@ func TestSharedPoolNeverExceeded(t *testing.T) {
 	}
 	stop := false
 	sim.NewTicker(eng, units.Microsecond, func(now units.Time) {
-		if sw.SharedUsed() > cfg.SharedBufferBytes && !stop {
+		if sw.sharedUsed > cfg.SharedBufferBytes && !stop {
 			stop = true
-			t.Errorf("shared pool exceeded: %d > %d", sw.SharedUsed(), cfg.SharedBufferBytes)
+			t.Errorf("shared pool exceeded: %d > %d", sw.sharedUsed, cfg.SharedBufferBytes)
 		}
 	})
 	sw.Port(0).Peer().Kick(0)
@@ -300,8 +300,8 @@ func TestSharedPoolNeverExceeded(t *testing.T) {
 	sw.Port(4).Peer().Kick(0)
 	eng.RunUntil(units.Time(3 * units.Millisecond))
 	eng.Stop()
-	if sw.SharedUsed() < 0 {
-		t.Fatalf("negative shared usage %d", sw.SharedUsed())
+	if sw.sharedUsed < 0 {
+		t.Fatalf("negative shared usage %d", sw.sharedUsed)
 	}
 }
 
@@ -316,7 +316,7 @@ func TestIngressCounters(t *testing.T) {
 	sw.Port(1).Peer().Kick(0)
 	eng.Run()
 	key := packet.FlowKey{SrcIP: ip(1), DstIP: ip(2), SrcPort: 1000, DstPort: 2000, Proto: packet.IPProtocolTCP}
-	c := sw.IngressCounter(key)
+	c := sw.ingressCounters[key]
 	if c == nil || c.Packets != 5 {
 		t.Fatalf("ingress counter %+v", c)
 	}

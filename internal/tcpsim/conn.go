@@ -187,12 +187,6 @@ func (c *Conn) FlowKey() packet.FlowKey {
 // BytesAcked returns the sender's cumulative acknowledged payload bytes.
 func (c *Conn) BytesAcked() int64 { return c.una64 }
 
-// FlowSize returns the transfer size.
-func (c *Conn) FlowSize() int64 { return c.flowSize }
-
-// SRTT returns the smoothed RTT estimate.
-func (c *Conn) SRTT() units.Duration { return units.Duration(c.srtt) }
-
 // Duration returns the flow completion time, valid once Completed.
 func (c *Conn) Duration() units.Duration { return c.CompletedAt.Sub(c.StartedAt) }
 

@@ -177,12 +177,6 @@ func (h *Host) NIC() *sim.Port { return h.nic }
 // MAC returns the host's hardware address.
 func (h *Host) MAC() packet.MAC { return h.mac }
 
-// IP returns the host's address.
-func (h *Host) IP() packet.IPv4 { return h.ip }
-
-// Config returns the host configuration after defaulting.
-func (h *Host) Config() Config { return h.cfg }
-
 // SetNeighbor installs a static ARP entry (the lab pre-populates these,
 // as the testbed did).
 func (h *Host) SetNeighbor(ip packet.IPv4, mac packet.MAC) {
@@ -384,9 +378,6 @@ func (h *Host) allocPort() uint16 {
 		}
 	}
 }
-
-// Conns returns the host's connections (read-only use).
-func (h *Host) Conns() map[connKey]*Conn { return h.conns }
 
 // String implements fmt.Stringer.
 func (h *Host) String() string {

@@ -92,7 +92,7 @@ func TestRTTIsTestbedScale(t *testing.T) {
 	if !c.Completed {
 		t.Fatal("incomplete")
 	}
-	rtt := c.SRTT()
+	rtt := units.Duration(c.srtt)
 	// The paper reports 180–250 µs RTTs; queueing can add some.
 	if rtt < 100*units.Microsecond || rtt > 2*units.Millisecond {
 		t.Fatalf("SRTT %v outside testbed scale", rtt)
@@ -271,13 +271,13 @@ func TestARPLockTimeBlocksUpdate(t *testing.T) {
 func TestCBRSourceRate(t *testing.T) {
 	eng, a, b := directPair(t, units.Rate10G)
 	var got int64
-	b.SetUDPSink(func(now units.Time, pkt *sim.Packet) { got += int64(pkt.PayloadLen) })
+	b.udpSink = func(now units.Time, pkt *sim.Packet) { got += int64(pkt.PayloadLen) }
 	src, err := a.StartCBR(0, ip(2), 5001, 1000, units.Rate(1*units.Gbps), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng.RunUntil(units.Time(100 * units.Millisecond))
-	src.Stop()
+	src.running = false
 	// 1 Gbps of payload for 100 ms = 12.5 MB.
 	want := int64(12_500_000)
 	if got < want*95/100 || got > want*105/100 {

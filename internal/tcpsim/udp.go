@@ -7,12 +7,9 @@ import (
 	"planck/internal/units"
 )
 
-// udpSink is installed by SetUDPSink; see Host.process.
+// udpSink, when set on a host, receives the UDP datagrams addressed to
+// it, each valid only for the call; see Host.process.
 type udpSinkFn func(now units.Time, pkt *sim.Packet)
-
-// SetUDPSink installs a receiver callback for UDP datagrams addressed to
-// this host. The packet is only valid for the duration of the call.
-func (h *Host) SetUDPSink(fn func(now units.Time, pkt *sim.Packet)) { h.udpSink = fn }
 
 // CBRSource emits constant-bit-rate UDP traffic, giving experiments a
 // precisely controlled offered load (the oversubscription sweeps of
@@ -79,6 +76,3 @@ func (s *CBRSource) Handle(now units.Time, _ *sim.Packet) {
 	s.Sent++
 	h.eng.After(s.period, s, nil)
 }
-
-// Stop halts the source.
-func (s *CBRSource) Stop() { s.running = false }

@@ -119,14 +119,6 @@ func (r Rate) Serialize(n int) Duration {
 	return Duration(math.Ceil(float64(bits) * float64(Second) / float64(r)))
 }
 
-// BytesIn returns how many bytes rate r delivers in duration d (floor).
-func (r Rate) BytesIn(d Duration) int64 {
-	if d <= 0 || r <= 0 {
-		return 0
-	}
-	return int64(float64(r) / 8 * d.Seconds())
-}
-
 // RateOf returns the average rate achieved by transferring n bytes in d.
 func RateOf(n int64, d Duration) Rate {
 	if d <= 0 {

@@ -62,15 +62,6 @@ func TestTimeArithmetic(t *testing.T) {
 	}
 }
 
-func TestBytesIn(t *testing.T) {
-	if got := Rate10G.BytesIn(Millisecond); got != 1250000 {
-		t.Fatalf("BytesIn(1ms)@10G = %d", got)
-	}
-	if got := Rate10G.BytesIn(-Millisecond); got != 0 {
-		t.Fatalf("negative duration: %d", got)
-	}
-}
-
 func TestStrings(t *testing.T) {
 	cases := []struct {
 		got, want string

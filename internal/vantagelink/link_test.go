@@ -206,7 +206,7 @@ func TestLinkDupReorderCorrupt(t *testing.T) {
 	if p.r.DupFrames() == 0 {
 		t.Fatal("no duplicate frames seen; dup rule exercised nothing")
 	}
-	if p.r.BadFrames() == 0 {
+	if p.r.met.badFrames.Value() == 0 {
 		t.Fatal("no corrupt frames dropped; corrupt rule exercised nothing")
 	}
 }

@@ -607,9 +607,6 @@ func (r *Receiver) GapsDetected() int64 { return r.met.gaps.Value() }
 // DupFrames returns how many duplicate frames were dropped.
 func (r *Receiver) DupFrames() int64 { return r.met.dupFrames.Value() }
 
-// BadFrames returns how many undecodable datagrams were dropped.
-func (r *Receiver) BadFrames() int64 { return r.met.badFrames.Value() }
-
 // Exclusions returns how many times silence has excluded a vantage
 // from the watermark.
 func (r *Receiver) Exclusions() int64 { return r.met.exclusions.Value() }

@@ -214,12 +214,6 @@ func NewSender(ch Channel, cfg SenderConfig) *Sender {
 	return s
 }
 
-// Vantage returns the sender's wire identity.
-func (s *Sender) Vantage() uint16 { return s.cfg.Vantage }
-
-// Seq returns the last assigned sequence number.
-func (s *Sender) Seq() uint64 { return s.seq }
-
 // Offset returns the current clock correction (receiver − sender) and
 // whether a sync exchange has established it.
 func (s *Sender) Offset() (units.Duration, bool) { return s.offset, s.haveOffset }

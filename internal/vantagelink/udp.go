@@ -124,13 +124,6 @@ func (u *UDPSender) Flush() {
 	u.mu.Unlock()
 }
 
-// Rejoin announces a collector restart generation in stream order.
-func (u *UDPSender) Rejoin(gen uint32) {
-	u.mu.Lock()
-	u.s.Rejoin(u.clock.Now(), gen)
-	u.mu.Unlock()
-}
-
 // Synced reports whether the clock-sync exchange has completed.
 func (u *UDPSender) Synced() bool {
 	u.mu.Lock()
