@@ -105,9 +105,7 @@ func main() {
 		if *governFlag {
 			opts.Govern = experiments.GovernorProfile()
 		}
-		if supervised {
-			opts.Supervise = &lab.SupervisorConfig{}
-		}
+		opts.Supervise = supervised
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -129,46 +129,6 @@ func readUnusedList(path string) (map[string]bool, error) {
 	return out, sc.Err()
 }
 
-// goFile is one parsed source file and its import path.
-type goFile struct {
-	pkg  string // import path, e.g. planck/internal/core
-	file *ast.File
-	test bool // a _test.go file
-}
-
-// parseGoFiles parses every .go file under root outside testdata and
-// dot directories.
-func parseGoFiles(root string) ([]goFile, error) {
-	fset := token.NewFileSet()
-	var files []goFile
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if n := d.Name(); path != root && (n == "testdata" || strings.HasPrefix(n, ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(root, filepath.Dir(path))
-		pkg := "planck"
-		if rel != "." {
-			pkg += "/" + filepath.ToSlash(rel)
-		}
-		files = append(files, goFile{pkg: pkg, file: f, test: strings.HasSuffix(path, "_test.go")})
-		return nil
-	})
-	return files, err
-}
-
 // unusedExports returns the exported names declared in non-test code
 // under root/internal that no non-test code under root references, as
 // "pkg.Name" or "pkg.Type.Method" with pkg relative to internal/.
@@ -451,9 +411,10 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 		return cp.pkg, nil
 	}
 	cp := &checkedPkg{path: path, files: files, info: &types.Info{
-		Types: make(map[ast.Expr]types.TypeAndValue),
-		Defs:  make(map[*ast.Ident]types.Object),
-		Uses:  make(map[*ast.Ident]types.Object),
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
 	}}
 	conf := types.Config{Importer: m}
 	pkg, err := conf.Check(path, m.fset, files, cp.info)
@@ -492,20 +453,19 @@ func recvName(e ast.Expr) string {
 
 // The config-knob ratchet. Every exported field of a struct type named
 // *Config, *Options or *Policy in non-test code under internal/ must be
-// written somewhere other than its own package's non-test files — in a
-// test, bench/, cmd/, examples/ or another internal package — or be
-// listed, with a reason, in testdata/unset_knobs.txt. A field only its
-// own package's defaults ever fill has one value in every run: it is a
-// constant, and belongs in the code as one. The list only shrinks.
+// written by some non-test code in the repository — cmd/, examples/,
+// the root package and bench/ included — or be listed, with a reason, in
+// testdata/unset_knobs.txt. A write in the field's own package counts
+// unless it sits in a function named Default* or *Defaults: those fill
+// the one value every run would otherwise use. A field that only tests
+// or its package's defaults set has one value in every product run: it
+// is a constant, and belongs in the code as one. The list only shrinks.
 //
-// A write is a composite-literal key of the field's type, the type
-// resolved through the file's imports, or an assignment or ++/-- to a
-// selector with the field's name. The second rule matches by name
-// alone: x.Window = … writes every knob named Window, whatever x is,
-// so a field that shares its name with an assigned field of another
-// type (packet.TCP's Window, say) passes unchecked. There the check
-// errs towards passing. It errs the other way on a literal whose type
-// is elided, as in []T{{…}}: none sets a knob today.
+// The scan reads the same type-checked packages as the surface scan. A
+// write is a composite-literal key, an assignment or ++/-- through a
+// selector, or an address taken of a selector (a flag bound to the
+// field, say), each resolved to the field it names: x.Window = … writes
+// x's Window, not every field of that name.
 
 const unsetKnobsFile = "testdata/unset_knobs.txt"
 
@@ -514,47 +474,66 @@ func TestConfigKnobRatchet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%d settable fields, %d never written outside their package's defaults", knobs, len(unset))
+	t.Logf("%d settable fields, %d never written outside tests and their package's defaults", knobs, len(unset))
 	checkRatchet(t, unset, unsetKnobsFile,
-		"is a config field nothing outside its package sets: make it a constant",
+		"is a config field no product code sets: make it a constant",
 		"is now set or gone")
 }
 
+// TestConfigKnobRatchetFixture runs the knob scan over testdata/exports,
+// whose knobs are written, or not, in the ways a scan that counts test
+// writers and matches fields by name gets wrong: a field only a
+// _test.go sets, a field sharing its name with an assigned field of
+// another type, and a field set by a non-default constructor in its own
+// package beside one only a Default* function fills.
+func TestConfigKnobRatchetFixture(t *testing.T) {
+	knobs, got, err := unsetKnobs("testdata/exports")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"knobs.GaugeConfig.Window", "knobs.MeterConfig.Burst", "knobs.ProbeConfig.Depth"}
+	if knobs != 4 || !slices.Equal(got, want) {
+		t.Errorf("fixture: %d knobs, unset %q; want 4 knobs, unset %q", knobs, got, want)
+	}
+}
+
 // unsetKnobs returns how many exported knob fields non-test code under
-// root/internal declares, and those never written outside their own
-// package's non-test files, as "pkg.Type.Field" with pkg relative to
-// internal/.
+// root/internal declares, and those no non-test code writes outside its
+// package's Default*/*Defaults functions, as "pkg.Type.Field" with pkg
+// relative to internal/.
 func unsetKnobs(root string) (int, []string, error) {
-	files, err := parseGoFiles(root)
+	mod, pkgs, err := checkModule(root)
 	if err != nil {
 		return 0, nil, err
 	}
 
-	const internal = "planck/internal/"
-	fields := make(map[string][]string) // pkg.Type → exported field names
-	for _, sf := range files {
-		if sf.test || !strings.HasPrefix(sf.pkg, internal) {
+	internal := mod + "/internal/"
+	knobs := make(map[*types.Var]string) // field → pkg.Type.Field
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.path, internal) {
 			continue
 		}
-		for _, d := range sf.file.Decls {
-			gd, ok := d.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			for _, s := range gd.Specs {
-				ts, ok := s.(*ast.TypeSpec)
-				if !ok || !isKnobType(ts.Name.Name) {
-					continue
-				}
-				st, ok := ts.Type.(*ast.StructType)
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				gd, ok := d.(*ast.GenDecl)
 				if !ok {
 					continue
 				}
-				typ := sf.pkg + "." + ts.Name.Name
-				for _, fl := range st.Fields.List {
-					for _, n := range fl.Names {
-						if n.IsExported() {
-							fields[typ] = append(fields[typ], n.Name)
+				for _, s := range gd.Specs {
+					ts, ok := s.(*ast.TypeSpec)
+					if !ok || !isKnobType(ts.Name.Name) {
+						continue
+					}
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok {
+						continue
+					}
+					typ := strings.TrimPrefix(p.path, internal) + "." + ts.Name.Name
+					for _, fl := range st.Fields.List {
+						for _, n := range fl.Names {
+							if n.IsExported() {
+								knobs[p.info.Defs[n].(*types.Var)] = typ + "." + n.Name
+							}
 						}
 					}
 				}
@@ -562,95 +541,70 @@ func unsetKnobs(root string) (int, []string, error) {
 		}
 	}
 
-	// writers[Field] holds who assigns to a selector of that name: a
-	// non-test file's package path, or "" for a test file.
-	written := make(map[string]bool) // pkg.Type.Field
-	writers := make(map[string]map[string]bool)
-	for _, sf := range files {
-		imports := make(map[string]string)
-		for _, im := range sf.file.Imports {
-			p, _ := strconv.Unquote(im.Path.Value)
-			name := p[strings.LastIndex(p, "/")+1:]
-			if im.Name != nil {
-				name = im.Name.Name
-			}
-			imports[name] = p
-		}
-		writer := sf.pkg
-		if sf.test {
-			writer = ""
-		}
-		// knobOf names the knob type a type expression denotes, or "".
-		knobOf := func(e ast.Expr) string {
-			if s, ok := e.(*ast.StarExpr); ok {
-				e = s.X
-			}
-			typ := ""
-			switch e := e.(type) {
-			case *ast.Ident:
-				typ = sf.pkg + "." + e.Name
+	written := make(map[*types.Var]bool)
+	for _, p := range pkgs {
+		// write marks the knob field e selects, if it is one and the
+		// write does not fill a default of the field's own package.
+		write := func(e ast.Expr, fn string) {
+			var obj types.Object
+			switch e := ast.Unparen(e).(type) {
 			case *ast.SelectorExpr:
-				if x, ok := e.X.(*ast.Ident); ok && imports[x.Name] != "" {
-					typ = imports[x.Name] + "." + e.Sel.Name
+				if sel := p.info.Selections[e]; sel != nil {
+					obj = sel.Obj()
 				}
+			case *ast.Ident: // a composite-literal key
+				obj = p.info.Uses[e]
 			}
-			if fields[typ] == nil {
-				return ""
+			v, ok := obj.(*types.Var)
+			if !ok || knobs[v] == "" {
+				return
 			}
-			return typ
+			if v.Pkg() == p.pkg && (strings.HasPrefix(fn, "Default") || strings.HasSuffix(fn, "Defaults")) {
+				return
+			}
+			written[v] = true
 		}
-		assign := func(e ast.Expr) {
-			if s, ok := e.(*ast.SelectorExpr); ok {
-				if writers[s.Sel.Name] == nil {
-					writers[s.Sel.Name] = make(map[string]bool)
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				fn := ""
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					fn = fd.Name.Name
 				}
-				writers[s.Sel.Name][writer] = true
-			}
-		}
-		ast.Inspect(sf.file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CompositeLit:
-				typ := knobOf(n.Type)
-				if typ == "" || typ[:strings.LastIndex(typ, ".")] == writer {
-					return true
-				}
-				for _, e := range n.Elts {
-					if kv, ok := e.(*ast.KeyValueExpr); ok {
-						if k, ok := kv.Key.(*ast.Ident); ok {
-							written[typ+"."+k.Name] = true
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CompositeLit:
+						if _, ok := p.info.Types[n].Type.Underlying().(*types.Struct); ok {
+							for _, e := range n.Elts {
+								if kv, ok := e.(*ast.KeyValueExpr); ok {
+									write(kv.Key, fn)
+								}
+							}
+						}
+					case *ast.AssignStmt:
+						for _, l := range n.Lhs {
+							write(l, fn)
+						}
+					case *ast.IncDecStmt:
+						write(n.X, fn)
+					case *ast.UnaryExpr:
+						if n.Op == token.AND {
+							write(n.X, fn)
 						}
 					}
-				}
-			case *ast.AssignStmt:
-				if n.Tok != token.DEFINE {
-					for _, l := range n.Lhs {
-						assign(l)
-					}
-				}
-			case *ast.IncDecStmt:
-				assign(n.X)
+					return true
+				})
 			}
-			return true
-		})
+		}
 	}
 
-	knobs := 0
 	var unset []string
-	for typ, names := range fields {
-		pkg := typ[:strings.LastIndex(typ, ".")]
-		for _, name := range names {
-			knobs++
-			w := written[typ+"."+name]
-			for by := range writers[name] {
-				w = w || by != pkg
-			}
-			if !w {
-				unset = append(unset, strings.TrimPrefix(typ, internal)+"."+name)
-			}
+	for v, name := range knobs {
+		if !written[v] {
+			unset = append(unset, name)
 		}
 	}
 	sort.Strings(unset)
-	return knobs, unset, nil
+	return len(knobs), unset, nil
 }
 
 // isKnobType reports whether a struct type's name marks it as settings.

@@ -81,13 +81,10 @@ const StaleAfter = 2 * units.Millisecond
 
 // planeSwitch is the plane's per-monitored-switch state: the collector
 // holding the switch's merged flow records and its links' cooldowns,
-// fed reports instead of frames, plus the vantages covering the switch
-// (for the all-stale fallback check).
+// fed reports instead of frames.
 type planeSwitch struct {
-	id       int32
-	numPorts int
-	col      *core.Collector
-	vantages []*Vantage
+	id  int32
+	col *core.Collector
 }
 
 type planeMetrics struct {
@@ -96,7 +93,6 @@ type planeMetrics struct {
 	late       obs.Counter // rate-closing reports behind the merge watermark
 	staleVant  obs.Gauge   // vantages currently flagged stale
 	restarts   obs.Counter // vantage Rejoin calls (supervised restarts)
-	fallback   obs.Counter // utilization queries served by an sFlow fallback
 }
 
 // VantageID identifies one vantage collector within a fleet. IDs are
@@ -137,7 +133,6 @@ func New(cfg Config) *Plane {
 		m.MustRegister("planck_agg_vantages", obs.GaugeFunc(func() float64 { return float64(len(p.vantages)) }))
 		m.MustRegister("planck_agg_stale_vantages", &p.met.staleVant)
 		m.MustRegister("planck_agg_vantage_restarts_total", &p.met.restarts)
-		m.MustRegister("planck_agg_fallback_util_total", &p.met.fallback)
 	}
 	return p
 }
@@ -151,8 +146,7 @@ func (p *Plane) Join(sw int, switchName string, numPorts int, capacity units.Rat
 	ps := p.switches[int32(sw)]
 	if ps == nil {
 		ps = &planeSwitch{
-			id:       int32(sw),
-			numPorts: numPorts,
+			id: int32(sw),
 			col: core.New(core.Config{
 				SwitchName:    switchName,
 				NumPorts:      numPorts,
@@ -168,7 +162,6 @@ func (p *Plane) Join(sw int, switchName string, numPorts int, capacity units.Rat
 	}
 	v := &Vantage{p: p, id: VantageID(len(p.vantages) + 1), sw: ps}
 	p.vantages = append(p.vantages, v)
-	ps.vantages = append(ps.vantages, v)
 	return v
 }
 
@@ -231,40 +224,6 @@ func (p *Plane) AdvanceMerge(now units.Time) {
 // folded in, so nothing is ever buffered. It remains for callers that
 // end a run with it.
 func (p *Plane) Flush() {}
-
-// LinkUtilization sums the fresh flow rates merged onto (sw, port) as
-// of the plane's current time — the network-wide answer to the query a
-// single collector answers for its own switch. While every vantage
-// covering the switch is stale (channel partitioned or collectors
-// dark) and one of them registered a fallback estimator, the fallback
-// answers instead of the frozen merged flows.
-func (p *Plane) LinkUtilization(sw, port int) units.Rate {
-	ps := p.switches[int32(sw)]
-	if ps == nil || port < 0 || port >= ps.numPorts {
-		return 0
-	}
-	if fb := p.fallbackFor(ps); fb != nil {
-		p.met.fallback.IncRelaxed()
-		return fb(port)
-	}
-	return ps.col.LinkUtilizationAt(port, p.now)
-}
-
-// fallbackFor returns the switch's degraded-mode utilization source:
-// non-nil only when every vantage covering ps is stale and at least
-// one of them has a fallback registered (Vantage.SetFallback).
-func (p *Plane) fallbackFor(ps *planeSwitch) func(port int) units.Rate {
-	var fb func(port int) units.Rate
-	for _, v := range ps.vantages {
-		if !v.stale {
-			return nil
-		}
-		if fb == nil && v.fallback != nil {
-			fb = v.fallback
-		}
-	}
-	return fb
-}
 
 // EachFlow visits every merged flow record with a rate estimate —
 // the te.NetworkSource seam PlanckTE consumes instead of polling
@@ -332,7 +291,6 @@ type Vantage struct {
 	lastRecv  units.Time // when the vantage last reached the plane (plane clock)
 	transport bool       // liveness owned by a transport receiver's NoteLive
 	stale     bool
-	fallback  func(port int) units.Rate
 }
 
 // ID returns the vantage's plane-assigned identifier (1-based).
@@ -354,13 +312,6 @@ func (v *Vantage) NoteLive(now units.Time) {
 // refreshing it, so a dead channel flips the vantage stale even while
 // buffered pre-partition reports are still draining into the plane.
 func (v *Vantage) BindTransport() { v.transport = true }
-
-// SetFallback registers fn as this vantage's degraded-mode
-// utilization source (typically the supervisor's sFlow-bucket
-// estimator). While every vantage covering the switch is stale,
-// Plane.LinkUtilization serves the fallback instead of the frozen
-// merged flows.
-func (v *Vantage) SetFallback(fn func(port int) units.Rate) { v.fallback = fn }
 
 // Rejoin records a supervised restart of the vantage's collector. The
 // plane keeps the vantage's merged flows and — critically — the switch

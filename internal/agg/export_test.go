@@ -13,3 +13,14 @@ func (p *Plane) ExpireFlows(now units.Time, idle units.Duration) int {
 	}
 	return n
 }
+
+// LinkUtilization sums the fresh flow rates merged onto (sw, port) as
+// of the plane's current time — the network-wide answer to the query a
+// single collector answers for its own switch.
+func (p *Plane) LinkUtilization(sw, port int) units.Rate {
+	ps := p.switches[int32(sw)]
+	if ps == nil {
+		return 0
+	}
+	return ps.col.LinkUtilizationAt(port, p.now)
+}

@@ -86,7 +86,10 @@ func relStreams(rng *rand.Rand, nv int, end units.Time) [][]relItem {
 			if t >= idleFrom && t < idleTo {
 				if t >= nextHB {
 					streams[v] = append(streams[v], relItem{at: t.Add(captureLag), vantage: v, heartbeat: true})
-					nextHB = t.Add(units.Millisecond)
+					// A sender heartbeats at most once a millisecond of its
+					// own clock; relTick's 50 µs clock reads up to 50 µs
+					// short, so space the ticks by that much more.
+					nextHB = t.Add(units.Millisecond + relTick)
 				}
 				continue
 			}
@@ -105,37 +108,66 @@ type relFrame struct {
 	dgram []byte
 }
 
+// relTick is the resolution of the coarse sender clocks.
+const relTick = 50 * units.Microsecond
+
 // relEncode runs one vantage's stream through a real link sender and
-// returns its frames in sequence order. NoSyncGate makes every stamp
-// final (no clock offset, clamped monotone), so heartbeats are synced
-// and advance the receiver's watermark. A positive tick gives the
-// sender a clock that reads in whole ticks, so equal stamps within and
-// across vantages are common. A frame is flushed after a third of the
-// reports, at random, so frames carry one record or several.
-func relEncode(rng *rand.Rand, id uint16, stream []relItem, tick units.Duration) []relFrame {
+// returns its frames in sequence order. The sender's first heartbeat,
+// at time 0, is answered with a sync showing no offset, so every later
+// stamp is final (clamped monotone), and heartbeats are synced and
+// advance the receiver's watermark. A positive tick gives the sender a
+// clock that reads in whole ticks, so equal stamps within and across
+// vantages are common. A frame is flushed after a third of the reports,
+// at random, so frames carry one record or several. It returns the
+// frames and how many heartbeats the stream's ticks sent.
+func relEncode(t *testing.T, rng *rand.Rand, id uint16, stream []relItem, tick units.Duration) ([]relFrame, int) {
+	t.Helper()
 	var frames []relFrame
-	cfg := vantagelink.SenderConfig{Vantage: id, NoSyncGate: true, Heartbeat: 1}
-	if tick > 0 {
-		cfg.ClockSkew = func(t units.Time) units.Duration { return -units.Duration(t % units.Time(tick)) }
-	}
 	snd := vantagelink.NewSender(vantagelink.ChannelFunc(func(now units.Time, dgram []byte) error {
 		frames = append(frames, relFrame{at: now, dgram: append([]byte(nil), dgram...)})
 		return nil
-	}), cfg)
+	}), vantagelink.SenderConfig{Vantage: id})
+	clock := func(at units.Time) units.Time {
+		if tick > 0 {
+			at -= at % units.Time(tick)
+		}
+		return at
+	}
+	snd.Tick(0)
+	h, _, err := vantagelink.ParseFrame(frames[0].dgram)
+	if err != nil || h.Type != vantagelink.FrameHeartbeat {
+		t.Fatalf("vantage %d: first tick sent no heartbeat: %+v, %v", id, h, err)
+	}
+	reply := vantagelink.AppendHeader(nil, vantagelink.Header{Type: vantagelink.FrameSync, Vantage: id, Time: h.Time})
+	reply = vantagelink.AppendSync(reply, h.Time, h.Time, h.Time)
+	vantagelink.FinishFrame(reply)
+	snd.HandleControl(0, reply)
+	if off, ok := snd.Offset(); !ok || off != 0 {
+		t.Fatalf("vantage %d: not synced at zero offset: %v, %v", id, off, ok)
+	}
+	beats := 0
 	for i := range stream {
 		switch it := &stream[i]; {
 		case it.rejoin:
-			snd.Rejoin(it.at, 1)
+			snd.Rejoin(clock(it.at), 1)
 		case it.heartbeat:
-			snd.Tick(it.at)
+			before := len(frames)
+			snd.Tick(clock(it.at))
+			for _, f := range frames[before:] {
+				if h, _, err := vantagelink.ParseFrame(f.dgram); err == nil && h.Type == vantagelink.FrameHeartbeat {
+					beats++
+				}
+			}
 		default:
-			snd.Report(&it.rep)
+			rep := it.rep
+			rep.Time = clock(rep.Time)
+			snd.Report(&rep)
 			if rng.Intn(3) == 0 || i == len(stream)-1 {
-				snd.BatchEnd(it.at)
+				snd.BatchEnd(clock(it.at))
 			}
 		}
 	}
-	return frames
+	return frames, beats
 }
 
 // relStamped decodes the records and rejoins in a vantage's frames as
@@ -176,7 +208,7 @@ func TestReleaseRuleMatchesInOrderOracle(t *testing.T) {
 	const end = units.Time(60 * units.Millisecond)
 	for nv := 2; nv <= 4; nv++ {
 		for seed := int64(1); seed <= 3; seed++ {
-			for _, tick := range []units.Duration{0, 50 * units.Microsecond} {
+			for _, tick := range []units.Duration{0, relTick} {
 				relOracle(t, nv, seed, end, tick)
 			}
 		}
@@ -190,9 +222,20 @@ func relOracle(t *testing.T, nv int, seed int64, end units.Time, tick units.Dura
 	streams := relStreams(rng, nv, end)
 	frames := make([][]relFrame, nv)
 	var stamped []relItem
+	ticks, beats := 0, 0
 	for v := range streams {
-		frames[v] = relEncode(rng, uint16(v+1), streams[v], tick)
+		var b int
+		frames[v], b = relEncode(t, rng, uint16(v+1), streams[v], tick)
+		beats += b
 		stamped = append(stamped, relStamped(t, v, frames[v])...)
+		for _, it := range streams[v] {
+			if it.heartbeat {
+				ticks++
+			}
+		}
+	}
+	if ticks == 0 || beats != ticks {
+		t.Fatalf("%s: %d heartbeats from %d idle ticks; every tick must send one", name, beats, ticks)
 	}
 
 	var want []string
@@ -202,6 +245,16 @@ func relOracle(t *testing.T, nv int, seed int64, end units.Time, tick units.Dura
 		ov[v] = joinOracle(v)
 	}
 	sort.SliceStable(stamped, func(i, j int) bool { return stamped[i].at < stamped[j].at })
+	ties := 0
+	for i := 1; i < len(stamped); i++ {
+		if stamped[i].at == stamped[i-1].at {
+			ties++
+		}
+	}
+	if tick > 0 && ties == 0 {
+		t.Fatalf("%s: no two records share a stamp on %v clocks; the tie-break goes untested", name, tick)
+	}
+	t.Logf("%s: %d heartbeats, %d stamps equal to their predecessor", name, beats, ties)
 	for i := range stamped {
 		if it := &stamped[i]; it.rejoin {
 			ov[it.vantage].Rejoin()
@@ -277,8 +330,9 @@ func firstDiff(a, b []string) int {
 }
 
 // relLink wires nv vantages to a plane through a receiver, each with a
-// sender whose frames reach the receiver at once. send reports one
-// single-record frame; beat sends a synced heartbeat.
+// sender whose frames reach the receiver at once and which is synced at
+// time 0 through the receiver's answer. send reports one single-record
+// frame; beat sends a synced heartbeat.
 type relLink struct {
 	plane  *agg.Plane
 	recv   *vantagelink.Receiver
@@ -291,15 +345,18 @@ func newRelLink(nv int, rcfg vantagelink.ReceiverConfig) *relLink {
 	plane, join := relPlane(&l.events)
 	l.plane = plane
 	l.recv.OnAdvance = plane.AdvanceMerge
-	blackHole := vantagelink.ChannelFunc(func(units.Time, []byte) error { return nil })
 	toRecv := vantagelink.ChannelFunc(func(now units.Time, d []byte) error {
 		l.recv.HandleDatagram(now, d)
 		return nil
 	})
 	for i := 0; i < nv; i++ {
-		l.recv.Join(uint16(i+1), planeSink{v: join(i)}, blackHole)
-		l.snd = append(l.snd, vantagelink.NewSender(toRecv,
-			vantagelink.SenderConfig{Vantage: uint16(i + 1), NoSyncGate: true, Heartbeat: 1}))
+		snd := vantagelink.NewSender(toRecv, vantagelink.SenderConfig{Vantage: uint16(i + 1)})
+		l.recv.Join(uint16(i+1), planeSink{v: join(i)}, vantagelink.ChannelFunc(func(now units.Time, d []byte) error {
+			snd.HandleControl(now, d)
+			return nil
+		}))
+		snd.Tick(0)
+		l.snd = append(l.snd, snd)
 	}
 	return l
 }

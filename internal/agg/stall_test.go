@@ -56,7 +56,7 @@ func TestLinkSurvivesReceiverStalls(t *testing.T) {
 		recv.HandleDatagram(at, dgram)
 	}
 
-	senders := make([]*vantagelink.Sender, nv)
+	senders := make([]skewedSender, nv)
 	for i := range senders {
 		v := plane.Join(i, fmt.Sprintf("sw%d", i), relPorts, units.Rate10G)
 		v.BindTransport()
@@ -65,11 +65,7 @@ func TestLinkSurvivesReceiverStalls(t *testing.T) {
 			pump.after(pumpDelay, func(at units.Time) { toReceiver(at, cp) })
 			return nil
 		})
-		skew := skews[i]
-		snd := vantagelink.NewSender(fwd, vantagelink.SenderConfig{
-			Vantage:   uint16(v.ID()),
-			ClockSkew: func(units.Time) units.Duration { return skew },
-		})
+		snd := skewedSender{vantagelink.NewSender(fwd, vantagelink.SenderConfig{Vantage: uint16(v.ID())}), skews[i]}
 		rev := vantagelink.ChannelFunc(func(_ units.Time, dgram []byte) error {
 			cp := append([]byte(nil), dgram...)
 			pump.after(pumpDelay, func(at units.Time) { snd.HandleControl(at, cp) })

@@ -88,6 +88,27 @@ func (a planeSink) Report(rep *core.FlowReport) { a.v.Report(rep) }
 func (a planeSink) Live(now units.Time)         { a.v.NoteLive(now) }
 func (a planeSink) Rejoin(uint32)               { a.v.Rejoin() }
 
+// skewedSender drives a link sender whose host clock reads skew ahead
+// of the harness's: every time the harness hands it moves by skew. As a
+// collector's sink it skews the report stamps, as a reverse channel's
+// end the sync replies' arrival.
+type skewedSender struct {
+	*vantagelink.Sender
+	skew units.Duration
+}
+
+func (s skewedSender) Report(rep *core.FlowReport) {
+	r := *rep
+	r.Time = r.Time.Add(s.skew)
+	s.Sender.Report(&r)
+}
+
+func (s skewedSender) BatchEnd(now units.Time) { s.Sender.BatchEnd(now.Add(s.skew)) }
+func (s skewedSender) Tick(now units.Time)     { s.Sender.Tick(now.Add(s.skew)) }
+func (s skewedSender) HandleControl(now units.Time, dgram []byte) {
+	s.Sender.HandleControl(now.Add(s.skew), dgram)
+}
+
 type transportOpts struct {
 	n         int
 	replicate bool
@@ -101,7 +122,7 @@ type transportFleet struct {
 	pump    *linkPump
 	plane   *agg.Plane
 	recv    *vantagelink.Receiver
-	senders []*vantagelink.Sender
+	senders []skewedSender
 	cols    []*core.Collector
 	rep     report
 }
@@ -113,7 +134,7 @@ type transportFleet struct {
 func newTransportFleet(ccfg core.Config, mapper core.RouteResolver, o transportOpts, end units.Time) *transportFleet {
 	tf := &transportFleet{
 		pump:    &linkPump{},
-		senders: make([]*vantagelink.Sender, o.n),
+		senders: make([]skewedSender, o.n),
 		cols:    make([]*core.Collector, o.n),
 	}
 	tf.rep = report{rates: map[string]units.Rate{}, utils: make([]units.Rate, ccfg.NumPorts)}
@@ -121,11 +142,7 @@ func newTransportFleet(ccfg core.Config, mapper core.RouteResolver, o transportO
 	tf.plane.Subscribe(func(ev core.CongestionEvent) {
 		tf.rep.events = append(tf.rep.events, renderEvent(ev))
 	})
-	// Single-record frames make the overlap replay peak above a
-	// thousand frames per millisecond, so the resequencing buffer must
-	// hold several milliseconds of stream or overflow re-fetches
-	// inflate the gap load.
-	tf.recv = vantagelink.NewReceiver(vantagelink.ReceiverConfig{MaxBuffered: 8192})
+	tf.recv = vantagelink.NewReceiver(vantagelink.ReceiverConfig{})
 	tf.recv.OnAdvance = func(wm units.Time) {
 		if wm > end {
 			wm = end
@@ -151,18 +168,17 @@ func newTransportFleet(ccfg core.Config, mapper core.RouteResolver, o transportO
 		// (~230/ms during the TCP ramp). The retransmit ring must cover
 		// peak rate × worst-case recovery (a few backoff rounds at 10%
 		// loss, ~5ms), or the advertised trail overtakes live gaps and
-		// recovery degrades to abandonment.
+		// recovery degrades to abandonment: the product's 512 frames
+		// hold some 12k records at 24 a frame, but only 512 here.
 		scfg := vantagelink.SenderConfig{
-			Vantage:     uint16(v.ID()),
-			SwitchName:  ccfg.SwitchName,
-			RingFrames:  16384,
-			QueueFrames: 1024,
+			Vantage:    uint16(v.ID()),
+			SwitchName: ccfg.SwitchName,
+			RingFrames: 16384,
 		}
+		snd := skewedSender{Sender: vantagelink.NewSender(vantagelink.NewFaultGate(fwd, sched, int64(31+i*6151)), scfg)}
 		if o.skew != nil {
-			skew := o.skew(i)
-			scfg.ClockSkew = func(units.Time) units.Duration { return skew }
+			snd.skew = o.skew(i)
 		}
-		snd := vantagelink.NewSender(vantagelink.NewFaultGate(fwd, sched, int64(31+i*6151)), scfg)
 		rev := vantagelink.ChannelFunc(func(_ units.Time, dgram []byte) error {
 			if o.noSync {
 				return nil

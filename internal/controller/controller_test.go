@@ -30,7 +30,7 @@ func rig(t *testing.T, seed int64) (*sim.Engine, *topo.Network, *Controller) {
 	}
 	hosts := make([]*tcpsim.Host, net.NumHosts())
 	for h := range hosts {
-		hosts[h] = tcpsim.NewHost(eng, "h", topo.ShadowMAC(h, 0), topo.HostIP(h), net.LineRate, tcpsim.Config{}, rng)
+		hosts[h] = tcpsim.NewHost(eng, "h", topo.ShadowMAC(h, 0), topo.HostIP(h), net.LineRate, rng)
 	}
 	for s := 0; s < net.NumSwitches(); s++ {
 		for p, ep := range net.Ports[s] {

@@ -451,3 +451,25 @@ func TestIngestNoAllocSteadyState(t *testing.T) {
 		t.Fatalf("Ingest allocates %.0f times in 5000 samples", allocs)
 	}
 }
+
+// TestRestoreCooldowns seeds a restarted collector's per-port cooldowns
+// from the event times its predecessor fired at.
+func TestRestoreCooldowns(t *testing.T) {
+	ms := func(n int64) units.Time { return units.Time(n) * units.Time(units.Millisecond) }
+	c := New(Config{SwitchName: "sw", NumPorts: 4, LinkRate: units.Rate1G})
+	c.lastEvent[1] = ms(60)
+	c.lastEvent[2] = ms(10) // earlier than the restored time: restore must win
+	c.RestoreCooldowns(map[int]units.Time{2: ms(50)})
+	if c.lastEvent[2] != ms(50) {
+		t.Errorf("restore should take the later time: got %v", c.lastEvent[2])
+	}
+	if c.lastEvent[1] != ms(60) {
+		t.Errorf("restore must not regress unrelated ports: got %v", c.lastEvent[1])
+	}
+	// Out-of-range ports are ignored, not a panic.
+	before := slices.Clone(c.lastEvent)
+	c.RestoreCooldowns(map[int]units.Time{-1: ms(1), 99: ms(1)})
+	if !slices.Equal(c.lastEvent, before) {
+		t.Errorf("out-of-range restore changed cooldowns: %v, was %v", c.lastEvent, before)
+	}
+}

@@ -15,7 +15,7 @@ type Metrics struct {
 	Lost       obs.Counter // frames dropped by a loss rule
 	Corrupted  obs.Counter // frames with a flipped byte
 	Duplicated obs.Counter // frames delivered twice
-	Reordered  obs.Counter // frames held and released out of order
+	Reordered  obs.Counter // frames held back, released after their successor or at their batch's end
 	Skewed     obs.Counter // frames delivered with a shifted timestamp
 }
 
@@ -40,7 +40,8 @@ type Injector struct {
 
 	// One-deep reorder hold: a held frame is released immediately after
 	// its successor, carrying its original (earlier) timestamp, so the
-	// collector sees a genuine timestamp regression.
+	// collector sees a genuine timestamp regression. A hold never
+	// outlives its batch: Flush releases it at the batch's end.
 	heldFrame []byte
 	heldAt    units.Time
 	holding   bool
@@ -109,6 +110,15 @@ func (in *Injector) Apply(t units.Time, frame []byte, deliver func(t units.Time,
 	in.releaseHeld(deliver)
 }
 
+// Flush releases the frame held for reordering, if any, through
+// deliver (current=false). Call it at the end of every batch of frames
+// — a capture poll, an IngestBatch call — so that a hold taken on a
+// batch's last frame releases it at the batch's end instead of losing
+// it when no successor follows.
+func (in *Injector) Flush(deliver func(t units.Time, frame []byte, current bool)) {
+	in.releaseHeld(deliver)
+}
+
 func (in *Injector) releaseHeld(deliver func(t units.Time, frame []byte, current bool)) {
 	if !in.holding {
 		return
@@ -164,23 +174,33 @@ func (f *FaultyIngester) Ingest(t units.Time, frame []byte) error {
 
 // IngestBatch applies the fault schedule frame by frame — injected
 // skew, reordering, and duplication change each frame's delivery, so a
-// faulted batch cannot be forwarded wholesale. Per-frame failures are
+// faulted batch cannot be forwarded wholesale — and releases a frame
+// still held for reordering at the batch's end. Per-frame failures are
 // aggregated into a *core.BatchError, matching the underlying
-// pipelines' batch contract.
+// pipelines' batch contract; the released frame's counts as the last
+// frame's.
 func (f *FaultyIngester) IngestBatch(ts []units.Time, frames [][]byte) error {
 	n := len(ts)
 	if len(frames) < n {
 		n = len(frames)
 	}
 	var be *core.BatchError
+	fail := func(i int, err error) {
+		if be == nil {
+			be = &core.BatchError{Index: i, Err: err}
+		}
+		be.Failed++
+	}
 	for i := 0; i < n; i++ {
 		if err := f.Ingest(ts[i], frames[i]); err != nil {
-			if be == nil {
-				be = &core.BatchError{Index: i, Err: err}
-			}
-			be.Failed++
+			fail(i, err)
 		}
 	}
+	f.in.Flush(func(at units.Time, fr []byte, _ bool) {
+		if err := f.next.Ingest(at, fr); err != nil {
+			fail(n-1, err)
+		}
+	})
 	if be != nil {
 		return be
 	}

@@ -10,11 +10,6 @@
 // estimates and actuates mirror configuration — shedding low-value
 // ports or tuning per-port sample-rate budgets — through the same
 // epoch-versioned snapshot/diff plane reroutes ride.
-//
-// The estimator is also the supervisor's dark-feed fallback: the
-// sFlow half is exactly the degraded §2.1 estimator the supervisor
-// previously carried privately, so both consumers now share one window
-// implementation and one sflow.Config.
 package governor
 
 import (
@@ -31,14 +26,10 @@ import (
 const EstimatorWindow = 8 * units.Millisecond
 
 // estBuckets is the ring size of the estimation window: the window is
-// split into 8 buckets so estimates age out smoothly (the supervisor's
-// fallback estimator used the same shape).
+// split into 8 buckets so estimates age out smoothly.
 const estBuckets = 8
 
-// EstimatorConfig configures a RateEstimator. It is the single shared
-// estimator configuration: the supervisor's fallback and the governor
-// both consume it, replacing the parallel Fallback/FallbackWindow
-// copies that used to live in lab.SupervisorConfig.
+// EstimatorConfig configures a RateEstimator.
 type EstimatorConfig struct {
 	// SFlow models the one-in-N sampled byte stream the estimator
 	// cross-references mirror counters against (default: the paper's
@@ -113,9 +104,8 @@ type Estimate struct {
 
 // RateEstimator estimates per-port effective sampling rates online. It
 // is fed from two sides: Observe offers every switched packet to the
-// sFlow-style sampler (the supervisor's dark-feed path), and
-// RecordMirrorCounters folds in the switch's per-port mirror counters
-// (the governor's polling path). All state is fixed-size per port, so
+// sFlow-style sampler, and RecordMirrorCounters folds in the switch's
+// per-port mirror counters (the governor's polling path). All state is fixed-size per port, so
 // both update paths are allocation-free
 // (TestEstimatorUpdatesDoNotAllocate pins this).
 type RateEstimator struct {
@@ -212,18 +202,6 @@ func (e *RateEstimator) window(now units.Time, p int) (sum estBucket) {
 		}
 	}
 	return sum
-}
-
-// Utilization estimates port p's traffic rate at now from the sFlow
-// side alone: sampled bytes in the window × N / window. This is the
-// supervisor's dark-feed fallback quantity, unchanged from the private
-// estimator it replaces.
-func (e *RateEstimator) Utilization(now units.Time, p int) units.Rate {
-	if p < 0 || p >= len(e.ports) {
-		return 0
-	}
-	w := e.window(now, p)
-	return units.RateOf(w.sampledBytes*int64(e.cfg.SFlow.SampleRate), EstimatorWindow)
 }
 
 // confidence maps a backing sample count onto [0,1] via the §2.1 error

@@ -173,9 +173,8 @@ type Governor struct {
 	lastOfferedGauge obs.Gauge
 }
 
-// New builds a governor for one switch. est may be shared with the
-// switch's supervisor (the dark-feed fallback reads the sFlow side of
-// the same windows); monitorRate is the monitor link's line rate.
+// New builds a governor for one switch over its rate estimator est;
+// monitorRate is the monitor link's line rate.
 func New(cfg Config, name string, s int, sw Vantage, act Actuator, est *RateEstimator, monitorRate units.Rate) *Governor {
 	cfg = cfg.withDefaults()
 	return &Governor{
@@ -191,9 +190,6 @@ func New(cfg Config, name string, s int, sw Vantage, act Actuator, est *RateEsti
 		haveCfg:     make([]bool, sw.NumPorts()),
 	}
 }
-
-// Estimator returns the shared rate estimator.
-func (g *Governor) Estimator() *RateEstimator { return g.est }
 
 // SetDarkGuard installs the vantage-liveness check (supervisor.Dark).
 func (g *Governor) SetDarkGuard(fn func() bool) { g.dark = fn }

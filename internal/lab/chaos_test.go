@@ -7,27 +7,24 @@ import (
 	"testing"
 
 	"planck/internal/core"
-	"planck/internal/governor"
-	"planck/internal/sflow"
 	"planck/internal/sim"
 	"planck/internal/topo"
 	"planck/internal/units"
 )
 
 // chaosSpec is the canonical robustness scenario: a total mirror-loss
-// burst (the feed goes dark and must fall back to sampling), a
+// burst (the feed goes dark), a
 // collector crash (supervised restart with state re-sync), and a
 // controller partition (event delivery must retry through it).
 const chaosSpec = "loss@20ms-35ms,crash@60500us,partition@80ms-95ms"
 
 const (
-	chaosLossFrom  = units.Time(20 * units.Millisecond)
-	chaosLossTo    = units.Time(35 * units.Millisecond)
-	chaosCrashAt   = units.Time(60500 * units.Microsecond)
-	chaosPartFrom  = units.Time(80 * units.Millisecond)
-	chaosPartTo    = units.Time(95 * units.Millisecond)
-	chaosRunFor    = 120 * units.Millisecond
-	chaosHeartbeat = units.Millisecond
+	chaosLossFrom = units.Time(20 * units.Millisecond)
+	chaosLossTo   = units.Time(35 * units.Millisecond)
+	chaosCrashAt  = units.Time(60500 * units.Microsecond)
+	chaosPartFrom = units.Time(80 * units.Millisecond)
+	chaosPartTo   = units.Time(95 * units.Millisecond)
+	chaosRunFor   = 120 * units.Millisecond
 )
 
 func chaosOptions(faultSpec string) Options {
@@ -38,15 +35,8 @@ func chaosOptions(faultSpec string) Options {
 		// Low threshold: steady near-line-rate flows fire congestion
 		// events every cooldown, giving the delivery path real load.
 		CollectorConfig: core.Config{UtilThreshold: 0.05},
-		Supervise: &SupervisorConfig{
-			Heartbeat: core.HeartbeatConfig{Interval: chaosHeartbeat},
-			// The paper's 300 samples/s CPU cap yields ~2 samples per
-			// fallback window — useless at ms scale. A software sampler
-			// (or raised hardware budget) makes the degraded estimate
-			// meaningful inside one dark burst.
-			Fallback: governor.EstimatorConfig{SFlow: sflow.Config{SampleRate: 64, ControlPlaneCap: 200000}},
-		},
-		FaultSpec: faultSpec,
+		Supervise:       true,
+		FaultSpec:       faultSpec,
 	}
 }
 
@@ -68,8 +58,7 @@ func startChaosTraffic(t *testing.T, l *Lab) {
 // robustness contract end to end:
 //
 //   - the mirror-loss burst flips the feed to dark within the heartbeat
-//     window, utilization queries degrade to the sFlow fallback, and the
-//     feed flips back once the mirror recovers;
+//     window, and the feed flips back once the mirror recovers;
 //   - the crashed collector is restarted within one heartbeat interval
 //     and no congestion event is duplicated across the restart (per-port
 //     event spacing never violates the cooldown);
@@ -101,12 +90,10 @@ func runChaos(t *testing.T) {
 		arrivals = append(arrivals, arrival{l.Eng.Now(), ev})
 	})
 
-	// Probe the degraded path mid-burst, from inside the run.
+	// Probe the feed mid-burst, from inside the run.
 	var midDark bool
-	var midUtil units.Rate
 	l.Eng.Schedule(units.Time(30*units.Millisecond), sim.Callback(func(units.Time) {
 		midDark = sup.Dark()
-		midUtil = utilization(sup, 2)
 	}), nil)
 
 	startChaosTraffic(t, l)
@@ -117,31 +104,27 @@ func runChaos(t *testing.T) {
 		t.Error("loss burst dropped nothing")
 	}
 
-	// (b) Fallback flips. Dark must be declared within the heartbeat
-	// budget of the burst start — StaleAfter plus MissThreshold+1 ticks
-	// of quantization — and cleared shortly after the mirror recovers.
-	hbCfg := sup.hb.Config()
+	// (b) Dark flips. Dark must be declared within the heartbeat budget
+	// of the burst start — the stale age plus MissThreshold+1 ticks of
+	// quantization — and cleared shortly after the mirror recovers.
 	flips := sup.flips
 	if len(flips) != 2 {
 		t.Fatalf("flips = %+v, want exactly [dark, recover] around the loss burst", flips)
 	}
-	darkBudget := chaosLossFrom.Add(hbCfg.StaleAfter +
-		units.Duration(hbCfg.MissThreshold+1)*hbCfg.Interval)
+	darkBudget := chaosLossFrom.Add(heartbeatStaleAfter +
+		units.Duration(heartbeatMissThreshold+1)*heartbeatInterval)
 	if !flips[0].Dark || flips[0].At.Before(chaosLossFrom) || darkBudget.Before(flips[0].At) {
 		t.Errorf("dark flip at %v, want in (%v, %v]", flips[0].At, chaosLossFrom, darkBudget)
 	}
-	recoverBudget := chaosLossTo.Add(hbCfg.StaleAfter + 2*hbCfg.Interval)
+	recoverBudget := chaosLossTo.Add(heartbeatStaleAfter + 2*heartbeatInterval)
 	if flips[1].Dark || flips[1].At.Before(chaosLossTo) || recoverBudget.Before(flips[1].At) {
 		t.Errorf("recovery flip at %v, want in (%v, %v]", flips[1].At, chaosLossTo, recoverBudget)
 	}
-	if sup.Dark() || sup.FallbackActive.Value() != 0 {
+	if sup.Dark() || sup.DarkFeed.Value() != 0 {
 		t.Error("feed still dark at end of run")
 	}
 	if !midDark {
 		t.Error("feed not dark mid-burst")
-	}
-	if midUtil == 0 {
-		t.Error("degraded utilization estimate is zero mid-burst; fallback not serving")
 	}
 	if sup.MissStreak.N() == 0 {
 		t.Error("heartbeat-miss histogram recorded nothing")
@@ -211,8 +194,8 @@ func runChaos(t *testing.T) {
 	startChaosTraffic(t, oracle)
 	oracle.Run(chaosRunFor)
 	for _, p := range []int{2, 3} {
-		want := utilization(oracle.Supervisors[0], p)
-		got := utilization(sup, p)
+		want := oracle.Collector(0).LinkUtilization(p)
+		got := l.Collector(0).LinkUtilization(p)
 		if want == 0 {
 			t.Fatalf("oracle sees no load on port %d", p)
 		}
@@ -221,14 +204,4 @@ func runChaos(t *testing.T) {
 				p, got, want, diff*100)
 		}
 	}
-}
-
-// utilization answers "how loaded is port p right now" from the best
-// source the supervisor has: the collector's ms-scale estimate while the
-// feed is live, the sFlow fallback while it is dark.
-func utilization(sup *Supervisor, p int) units.Rate {
-	if sup.Dark() {
-		return sup.FallbackUtilization(p)
-	}
-	return sup.node.Collector().LinkUtilization(p)
 }

@@ -185,6 +185,10 @@ func (n *CollectorNode) ingestOne(at units.Time, pkt *sim.Packet) {
 	n.accountLatency(at, pkt)
 }
 
+// deliverHeld is the fault layer's delivery of a frame it held back:
+// no latency accounting, as for every replayed frame.
+func (n *CollectorNode) deliverHeld(at units.Time, frame []byte, _ bool) { n.deliverOne(at, frame) }
+
 // deliverOne hands one surviving frame to the collector.
 func (n *CollectorNode) deliverOne(at units.Time, frame []byte) {
 	if n.OnFrame != nil {
@@ -263,6 +267,10 @@ func (n *CollectorNode) AttachInSwitch(sw *switchsim.Switch) {
 		}
 		before := n.delivered
 		n.ingestOne(now.Add(n.overhead), pkt)
+		if n.flt != nil {
+			// Each sample is its own batch: no hold outlives it.
+			n.flt.Flush(n.deliverHeld)
+		}
 		if n.Tracer != nil {
 			capAt := pkt.SentAt
 			if capAt == 0 {
@@ -330,11 +338,13 @@ func (n *CollectorNode) deliver(now units.Time) {
 		}
 	} else {
 		// The fault layer rewrites each frame's delivery (skew, drops,
-		// duplicates, holds), so faulted streams stay per-frame.
+		// duplicates, holds), so faulted streams stay per-frame, and a
+		// frame held for reordering goes out by the poll's end.
 		for _, pkt := range n.pending {
 			n.ingestOne(at, pkt)
 			n.eng.FreePacket(pkt)
 		}
+		n.flt.Flush(n.deliverHeld)
 	}
 	n.pending = n.pending[:0]
 	if n.Tracer != nil {

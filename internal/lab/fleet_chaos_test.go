@@ -29,10 +29,19 @@ import (
 //   - the victim resumes reporting after restart (fresh events appear).
 func TestFleetChaosCrashRestart(t *testing.T) {
 	const (
-		crashAt = 21 * units.Millisecond
-		probeAt = 24 * units.Millisecond // after StaleAfter, before the 25ms restart tick
-		runFor  = 80 * units.Millisecond
+		runFor = 80 * units.Millisecond
+		// The supervisor restarts a crashed collector at its next 2 ms
+		// heartbeat tick, sooner than the plane's 2 ms staleness age, so
+		// one crash never reads stale. The replacements crash too, just
+		// after the 22 ms and 24 ms restarts, which leaves the victim
+		// silent from 21 ms to the 26 ms restart; the probe lands inside.
+		probeAt = 25 * units.Millisecond
 	)
+	crashes := []units.Time{
+		units.Time(21 * units.Millisecond),
+		units.Time(22*units.Millisecond + units.Microsecond),
+		units.Time(24*units.Millisecond + units.Microsecond),
+	}
 
 	type result struct {
 		events         []core.CongestionEvent
@@ -49,16 +58,11 @@ func TestFleetChaosCrashRestart(t *testing.T) {
 	run := func(crash bool) result {
 		net := topo.FatTree16(units.Rate10G)
 		l, err := New(Options{
-			Net:    net,
-			Mirror: true,
-			Fleet:  &Fleet{},
-			// Slow the supervision tick so the crash leaves a well-defined
-			// dark window (crash at 21ms, restart at the 25ms tick) that
-			// the staleness probe can land inside deterministically.
-			Supervise: &SupervisorConfig{
-				Heartbeat: core.HeartbeatConfig{Interval: 5 * units.Millisecond},
-			},
-			Seed: 7,
+			Net:       net,
+			Mirror:    true,
+			Fleet:     &Fleet{},
+			Supervise: true,
+			Seed:      7,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -84,7 +88,9 @@ func TestFleetChaosCrashRestart(t *testing.T) {
 
 		if crash {
 			node := l.Collectors[res.victim]
-			l.Eng.Schedule(units.Time(crashAt), sim.Callback(node.Crash), nil)
+			for _, at := range crashes {
+				l.Eng.Schedule(at, sim.Callback(node.Crash), nil)
+			}
 			l.Eng.Schedule(units.Time(probeAt), sim.Callback(func(units.Time) {
 				res.staleAtPro = len(l.Agg.StaleVantages())
 				res.victimStale = stale(l.Agg, l.vantages[res.victim])
@@ -174,7 +180,7 @@ func TestFleetChaosCrashRestart(t *testing.T) {
 	// The victim's feed resumes after the supervised restart.
 	resumed := 0
 	for _, ev := range chaos.events {
-		if ev.SwitchName == chaos.victimName && ev.Time > units.Time(crashAt)+units.Time(10*units.Millisecond) {
+		if ev.SwitchName == chaos.victimName && ev.Time > crashes[len(crashes)-1].Add(10*units.Millisecond) {
 			resumed++
 		}
 	}

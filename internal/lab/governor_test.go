@@ -191,10 +191,7 @@ func TestGovernorShedsTunesAndConverges(t *testing.T) {
 // dark vantage's stale estimate.
 func TestChaosGovernorDarkGuard(t *testing.T) {
 	opts := governorOptions()
-	opts.Supervise = &SupervisorConfig{
-		Heartbeat: core.HeartbeatConfig{Interval: chaosHeartbeat},
-		Fallback:  governor.EstimatorConfig{SFlow: sflow.Config{SampleRate: 64, ControlPlaneCap: 200000}},
-	}
+	opts.Supervise = true
 	opts.FaultSpec = "loss@20ms-35ms"
 	l, err := New(opts)
 	if err != nil {
@@ -205,11 +202,6 @@ func TestChaosGovernorDarkGuard(t *testing.T) {
 	if gov == nil || sup == nil {
 		t.Fatal("governor or supervisor missing")
 	}
-	// The governor and the supervisor share one estimator.
-	if gov.Estimator() != sup.fb {
-		t.Fatal("governor and supervisor do not share the rate estimator")
-	}
-
 	// Start the oversubscribing traffic inside the loss burst: the
 	// saturation signal becomes actionable while the feed is dark.
 	l.Eng.Schedule(units.Time(22*units.Millisecond), sim.Callback(func(now units.Time) {

@@ -50,23 +50,19 @@ type Options struct {
 	MonitorSwitches []int
 	// Fleet, when non-nil, runs the testbed as a collector fleet.
 	Fleet *Fleet
-	// Supervise, when non-nil, runs a Supervisor per monitored switch:
-	// heartbeat staleness detection, crash restart with state re-sync,
-	// retried event delivery, and sFlow fallback while the mirror feed is
-	// dark. Supervised collectors route events to the controller through
-	// the supervisor's Deliverer instead of a direct attachment. Zero
-	// fields take defaults.
-	Supervise *SupervisorConfig
+	// Supervise runs a Supervisor per monitored switch: heartbeat
+	// staleness detection, crash restart with state re-sync, and retried
+	// event delivery. Supervised collectors route events to the
+	// controller through the supervisor's Deliverer instead of a direct
+	// attachment.
+	Supervise bool
 	// Govern, when non-nil, runs a sampling-rate Governor per monitored
 	// switch: a closed-loop control application that estimates the
 	// effective mirror sampling rate online and sheds low-value mirror
 	// ports or tunes per-port sample budgets through the epoch-versioned
 	// snapshot plane when the monitor port saturates. Combined with
-	// Supervise, the governor and the supervisor share one RateEstimator
-	// per switch, and the governor never actuates while the feed is dark.
-	// Zero fields take defaults; a zero Estimator inherits
-	// Supervise.Fallback, so both estimator consumers are configured in
-	// one place.
+	// Supervise, the governor never actuates while the feed is dark.
+	// Zero fields take defaults.
 	Govern *governor.Config
 	// FaultSpec, when non-empty, is parsed with faults.ParseSpec and
 	// applied, seeded by Seed, to every monitored collector feed at build
@@ -213,7 +209,7 @@ func New(opts Options) (*Lab, error) {
 		if err != nil {
 			return nil, fmt.Errorf("lab: FaultSpec: %w", err)
 		}
-		if err := checkSupervised(sched, opts.Supervise != nil); err != nil {
+		if err := checkSupervised(sched, opts.Supervise); err != nil {
 			return nil, err
 		}
 		faultSched = sched
@@ -264,7 +260,7 @@ func New(opts Options) (*Lab, error) {
 	}
 	for h := 0; h < net.NumHosts(); h++ {
 		host := tcpsim.NewHost(eng, fmt.Sprintf("h%d", h),
-			topo.ShadowMAC(h, 0), topo.HostIP(h), net.LineRate, tcpsim.Config{}, rng)
+			topo.ShadowMAC(h, 0), topo.HostIP(h), net.LineRate, rng)
 		l.Hosts[h] = host
 	}
 
@@ -362,46 +358,13 @@ func New(opts Options) (*Lab, error) {
 				sim.Connect(node.Port(), l.Switches[s].Port(mp), linkDelay)
 			}
 			l.Collectors[s] = node
-			// One estimator per supervised or governed switch, fed from
-			// the switch's delivery hook: the supervisor's dark-feed
-			// fallback reads its sFlow side, the governor
-			// cross-references it against the mirror counters.
-			var est *governor.RateEstimator
-			if opts.Supervise != nil || opts.Govern != nil {
-				var ecfg governor.EstimatorConfig
-				if opts.Govern != nil {
-					ecfg = opts.Govern.Estimator
-				}
-				if ecfg == (governor.EstimatorConfig{}) && opts.Supervise != nil {
-					ecfg = opts.Supervise.Fallback
-				}
-				if ecfg.Seed == 0 {
-					ecfg.Seed = opts.Seed + int64(s)*7919 + 1
-				}
-				est = governor.NewRateEstimator(ecfg, len(net.Ports[s]))
-				sw := l.Switches[s]
-				prevHook := sw.OnDeliver
-				sw.OnDeliver = func(now units.Time, outPort int, pkt *sim.Packet) {
-					if prevHook != nil {
-						prevHook(now, outPort, pkt)
-					}
-					est.Observe(now, outPort, pkt.FlowKey(), pkt.WireLen)
-				}
-			}
 			// Every collector is attached: it gets the routing oracle
 			// and answers the controller's flow queries (§3.3).
 			l.Ctrl.AttachCollector(s, node.Collector())
-			if opts.Supervise != nil {
+			if opts.Supervise {
 				// Supervised events go through the supervisor's retrying
 				// Deliverer.
-				l.Supervisors[s] = newSupervisor(l, s, node, *opts.Supervise, est)
-				if l.vantages != nil && l.vantages[s] != nil {
-					// The plane serves this vantage's links from the
-					// supervisor's sFlow estimator when the vantage goes
-					// stale — the transport-era analogue of the
-					// supervisor's own dark-feed fallback.
-					l.vantages[s].SetFallback(l.Supervisors[s].FallbackUtilization)
-				}
+				l.Supervisors[s] = newSupervisor(l, s, node)
 			} else if l.Agg == nil {
 				// Direct delivery. A vantage's events come from the
 				// plane instead: subscribing the controller to local
@@ -409,6 +372,17 @@ func New(opts Options) (*Lab, error) {
 				node.Collector().Subscribe(l.Ctrl.DeliverEvent)
 			}
 			if opts.Govern != nil {
+				// The governor's rate estimator, fed from the switch's
+				// delivery hook, cross-references its sFlow side against
+				// the mirror counters.
+				ecfg := opts.Govern.Estimator
+				if ecfg.Seed == 0 {
+					ecfg.Seed = opts.Seed + int64(s)*7919 + 1
+				}
+				est := governor.NewRateEstimator(ecfg, len(net.Ports[s]))
+				l.Switches[s].OnDeliver = func(now units.Time, outPort int, pkt *sim.Packet) {
+					est.Observe(now, outPort, pkt.FlowKey(), pkt.WireLen)
+				}
 				gov := governor.New(*opts.Govern, net.SwitchNames[s], s,
 					l.Switches[s], l.Ctrl, est, net.LineRate)
 				if sup := l.Supervisors[s]; sup != nil {
@@ -451,7 +425,7 @@ func (o *Options) link() *Link {
 // A schedule with a rule only a Supervisor acts on (NeedsSupervisor) is
 // refused on a lab built without Options.Supervise.
 func (l *Lab) ApplyFaults(sched *faults.Schedule, seed int64) error {
-	if err := checkSupervised(sched, l.opts.Supervise != nil); err != nil {
+	if err := checkSupervised(sched, l.opts.Supervise); err != nil {
 		return err
 	}
 	l.Faults = sched
@@ -518,7 +492,7 @@ func (l *Lab) buildAggPlane() {
 	// single collector's events would: under supervision, a retrying
 	// deliverer gated by the fault schedule's partition and delay
 	// windows; otherwise a direct synchronous handoff.
-	if opts.Supervise != nil {
+	if opts.Supervise {
 		del := controller.NewSimDeliverer(l.Eng, opts.Seed+0x5eed, l.sendEvent)
 		del.Tracer = opts.Tracer
 		l.Agg.Subscribe(func(ev core.CongestionEvent) {

@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"planck/internal/core"
-	"planck/internal/governor"
-	"planck/internal/sflow"
 	"planck/internal/te"
 	"planck/internal/topo"
 	"planck/internal/units"
@@ -23,11 +21,8 @@ func TestSupervisedQueryLoopReadsLiveCollectors(t *testing.T) {
 		Mirror:          true,
 		Seed:            7,
 		CollectorConfig: core.Config{UtilThreshold: 100},
-		Supervise: &SupervisorConfig{
-			Heartbeat: core.HeartbeatConfig{Interval: units.Millisecond},
-			Fallback:  governor.EstimatorConfig{SFlow: sflow.Config{SampleRate: 64, ControlPlaneCap: 200000}},
-		},
-		FaultSpec: "crash@15ms",
+		Supervise:       true,
+		FaultSpec:       "crash@15ms",
 	})
 	if err != nil {
 		t.Fatal(err)

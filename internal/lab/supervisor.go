@@ -7,28 +7,11 @@ import (
 
 	"planck/internal/controller"
 	"planck/internal/core"
-	"planck/internal/governor"
 	"planck/internal/obs"
 	"planck/internal/obs/trace"
 	"planck/internal/sim"
 	"planck/internal/units"
 )
-
-// SupervisorConfig tunes one switch's supervision loop. Zero fields
-// take defaults sized for the millisecond control loop.
-type SupervisorConfig struct {
-	// Heartbeat drives staleness detection on the mirror feed.
-	Heartbeat core.HeartbeatConfig
-	// Fallback configures the shared per-port rate estimator
-	// (governor.RateEstimator) whose sFlow side the supervisor degrades
-	// to when the mirror feed goes dark. Defaults: the paper's G8264
-	// numbers — 1-in-1024 sampling capped at 300 samples/s — over an
-	// 8ms window; ms-scale tests raise ControlPlaneCap so a few-ms dark
-	// window still collects samples. When the lab also runs a governor
-	// on this switch, both consumers share one estimator and therefore
-	// one config — this one.
-	Fallback governor.EstimatorConfig
-}
 
 // HeartbeatFlip records one dark/live transition of a supervised feed.
 type HeartbeatFlip struct {
@@ -68,10 +51,9 @@ func (l *Lab) sendEvent(now units.Time, ev core.CongestionEvent) error {
 // layer: it watches the collector feed with a heartbeat, restarts
 // crashed collectors (re-syncing routing state and event cooldowns so
 // replay is idempotent), routes congestion events to the controller
-// through bounded retry with exponential backoff, and degrades to
-// sFlow-style sampling for utilization estimates while the mirror feed
-// is dark — Planck's answer to "what happens when the monitoring plane
-// itself fails".
+// through bounded retry with exponential backoff, and flags the feed
+// dark while it delivers nothing — Planck's answer to "what happens
+// when the monitoring plane itself fails".
 //
 // All methods run on the engine goroutine. The event subscription only
 // appends to a queue, which drains at batch ends and heartbeat ticks, so
@@ -80,11 +62,9 @@ type Supervisor struct {
 	lab  *Lab
 	s    int // switch index
 	node *CollectorNode
-	cfg  SupervisorConfig
 
-	hb  *core.HeartbeatMonitor
+	hb  heartbeatMonitor
 	del *controller.Deliverer
-	fb  *governor.RateEstimator
 
 	// gen tags the live collector generation; events queued by a dead
 	// generation are discarded instead of reaching the controller.
@@ -100,9 +80,8 @@ type Supervisor struct {
 
 	flips []HeartbeatFlip
 
-	// FallbackActive is 1 while the feed is dark and utilization queries
-	// are served from the sFlow fallback.
-	FallbackActive obs.Gauge
+	// DarkFeed is 1 while the feed is dark.
+	DarkFeed obs.Gauge
 	// Restarts counts supervised collector restarts.
 	Restarts obs.Counter
 	// StaleEvents counts events discarded because a dead collector
@@ -114,17 +93,12 @@ type Supervisor struct {
 }
 
 // newSupervisor wires a supervisor over switch s's collector node and
-// starts its heartbeat ticker. est is the switch's rate estimator, fed
-// by the lab and shared with the switch's governor when one runs; its
-// sFlow side is the supervisor's graceful-degradation source.
-func newSupervisor(l *Lab, s int, node *CollectorNode, cfg SupervisorConfig, est *governor.RateEstimator) *Supervisor {
+// starts its heartbeat ticker.
+func newSupervisor(l *Lab, s int, node *CollectorNode) *Supervisor {
 	sup := &Supervisor{
 		lab:        l,
 		s:          s,
 		node:       node,
-		cfg:        cfg,
-		hb:         core.NewHeartbeatMonitor(cfg.Heartbeat),
-		fb:         est,
 		cooldowns:  make(map[int]units.Time),
 		MissStreak: obs.NewScaledHistogram(1),
 	}
@@ -140,12 +114,12 @@ func newSupervisor(l *Lab, s int, node *CollectorNode, cfg SupervisorConfig, est
 	}
 	// In fleet mode the collector has no local event path to tap: its
 	// samples flow to the aggregation plane, which owns detection,
-	// dedup, and delivery. The supervisor keeps its heartbeat, restart,
-	// and fallback duties.
-	sim.NewTicker(l.Eng, sup.hb.Config().Interval, sup.tick)
+	// dedup, and delivery. The supervisor keeps its heartbeat and
+	// restart duties.
+	sim.NewTicker(l.Eng, heartbeatInterval, sup.tick)
 
 	label := obs.Label("switch", l.Net.SwitchNames[s])
-	l.Metrics.MustRegister("planck_supervisor_fallback_active", &sup.FallbackActive, label)
+	l.Metrics.MustRegister("planck_supervisor_dark", &sup.DarkFeed, label)
 	l.Metrics.MustRegister("planck_supervisor_restarts_total", &sup.Restarts, label)
 	l.Metrics.MustRegister("planck_supervisor_stale_events_total", &sup.StaleEvents, label)
 	l.Metrics.MustRegister("planck_supervisor_heartbeat_miss_streak", sup.MissStreak, label)
@@ -198,14 +172,14 @@ func (sup *Supervisor) tick(now units.Time) {
 	if sup.node.Crashed() {
 		sup.restart()
 	}
-	streakBefore := sup.hb.MissStreak()
-	switch sup.hb.Beat(now, sup.node.LastDelivery()) {
-	case core.HeartbeatWentDark:
-		sup.FallbackActive.Set(1)
+	streakBefore := sup.hb.streak
+	switch sup.hb.beat(now, sup.node.LastDelivery()) {
+	case heartbeatWentDark:
+		sup.DarkFeed.Set(1)
 		sup.flips = append(sup.flips, HeartbeatFlip{At: now, Dark: true})
 		sup.dumpTraces(now, "feed went dark")
-	case core.HeartbeatRecovered:
-		sup.FallbackActive.Set(0)
+	case heartbeatRecovered:
+		sup.DarkFeed.Set(0)
 		sup.MissStreak.Observe(int64(streakBefore))
 		sup.flips = append(sup.flips, HeartbeatFlip{At: now, Dark: false})
 	}
@@ -260,11 +234,5 @@ func (sup *Supervisor) restart() {
 	sup.Restarts.Inc()
 }
 
-// Dark reports whether the feed is currently dark (fallback active).
-func (sup *Supervisor) Dark() bool { return sup.hb.Dark() }
-
-// FallbackUtilization reads the sFlow estimator directly, regardless of
-// feed state.
-func (sup *Supervisor) FallbackUtilization(p int) units.Rate {
-	return sup.fb.Utilization(sup.lab.Eng.Now(), p)
-}
+// Dark reports whether the feed is currently dark.
+func (sup *Supervisor) Dark() bool { return sup.hb.dark }

@@ -5,9 +5,7 @@ import (
 	"testing"
 
 	"planck/internal/core"
-	"planck/internal/governor"
 	"planck/internal/obs/trace"
-	"planck/internal/sflow"
 	"planck/internal/te"
 	"planck/internal/topo"
 	"planck/internal/units"
@@ -121,12 +119,9 @@ func TestTraceConvergesAcrossRestart(t *testing.T) {
 		Mirror:          true,
 		Seed:            7,
 		CollectorConfig: core.Config{UtilThreshold: 0.05},
-		Supervise: &SupervisorConfig{
-			Heartbeat: core.HeartbeatConfig{Interval: units.Millisecond},
-			Fallback:  governor.EstimatorConfig{SFlow: sflow.Config{SampleRate: 64, ControlPlaneCap: 200000}},
-		},
-		FaultSpec: "crash@30ms",
-		Tracer:    tracer,
+		Supervise:       true,
+		FaultSpec:       "crash@30ms",
+		Tracer:          tracer,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -161,8 +161,8 @@ func (e *Engine) RunUntil(deadline units.Time) {
 	}
 }
 
-// Stop aborts a Run/RunUntil in progress after the current event.
-func (e *Engine) Stop() { e.stopped = true }
+// stop aborts a Run/RunUntil in progress after the current event.
+func (e *Engine) stop() { e.stopped = true }
 
 // --- binary heap keyed by (at, seq) ---
 

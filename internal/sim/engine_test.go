@@ -113,7 +113,7 @@ func TestStop(t *testing.T) {
 		eng.Schedule(units.Time(i), Callback(func(units.Time) {
 			count++
 			if count == 3 {
-				eng.Stop()
+				eng.stop()
 			}
 		}), nil)
 	}

@@ -60,7 +60,6 @@ func TestPriorityFractionCapResistsSYNFlood(t *testing.T) {
 	cfg := smallConfig()
 	cfg.MirrorBufferBytes = 256 << 10
 	cfg.MirrorPriorityFlags = true
-	cfg.MirrorPriorityMaxFraction = 0.1
 	eng, sw, hosts, qs := rig(t, cfg)
 	sw.InstallMAC(mac(2), 2)
 	sw.InstallMAC(mac(3), 3)

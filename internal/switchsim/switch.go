@@ -63,15 +63,16 @@ type Config struct {
 	// TCP SYN/FIN/RST flags through a small dedicated allocation that is
 	// served ahead of the normal mirror queue.
 	MirrorPriorityFlags bool
-	// MirrorPriorityMaxFraction caps the share of transmitted samples the
-	// priority class may take, so a SYN flood cannot suppress normal
-	// samples (§9.2's caveat). Default 0.1.
-	MirrorPriorityMaxFraction float64
 }
 
 // MirrorPriorityReserve sizes the allocation of the MirrorPriorityFlags
 // class.
 const MirrorPriorityReserve int64 = 32 << 10
+
+// mirrorPriorityMaxFraction caps the share of transmitted samples the
+// MirrorPriorityFlags class may take, so a SYN flood cannot suppress
+// normal samples (§9.2's caveat).
+const mirrorPriorityMaxFraction = 0.1
 
 // Validate reports configuration errors.
 func (c *Config) Validate() error {
@@ -534,14 +535,10 @@ func (m *monitorSource) Dequeue(now units.Time) *sim.Packet {
 	sw := m.sw
 	prioAvail := sw.prioHead < len(sw.prioQ)
 	normQ := sw.queues[sw.monitorPort]
-	maxFrac := sw.cfg.MirrorPriorityMaxFraction
-	if maxFrac == 0 {
-		maxFrac = 0.1
-	}
 	usePrio := prioAvail
 	if prioAvail && normQ.bytes > 0 {
 		// Both classes have traffic: honour the fraction cap.
-		if float64(sw.prioServed) > maxFrac*float64(sw.mirrorServed+1) {
+		if float64(sw.prioServed) > mirrorPriorityMaxFraction*float64(sw.mirrorServed+1) {
 			usePrio = false
 		}
 	}

@@ -299,7 +299,6 @@ func TestSharedPoolNeverExceeded(t *testing.T) {
 	sw.Port(1).Peer().Kick(0)
 	sw.Port(4).Peer().Kick(0)
 	eng.RunUntil(units.Time(3 * units.Millisecond))
-	eng.Stop()
 	if sw.sharedUsed < 0 {
 		t.Fatalf("negative shared usage %d", sw.sharedUsed)
 	}

@@ -934,7 +934,7 @@ const (
 // the CUBIC epoch state. Under Reno it is the classic halving.
 func (c *Conn) lossReduction() float64 {
 	inflight := maxF(float64(c.inflight()), c.mssF())
-	if c.host.cfg.CongestionControl != "cubic" {
+	if c.host.reno {
 		return maxF(inflight/2, 2*c.mssF())
 	}
 	// Fast convergence: if this loss came below the previous wMax, the
@@ -950,10 +950,10 @@ func (c *Conn) lossReduction() float64 {
 }
 
 // congestionAvoidance grows cwnd per ACK: CUBIC window curve with the
-// TCP-friendly (Reno-equivalent) floor, or plain Reno when configured.
+// TCP-friendly (Reno-equivalent) floor, or plain Reno on a reno host.
 func (c *Conn) congestionAvoidance(now units.Time) {
 	mss := c.mssF()
-	if c.host.cfg.CongestionControl != "cubic" {
+	if c.host.reno {
 		c.cwnd += mss * mss / c.cwnd
 		return
 	}

@@ -14,7 +14,8 @@ func cubicConn(t *testing.T, cc string) *Conn {
 	t.Helper()
 	eng := sim.New()
 	rng := rand.New(rand.NewSource(1))
-	h := NewHost(eng, "h", mac(1), ip(1), units.Rate10G, Config{CongestionControl: cc}, rng)
+	h := NewHost(eng, "h", mac(1), ip(1), units.Rate10G, rng)
+	h.reno = cc == "reno"
 	h.SetNeighbor(ip(2), mac(2))
 	c := &Conn{
 		host:      h,
@@ -158,7 +159,8 @@ func TestRenoOptionEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	hosts := make([]*Host, 3)
 	for i := 0; i < 3; i++ {
-		h := NewHost(eng, "h", mac(i+1), ip(i+1), cfg.LineRate, Config{CongestionControl: "reno"}, rng)
+		h := NewHost(eng, "h", mac(i+1), ip(i+1), cfg.LineRate, rng)
+		h.reno = true
 		sim.Connect(h.NIC(), sw.Port(i), 500*units.Nanosecond)
 		sw.InstallMAC(mac(i+1), i)
 		hosts[i] = h

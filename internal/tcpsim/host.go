@@ -13,9 +13,10 @@
 //     timestamp and the wire (the paper's sample-latency measurements are
 //     explicitly "strict overestimates" for this reason, §5.2).
 //
-// Hosts also own an ARP cache with the two Linux behaviours §6.2 relies
-// on: MAC learning from unicast ARP requests, and a configurable
-// cache-entry lock time (the sysctl the authors had to relax).
+// Hosts also own an ARP cache with the Linux behaviour §6.2 relies on:
+// MAC learning from unicast ARP requests, with the cache-entry lock
+// time at zero (the sysctl the authors had to relax), so every update
+// lands.
 package tcpsim
 
 import (
@@ -58,36 +59,11 @@ const (
 	RWnd int64 = 16 << 20
 )
 
-// Config tunes the host model. Zero values are replaced by defaults
-// matching the paper's Linux 3.5 testbed.
-type Config struct {
-	// ARPLockTime is how long an ARP cache entry resists updates after a
-	// change (Linux locks entries by default; the paper sets a sysctl to
-	// zero it, which is also the default here).
-	ARPLockTime units.Duration
-	// NICQueuePackets caps the NIC transmit queue (default 1000). TCP
-	// senders treat the cap as backpressure (as Linux qdisc/BQL
-	// accounting does) and stop emitting data until the queue drains;
-	// non-TCP traffic that overruns the cap is tail-dropped.
-	NICQueuePackets int
-	// CongestionControl selects "cubic" (the testbed's Linux default;
-	// also the package default) or "reno".
-	CongestionControl string
-}
-
-func (c *Config) fillDefaults() {
-	if c.NICQueuePackets == 0 {
-		c.NICQueuePackets = 1000
-	}
-	if c.CongestionControl == "" {
-		c.CongestionControl = "cubic"
-	}
-}
-
-type arpEntry struct {
-	mac         packet.MAC
-	lockedUntil units.Time
-}
+// nicQueuePackets caps the NIC transmit queue. TCP senders treat the
+// cap as backpressure (as Linux qdisc/BQL accounting does) and stop
+// emitting data until the queue drains; non-TCP traffic that overruns
+// the cap is tail-dropped.
+const nicQueuePackets = 1000
 
 type connKey struct {
 	remoteIP   uint32
@@ -99,8 +75,11 @@ type connKey struct {
 type Host struct {
 	eng  *sim.Engine
 	name string
-	cfg  Config
 	rng  *rand.Rand
+	// reno selects Reno congestion control instead of the testbed's
+	// Linux default, CUBIC: the reference the CUBIC tests compare
+	// against.
+	reno bool
 
 	mac packet.MAC
 	ip  packet.IPv4
@@ -108,7 +87,7 @@ type Host struct {
 	nic  *sim.Port
 	nicQ nicQueue
 
-	arp map[uint32]arpEntry
+	arp map[uint32]packet.MAC
 
 	conns    map[connKey]*Conn
 	nextPort uint16
@@ -145,19 +124,17 @@ type Host struct {
 
 // NewHost creates a host with one NIC at the given rate. The NIC port is
 // unconnected; wire it with sim.Connect.
-func NewHost(eng *sim.Engine, name string, mac packet.MAC, ip packet.IPv4, nicRate units.Rate, cfg Config, rng *rand.Rand) *Host {
-	cfg.fillDefaults()
+func NewHost(eng *sim.Engine, name string, mac packet.MAC, ip packet.IPv4, nicRate units.Rate, rng *rand.Rand) *Host {
 	if rng == nil {
 		panic("tcpsim: NewHost requires a deterministic rng")
 	}
 	h := &Host{
 		eng:      eng,
 		name:     name,
-		cfg:      cfg,
 		rng:      rng,
 		mac:      mac,
 		ip:       ip,
-		arp:      make(map[uint32]arpEntry),
+		arp:      make(map[uint32]packet.MAC),
 		conns:    make(map[connKey]*Conn),
 		nextPort: 10000,
 	}
@@ -180,13 +157,13 @@ func (h *Host) MAC() packet.MAC { return h.mac }
 // SetNeighbor installs a static ARP entry (the lab pre-populates these,
 // as the testbed did).
 func (h *Host) SetNeighbor(ip packet.IPv4, mac packet.MAC) {
-	h.arp[ip.U32()] = arpEntry{mac: mac}
+	h.arp[ip.U32()] = mac
 }
 
 // LookupNeighbor returns the current MAC for ip.
 func (h *Host) LookupNeighbor(ip packet.IPv4) (packet.MAC, bool) {
-	e, ok := h.arp[ip.U32()]
-	return e.mac, ok
+	mac, ok := h.arp[ip.U32()]
+	return mac, ok
 }
 
 // txDelay samples the kernel send-path latency.
@@ -208,7 +185,7 @@ func jitter(rng *rand.Rand, lo, hi units.Duration) units.Duration {
 // txBacklog is the number of packets the stack has emitted that have not
 // yet left the NIC (kernel pipeline + NIC queue). TCP data transmission
 // pauses while it meets the queue cap.
-func (h *Host) txBacklogFull() bool { return h.txBacklog >= h.cfg.NICQueuePackets }
+func (h *Host) txBacklogFull() bool { return h.txBacklog >= nicQueuePackets }
 
 // sendPacket stamps pkt and moves it through the modelled kernel send path
 // into the NIC queue, preserving FIFO order despite jitter.
@@ -237,7 +214,7 @@ type nicQueue struct {
 // reaches the NIC queue. TCP respects backpressure upstream and never
 // overruns; anything else (e.g. an unthrottled CBR source) tail-drops.
 func (q *nicQueue) Handle(now units.Time, pkt *sim.Packet) {
-	if pkt.Kind != sim.KindTCP && q.fifo.Len() >= q.h.cfg.NICQueuePackets {
+	if pkt.Kind != sim.KindTCP && q.fifo.Len() >= nicQueuePackets {
 		q.h.NICDrops++
 		q.h.txBacklog--
 		q.h.eng.FreePacket(pkt)
@@ -258,7 +235,7 @@ func (q *nicQueue) Dequeue(now units.Time) *sim.Packet {
 	if pkt != nil {
 		pkt.SentAt = now
 		q.h.txBacklog--
-		if q.h.txBacklog == q.h.cfg.NICQueuePackets-1 {
+		if q.h.txBacklog == nicQueuePackets-1 {
 			q.h.kickBlockedSenders(now)
 		}
 	}
@@ -317,22 +294,17 @@ func (h *Host) process(now units.Time, pkt *sim.Packet) {
 	}
 }
 
-// processARP implements the Linux behaviours §6.2 depends on: a unicast
-// ARP request updates (learns) the sender mapping, subject to the lock
-// time.
+// processARP implements the Linux behaviour §6.2 depends on: a unicast
+// ARP request updates (learns) the sender mapping.
 func (h *Host) processARP(now units.Time, a *packet.ARP) {
 	if a.TargetIP != h.ip {
 		return
 	}
 	key := a.SenderIP.U32()
-	e, ok := h.arp[key]
-	if ok && e.mac == a.SenderMAC {
+	if m, ok := h.arp[key]; ok && m == a.SenderMAC {
 		return // no change
 	}
-	if ok && now.Before(e.lockedUntil) {
-		return // locked: spurious update ignored
-	}
-	h.arp[key] = arpEntry{mac: a.SenderMAC, lockedUntil: now.Add(h.cfg.ARPLockTime)}
+	h.arp[key] = a.SenderMAC
 	if h.OnARPUpdate != nil {
 		h.OnARPUpdate(now, a.SenderIP, a.SenderMAC)
 	}

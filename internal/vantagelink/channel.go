@@ -44,8 +44,8 @@ type GateMetrics struct {
 // and reorder draw from a seeded local RNG; partition drops every
 // datagram in its window; chandelay defers delivery through the Defer
 // hook (the lab wires it to the engine). Skew is deliberately not
-// applied here — a skewed clock belongs to the sender (Sender
-// Config.ClockSkew), not to the wire.
+// applied here — a skewed clock belongs to the sender's host (the times
+// its Sender is handed, a WallClock's skew), not to the wire.
 //
 // A FaultGate is driven from one goroutine at a time, matching the
 // Sender it fronts.

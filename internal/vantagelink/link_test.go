@@ -76,29 +76,37 @@ func (s *recordingSink) Live(now units.Time) {
 func (s *recordingSink) Rejoin(gen uint32) { s.rejoins = append(s.rejoins, gen) }
 
 // linkPair wires one sender to a receiver through fault gates on the
-// data path, with a clean reverse channel for NACK/Sync.
+// data path, with a clean reverse channel for NACK/Sync. The sender's
+// host clock reads skew ahead of the net's: every time the pair hands
+// the sender is moved by skew, and the channels move the sender's
+// times back onto the net's clock.
 type linkPair struct {
 	net  *linkNet
 	s    *Sender
 	r    *Receiver
 	sink *recordingSink
 	gate *FaultGate
+	skew units.Duration
 }
 
-func newLinkPair(t *testing.T, scfg SenderConfig, rcfg ReceiverConfig, sched *faults.Schedule, seed int64) *linkPair {
+func newLinkPair(t *testing.T, skew units.Duration, rcfg ReceiverConfig, sched *faults.Schedule, seed int64) *linkPair {
 	t.Helper()
 	n := &linkNet{}
 	r := NewReceiver(rcfg)
-	p := &linkPair{net: n, r: r, sink: &recordingSink{}}
+	p := &linkPair{net: n, r: r, sink: &recordingSink{}, skew: skew}
 	const delay = 20 * units.Microsecond
 	fwd := n.channel(r.HandleDatagram, delay)
-	p.gate = NewFaultGate(fwd, sched, seed)
-	scfg.Vantage = 1
-	p.s = NewSender(p.gate, scfg)
-	rev := n.channel(p.s.HandleControl, delay)
+	p.gate = NewFaultGate(ChannelFunc(func(now units.Time, dgram []byte) error {
+		return fwd.Send(now.Add(-skew), dgram)
+	}), sched, seed)
+	p.s = NewSender(p.gate, SenderConfig{Vantage: 1})
+	rev := n.channel(func(at units.Time, dgram []byte) { p.s.HandleControl(p.clock(at), dgram) }, delay)
 	r.Join(1, p.sink, rev)
 	return p
 }
+
+// clock reads the sender host's clock at net time now.
+func (p *linkPair) clock(now units.Time) units.Time { return now.Add(p.skew) }
 
 // sendReports feeds count reports through the sender, one per spacing
 // step, with virtual time advancing alongside.
@@ -108,12 +116,12 @@ func (p *linkPair) sendReports(count int, spacing units.Duration) []units.Time {
 	for sent < count {
 		p.net.run(p.net.now.Add(spacing), spacing, func(now units.Time) {
 			rep := testReport(sent)
-			rep.Time = now
+			rep.Time = p.clock(now)
 			times[sent] = now
 			p.s.Report(&rep)
 			sent++
-			p.s.BatchEnd(now)
-			p.s.Tick(now)
+			p.s.BatchEnd(p.clock(now))
+			p.s.Tick(p.clock(now))
 			p.r.Tick(now)
 		})
 	}
@@ -124,7 +132,7 @@ func (p *linkPair) sendReports(count int, spacing units.Duration) []units.Time {
 func (p *linkPair) settle(d units.Duration) {
 	const step = 50 * units.Microsecond
 	p.net.run(p.net.now.Add(d), step, func(now units.Time) {
-		p.s.Tick(now)
+		p.s.Tick(p.clock(now))
 		p.r.Tick(now)
 	})
 }
@@ -145,8 +153,7 @@ func TestLinkLossRecovery(t *testing.T) {
 	sched := faults.NewSchedule(faults.Rule{
 		Kind: faults.KindLoss, From: 0, To: faults.Forever, Prob: 0.25,
 	})
-	p := newLinkPair(t, SenderConfig{MaxRecords: 4, Heartbeat: 500 * units.Microsecond},
-		ReceiverConfig{}, sched, 42)
+	p := newLinkPair(t, 0, ReceiverConfig{}, sched, 42)
 	const n = 300
 	p.sendReports(n, 50*units.Microsecond)
 	p.settle(30 * units.Millisecond)
@@ -190,8 +197,7 @@ func TestLinkDupReorderCorrupt(t *testing.T) {
 		faults.Rule{Kind: faults.KindReorder, From: 0, To: faults.Forever, Prob: 0.2},
 		faults.Rule{Kind: faults.KindCorrupt, From: 0, To: faults.Forever, Prob: 0.1},
 	)
-	p := newLinkPair(t, SenderConfig{MaxRecords: 3, Heartbeat: 500 * units.Microsecond},
-		ReceiverConfig{}, sched, 7)
+	p := newLinkPair(t, 0, ReceiverConfig{}, sched, 7)
 	const n = 200
 	p.sendReports(n, 50*units.Microsecond)
 	p.settle(30 * units.Millisecond)
@@ -218,10 +224,7 @@ func TestLinkDupReorderCorrupt(t *testing.T) {
 // stamp equals the true report time.
 func TestLinkClockSyncCancelsSkew(t *testing.T) {
 	const skew = 1500 * units.Microsecond
-	p := newLinkPair(t, SenderConfig{
-		MaxRecords: 4, Heartbeat: 500 * units.Microsecond,
-		ClockSkew: func(units.Time) units.Duration { return skew },
-	}, ReceiverConfig{}, nil, 1)
+	p := newLinkPair(t, skew, ReceiverConfig{}, nil, 1)
 	const n = 100
 	times := p.sendReports(n, 50*units.Microsecond)
 	p.settle(10 * units.Millisecond)
@@ -248,18 +251,17 @@ func TestLinkClockSyncCancelsSkew(t *testing.T) {
 }
 
 // TestLinkSyncTimeoutSendsUncorrected kills the reverse channel: the
-// sender can never sync, so after SyncTimeout it gives up the gate and
+// sender can never sync, so after syncTimeout it gives up the gate and
 // ships records on its raw (skewed) clock rather than holding forever.
 func TestLinkSyncTimeoutSendsUncorrected(t *testing.T) {
+	const skew = 300 * units.Microsecond
 	n := &linkNet{}
 	r := NewReceiver(ReceiverConfig{})
 	sink := &recordingSink{}
 	fwd := n.channel(r.HandleDatagram, 20*units.Microsecond)
-	s := NewSender(fwd, SenderConfig{
-		Vantage: 1, MaxRecords: 4,
-		Heartbeat: 500 * units.Microsecond, SyncTimeout: 2 * units.Millisecond,
-		ClockSkew: func(units.Time) units.Duration { return 300 * units.Microsecond },
-	})
+	s := NewSender(ChannelFunc(func(now units.Time, dgram []byte) error {
+		return fwd.Send(now.Add(-skew), dgram)
+	}), SenderConfig{Vantage: 1})
 	// Reverse channel: a black hole.
 	r.Join(1, sink, ChannelFunc(func(units.Time, []byte) error { return nil }))
 
@@ -268,12 +270,12 @@ func TestLinkSyncTimeoutSendsUncorrected(t *testing.T) {
 	n.run(units.Time(10*units.Millisecond), 50*units.Microsecond, func(now units.Time) {
 		if sent < count {
 			rep := testReport(sent)
-			rep.Time = now
+			rep.Time = now.Add(skew)
 			s.Report(&rep)
 			sent++
-			s.BatchEnd(now)
+			s.BatchEnd(now.Add(skew))
 		}
-		s.Tick(now)
+		s.Tick(now.Add(skew))
 		r.Tick(now)
 	})
 	r.Drain()
@@ -292,15 +294,18 @@ func TestLinkSyncTimeoutSendsUncorrected(t *testing.T) {
 // blocking ingest, and the shed frames remain NACK-recoverable from
 // the retransmit ring — complete but delayed.
 func TestLinkShedOldestUnderOverload(t *testing.T) {
-	p := newLinkPair(t, SenderConfig{
-		MaxRecords: 2, QueueFrames: 4, RingFrames: 256,
-		Heartbeat: 500 * units.Microsecond, NoSyncGate: true,
-	}, ReceiverConfig{}, nil, 3)
-	// One giant batch: 100 records = 50 frames committed before the
-	// BatchEnd pump runs, against a 4-frame queue.
-	const n = 100
-	now := units.Time(units.Millisecond)
-	p.net.now = now
+	p := newLinkPair(t, 0, ReceiverConfig{}, nil, 3)
+	// Sync first, so the burst is encoded at once rather than held for
+	// the clock exchange.
+	p.settle(units.Millisecond)
+	if _, ok := p.s.Offset(); !ok {
+		t.Fatal("sender not synced before the burst")
+	}
+	// One giant batch: 300 frames of maxRecords committed before the
+	// BatchEnd pump runs, against a queue of queueFrames (256) and a
+	// ring of ringFrames (512).
+	const n = 300 * maxRecords
+	now := p.net.now
 	for i := 0; i < n; i++ {
 		rep := testReport(i)
 		rep.Time = now
@@ -324,11 +329,11 @@ func TestLinkShedOldestUnderOverload(t *testing.T) {
 }
 
 // TestLinkAbandonAfterNackBudget black-holes one specific sequence
-// number forever: the receiver NACKs it NackAttempts times, then
+// number forever: the receiver NACKs it nackAttempts times, then
 // abandons the head-of-line gap and the stream flows on without it.
 func TestLinkAbandonAfterNackBudget(t *testing.T) {
 	n := &linkNet{}
-	r := NewReceiver(ReceiverConfig{NackAttempts: 3, NackBackoff: 100 * units.Microsecond})
+	r := NewReceiver(ReceiverConfig{})
 	sink := &recordingSink{}
 	const doomedSeq = 5
 	fwd := n.channel(r.HandleDatagram, 20*units.Microsecond)
@@ -338,15 +343,16 @@ func TestLinkAbandonAfterNackBudget(t *testing.T) {
 		}
 		return fwd.Send(now, dgram)
 	})
-	s := NewSender(drop, SenderConfig{
-		Vantage: 1, MaxRecords: 1, Heartbeat: 400 * units.Microsecond, NoSyncGate: true,
-	})
+	s := NewSender(drop, SenderConfig{Vantage: 1})
 	var rev Channel = n.channel(s.HandleControl, 20*units.Microsecond)
 	r.Join(1, sink, rev)
 
+	// The head-of-line gap's NACKs back off from nackBackoff, doubling to
+	// 64×: its nackAttempts NACKs and the wait after the last take some
+	// 100 ms.
 	const count = 30
 	sent := 0
-	n.run(units.Time(30*units.Millisecond), 50*units.Microsecond, func(now units.Time) {
+	n.run(units.Time(150*units.Millisecond), 50*units.Microsecond, func(now units.Time) {
 		if sent < count {
 			rep := testReport(sent)
 			rep.Time = now
@@ -364,8 +370,8 @@ func TestLinkAbandonAfterNackBudget(t *testing.T) {
 		t.Fatalf("receiver stuck: %d gaps after abandonment", r.OutstandingGaps())
 	}
 	r.Drain()
-	// Exactly the doomed frame's records are missing. With MaxRecords=1
-	// and a heartbeat interleaved, find which report died by set diff.
+	// Exactly the doomed frame's records are missing: every batch is one
+	// report, so each Data frame carries one record.
 	if len(sink.recs) >= count {
 		t.Fatalf("delivered %d records; expected the doomed frame's record lost", len(sink.recs))
 	}
@@ -387,8 +393,7 @@ func TestLinkAbandonAfterNackBudget(t *testing.T) {
 // closes the reporter, and exits; the plane-side consumer still has to
 // see the final sub-window of records.
 func TestLinkQuiesceDrainsTail(t *testing.T) {
-	p := newLinkPair(t, SenderConfig{MaxRecords: 4, Heartbeat: 500 * units.Microsecond},
-		ReceiverConfig{HoldTimeout: units.Millisecond}, nil, 1)
+	p := newLinkPair(t, 0, ReceiverConfig{HoldTimeout: units.Millisecond}, nil, 1)
 	const n = 50
 	p.sendReports(n, 50*units.Microsecond)
 	// Flush the sender's partial frame, then silence: receiver-only
@@ -427,9 +432,7 @@ func TestLinkPartitionExcludesAndHeals(t *testing.T) {
 			})
 		}
 		gate := NewFaultGate(n.channel(r.HandleDatagram, delay), sched, int64(v+1))
-		senders[v] = NewSender(gate, SenderConfig{
-			Vantage: uint16(v + 1), MaxRecords: 2, Heartbeat: 500 * units.Microsecond,
-		})
+		senders[v] = NewSender(gate, SenderConfig{Vantage: uint16(v + 1)})
 		r.Join(uint16(v+1), sinks[v], n.channel(senders[v].HandleControl, delay))
 	}
 
@@ -497,8 +500,7 @@ func TestLinkRejoinDeliversInSequence(t *testing.T) {
 	sched := faults.NewSchedule(faults.Rule{
 		Kind: faults.KindLoss, From: 0, To: faults.Forever, Prob: 0.2,
 	})
-	p := newLinkPair(t, SenderConfig{MaxRecords: 2, Heartbeat: 500 * units.Microsecond},
-		ReceiverConfig{}, sched, 11)
+	p := newLinkPair(t, 0, ReceiverConfig{}, sched, 11)
 	const n = 40
 	sent := 0
 	p.net.run(units.Time(10*units.Millisecond), 50*units.Microsecond, func(now units.Time) {
@@ -545,9 +547,7 @@ func TestLinkUDPLoopback(t *testing.T) {
 	const perVantage = 200
 	txs := [2]*UDPSender{}
 	for v := 0; v < 2; v++ {
-		u, err := DialUDPSender(rx.Addr(), SenderConfig{
-			Vantage: uint16(v + 1), MaxRecords: 8, Heartbeat: 2 * units.Millisecond,
-		}, nil, units.Millisecond, nil)
+		u, err := DialUDPSender(rx.Addr(), SenderConfig{Vantage: uint16(v + 1)}, nil, units.Millisecond, nil)
 		if err != nil {
 			t.Fatalf("dial %d: %v", v, err)
 		}
@@ -618,19 +618,16 @@ func TestLinkClockFilter(t *testing.T) {
 	s := NewSender(ChannelFunc(func(_ units.Time, dgram []byte) error {
 		lastFrame = append(lastFrame[:0], dgram...)
 		return nil
-	}), SenderConfig{
-		Vantage: 1, Heartbeat: units.Microsecond,
-		ClockSkew: func(units.Time) units.Duration { return skew },
-	})
+	}), SenderConfig{Vantage: 1})
 	now := units.Time(units.Millisecond)
 	var reply []byte
-	// exchange sends a heartbeat at now, has the receiver (whose clock is
-	// true time) see it fwd later and reply at once, and delivers the
-	// reply back later still.
+	// exchange sends a heartbeat at now, read skew ahead on the sender's
+	// clock, has the receiver (whose clock is true time) see it fwd
+	// later and reply at once, and delivers the reply back later still.
 	exchange := func(fwd, back units.Duration) units.Duration {
 		t.Helper()
 		now = now.Add(units.Millisecond)
-		s.Tick(now)
+		s.Tick(now.Add(skew))
 		h, _, err := ParseFrame(lastFrame)
 		if err != nil || h.Type != FrameHeartbeat {
 			t.Fatalf("tick sent no heartbeat: %+v, %v", h, err)
@@ -639,7 +636,7 @@ func TestLinkClockFilter(t *testing.T) {
 		reply = AppendHeader(reply[:0], Header{Type: FrameSync, Vantage: 1, Time: at})
 		reply = AppendSync(reply, h.Time, at, at)
 		FinishFrame(reply)
-		s.HandleControl(at.Add(back), reply)
+		s.HandleControl(at.Add(back).Add(skew), reply)
 		off, _ := s.Offset()
 		return off
 	}
@@ -676,12 +673,12 @@ func TestLinkClockFilter(t *testing.T) {
 func TestLinkReleaseAtWatermark(t *testing.T) {
 	r := NewReceiver(ReceiverConfig{})
 	sink := &recordingSink{} // shared: recs is the global delivery order
-	blackHole := ChannelFunc(func(units.Time, []byte) error { return nil })
 	toReceiver := ChannelFunc(func(now units.Time, d []byte) error { r.HandleDatagram(now, d); return nil })
 	var snd [2]*Sender
 	for i := range snd {
-		snd[i] = NewSender(toReceiver, SenderConfig{Vantage: uint16(i + 1), NoSyncGate: true})
-		r.Join(uint16(i+1), sink, blackHole)
+		snd[i] = NewSender(toReceiver, SenderConfig{Vantage: uint16(i + 1)})
+		r.Join(uint16(i+1), sink, toSender(snd[i]))
+		syncAtZero(t, snd[i])
 	}
 	// report sends one single-record frame from vantage v stamped at;
 	// the record's Epoch carries v so deliveries can be told apart.
@@ -727,8 +724,9 @@ func TestLinkReleaseAtWatermark(t *testing.T) {
 	solo := NewReceiver(ReceiverConfig{})
 	soloSink := &recordingSink{}
 	s := NewSender(ChannelFunc(func(now units.Time, d []byte) error { solo.HandleDatagram(now, d); return nil }),
-		SenderConfig{Vantage: 1, NoSyncGate: true})
-	solo.Join(1, soloSink, blackHole)
+		SenderConfig{Vantage: 1})
+	solo.Join(1, soloSink, toSender(s))
+	syncAtZero(t, s)
 	for i := 0; i < 3; i++ {
 		rep := testReport(i)
 		rep.Time = units.Time(200 + i)
@@ -737,5 +735,21 @@ func TestLinkReleaseAtWatermark(t *testing.T) {
 	s.BatchEnd(202)
 	if len(soloSink.recs) != 3 {
 		t.Fatalf("one vantage: %d of a frame's 3 records delivered on its arrival; the last must not wait for the next frame", len(soloSink.recs))
+	}
+}
+
+// toSender is a reverse channel that hands every reply to s at once.
+func toSender(s *Sender) Channel {
+	return ChannelFunc(func(now units.Time, d []byte) error { s.HandleControl(now, d); return nil })
+}
+
+// syncAtZero ticks s at time 0 over a link that answers at once: its
+// first heartbeat, unsynced, gets a sync reply showing no offset, so
+// every later stamp is final.
+func syncAtZero(t *testing.T, s *Sender) {
+	t.Helper()
+	s.Tick(0)
+	if off, ok := s.Offset(); !ok || off != 0 {
+		t.Fatalf("sender not synced at zero offset: %v, %v", off, ok)
 	}
 }

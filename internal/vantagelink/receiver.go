@@ -24,28 +24,30 @@ type ReportSink interface {
 // fill the gap for free.
 const NackAfter = 100 * units.Microsecond
 
-// ReceiverConfig tunes the plane-side half of the link. Zero values
-// take the defaults below.
-type ReceiverConfig struct {
-	// NackBackoff is the spacing between repeated NACKs of the same
-	// gap. The head-of-line gap doubles it per attempt (capped at
-	// 64×); deeper gaps re-NACK at this flat pacing, since a
-	// backlogged sender services them oldest-first a queueful at a
-	// time. Default 300 µs.
-	NackBackoff units.Duration
-	// NackAttempts bounds how many NACKs the head-of-line gap gets
+// The receiver's fixed NACK pacing and buffer bound.
+const (
+	// nackBackoff is the spacing between repeated NACKs of the same
+	// gap. The head-of-line gap doubles it per attempt (capped at 64×);
+	// deeper gaps re-NACK at this flat pacing, since a backlogged sender
+	// services them oldest-first a queueful at a time.
+	nackBackoff = 300 * units.Microsecond
+	// nackAttempts bounds how many NACKs the head-of-line gap gets
 	// before the receiver abandons it (frame declared lost, sequence
-	// skipped). Default 10.
-	NackAttempts int
+	// skipped).
+	nackAttempts = 10
+	// maxBuffered bounds the per-vantage out-of-order frame buffer;
+	// overflowing frames are dropped and recovered later via NACK.
+	maxBuffered = 1024
+)
+
+// ReceiverConfig tunes the plane-side half of the link. A zero
+// HoldTimeout takes the default below.
+type ReceiverConfig struct {
 	// HoldTimeout is how long a silent vantage may hold back the merge
 	// watermark before it is excluded (partitioned or dead — the rest
 	// of the fleet must keep flowing). An excluded vantage rejoins the
 	// watermark on its next frame. Default 2 ms.
 	HoldTimeout units.Duration
-	// MaxBuffered bounds the per-vantage out-of-order frame buffer;
-	// overflowing frames are dropped and recovered later via NACK.
-	// Default 1024.
-	MaxBuffered int
 
 	// Metrics, when non-nil, receives the receiver's planck_link_rx_*
 	// instruments.
@@ -53,17 +55,8 @@ type ReceiverConfig struct {
 }
 
 func (c ReceiverConfig) withDefaults() ReceiverConfig {
-	if c.NackBackoff == 0 {
-		c.NackBackoff = 300 * units.Microsecond
-	}
-	if c.NackAttempts == 0 {
-		c.NackAttempts = 10
-	}
 	if c.HoldTimeout == 0 {
 		c.HoldTimeout = 2 * units.Millisecond
-	}
-	if c.MaxBuffered == 0 {
-		c.MaxBuffered = 1024
 	}
 	return c
 }
@@ -261,7 +254,7 @@ func (r *Receiver) HandleDatagram(now units.Time, dgram []byte) {
 			r.met.dupFrames.IncRelaxed()
 			break
 		}
-		if _, isGap := v.gaps[h.Seq]; !isGap && len(v.buffered) >= r.cfg.MaxBuffered {
+		if _, isGap := v.gaps[h.Seq]; !isGap && len(v.buffered) >= maxBuffered {
 			// Drop far-ahead frames; the gap machinery re-fetches them
 			// once there is room. A frame filling a registered gap is
 			// exempt from the cap: it is a resend we NACKed for, and
@@ -476,12 +469,12 @@ func (r *Receiver) nackDue(v *rxVantage, now units.Time) {
 			// delivery, and the only one eligible for abandonment —
 			// pays exponential backoff and attempt accounting.
 			g.attempts++
-			g.nextNack = now.Add(r.cfg.NackBackoff << uint(min(g.attempts-1, 6)))
+			g.nextNack = now.Add(nackBackoff << uint(min(g.attempts-1, 6)))
 		} else {
 			// Deeper gaps re-NACK at flat pacing: a backlogged sender
 			// services resends oldest-first a queueful at a time, and
 			// punishing the queue wait with backoff would starve it.
-			g.nextNack = now.Add(r.cfg.NackBackoff)
+			g.nextNack = now.Add(nackBackoff)
 		}
 	}
 }
@@ -494,7 +487,7 @@ func (r *Receiver) nackDue(v *rxVantage, now units.Time) {
 func (r *Receiver) abandonHead(v *rxVantage) {
 	for {
 		g, ok := v.gaps[v.nextSeq]
-		if !ok || g.attempts <= r.cfg.NackAttempts {
+		if !ok || g.attempts <= nackAttempts {
 			return
 		}
 		delete(v.gaps, v.nextSeq)

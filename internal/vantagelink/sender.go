@@ -10,8 +10,8 @@ import (
 // frame; it doubles per retransmit (capped at 64×).
 const ResendBackoff = 200 * units.Microsecond
 
-// SenderConfig tunes one vantage's sending half of the link. Zero
-// values take the defaults below.
+// SenderConfig names one vantage's sending half of the link and sizes
+// its retransmit ring.
 type SenderConfig struct {
 	// Vantage is the wire identity stamped on every frame — the plane
 	// vantage id the receiver delivers to.
@@ -19,52 +19,34 @@ type SenderConfig struct {
 	// SwitchName labels the sender's metrics.
 	SwitchName string
 
-	// MaxRecords is the Data-frame batch size. Default 24 keeps the
-	// frame (28 + 24·48 = 1180 bytes) under a 1500-byte MTU.
-	MaxRecords int
-	// Heartbeat is the idle-liveness and clock-sync cadence. Default 1 ms.
-	Heartbeat units.Duration
-	// RingFrames sizes the retransmit ring (power of two rounded up).
-	// Default 512 frames ≈ 12k records of NACK-recoverable history.
+	// RingFrames sizes the retransmit ring. Zero takes 512 frames ≈ 12k
+	// records of NACK-recoverable history.
 	RingFrames int
-	// QueueFrames bounds the pending-send queue. When a burst exceeds
-	// it, the oldest queued frame is shed (counted, still
-	// NACK-recoverable from the ring) — ingest is never blocked.
-	// Default 256.
-	QueueFrames int
-	// SyncTimeout bounds how long early records wait for the first
-	// clock-sync exchange before going out uncorrected. Default 5 ms.
-	SyncTimeout units.Duration
-	// NoSyncGate disables holding early records for the first sync —
-	// for unit tests without a reverse channel.
-	NoSyncGate bool
-
-	// ClockSkew, when non-nil, models the sender host's clock error:
-	// every stamped timestamp becomes t + ClockSkew(t). The clock-sync
-	// exchange then estimates and cancels exactly this offset. Wire it
-	// to a faults.Schedule's Skew for chaos runs.
-	ClockSkew func(now units.Time) units.Duration
 
 	// Metrics, when non-nil, receives the sender's planck_link_tx_*
 	// instruments, labelled with SwitchName.
 	Metrics *obs.Registry
 }
 
+// The sender's fixed sizing and timing.
+const (
+	// maxRecords is the Data-frame batch size: 28 + 24·48 = 1180 bytes
+	// keeps a frame under a 1500-byte MTU.
+	maxRecords = 24
+	// heartbeatEvery is the idle-liveness and clock-sync cadence.
+	heartbeatEvery = units.Millisecond
+	// queueFrames bounds the pending-send queue. When a burst exceeds
+	// it, the oldest queued frame is shed (counted, still
+	// NACK-recoverable from the ring) — ingest is never blocked.
+	queueFrames = 256
+	// syncTimeout bounds how long early records wait for the first
+	// clock-sync exchange before going out uncorrected.
+	syncTimeout = 5 * units.Millisecond
+)
+
 func (c SenderConfig) withDefaults() SenderConfig {
-	if c.MaxRecords == 0 {
-		c.MaxRecords = 24
-	}
-	if c.Heartbeat == 0 {
-		c.Heartbeat = units.Millisecond
-	}
 	if c.RingFrames == 0 {
 		c.RingFrames = 512
-	}
-	if c.QueueFrames == 0 {
-		c.QueueFrames = 256
-	}
-	if c.SyncTimeout == 0 {
-		c.SyncTimeout = 5 * units.Millisecond
 	}
 	return c
 }
@@ -190,7 +172,7 @@ func NewSender(ch Channel, cfg SenderConfig) *Sender {
 		cfg:       cfg,
 		ch:        ch,
 		ring:      make([]ringSlot, cfg.RingFrames),
-		queue:     make([]uint64, cfg.QueueFrames),
+		queue:     make([]uint64, queueFrames),
 		lastHB:    -1 << 62,
 		lastStamp: -1 << 62,
 		awaitSync: -1 << 62,
@@ -232,31 +214,21 @@ func (s *Sender) RecordsSent() int64 { return s.met.records.Value() }
 
 // gated reports whether records are being held for the first sync.
 func (s *Sender) gated() bool {
-	return !s.cfg.NoSyncGate && !s.haveOffset && !s.syncGiveUp
-}
-
-// senderClock returns the host's (possibly skewed) reading of t.
-func (s *Sender) senderClock(t units.Time) units.Time {
-	if s.cfg.ClockSkew != nil {
-		return t.Add(s.cfg.ClockSkew(t))
-	}
-	return t
+	return !s.haveOffset && !s.syncGiveUp
 }
 
 // stampFinal reports whether stamps are on the sender's final clock:
-// corrected by a sync exchange, knowingly uncorrected after a sync
-// timeout, or never to be corrected at all. Only final stamps anchor
-// the monotone clamp — a pre-sync heartbeat's raw stamp must not
-// drag later corrected stamps upward.
-func (s *Sender) stampFinal() bool {
-	return s.haveOffset || s.syncGiveUp || s.cfg.NoSyncGate
-}
+// corrected by a sync exchange, or knowingly uncorrected after a sync
+// timeout. Only final stamps anchor the monotone clamp — a pre-sync
+// heartbeat's raw stamp must not drag later corrected stamps upward.
+func (s *Sender) stampFinal() bool { return !s.gated() }
 
-// stamp converts a local event time into the wire timestamp: the
-// skewed host clock plus the sync correction, clamped monotone so an
-// offset update can never make the stream step backwards.
+// stamp converts a local event time — a reading of the host's own,
+// possibly skewed, clock — into the wire timestamp by adding the sync
+// correction, clamped monotone so an offset update can never make the
+// stream step backwards.
 func (s *Sender) stamp(t units.Time) units.Time {
-	st := s.senderClock(t)
+	st := t
 	if s.haveOffset {
 		st = st.Add(s.offset)
 	} else {
@@ -278,13 +250,13 @@ func (s *Sender) noteNow(now units.Time) {
 }
 
 // Report implements core.AggregationSink: encode one sample into the
-// Data frame under construction, flushing at MaxRecords. Pre-sync (if
-// gated) the record is held raw so the first offset can correct its
-// stamp retroactively.
+// Data frame under construction, flushing at maxRecords. Pre-sync the
+// record is held raw so the first offset can correct its stamp
+// retroactively.
 func (s *Sender) Report(rep *core.FlowReport) {
 	s.noteNow(rep.Time)
 	if s.gated() {
-		if max := s.cfg.QueueFrames * s.cfg.MaxRecords; len(s.pending) >= max {
+		if len(s.pending) >= queueFrames*maxRecords {
 			// Shed oldest-first, same policy as the frame queue.
 			copy(s.pending, s.pending[1:])
 			s.pending = s.pending[:len(s.pending)-1]
@@ -333,13 +305,13 @@ func (s *Sender) Tick(now units.Time) {
 		s.ticked = true
 		s.firstTick = now
 	}
-	if s.gated() && now.Sub(s.firstTick) > s.cfg.SyncTimeout {
+	if s.gated() && now.Sub(s.firstTick) > syncTimeout {
 		// No sync reply in time (dead reverse path?): stop holding
 		// records, send them uncorrected.
 		s.syncGiveUp = true
 		s.drainPending()
 	}
-	if now.Sub(s.lastHB) >= s.cfg.Heartbeat {
+	if now.Sub(s.lastHB) >= heartbeatEvery {
 		s.lastHB = now
 		s.heartbeat(now)
 	}
@@ -370,7 +342,7 @@ func (s *Sender) heartbeat(now units.Time) {
 }
 
 // encodeRecord appends one stamped record to the frame under
-// construction, flushing when it reaches MaxRecords.
+// construction, flushing when it reaches maxRecords.
 func (s *Sender) encodeRecord(rep *core.FlowReport) {
 	if s.curRecords == 0 {
 		s.cur = AppendHeader(s.cur[:0], Header{Type: FrameData, Vantage: s.cfg.Vantage})
@@ -382,7 +354,7 @@ func (s *Sender) encodeRecord(rep *core.FlowReport) {
 	s.curRecords++
 	s.curLast = st
 	s.met.records.IncRelaxed()
-	if s.curRecords >= s.cfg.MaxRecords {
+	if s.curRecords >= maxRecords {
 		s.flushData()
 	}
 }
@@ -554,7 +526,7 @@ func (s *Sender) handleSync(now units.Time, payload []byte) {
 		return // stale or duplicated reply; only the newest heartbeat's counts
 	}
 	s.awaitSync = -1 << 62
-	t4 := s.senderClock(now).Add(s.offset)
+	t4 := now.Add(s.offset)
 	theta := (t2.Sub(t1) + t3.Sub(t4)) / 2
 	rtt := t4.Sub(t1) - t3.Sub(t2)
 	if rtt < 0 {

@@ -63,8 +63,8 @@ type UDPSender struct {
 }
 
 // DialUDPSender connects to the receiver at raddr and starts the
-// reader and ticker goroutines. tick is the Tick cadence (heartbeat
-// cadence still comes from cfg.Heartbeat); 0 means 250 µs. wrap, when
+// reader and ticker goroutines. tick is the Tick cadence (heartbeats
+// still go out once a millisecond); 0 means 250 µs. wrap, when
 // non-nil, interposes on the outbound channel — e.g. a FaultGate that
 // injects loss for resilience smokes over a real socket.
 func DialUDPSender(raddr string, cfg SenderConfig, clock *WallClock, tick units.Duration, wrap func(Channel) Channel) (*UDPSender, error) {

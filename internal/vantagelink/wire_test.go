@@ -256,7 +256,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		r.HandleDatagram(units.Time(units.Millisecond), data)
 		r.Tick(units.Time(2 * units.Millisecond))
 		s := NewSender(ChannelFunc(func(units.Time, []byte) error { return nil }),
-			SenderConfig{Vantage: 1, NoSyncGate: true})
+			SenderConfig{Vantage: 1})
 		s.HandleControl(units.Time(units.Millisecond), data)
 	})
 }

@@ -115,6 +115,32 @@ func TestFacadeFaultWrap(t *testing.T) {
 	}
 }
 
+// TestFacadeFaultWrapReleasesHeldFrame: a reorder rule holds a frame
+// back until its successor, but a hold must not outlive the IngestBatch
+// call that took it, so a one-frame batch still reaches the collector.
+func TestFacadeFaultWrapReleasesHeldFrame(t *testing.T) {
+	sched, err := ParseFaultSpec("reorder:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := NewCollector(CollectorConfig{SwitchName: "faulty", LinkRate: 10 * Gbps})
+	fi := WrapFaults(col, sched, 1)
+	frame := packetpkg.BuildTCP(nil, packetpkg.TCPSpec{
+		SrcMAC: packetpkg.MAC{2, 0, 0, 0, 0, 1}, DstMAC: packetpkg.MAC{2, 0, 0, 0, 0, 2},
+		SrcIP: packetpkg.IPv4{10, 0, 0, 1}, DstIP: packetpkg.IPv4{10, 0, 0, 2},
+		SrcPort: 1000, DstPort: 2000, Seq: 0, Flags: packetpkg.TCPAck, PayloadLen: 100,
+	})
+	if err := fi.IngestBatch([]Time{1000}, [][]byte{frame}); err != nil {
+		t.Fatal(err)
+	}
+	if got := fi.Injector().Metrics().Reordered.Value(); got != 1 {
+		t.Fatalf("reorder rule held %d frames, want 1", got)
+	}
+	if got := col.Stats().Samples; got != 1 {
+		t.Fatalf("collector ingested %d samples of a one-frame batch, want 1: the held frame was lost", got)
+	}
+}
+
 func TestSampleEncoding(t *testing.T) {
 	frame := []byte{1, 2, 3, 4, 5}
 	d := EncodeSample(nil, Time(123456789), frame)
