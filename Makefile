@@ -5,7 +5,7 @@ GO ?= go
 # offline machines with a cold cache.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build vet fmt-check inline-check alloc-check surface-check test race race-fast fuzz-smoke chaos-smoke trace-smoke fleet-smoke link-smoke governor-smoke soak-reorder staticcheck check bench-spine clean
+.PHONY: all build vet fmt-check inline-check alloc-check surface-check test race race-fast fuzz-smoke chaos-smoke trace-smoke fleet-smoke link-smoke governor-smoke examples-smoke soak-reorder staticcheck check bench-spine clean
 
 all: check
 
@@ -102,6 +102,20 @@ link-smoke: vet
 governor-smoke: vet
 	$(GO) run ./cmd/planck-sim -size 20MiB -seed 1 -govern-min 1 > /dev/null
 
+# examples-smoke builds and runs each examples/ program from a scratch
+# directory (vantagepoint writes vantage.pcap into its working
+# directory) and fails on a nonzero exit or an empty stdout. trafficeng
+# takes about 70 s, the others a few seconds each.
+examples-smoke: vet
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	for dir in examples/*/; do \
+		ex=$$(basename "$$dir"); \
+		$(GO) build -o "$$tmp/$$ex" "./$$dir" || exit 1; \
+		out=$$(cd "$$tmp" && "./$$ex") || { echo "$$out"; echo "examples-smoke: $$ex exited nonzero"; exit 1; }; \
+		[ -n "$$out" ] || { echo "examples-smoke: $$ex printed nothing"; exit 1; }; \
+		echo "examples-smoke: $$ex ok"; \
+	done
+
 # soak-reorder replays the fleet capture through the transport with
 # per-vantage clock skew of several ms either way and checks the merged
 # stream stays bit-identical to the unskewed in-process oracle (plus a
@@ -154,7 +168,7 @@ surface-check: vet
 # check is the tier-1 gate: everything must compile, vet clean, lint
 # clean (where staticcheck is available), pass, and run every gated
 # spine workload with its oracles.
-check: vet fmt-check inline-check alloc-check surface-check build test race-fast staticcheck trace-smoke fleet-smoke link-smoke governor-smoke soak-reorder bench-spine
+check: vet fmt-check inline-check alloc-check surface-check build test race-fast staticcheck trace-smoke fleet-smoke link-smoke governor-smoke examples-smoke soak-reorder bench-spine
 
 # bench-spine runs the benchmark spine (bench/README.md): its own tests
 # (metric names against BENCHMARK.json, a smoke of all four workloads),

@@ -102,9 +102,7 @@ func main() {
 		if tracer != nil {
 			opts.TraceDump = os.Stderr
 		}
-		if *governFlag {
-			opts.Govern = experiments.GovernorProfile()
-		}
+		opts.Govern = *governFlag
 		opts.Supervise = supervised
 	})
 	if err != nil {

@@ -5,27 +5,10 @@ import (
 	"math"
 
 	"planck/internal/governor"
-	"planck/internal/sflow"
 	"planck/internal/sim"
 	"planck/internal/topo"
 	"planck/internal/units"
 )
-
-// GovernorProfile is the sampling-rate governor configuration the
-// tools and experiments share: a software-sampler estimator feed (the
-// paper's 300 samples/s hardware cap is useless at millisecond scale),
-// a saturation threshold above the 2:1 operating point so episodes
-// trigger decisively, and a shed fraction wide enough to classify
-// ACK-only return ports as low-value.
-func GovernorProfile() *governor.Config {
-	return &governor.Config{
-		SaturationThreshold: 0.6,
-		ShedFraction:        0.1,
-		Estimator: governor.EstimatorConfig{
-			SFlow: sflow.Config{SampleRate: 64, ControlPlaneCap: 200000},
-		},
-	}
-}
 
 // GovAccuracyPoint is one mirror-load regime of the estimation sweep.
 type GovAccuracyPoint struct {
@@ -75,7 +58,7 @@ func govAccuracyRun(k int, duration units.Duration, seed int64) GovAccuracyPoint
 	l := mustLab(microLabOptions(SwitchG8264, 2*k, false, seed))
 	sw := l.Switches[0]
 
-	est := governor.NewRateEstimator(GovernorProfile().Estimator, sw.NumPorts())
+	est := governor.NewRateEstimator(sw.NumPorts())
 	mon := sw.MonitorPort()
 	sim.NewTicker(l.Eng, 500*units.Microsecond, func(now units.Time) {
 		for p := 0; p < sw.NumPorts(); p++ {
@@ -149,7 +132,7 @@ type GovEpisodeResult struct {
 // ACK-only return ports are shed and later restored.
 func GovernorEpisode(seed int64) GovEpisodeResult {
 	opts := microLabOptions(SwitchG8264, 4, false, seed)
-	opts.Govern = GovernorProfile()
+	opts.Govern = true
 	l := mustLab(opts)
 
 	mustFlow := func(src, dst int, id int32) {

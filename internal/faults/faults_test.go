@@ -169,6 +169,42 @@ func TestInjectorReorderSwapsAndRegresses(t *testing.T) {
 	}
 }
 
+// TestInjectorReorderReleasedInOrderIsNotCounted: a hold released by a
+// lost successor or by Flush goes out in order, so it delivers the held
+// frame but does not count as reordered.
+func TestInjectorReorderReleasedInOrderIsNotCounted(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		release func(in *Injector, deliver func(units.Time, []byte, bool))
+	}{
+		{"loss", func(in *Injector, deliver func(units.Time, []byte, bool)) {
+			in.Apply(ms(2), []byte{2}, deliver) // lost: releases frame 1
+		}},
+		{"flush", func(in *Injector, deliver func(units.Time, []byte, bool)) {
+			in.Flush(deliver)
+		}},
+	} {
+		sched := NewSchedule(
+			Rule{Kind: KindReorder, From: 0, To: ms(2), Prob: 1},
+			Rule{Kind: KindLoss, From: ms(2), To: Forever, Prob: 1},
+		)
+		in := NewInjector(sched, 7, nil)
+		var got []byte
+		deliver := func(_ units.Time, fr []byte, _ bool) { got = append(got, fr[0]) }
+		in.Apply(ms(1), []byte{1}, deliver) // held
+		if len(got) != 0 {
+			t.Fatalf("%s: frame 1 delivered before its release: %v", tc.name, got)
+		}
+		tc.release(in, deliver)
+		if len(got) != 1 || got[0] != 1 {
+			t.Errorf("%s: delivered %v, want the held frame 1", tc.name, got)
+		}
+		if n := in.Metrics().Reordered.Value(); n != 0 {
+			t.Errorf("%s: reordered counter = %d, want 0", tc.name, n)
+		}
+	}
+}
+
 func TestInjectorDupDeliversCopy(t *testing.T) {
 	sched := NewSchedule(Rule{Kind: KindDup, From: 0, To: Forever, Prob: 1})
 	in := NewInjector(sched, 3, nil)

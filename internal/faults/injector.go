@@ -15,7 +15,7 @@ type Metrics struct {
 	Lost       obs.Counter // frames dropped by a loss rule
 	Corrupted  obs.Counter // frames with a flipped byte
 	Duplicated obs.Counter // frames delivered twice
-	Reordered  obs.Counter // frames held back, released after their successor or at their batch's end
+	Reordered  obs.Counter // held frames released behind their successor
 	Skewed     obs.Counter // frames delivered with a shifted timestamp
 }
 
@@ -98,7 +98,6 @@ func (in *Injector) Apply(t units.Time, frame []byte, deliver func(t units.Time,
 		in.heldFrame = append(in.heldFrame[:0], frame...)
 		in.heldAt = t
 		in.holding = true
-		in.metrics.Reordered.Inc()
 		return
 	}
 
@@ -106,6 +105,11 @@ func (in *Injector) Apply(t units.Time, frame []byte, deliver func(t units.Time,
 	if in.roll(KindDup, t) {
 		in.metrics.Duplicated.Inc()
 		deliver(t, append([]byte(nil), frame...), false)
+	}
+	// Only a hold released behind its successor is out of order; one
+	// released by a loss or by Flush arrives in order.
+	if in.holding {
+		in.metrics.Reordered.Inc()
 	}
 	in.releaseHeld(deliver)
 }

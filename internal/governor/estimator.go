@@ -2,10 +2,9 @@
 // itself. Oversubscribed mirroring makes the effective per-port
 // sampling rate an emergent, load-dependent quantity (§3.1, Fig. 9) —
 // the repo measures through it everywhere, and this package is where it
-// is finally estimated online and managed. A RateEstimator
-// cross-references the switch's per-port mirror counters (admitted vs
-// tail-dropped copies — the drops ARE the sampling mechanism) against
-// an sFlow-style sampled byte stream, yielding an effective-rate
+// is finally estimated online and managed. A RateEstimator reads the
+// switch's per-port mirror counters (admitted vs tail-dropped copies —
+// the drops ARE the sampling mechanism), yielding an effective-rate
 // estimate with an attached confidence; a Governor consumes those
 // estimates and actuates mirror configuration — shedding low-value
 // ports or tuning per-port sample-rate budgets — through the same
@@ -14,10 +13,7 @@ package governor
 
 import (
 	"math"
-	"math/rand"
 
-	"planck/internal/packet"
-	"planck/internal/sflow"
 	"planck/internal/stats"
 	"planck/internal/units"
 )
@@ -29,36 +25,13 @@ const EstimatorWindow = 8 * units.Millisecond
 // split into 8 buckets so estimates age out smoothly.
 const estBuckets = 8
 
-// EstimatorConfig configures a RateEstimator.
-type EstimatorConfig struct {
-	// SFlow models the one-in-N sampled byte stream the estimator
-	// cross-references mirror counters against (default: the paper's
-	// G8264 numbers — 1-in-1024 capped at 300 samples/s).
-	SFlow sflow.Config
-	// Seed feeds the sampler's private PRNG so estimation never
-	// perturbs data-plane determinism.
-	Seed int64
-}
-
-// withDefaults fills zero fields.
-func (c EstimatorConfig) withDefaults() EstimatorConfig {
-	def := sflow.DefaultG8264()
-	if c.SFlow.SampleRate <= 0 {
-		c.SFlow.SampleRate = def.SampleRate
-	}
-	if c.SFlow.ControlPlaneCap <= 0 {
-		c.SFlow.ControlPlaneCap = def.ControlPlaneCap
-	}
-	return c
-}
+// bucketDur is the time slice one bucket covers.
+const bucketDur = EstimatorWindow / estBuckets
 
 // estBucket is one time slice of a port's estimation window. Stale
 // entries are lazily reset when their slot is reused.
 type estBucket struct {
 	id int64 // absolute bucket number
-
-	sampledBytes int64 // sFlow-selected bytes
-	sampledPkts  int64
 
 	queuedBytes int64 // mirror copies admitted to the monitor queue
 	queuedPkts  int64
@@ -82,17 +55,15 @@ type portState struct {
 // sampling-rate estimate over the window.
 type Estimate struct {
 	// Offered is the rate of traffic offered to the mirror tap: the sum
-	// of admitted and dropped copy rates while the counters move, the
-	// sFlow count-multiplied estimate when they are frozen (a shed or
-	// dead tap still carries traffic the sFlow side sees).
+	// of admitted and dropped copy rates.
 	Offered units.Rate
 	// Admitted is the rate of mirror copies that made the monitor
 	// queue; Dropped is the rate tail-dropped at the mirror allocation.
 	Admitted, Dropped units.Rate
 	// Effective is the effective sampling rate in [0,1]: the fraction
 	// of offered mirror traffic that survived to the monitor queue.
-	// 1 when nothing was offered (nothing to sample), 0 when the sFlow
-	// side sees traffic but the mirror counters are frozen.
+	// 1 when the mirror counters did not move over the window: nothing
+	// was offered to the tap, so there was nothing to sample.
 	Effective float64
 	// Samples is the packet count backing the estimate.
 	Samples int64
@@ -102,52 +73,19 @@ type Estimate struct {
 	Confidence float64
 }
 
-// RateEstimator estimates per-port effective sampling rates online. It
-// is fed from two sides: Observe offers every switched packet to the
-// sFlow-style sampler, and RecordMirrorCounters folds in the switch's
-// per-port mirror counters (the governor's polling path). All state is fixed-size per port, so
-// both update paths are allocation-free
+// RateEstimator estimates per-port effective sampling rates online from
+// the switch's per-port mirror counters, folded in by
+// RecordMirrorCounters (the governor's polling path). All state is
+// fixed-size per port, so the update is allocation-free
 // (TestEstimatorUpdatesDoNotAllocate pins this).
 type RateEstimator struct {
-	cfg       EstimatorConfig
-	bucketDur units.Duration
-	sampler   *sflow.Sampler
-	ports     []portState
-
-	// curPort routes each sFlow sample to its port: the sampler's
-	// callback has no port argument, so Observe stashes it here.
-	// Engine-goroutine only.
-	curPort int
+	ports []portState
 }
 
 // NewRateEstimator builds an estimator over a switch with the given
 // port count.
-func NewRateEstimator(cfg EstimatorConfig, numPorts int) *RateEstimator {
-	cfg = cfg.withDefaults()
-	e := &RateEstimator{
-		cfg:       cfg,
-		bucketDur: EstimatorWindow / estBuckets,
-		ports:     make([]portState, numPorts),
-	}
-	e.sampler = sflow.NewSampler(cfg.SFlow, rand.New(rand.NewSource(cfg.Seed)), e.record)
-	return e
-}
-
-// Observe offers one switched packet (egress port, flow key, wire
-// length) to the sFlow-style sampler side of the estimator.
-func (e *RateEstimator) Observe(now units.Time, outPort int, key packet.FlowKey, wireLen int) {
-	if outPort < 0 || outPort >= len(e.ports) {
-		return
-	}
-	e.curPort = outPort
-	e.sampler.Observe(now, key, wireLen)
-}
-
-// record lands one selected sample in its time bucket.
-func (e *RateEstimator) record(t units.Time, _ packet.FlowKey, wireLen int) {
-	b := e.bucket(&e.ports[e.curPort], t)
-	b.sampledBytes += int64(wireLen)
-	b.sampledPkts++
+func NewRateEstimator(numPorts int) *RateEstimator {
+	return &RateEstimator{ports: make([]portState, numPorts)}
 }
 
 // RecordMirrorCounters folds port p's cumulative mirror counters
@@ -166,7 +104,7 @@ func (e *RateEstimator) RecordMirrorCounters(now units.Time, p int, queued, drop
 		dd.Packets -= ps.lastDropped.Packets
 		dd.Bytes -= ps.lastDropped.Bytes
 		if dq.Packets > 0 || dd.Packets > 0 {
-			b := e.bucket(ps, now)
+			b := ps.bucket(now)
 			b.queuedBytes += dq.Bytes
 			b.queuedPkts += dq.Packets
 			b.dropBytes += dd.Bytes
@@ -178,8 +116,8 @@ func (e *RateEstimator) RecordMirrorCounters(now units.Time, p int, queued, drop
 }
 
 // bucket resolves (and lazily resets) the window slot for time t.
-func (e *RateEstimator) bucket(ps *portState, t units.Time) *estBucket {
-	id := int64(t) / int64(e.bucketDur)
+func (ps *portState) bucket(t units.Time) *estBucket {
+	id := int64(t) / int64(bucketDur)
 	b := &ps.ring[id%estBuckets]
 	if b.id != id {
 		*b = estBucket{id: id}
@@ -187,21 +125,23 @@ func (e *RateEstimator) bucket(ps *portState, t units.Time) *estBucket {
 	return b
 }
 
-// window sums the live buckets of port p at time now.
-func (e *RateEstimator) window(now units.Time, p int) (sum estBucket) {
-	cur := int64(now) / int64(e.bucketDur)
-	for i := range e.ports[p].ring {
-		b := &e.ports[p].ring[i]
+// window sums the port's live buckets at time now.
+func (ps *portState) window(now units.Time) (sum estBucket) {
+	cur := int64(now) / int64(bucketDur)
+	for _, b := range ps.ring {
 		if b.id > cur-estBuckets && b.id <= cur {
-			sum.sampledBytes += b.sampledBytes
-			sum.sampledPkts += b.sampledPkts
-			sum.queuedBytes += b.queuedBytes
-			sum.queuedPkts += b.queuedPkts
-			sum.dropBytes += b.dropBytes
-			sum.dropPkts += b.dropPkts
+			sum.add(b)
 		}
 	}
 	return sum
+}
+
+// add accumulates o's counts into b.
+func (b *estBucket) add(o estBucket) {
+	b.queuedBytes += o.queuedBytes
+	b.queuedPkts += o.queuedPkts
+	b.dropBytes += o.dropBytes
+	b.dropPkts += o.dropPkts
 }
 
 // confidence maps a backing sample count onto [0,1] via the §2.1 error
@@ -217,32 +157,22 @@ func confidence(n int64) float64 {
 	return c
 }
 
-// estimateFrom converts a summed window into an Estimate.
-func (e *RateEstimator) estimateFrom(w estBucket) Estimate {
-	est := Estimate{
-		Admitted: units.RateOf(w.queuedBytes, EstimatorWindow),
-		Dropped:  units.RateOf(w.dropBytes, EstimatorWindow),
-		Samples:  w.queuedPkts + w.dropPkts,
-	}
+// estimateFrom converts a summed window into an Estimate. A window whose
+// mirror counters did not move reads "nothing offered to the tap":
+// effective 1 at zero confidence, whether the port is idle or its tap
+// is shed.
+func estimateFrom(w estBucket) Estimate {
+	est := Estimate{Effective: 1}
 	offered := w.queuedBytes + w.dropBytes
-	if offered > 0 {
-		est.Offered = units.RateOf(offered, EstimatorWindow)
-		est.Effective = float64(w.queuedBytes) / float64(offered)
-		est.Confidence = confidence(est.Samples)
+	if offered <= 0 {
 		return est
 	}
-	// Mirror counters frozen: cross-reference the sFlow side. Traffic
-	// without mirror copies means the tap is shed (or dead) — effective
-	// rate zero; no traffic anywhere means there is nothing to sample.
-	sflowBytes := w.sampledBytes * int64(e.cfg.SFlow.SampleRate)
-	est.Offered = units.RateOf(sflowBytes, EstimatorWindow)
-	if sflowBytes > 0 {
-		est.Effective = 0
-		est.Confidence = confidence(w.sampledPkts)
-	} else {
-		est.Effective = 1
-		est.Confidence = 0
-	}
+	est.Offered = units.RateOf(offered, EstimatorWindow)
+	est.Admitted = units.RateOf(w.queuedBytes, EstimatorWindow)
+	est.Dropped = units.RateOf(w.dropBytes, EstimatorWindow)
+	est.Effective = float64(w.queuedBytes) / float64(offered)
+	est.Samples = w.queuedPkts + w.dropPkts
+	est.Confidence = confidence(est.Samples)
 	return est
 }
 
@@ -251,7 +181,7 @@ func (e *RateEstimator) Estimate(now units.Time, p int) Estimate {
 	if p < 0 || p >= len(e.ports) {
 		return Estimate{Effective: 1}
 	}
-	return e.estimateFrom(e.window(now, p))
+	return estimateFrom(e.ports[p].window(now))
 }
 
 // Aggregate returns the switch-wide estimate at now: the union of
@@ -259,13 +189,7 @@ func (e *RateEstimator) Estimate(now units.Time, p int) Estimate {
 func (e *RateEstimator) Aggregate(now units.Time) Estimate {
 	var sum estBucket
 	for p := range e.ports {
-		w := e.window(now, p)
-		sum.sampledBytes += w.sampledBytes
-		sum.sampledPkts += w.sampledPkts
-		sum.queuedBytes += w.queuedBytes
-		sum.queuedPkts += w.queuedPkts
-		sum.dropBytes += w.dropBytes
-		sum.dropPkts += w.dropPkts
+		sum.add(e.ports[p].window(now))
 	}
-	return e.estimateFrom(sum)
+	return estimateFrom(sum)
 }

@@ -30,32 +30,17 @@ const (
 	// RecoverThreshold) must pass before a shed port is restored —
 	// hysteresis against shed/restore oscillation.
 	HealthyTicks int = 8
-)
-
-// Config tunes one switch's governor loop. Zero fields take defaults.
-type Config struct {
 	// SaturationThreshold is the aggregate effective sampling rate
 	// below which the monitor port counts as saturated and a shed/tune
-	// episode begins (default 0.5).
-	SaturationThreshold float64
+	// episode begins. It sits above the 2:1 operating point (≈0.5) so
+	// episodes trigger decisively.
+	SaturationThreshold float64 = 0.6
 	// ShedFraction: a mirrored port whose share of the offered mirror
 	// load is below this fraction is shed instead of tuned — it costs
-	// monitor-queue space but yields few samples (default 0.05).
-	ShedFraction float64
-	// Estimator configures the shared per-port rate estimator.
-	Estimator EstimatorConfig
-}
-
-// withDefaults fills zero fields.
-func (c Config) withDefaults() Config {
-	if c.SaturationThreshold <= 0 {
-		c.SaturationThreshold = 0.5
-	}
-	if c.ShedFraction <= 0 {
-		c.ShedFraction = 0.05
-	}
-	return c
-}
+	// monitor-queue space but yields few samples. It is wide enough to
+	// classify ACK-only return ports as low-value.
+	ShedFraction float64 = 0.1
+)
 
 // Vantage is the data-plane view the governor polls: per-port mirror
 // counters and the live mirror session state. *switchsim.Switch
@@ -116,16 +101,15 @@ type Episode struct {
 }
 
 // Governor is one switch's closed-loop sampling-rate controller: each
-// tick it polls the vantage's mirror counters into the shared
-// estimator, and when the monitor port saturates (effective sampling
-// rate below threshold, at sufficient confidence, outside the
-// cooldown, and — critically — only while its vantage is live) it
+// tick it polls the vantage's mirror counters into its estimator, and
+// when the monitor port saturates (effective sampling rate below
+// threshold, at sufficient confidence, outside the cooldown, and —
+// critically — only while its vantage is live) it
 // commits a mirror-configuration transaction shedding low-value ports
 // and tuning the survivors' per-port sample budgets. Convergence is
 // confirmed by the estimator itself: the span closes when the
 // effective rate recovers past RecoverThreshold.
 type Governor struct {
-	cfg  Config
 	sw   Vantage
 	act  Actuator
 	est  *RateEstimator
@@ -173,15 +157,13 @@ type Governor struct {
 	lastOfferedGauge obs.Gauge
 }
 
-// New builds a governor for one switch over its rate estimator est;
-// monitorRate is the monitor link's line rate.
-func New(cfg Config, name string, s int, sw Vantage, act Actuator, est *RateEstimator, monitorRate units.Rate) *Governor {
-	cfg = cfg.withDefaults()
+// New builds a governor for one switch, with a rate estimator over its
+// ports; monitorRate is the monitor link's line rate.
+func New(name string, s int, sw Vantage, act Actuator, monitorRate units.Rate) *Governor {
 	return &Governor{
-		cfg:         cfg,
 		sw:          sw,
 		act:         act,
-		est:         est,
+		est:         NewRateEstimator(sw.NumPorts()),
 		name:        name,
 		s:           s,
 		monitorRate: monitorRate,
@@ -293,7 +275,7 @@ func (g *Governor) Tick(now units.Time) {
 		return
 	}
 
-	if agg.Effective < g.cfg.SaturationThreshold {
+	if agg.Effective < SaturationThreshold {
 		if agg.Confidence < MinConfidence {
 			g.SkippedLowConf.Inc()
 			return
@@ -340,7 +322,7 @@ func (g *Governor) shedTune(now units.Time, agg Estimate) {
 		if p == mon || !g.sw.PortMirrored(p) {
 			continue
 		}
-		if float64(off) < g.cfg.ShedFraction*float64(total) {
+		if float64(off) < ShedFraction*float64(total) {
 			shed[p] = true
 			continue
 		}
@@ -392,7 +374,7 @@ func (g *Governor) restoreOne(now units.Time, agg Estimate) {
 		if !g.haveCfg[p] || g.desired[p].Mirrored {
 			continue // not shed by us
 		}
-		probe := units.Rate(Headroom * g.cfg.ShedFraction * float64(g.monitorRate))
+		probe := units.Rate(Headroom * ShedFraction * float64(g.monitorRate))
 		plan := make([]routing.MirrorPortConfig, g.sw.NumPorts())
 		touch := make([]bool, g.sw.NumPorts())
 		plan[p] = routing.MirrorPortConfig{Mirrored: true, TargetRate: probe}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"planck/internal/core"
+	"planck/internal/faults"
 	"planck/internal/sim"
 	"planck/internal/topo"
 	"planck/internal/units"
@@ -27,7 +28,7 @@ const (
 	chaosRunFor   = 120 * units.Millisecond
 )
 
-func chaosOptions(faultSpec string) Options {
+func chaosOptions() Options {
 	return Options{
 		Net:    topo.SingleSwitch("sw0", 6, units.Rate10G, true),
 		Mirror: true,
@@ -36,7 +37,19 @@ func chaosOptions(faultSpec string) Options {
 		// events every cooldown, giving the delivery path real load.
 		CollectorConfig: core.Config{UtilThreshold: 0.05},
 		Supervise:       true,
-		FaultSpec:       faultSpec,
+	}
+}
+
+// applyFaults arms spec on every collector feed of l, seeded by the
+// lab's Seed.
+func applyFaults(t *testing.T, l *Lab, spec string) {
+	t.Helper()
+	sched, err := faults.ParseSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.ApplyFaults(sched, l.opts.Seed); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -71,10 +84,11 @@ func TestChaosSupervisedControlLoop(t *testing.T) {
 }
 
 func runChaos(t *testing.T) {
-	l, err := New(chaosOptions(chaosSpec))
+	l, err := New(chaosOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
+	applyFaults(t, l, chaosSpec)
 	sup := l.Supervisors[0]
 	if sup == nil {
 		t.Fatal("no supervisor on the monitored switch")
@@ -187,7 +201,7 @@ func runChaos(t *testing.T) {
 	// (c) Re-convergence: the data plane is untouched by monitoring
 	// faults, so an oracle run of the identical workload with no faults
 	// must agree with the post-recovery estimates on the loaded ports.
-	oracle, err := New(chaosOptions(""))
+	oracle, err := New(chaosOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"planck/internal/governor"
 	"planck/internal/obs/trace"
 	"planck/internal/routing"
-	"planck/internal/sflow"
 	"planck/internal/sim"
 	"planck/internal/topo"
 	"planck/internal/units"
@@ -22,17 +21,7 @@ func governorOptions() Options {
 		Mirror:          true,
 		Seed:            17,
 		CollectorConfig: core.Config{UtilThreshold: 0.95},
-		Govern: &governor.Config{
-			// 2:1 oversubscription estimates effective ≈ 0.5 — right at
-			// the default threshold. Raise it so the episode triggers
-			// decisively, and widen the shed fraction so the ACK-only
-			// return ports count as low-value.
-			SaturationThreshold: 0.6,
-			ShedFraction:        0.1,
-			Estimator: governor.EstimatorConfig{
-				SFlow: sflow.Config{SampleRate: 64, ControlPlaneCap: 200000},
-			},
-		},
+		Govern:          true,
 	}
 }
 
@@ -192,11 +181,11 @@ func TestGovernorShedsTunesAndConverges(t *testing.T) {
 func TestChaosGovernorDarkGuard(t *testing.T) {
 	opts := governorOptions()
 	opts.Supervise = true
-	opts.FaultSpec = "loss@20ms-35ms"
 	l, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	applyFaults(t, l, "loss@20ms-35ms")
 	gov := l.Governor(0)
 	sup := l.Supervisors[0]
 	if gov == nil || sup == nil {

@@ -56,18 +56,14 @@ type Options struct {
 	// controller through the supervisor's Deliverer instead of a direct
 	// attachment.
 	Supervise bool
-	// Govern, when non-nil, runs a sampling-rate Governor per monitored
-	// switch: a closed-loop control application that estimates the
-	// effective mirror sampling rate online and sheds low-value mirror
-	// ports or tunes per-port sample budgets through the epoch-versioned
-	// snapshot plane when the monitor port saturates. Combined with
-	// Supervise, the governor never actuates while the feed is dark.
-	// Zero fields take defaults.
-	Govern *governor.Config
-	// FaultSpec, when non-empty, is parsed with faults.ParseSpec and
-	// applied, seeded by Seed, to every monitored collector feed at build
-	// time (the programmatic equivalent is Lab.ApplyFaults).
-	FaultSpec string
+	// Govern runs a sampling-rate Governor per monitored switch: a
+	// closed-loop control application that estimates the effective
+	// mirror sampling rate online from the switch's mirror counters and
+	// sheds low-value mirror ports or tunes per-port sample budgets
+	// through the epoch-versioned snapshot plane when the monitor port
+	// saturates. Combined with Supervise, the governor never actuates
+	// while the feed is dark.
+	Govern bool
 	// InitialTrees assigns each destination's PAST tree. Nil picks a
 	// uniform random tree per address (PAST-R), matching the testbed.
 	InitialTrees []int
@@ -200,20 +196,10 @@ func New(opts Options) (*Lab, error) {
 	if opts.Fleet != nil && !opts.Mirror {
 		return nil, fmt.Errorf("lab: Options.Fleet requires Mirror")
 	}
-	if opts.Govern != nil && !opts.Mirror {
+	if opts.Govern && !opts.Mirror {
 		return nil, fmt.Errorf("lab: Options.Govern requires Mirror (the governor actuates mirror configuration)")
 	}
-	var faultSched, linkSched *faults.Schedule
-	if opts.FaultSpec != "" {
-		sched, err := faults.ParseSpec(opts.FaultSpec)
-		if err != nil {
-			return nil, fmt.Errorf("lab: FaultSpec: %w", err)
-		}
-		if err := checkSupervised(sched, opts.Supervise); err != nil {
-			return nil, err
-		}
-		faultSched = sched
-	}
+	var linkSched *faults.Schedule
 	if link := opts.link(); link != nil && link.FaultSpec != "" {
 		sched, err := faults.ParseSpec(link.FaultSpec)
 		if err != nil {
@@ -371,20 +357,8 @@ func New(opts Options) (*Lab, error) {
 				// detection as well would double-report what it merges.
 				node.Collector().Subscribe(l.Ctrl.DeliverEvent)
 			}
-			if opts.Govern != nil {
-				// The governor's rate estimator, fed from the switch's
-				// delivery hook, cross-references its sFlow side against
-				// the mirror counters.
-				ecfg := opts.Govern.Estimator
-				if ecfg.Seed == 0 {
-					ecfg.Seed = opts.Seed + int64(s)*7919 + 1
-				}
-				est := governor.NewRateEstimator(ecfg, len(net.Ports[s]))
-				l.Switches[s].OnDeliver = func(now units.Time, outPort int, pkt *sim.Packet) {
-					est.Observe(now, outPort, pkt.FlowKey(), pkt.WireLen)
-				}
-				gov := governor.New(*opts.Govern, net.SwitchNames[s], s,
-					l.Switches[s], l.Ctrl, est, net.LineRate)
+			if opts.Govern {
+				gov := governor.New(net.SwitchNames[s], s, l.Switches[s], l.Ctrl, net.LineRate)
 				if sup := l.Supervisors[s]; sup != nil {
 					// The chaos contract: the governor must not actuate
 					// from a dark vantage's stale estimate.
@@ -397,11 +371,6 @@ func New(opts Options) (*Lab, error) {
 				l.Governors[s] = gov
 				sim.NewTicker(eng, governor.Tick, gov.Tick)
 			}
-		}
-	}
-	if faultSched != nil {
-		if err := l.ApplyFaults(faultSched, opts.Seed); err != nil {
-			return nil, err
 		}
 	}
 	return l, nil
@@ -425,8 +394,8 @@ func (o *Options) link() *Link {
 // A schedule with a rule only a Supervisor acts on (NeedsSupervisor) is
 // refused on a lab built without Options.Supervise.
 func (l *Lab) ApplyFaults(sched *faults.Schedule, seed int64) error {
-	if err := checkSupervised(sched, l.opts.Supervise); err != nil {
-		return err
+	if !l.opts.Supervise && NeedsSupervisor(sched) {
+		return fmt.Errorf("lab: fault schedule %q has a crash, partition or chandelay rule, which only a Supervisor acts on: set Options.Supervise", sched)
 	}
 	l.Faults = sched
 	if sched.Empty() {
@@ -461,15 +430,6 @@ func NeedsSupervisor(sched *faults.Schedule) bool {
 		}
 	}
 	return false
-}
-
-// checkSupervised refuses a schedule that needs a Supervisor for a lab
-// without one.
-func checkSupervised(sched *faults.Schedule, supervised bool) error {
-	if !supervised && NeedsSupervisor(sched) {
-		return fmt.Errorf("lab: fault schedule %q has a crash, partition or chandelay rule, which only a Supervisor acts on: set Options.Supervise", sched)
-	}
-	return nil
 }
 
 // buildAggPlane assembles the federated aggregation plane for fleet

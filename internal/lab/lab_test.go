@@ -7,7 +7,6 @@ import (
 
 	"planck/internal/core"
 	"planck/internal/faults"
-	"planck/internal/governor"
 	"planck/internal/packet"
 	"planck/internal/tcpsim"
 	"planck/internal/topo"
@@ -245,12 +244,8 @@ func TestNewRejectsBadOptions(t *testing.T) {
 	}{
 		{"nil Net", Options{Mirror: true}, "Net is required"},
 		{"Fleet without Mirror", Options{Net: net, Fleet: &Fleet{}}, "Fleet requires Mirror"},
-		{"Govern without Mirror", Options{Net: net, Govern: &governor.Config{}}, "Govern requires Mirror"},
+		{"Govern without Mirror", Options{Net: net, Govern: true}, "Govern requires Mirror"},
 		{"bad Link.FaultSpec", Options{Net: net, Mirror: true, Fleet: &Fleet{Link: &Link{FaultSpec: "nonsense"}}}, "lab: Fleet.Link.FaultSpec:"},
-		{"bad FaultSpec", Options{Net: net, Mirror: true, FaultSpec: "nonsense"}, "lab: FaultSpec:"},
-		{"crash without Supervise", Options{Net: net, Mirror: true, FaultSpec: "loss:0.5@1ms-2ms,crash@3ms"}, "only a Supervisor acts on"},
-		{"partition without Supervise", Options{Net: net, Mirror: true, FaultSpec: "partition@1ms-2ms"}, "only a Supervisor acts on"},
-		{"chandelay without Supervise", Options{Net: net, Mirror: true, FaultSpec: "chandelay:1ms"}, "only a Supervisor acts on"},
 		{"MonitorSwitches out of range", Options{Net: net, Mirror: true, MonitorSwitches: []int{1}}, "MonitorSwitches entry 1 out of range"},
 	} {
 		l, err := New(tc.opts)
@@ -265,9 +260,8 @@ func TestNewRejectsBadOptions(t *testing.T) {
 }
 
 // TestApplyFaultsNeedsSupervisorForSupervisorFaults: ApplyFaults on a
-// built lab refuses what New refuses in Options.FaultSpec, a rule only
-// a Supervisor acts on, and leaves the lab fault-free; a mirror-path
-// schedule it takes.
+// built lab refuses a rule only a Supervisor acts on, and leaves the lab
+// fault-free; a mirror-path schedule it takes.
 func TestApplyFaultsNeedsSupervisorForSupervisorFaults(t *testing.T) {
 	l, err := New(Options{Net: topo.SingleSwitch("sw0", 4, units.Rate10G, true), Mirror: true})
 	if err != nil {

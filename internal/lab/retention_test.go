@@ -27,7 +27,7 @@ func TestHeldEventsKeepTheirFlows(t *testing.T) {
 		at   units.Time
 	}
 	for _, fleet := range []bool{false, true} {
-		opts := chaosOptions(spec)
+		opts := chaosOptions()
 		if fleet {
 			opts.Fleet = &Fleet{}
 		}
@@ -35,6 +35,7 @@ func TestHeldEventsKeepTheirFlows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		applyFaults(t, l, spec)
 		// An undelayed delivery runs inside its own emit, before a plane
 		// subscriber registered after the lab's own; whichever of emit
 		// and delivery comes second compares against the first's copy.

@@ -22,11 +22,11 @@ func TestSupervisedQueryLoopReadsLiveCollectors(t *testing.T) {
 		Seed:            7,
 		CollectorConfig: core.Config{UtilThreshold: 100},
 		Supervise:       true,
-		FaultSpec:       "crash@15ms",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	applyFaults(t, l, "crash@15ms")
 	app := te.NewPlanckTE(l.Ctrl, te.DefaultPlanckTEConfig())
 	for i := 0; i < 8; i++ {
 		if _, err := l.Hosts[i].StartFlow(0, topo.HostIP(i+8), uint16(5001+i), 100<<20, int32(i+1)); err != nil {

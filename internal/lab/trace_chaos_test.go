@@ -76,7 +76,7 @@ func TestChaosTracesWellFormed(t *testing.T) {
 func runChaosTraced(t *testing.T) {
 	tracer := trace.New(512)
 	var dumps bytes.Buffer
-	opts := chaosOptions(chaosSpec)
+	opts := chaosOptions()
 	opts.Tracer = tracer
 	opts.TraceDump = &dumps
 
@@ -84,6 +84,7 @@ func runChaosTraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	applyFaults(t, l, chaosSpec)
 	startChaosTraffic(t, l)
 	l.Run(chaosRunFor)
 	tracer.FlushOpen()
@@ -120,12 +121,12 @@ func TestTraceConvergesAcrossRestart(t *testing.T) {
 		Seed:            7,
 		CollectorConfig: core.Config{UtilThreshold: 0.05},
 		Supervise:       true,
-		FaultSpec:       "crash@30ms",
 		Tracer:          tracer,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	applyFaults(t, l, "crash@30ms")
 	te.NewPlanckTE(l.Ctrl, te.DefaultPlanckTEConfig())
 
 	// The stride workload: pod-crossing flows that collide on core links

@@ -172,11 +172,6 @@ type Switch struct {
 	MirrorPrioQueued stats.Counter
 	TableMisses      stats.Counter // packets with no MAC table entry
 
-	// OnDeliver, when set, observes every packet the switch enqueues to a
-	// data port (post-rewrite), letting experiments trace traffic without
-	// hacking the data path.
-	OnDeliver func(now units.Time, outPort int, pkt *sim.Packet)
-
 	// SampleSink, when set together with EnableMirror, realizes §9.2's
 	// in-switch collector proposal: every would-be mirror copy is handed
 	// to the sink at switching time instead of consuming a front-panel
@@ -403,9 +398,6 @@ func (sw *Switch) Receive(now units.Time, in *sim.Port, pkt *sim.Packet) {
 		}
 	}
 
-	if sw.OnDeliver != nil {
-		sw.OnDeliver(now, int(out), pkt)
-	}
 	sw.enqueueData(now, int(out), pkt)
 }
 
